@@ -351,12 +351,16 @@ def run_rate(cfg: ExperimentConfig) -> int:
 
 def run_sweep(cfg: ExperimentConfig) -> int:
     scale = mimo.rate_scale(cfg.log_base)
+    # one pool and one table cache serve every snr and policy of the sweep
+    pool = mimo.SamplePool.build(cfg.K, cfg.num_samples, cfg.seed, workers=cfg.workers)
+    cache = mimo.TableCache(pool)
+    q_grid = None if cfg.q_grid is None else list(cfg.q_grid)
     rows, results = [], []
     for snr in cfg.snr:
         for policy in cfg.q_policy:
             points = rates.gap_trend(
                 cfg.K, list(cfg.D), snr, policy, cfg.num_samples, cfg.seed,
-                mode=cfg.mode, workers=cfg.workers,
+                mode=cfg.mode, workers=cfg.workers, q_grid=q_grid, cache=cache,
             )
             for p in points:
                 thm = rates.depth_gap_bound(cfg.K, p.num_hops, cfg.log_base)

@@ -14,15 +14,25 @@ Draws come from counter-based Philox streams keyed by
 per-block partial sums are combined in block order, so results are
 bit-identical for any worker count and for any consumer that replays the same
 blocks.
+
+Estimates come from Gram spectra: with eigenvalues lambda_i of the Gram
+matrix of the smaller side, logdet(I + snr * H H^dagger) =
+sum_i log1p(snr * lambda_i).  The spectrum does not depend on snr, so a
+``SamplePool`` decomposes every cyclic window of its draws once, and each
+``CapacityTable`` over the pool is an elementwise pass over the stored
+eigenvalues.  ``gram_logdet`` (a Cholesky factorization of I + snr * Gram) is
+kept as the independent reference that the property checks and tests compare
+the spectral path against.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import integrate
@@ -182,6 +192,58 @@ def gram_logdet(channels: np.ndarray, snr: float, side: str = "auto") -> np.ndar
     return 2.0 * np.sum(np.log(diag), axis=-1)
 
 
+def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the smaller-side Gram matrix for a batch of channels.
+
+    Args:
+        channels: Finite array of shape (..., m, n) with m, n >= 1.
+
+    Returns:
+        Array of shape (..., min(m, n)) of nonnegative eigenvalues, ascending.
+        Gram sides of size 1 and 2 use closed forms; larger ones use
+        ``np.linalg.eigvalsh``.  Each route keeps the smallest eigenvalue
+        accurate to about eps * sqrt(lambda_min * lambda_max) on square
+        windows, where a plain eigensolver only reaches eps * lambda_max:
+        at high snr that error is multiplied by snr in the logdet.
+    """
+    H = np.asarray(channels)
+    if H.shape[-2] > H.shape[-1]:
+        # H^T has the conjugate Gram matrix of H^dagger: same spectrum
+        H = np.swapaxes(H, -1, -2)
+    d, k = H.shape[-2:]
+    if d == 1:
+        return np.sum(H.real**2 + H.imag**2, axis=-1)
+    if d == 2:
+        r0, r1 = H[..., 0, :], H[..., 1, :]
+        a = np.sum(r0.real**2 + r0.imag**2, axis=-1)
+        c = np.sum(r1.real**2 + r1.imag**2, axis=-1)
+        b = np.abs(np.sum(r0 * r1.conj(), axis=-1))
+        # Cauchy-Binet: det(Gram) is the sum of the squared 2 x 2 minors,
+        # free of the cancellation in a * c - |b|^2
+        det = np.zeros(a.shape)
+        for j, l in itertools.combinations(range(k), 2):
+            minor = r0[..., j] * r1[..., l] - r0[..., l] * r1[..., j]
+            det += minor.real**2 + minor.imag**2
+        lam_max = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+        return np.stack([det / lam_max, lam_max], axis=-1)
+    G = H @ np.swapaxes(H.conj(), -1, -2)
+    lam = np.linalg.eigvalsh(G)
+    if d == k:
+        lam[..., 0] = np.abs(np.linalg.det(H)) ** 2 / np.prod(lam[..., 1:], axis=-1)
+    # a positive definite Gram can still round to a tiny negative eigenvalue
+    return np.maximum(lam, 0.0, out=lam)
+
+
+def _spectral_logdet(spectrum: np.ndarray, snr: float) -> np.ndarray:
+    """sum_i log1p(snr * lambda_i) over the last axis, in nats."""
+    terms = np.log1p(snr * spectrum)
+    # column by column: a reduction over a short last axis is far slower
+    total = terms[..., 0]
+    for i in range(1, terms.shape[-1]):
+        total = total + terms[..., i]
+    return total
+
+
 def logdet_capacity(
     channel: ChannelSample | np.ndarray, snr: float, log_base: str = "nats"
 ) -> float:
@@ -296,7 +358,7 @@ def estimate_ergodic_capacity(
     def task(b: int) -> tuple[int, float, float]:
         lo, hi = _block_bounds(b, num_samples)
         draws = sample_channel_block(m, n, seed, b, hop_index)[: hi - lo]
-        return _partial_stats(gram_logdet(draws, snr))
+        return _partial_stats(_spectral_logdet(_gram_spectrum(draws), snr))
 
     partials = _map_blocks(task, _num_blocks(num_samples), workers)
     total, mean, se = _combine_stats(partials)
@@ -324,6 +386,27 @@ def siso_capacity_oracle(snr: float) -> float:
     return val
 
 
+def _windows(K: int, m: int, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(weight, rows, cols) of the cyclic windows averaged into entry (m, n).
+
+    The windows are every m x n and n x m cyclic window of a K x K draw (rows
+    r..r+m-1, columns c..c+n-1, indices mod K).  Windows whose dimension
+    equals K are all equal up to a row or column rotation, which leaves the
+    Gram spectrum unchanged; only one representative per rotation class is
+    kept, weighted by the size of its class.
+    """
+    orientations = [(m, n)] if m == n else [(m, n), (n, m)]
+    windows = []
+    for a, b in orientations:
+        row_starts = [0] if a == K else list(range(K))
+        col_starts = [0] if b == K else list(range(K))
+        mult = (K // len(row_starts)) * (K // len(col_starts))
+        for r in row_starts:
+            for c in col_starts:
+                windows.append((mult, (r + np.arange(a)) % K, (c + np.arange(b)) % K))
+    return windows
+
+
 @dataclass(frozen=True)
 class SamplePool:
     """A fixed set of max_dim x max_dim channel draws shared across estimates.
@@ -331,13 +414,26 @@ class SamplePool:
     Every capacity table derived from one pool sees the same realizations, so
     differences of table entries are common-random-number differences and
     structural inequalities between entries hold draw by draw.
+
+    Attributes:
+        draws: (num_samples, max_dim, max_dim) complex channel draws.
+        spectra: For every table entry (m, n) with m >= n, the pair
+            (eigenvalues, weights).  ``eigenvalues`` has shape
+            (num_samples, c): the smaller-side Gram eigenvalues of each of
+            the entry's cyclic windows (see ``_windows``), side by side.
+            ``weights`` gives each column its window's share of the average,
+            or is None when the entry has a single window.  Spectra do not
+            depend on snr, so tables at any number of snr values reuse them.
     """
 
     max_dim: int
     num_samples: int
     seed: int
     hop_index: int
-    draws: np.ndarray  # (num_samples, max_dim, max_dim) complex
+    draws: np.ndarray
+    spectra: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = field(
+        repr=False
+    )
 
     @classmethod
     def build(
@@ -348,74 +444,88 @@ class SamplePool:
         hop_index: int = 0,
         workers: int = 1,
     ) -> "SamplePool":
+        """Sample the draws and decompose every cyclic window, block by block.
+
+        ``workers`` threads share the blocks; the pool is bit-identical for
+        any worker count.
+        """
         if max_dim <= 0:
             raise ValueError(f"max_dim must be positive, got {max_dim}")
         if num_samples <= 0:
             raise ValueError(f"num_samples must be positive, got {num_samples}")
         _check_seed(seed)
+        K = max_dim
+        entries = [(m, n) for m in range(1, K + 1) for n in range(1, m + 1)]
+        windows = {e: _windows(K, *e) for e in entries}
 
-        def task(b: int) -> np.ndarray:
-            return sample_channel_block(max_dim, max_dim, seed, b, hop_index)
+        def task(b: int) -> tuple[np.ndarray, list[np.ndarray]]:
+            lo, hi = _block_bounds(b, num_samples)
+            block = sample_channel_block(K, K, seed, b, hop_index)[: hi - lo]
+            spectra = []
+            for e in entries:
+                parts = []
+                for _, rows, cols in windows[e]:
+                    if len(rows) == K and len(cols) == K:
+                        W = block
+                    else:
+                        # advanced indexing reorders memory (draw axis becomes
+                        # fastest); force C layout so the Gram matmul sees the
+                        # same accumulation order as on freshly sampled blocks
+                        W = np.ascontiguousarray(block[:, rows[:, None], cols[None, :]])
+                    parts.append(_gram_spectrum(W))
+                spectra.append(parts[0] if len(parts) == 1 else np.hstack(parts))
+            return block, spectra
 
-        blocks = _map_blocks(task, _num_blocks(num_samples), workers)
-        draws = np.concatenate(blocks, axis=0)[:num_samples]
-        return cls(max_dim, num_samples, seed, hop_index, draws)
+        results = _map_blocks(task, _num_blocks(num_samples), workers)
+        draws = np.concatenate([block for block, _ in results], axis=0)
+        spectra = {}
+        for i, e in enumerate(entries):
+            eigenvalues = np.concatenate([parts[i] for _, parts in results], axis=0)
+            weights = None
+            if len(windows[e]) > 1:
+                total = sum(w for w, _, _ in windows[e])
+                weights = np.concatenate(
+                    [np.full(min(len(r), len(c)), w / total) for w, r, c in windows[e]]
+                )
+            spectra[e] = (eigenvalues, weights)
+        return cls(max_dim, num_samples, seed, hop_index, draws, spectra)
 
 
-def _window_values(draws: np.ndarray, m: int, n: int, snr: float) -> np.ndarray:
-    """Per-draw m x n capacity values symmetrized over cyclic windows.
+def _window_values(
+    eigenvalues: np.ndarray, weights: np.ndarray | None, snr: float
+) -> np.ndarray:
+    """Per-draw capacity values of one table entry, symmetrized over windows.
 
-    For each pooled draw P the value is the average of
-    logdet(I + snr * W W^dagger) over every m x n and n x m cyclic window of
-    P (rows r..r+m-1, columns c..c+n-1, indices mod max_dim).  Averaging over
-    the window group makes the entries of a table share exact structural
+    ``eigenvalues`` and ``weights`` are what a SamplePool stores for an entry
+    (m, n).  For each pooled draw P the value is the weighted average of
+    logdet(I + snr * W W^dagger) = sum log1p(snr * lambda) over every m x n
+    and n x m cyclic window W of P (see ``_windows``).  Averaging over the
+    window group makes the entries of a table share exact structural
     relations on every draw:
 
       * (m, n) and (n, m) give the same value (the window sets are mirrors),
       * growing m or n can only add rows or columns to each window,
       * complementary row ranges of a column window partition it.
 
-    Windows whose dimension equals max_dim are all equal up to a row or
-    column rotation, which leaves the Gram spectrum unchanged; only one
-    representative per rotation class is evaluated.
+    These hold up to rounding; ``gram_logdet`` is the Cholesky reference that
+    tests and ``check_capacity_properties`` compare against.
     """
-    K = draws.shape[-1]
-    orientations = [(m, n)] if m == n else [(m, n), (n, m)]
-    pieces: list[tuple[int, np.ndarray]] = []
-    for a, b in orientations:
-        row_starts = [0] if a == K else list(range(K))
-        col_starts = [0] if b == K else list(range(K))
-        mult = (K // len(row_starts)) * (K // len(col_starts))
-        for r in row_starts:
-            rows = (r + np.arange(a)) % K
-            for c in col_starts:
-                cols = (c + np.arange(b)) % K
-                if a == K and b == K:
-                    W = draws
-                else:
-                    # advanced indexing reorders memory (draw axis becomes
-                    # fastest); force C layout so the logdet kernel sees the
-                    # same accumulation order as on freshly sampled blocks
-                    W = np.ascontiguousarray(draws[:, rows[:, None], cols[None, :]])
-                pieces.append((mult, gram_logdet(W, snr)))
-    if len(pieces) == 1:
-        # single representative: return the raw values so the full-size entry
-        # is bitwise identical to a direct estimate on the same draws
-        return pieces[0][1]
-    total_weight = sum(w for w, _ in pieces)
-    acc = np.zeros(len(draws))
-    for w, vals in pieces:
-        acc += w * vals
-    return acc / total_weight
+    if weights is None:
+        # single representative: the same kernel as the direct estimator, so
+        # the full-size entry is bitwise identical to it on the same draws
+        return _spectral_logdet(eigenvalues, snr)
+    return np.log1p(snr * eigenvalues) @ weights
 
 
 class CapacityTable:
     """Ergodic capacities for every dimension pair (m, n) with m, n <= max_dim.
 
-    Entries are estimated from one shared pool of draws via cyclic-window
-    symmetrization (see ``_window_values``), so on every single draw the table
-    is symmetric, monotone in each dimension, and superadditive in the row
-    split.  Index 0 rows and columns are exactly zero.
+    Entries are estimated from the Gram spectra of one shared pool of draws
+    via cyclic-window symmetrization (see ``_window_values``), so on every
+    single draw the table is symmetric, monotone in each dimension, and
+    superadditive in the row split.  Index 0 rows and columns are exactly
+    zero.  Building a table costs one elementwise pass over the pool's
+    stored eigenvalues; no matrix is formed or factored.
 
     Attributes:
         means: (max_dim+1, max_dim+1) array of entry means in nats.
@@ -459,18 +569,20 @@ class CapacityTable:
         per_draw = np.zeros((N, K + 1, K + 1))
         means = np.zeros((K + 1, K + 1))
         ses = np.zeros((K + 1, K + 1))
-        for m in range(1, K + 1):
-            for n in range(1, m + 1):
-                vals = _window_values(pool.draws, m, n, snr)
-                per_draw[:, m, n] = vals
-                # stats come from the contiguous array, not the strided
-                # per_draw column: np.sum's pairwise order differs on
-                # non-contiguous views, and the full-size entry must match a
-                # direct block-wise estimate bit for bit
-                means[m, n], ses[m, n] = _stream_stats(vals)
-                if n != m:
-                    per_draw[:, n, m] = vals  # symmetry is exact by sharing
-                    means[n, m], ses[n, m] = means[m, n], ses[m, n]
+        partials: dict[tuple[int, int], list] = {e: [] for e in pool.spectra}
+        # block by block keeps temporaries cache-sized; stats come from the
+        # same blocks as a direct estimate, so the full-size entry matches it
+        # bit for bit
+        for b in range(_num_blocks(N)):
+            lo, hi = _block_bounds(b, N)
+            for (m, n), (eigenvalues, weights) in pool.spectra.items():
+                vals = _window_values(eigenvalues[lo:hi], weights, snr)
+                per_draw[lo:hi, m, n] = vals
+                per_draw[lo:hi, n, m] = vals  # symmetry is exact by sharing
+                partials[(m, n)].append(_partial_stats(vals))
+        for (m, n), parts in partials.items():
+            _, means[m, n], ses[m, n] = _combine_stats(parts)
+            means[n, m], ses[n, m] = means[m, n], ses[m, n]
         return cls(
             K, snr, N, pool.seed, pool.hop_index, means, ses,
             per_draw=per_draw if keep_per_draw else None,

@@ -397,9 +397,9 @@ def check_capacity_properties(
     """Verify symmetry, monotonicity and split superadditivity per draw.
 
     Checks run on the raw pooled draws (corner submatrices, both Gram
-    orderings computed independently), not on the symmetrized table entries,
-    so they exercise the logdet kernel itself.  Requires a table whose pool
-    was retained.
+    orderings computed independently) through the Cholesky reference
+    ``gram_logdet``, not on the symmetrized table entries, which come from
+    the pool's Gram spectra.  Requires a table whose pool was retained.
 
     Raises:
         ValueError: if the table lacks shared draws.

@@ -132,6 +132,31 @@ def _nnc_tables(
     return [table_degraded] * (D - 1) + [table_full]
 
 
+def _penalized_min_cut(
+    params: NetworkParams,
+    scheme: QuantizationScheme,
+    tables: list[CapacityTable],
+    mode: str,
+) -> tuple[float, CutProfile, float]:
+    """Unclamped achievable rate under ``mode`` on per-hop tables.
+
+    Returns:
+        (raw rate in nats, minimizing profile, per-relay penalty charged
+        inside the minimization: penalty_per_relay for "per_cut_exact", 0
+        for "split_bound", which subtracts the worst-case penalty instead).
+    """
+    if mode == "per_cut_exact":
+        pen = scheme.penalty_per_relay
+        raw, profile = min_cut_dp(params, tables, node_penalty=pen)
+        return raw, profile, pen
+    if mode == "split_bound":
+        min_cut, profile = min_cut_dp(params, tables, node_penalty=0.0)
+        return min_cut - penalty_bound(params, scheme), profile, 0.0
+    raise ValueError(
+        f"mode must be 'per_cut_exact' or 'split_bound', got {mode!r}"
+    )
+
+
 def nnc_lower_bound(
     params: NetworkParams,
     scheme: QuantizationScheme,
@@ -157,20 +182,8 @@ def nnc_lower_bound(
         ``raw_value``; clamping is logged.
     """
     tables = _nnc_tables(params, scheme, table_degraded, table_full)
-    if mode == "per_cut_exact":
-        pen = scheme.penalty_per_relay
-        raw, profile = min_cut_dp(params, tables, node_penalty=pen)
-        cv = cut_value(profile, params, tables, node_penalty=pen)
-        se = cv.std_error
-    elif mode == "split_bound":
-        min_cut, profile = min_cut_dp(params, tables, node_penalty=0.0)
-        raw = min_cut - penalty_bound(params, scheme)
-        cv = cut_value(profile, params, tables)
-        se = cv.std_error
-    else:
-        raise ValueError(
-            f"mode must be 'per_cut_exact' or 'split_bound', got {mode!r}"
-        )
+    raw, profile, pen = _penalized_min_cut(params, scheme, tables, mode)
+    se = cut_value(profile, params, tables, node_penalty=pen).std_error
     if raw < 0.0:
         logger.info(
             "achievable rate clamped to zero (raw %.6g nats at q=%g)",
@@ -369,6 +382,16 @@ def default_q_grid(num_hops: int) -> list[float]:
     return sorted(qs)
 
 
+def _candidate_grid(q_grid: list[float]) -> list[float]:
+    """Sorted distinct candidate ratios, validated."""
+    grid = sorted({float(q) for q in q_grid})
+    if not grid:
+        raise ValueError("q_grid must be nonempty")
+    if any(not (q > 0) or not math.isfinite(q) for q in grid):
+        raise ValueError(f"all quantization ratios must be positive and finite: {grid}")
+    return grid
+
+
 def _optimize_on_cache(
     params: NetworkParams,
     cache: TableCache,
@@ -382,8 +405,11 @@ def _optimize_on_cache(
     def rate_at(q: float) -> float:
         if q not in evals:
             scheme = QuantizationScheme(q)
-            table = cache.at(params.snr / (1.0 + q))
-            evals[q] = nnc_lower_bound(params, scheme, table, mode=mode).value
+            table = cache.at(degraded_snr(params, scheme))
+            tables = [table] * params.num_hops
+            raw, _, _ = _penalized_min_cut(params, scheme, tables, mode)
+            # the rate nnc_lower_bound reports, without its standard error
+            evals[q] = max(raw, 0.0)
             order.append(q)
         return evals[q]
 
@@ -443,11 +469,9 @@ def optimize_quantization(
         refine_rounds: Rounds of local step halving.
         workers: Threads for pool generation.
     """
-    grid = sorted({float(q) for q in (q_grid if q_grid is not None else default_q_grid(params.num_hops))})
-    if not grid:
-        raise ValueError("q_grid must be nonempty")
-    if any(not (q > 0) or not math.isfinite(q) for q in grid):
-        raise ValueError(f"all quantization ratios must be positive and finite: {grid}")
+    grid = _candidate_grid(
+        q_grid if q_grid is not None else default_q_grid(params.num_hops)
+    )
     pool = SamplePool.build(params.relays_per_layer, num_samples, seed, workers=workers)
     cache = TableCache(pool)
     best_q, best, evals = _optimize_on_cache(params, cache, grid, mode, refine_rounds)
@@ -507,6 +531,8 @@ def gap_trend(
     seed: int = 0,
     mode: str = "per_cut_exact",
     workers: int = 1,
+    q_grid: list[float] | None = None,
+    cache: TableCache | None = None,
 ) -> list[TrendPoint]:
     """Gap to the cutset bound as a function of depth under a q policy.
 
@@ -517,16 +543,30 @@ def gap_trend(
         depth.
       * depth_matched: q = D - 1 (q = 1 at D = 1); the gap grows only
         logarithmically in depth.
-      * optimized: q from optimize_quantization on the default grid.
+      * optimized: q from optimize_quantization on ``q_grid``, or on
+        ``default_q_grid(D)`` when it is None.
+
+    ``cache`` lets several calls share one pool and its tables; it replaces
+    the pool build, and its pool must have been built with
+    ``(relays_per_layer, num_samples, seed)`` at hop 0.
 
     Returns one TrendPoint per depth, in the given order.
     """
     if any(d < 1 for d in depths):
         raise ValueError(f"depths must be positive, got {depths}")
     policy = resolve_policy(q_policy)
+    grid = None if q_grid is None else _candidate_grid(q_grid)
     K = relays_per_layer
-    pool = SamplePool.build(K, num_samples, seed, workers=workers)
-    cache = TableCache(pool)
+    if cache is None:
+        cache = TableCache(SamplePool.build(K, num_samples, seed, workers=workers))
+    else:
+        pool = cache.pool
+        got = (pool.max_dim, pool.num_samples, pool.seed, pool.hop_index)
+        if got != (K, num_samples, seed, 0):
+            raise ValueError(
+                f"cache pool (K, num_samples, seed, hop_index) = {got} does not "
+                f"match the requested {(K, num_samples, seed, 0)}"
+            )
     table_full = cache.at(snr)
     points = []
     for D in depths:
@@ -537,23 +577,14 @@ def gap_trend(
             q = float(max(D - 1, 1))
         else:
             q, _, _ = _optimize_on_cache(
-                params, cache, default_q_grid(D), mode, refine_rounds=3
+                params, cache, grid if grid is not None else default_q_grid(D),
+                mode, refine_rounds=3,
             )
         scheme = QuantizationScheme(q)
-        table_deg = cache.at(degraded_snr(params, scheme))
-        if mode == "per_cut_exact":
-            pen = scheme.penalty_per_relay
-            raw, profile = min_cut_dp(params, [table_deg] * D, node_penalty=pen)
-        elif mode == "split_bound":
-            pen = 0.0
-            min_cut, profile = min_cut_dp(params, [table_deg] * D, node_penalty=0.0)
-            raw = min_cut - penalty_bound(params, scheme)
-        else:
-            raise ValueError(
-                f"mode must be 'per_cut_exact' or 'split_bound', got {mode!r}"
-            )
+        tables = [cache.at(degraded_snr(params, scheme))] * D
+        raw, profile, pen = _penalized_min_cut(params, scheme, tables, mode)
         upper = table_full.mean(K, K)
-        se = _gap_std_error(params, [table_deg] * D, table_full, profile, pen)
+        se = _gap_std_error(params, tables, table_full, profile, pen)
         points.append(
             TrendPoint(
                 num_hops=D,

@@ -7,6 +7,7 @@ import subprocess
 
 import pytest
 
+from relaycap import NetworkParams, optimize_quantization
 from relaycap.cli import (
     RATE_HEADER,
     ConfigError,
@@ -265,3 +266,46 @@ def test_console_script_installed():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("# schema=relaycap/capacity/1")
+
+
+def _data_rows(path):
+    return path.read_bytes().split(b"\n", 3)[3]
+
+
+SWEEP_ARGS = ["sweep", "--K", "2", "--D", "2,3,6", "--snr", "3,10", "--samples", "3000"]
+
+
+def test_multi_policy_sweep_equals_single_policy_sweeps(tmp_path):
+    policies = ["fixed_1", "depth_matched", "optimized"]
+    _, joint = run_cli(tmp_path, [*SWEEP_ARGS, "--q-policy", ",".join(policies)], "all.csv")
+    singles = {
+        p: _data_rows(run_cli(tmp_path, [*SWEEP_ARGS, "--q-policy", p], f"{p}.csv")[1])
+        for p in policies
+    }
+    # rows run snr-major, then policy, then depth (two snrs, three depths)
+    rows = {p: singles[p].splitlines(keepends=True) for p in policies}
+    expected = b"".join(
+        line for i in range(2) for p in policies for line in rows[p][3 * i:3 * i + 3]
+    )
+    assert _data_rows(joint) == expected
+
+
+def test_multi_policy_sweep_is_byte_identical_across_workers(tmp_path):
+    args = [*SWEEP_ARGS, "--q-policy", "fixed_1,depth_matched,optimized"]
+    _, a = run_cli(tmp_path, [*args, "--workers", "1"], "a.csv")
+    _, b = run_cli(tmp_path, [*args, "--workers", "2"], "b.csv")
+    assert a.read_bytes() == b.read_bytes()
+
+
+def test_sweep_q_grid_reaches_the_optimizer(tmp_path):
+    grid = [0.5, 2.0, 30.0]
+    args = ["sweep", "--K", "2", "--D", "8", "--samples", "2000", "--seed", "4",
+            "--q-policy", "optimized"]
+    _, out = run_cli(tmp_path, [*args, "--q-grid", "0.5,2,30"], "grid.csv")
+    _, default = run_cli(tmp_path, args, "default.csv")
+    q = float(_data_rows(out).split(b",")[3])
+    expected = optimize_quantization(
+        NetworkParams(2, 8, power=10.0), q_grid=grid, num_samples=2000, seed=4
+    ).noise_ratio
+    assert q == expected
+    assert q != float(_data_rows(default).split(b",")[3])

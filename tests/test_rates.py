@@ -329,3 +329,46 @@ def test_gap_trend_validates_input():
         gap_trend(2, [2], q_policy="none", num_samples=100, seed=0)
     with pytest.raises(ValueError, match="mode"):
         gap_trend(2, [2], mode="loose", num_samples=100, seed=0)
+
+
+@pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
+def test_optimizer_rates_equal_nnc_lower_bound_bitwise(mode):
+    params = NetworkParams(2, 6, power=10.0)
+    res = optimize_quantization(params, num_samples=3_000, seed=5, mode=mode)
+    cache = TableCache(SamplePool.build(2, 3_000, seed=5))
+    assert len(res.evaluations) > len(default_q_grid(6))  # refinement ran
+    for q, rate in res.evaluations:
+        scheme = QuantizationScheme(q)
+        table = cache.at(degraded_snr(params, scheme))
+        assert rate == nnc_lower_bound(params, scheme, table, mode=mode).value
+
+
+def test_gap_trend_on_shared_cache_matches_own_pool():
+    cache = TableCache(SamplePool.build(2, 2_000, seed=4))
+    for policy in ("fixed_1", "depth_matched", "optimized"):
+        own = gap_trend(2, [2, 5], q_policy=policy, num_samples=2_000, seed=4)
+        shared = gap_trend(2, [2, 5], q_policy=policy, num_samples=2_000, seed=4,
+                           cache=cache)
+        assert own == shared
+
+
+@pytest.mark.parametrize(
+    "kw", [{"relays_per_layer": 1}, {"num_samples": 1_000}, {"seed": 5}]
+)
+def test_gap_trend_rejects_mismatched_cache(kw):
+    cache = TableCache(SamplePool.build(2, 2_000, seed=4))
+    args = {"relays_per_layer": 2, "num_samples": 2_000, "seed": 4, **kw}
+    with pytest.raises(ValueError, match="cache pool"):
+        gap_trend(depths=[2], cache=cache, **args)
+
+
+def test_gap_trend_optimizes_over_given_grid():
+    grid = [0.5, 2.0, 30.0]
+    (p,) = gap_trend(2, [8], q_policy="optimized", num_samples=2_000, seed=4,
+                     q_grid=grid)
+    res = optimize_quantization(NetworkParams(2, 8, power=10.0), q_grid=grid,
+                                num_samples=2_000, seed=4)
+    assert p.noise_ratio == res.noise_ratio
+    with pytest.raises(ValueError, match="positive"):
+        gap_trend(2, [8], q_policy="optimized", num_samples=100, seed=0,
+                  q_grid=[1.0, 0.0])

@@ -6,10 +6,12 @@ import pytest
 import oracles
 from relaycap import (
     CapacityTable,
+    SamplePool,
     TableCache,
     build_capacity_table,
     check_capacity_properties,
     estimate_ergodic_capacity,
+    gram_logdet,
 )
 
 
@@ -117,3 +119,61 @@ def test_keep_per_draw_false_drops_draw_storage(pool3):
     # means must be identical to the draw-keeping construction
     full = CapacityTable.from_pool(pool3, 1.0)
     assert np.array_equal(t.means, full.means)
+
+
+# ------------------------------------------------- spectral table kernel
+
+
+def _cholesky_window_average(draws, m, n, snr):
+    """Average of gram_logdet over every m x n and n x m cyclic window,
+    enumerated without the rotation-class shortcut of the table."""
+    K = draws.shape[-1]
+    vals = []
+    for a, b in sorted({(m, n), (n, m)}):
+        for r in range(K):
+            for c in range(K):
+                rows = (r + np.arange(a)) % K
+                cols = (c + np.arange(b)) % K
+                vals.append(gram_logdet(draws[:, rows[:, None], cols[None, :]], snr))
+    return np.mean(vals, axis=0)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_per_draw_values_match_cholesky_reference(K):
+    pool = SamplePool.build(K, 1_500, seed=23)
+    for snr in (0.0, 0.1, 1.0, 10.0, 1000.0):
+        table = CapacityTable.from_pool(pool, snr)
+        for m in range(1, K + 1):
+            for n in range(1, K + 1):
+                ref = _cholesky_window_average(pool.draws, m, n, snr)
+                err = np.max(np.abs(table.per_draw[:, m, n] - ref))
+                assert err <= 1e-12, (m, n, snr, err)
+
+
+def test_tables_reuse_the_pool_decomposition(monkeypatch):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    pool = SamplePool.build(3, 5_000, seed=2)
+    decompositions = len(calls)
+    assert decompositions > 0  # the 3 x 3 window goes through eigvalsh
+    cache = TableCache(pool)
+    for snr in np.geomspace(0.01, 100.0, 12):
+        cache.at(snr)
+    assert len(calls) == decompositions
+
+
+def test_pool_is_identical_for_any_worker_count():
+    a = SamplePool.build(3, 9_000, seed=4, workers=1)
+    b = SamplePool.build(3, 9_000, seed=4, workers=3)
+    assert np.array_equal(a.draws, b.draws)
+    assert a.spectra.keys() == b.spectra.keys()
+    for key, (eig_a, w_a) in a.spectra.items():
+        eig_b, w_b = b.spectra[key]
+        assert np.array_equal(eig_a, eig_b)
+        assert (w_a is None and w_b is None) or np.array_equal(w_a, w_b)
