@@ -22,7 +22,6 @@ from .mimo import (
     rate_scale,
     sample_channel,
     sample_channel_block,
-    siso_capacity_oracle,
 )
 from .network import (
     CutProfile,
@@ -96,6 +95,5 @@ __all__ = [
     "rate_scale",
     "sample_channel",
     "sample_channel_block",
-    "siso_capacity_oracle",
     "__version__",
 ]

@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 logger = logging.getLogger(__name__)
 
@@ -364,26 +363,6 @@ def estimate_ergodic_capacity(
     total, mean, se = _combine_stats(partials)
     assert total == num_samples
     return CapacityEstimate(mean, se, num_samples, (m, n), snr)
-
-
-def siso_capacity_oracle(snr: float) -> float:
-    """Ergodic 1 x 1 capacity by quadrature, in nats.
-
-    Integrates log(1 + snr*x) exp(-x) over x >= 0, the exact expectation for
-    an exponentially distributed channel power.  Serves as an independent
-    check on the Monte Carlo path.
-    """
-    if snr < 0:
-        raise ValueError(f"snr must be nonnegative, got {snr}")
-    if snr == 0.0:
-        return 0.0
-    val, err = integrate.quad(
-        lambda x: math.log1p(snr * x) * math.exp(-x), 0.0, np.inf,
-        epsabs=1e-10, limit=200,
-    )
-    if err > 1e-8:
-        logger.warning("siso_capacity_oracle quadrature error %g at snr=%g", err, snr)
-    return val
 
 
 def _windows(K: int, m: int, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:

@@ -10,13 +10,24 @@ the ergodic capacities of the per-hop blocks crossing the cut,
 
 optionally minus a per-node penalty for counted relays.  Capacities are read
 from a CapacityTable so that all cuts share the same channel draws.
+
+A network has at most two distinct hop tables: a body table read by hops
+1..D-1 (quantizing relays) and a last-hop table, which differs only when the
+destination does not quantize.  Functions accept one shared table or a
+per-hop list of length D and work on the pair (body, last), so their cost
+does not grow with the number of hops beyond one pass over the profile: a
+cut's per-draw values add each distinct crossing block once, weighted by its
+multiplicity, and the min-cut dynamic program reads a (K+1) x (K+1) edge
+matrix computed once per call.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
+from operator import add
 
 import numpy as np
 
@@ -138,21 +149,34 @@ class CutValue:
 
 def _hop_tables(
     table: CapacityTable | list[CapacityTable], params: NetworkParams
-) -> list[CapacityTable]:
-    """Normalize a single shared table or a per-hop list, with checks."""
+) -> tuple[CapacityTable, CapacityTable]:
+    """Normalize a shared table or a per-hop list to (body, last), with checks.
+
+    Hops 1..D-1 read the body table and hop D the last one.  A per-hop list
+    must hold one table object in its first D - 1 places; only the final hop
+    may differ.
+    """
     D = params.num_hops
-    tables = list(table) if isinstance(table, (list, tuple)) else [table] * D
-    if len(tables) != D:
-        raise ValueError(
-            f"expected one capacity table or {D} per-hop tables, got {len(tables)}"
-        )
-    for t in tables:
+    if isinstance(table, (list, tuple)):
+        if len(table) != D:
+            raise ValueError(
+                f"expected one capacity table or {D} per-hop tables, got {len(table)}"
+            )
+        body, last = table[0], table[-1]
+        if any(t is not body for t in table[: D - 1]):
+            raise ValueError(
+                "per-hop tables must share one table for hops 1..D-1; "
+                "only the final hop may differ"
+            )
+    else:
+        body = last = table
+    for t in (body, last):
         if t.max_dim < params.relays_per_layer:
             raise ValueError(
                 f"table max_dim {t.max_dim} is smaller than relays_per_layer "
                 f"{params.relays_per_layer}"
             )
-    return tables
+    return body, last
 
 
 def _check_profile(profile: CutProfile, params: NetworkParams) -> None:
@@ -174,31 +198,41 @@ def _block_dims(profile: CutProfile, params: NetworkParams) -> list[tuple[int, i
     return [(K - bounds[i + 1], bounds[i]) for i in range(params.num_hops)]
 
 
-def _shared_pool(tables: list[CapacityTable]) -> bool:
-    """True when every table carries per-draw values over the same draws."""
-    if any(t.per_draw is None for t in tables):
+def _shared_pool(body: CapacityTable, last: CapacityTable) -> bool:
+    """True when both tables carry per-draw values over the same draws."""
+    if body.per_draw is None or last.per_draw is None:
         return False
-    first = tables[0]
-    return all(
-        t.num_samples == first.num_samples
-        and t.seed == first.seed
-        and t.hop_index == first.hop_index
-        for t in tables
+    return (
+        last.num_samples == body.num_samples
+        and last.seed == body.seed
+        and last.hop_index == body.hop_index
     )
 
 
 def cut_profile_draws(
     profile: CutProfile,
     params: NetworkParams,
-    tables: list[CapacityTable],
+    tables: CapacityTable | list[CapacityTable],
     node_penalty: float = 0.0,
 ) -> np.ndarray:
-    """Per-draw cut values across shared draws (tables must retain them)."""
-    if not _shared_pool(tables):
+    """Per-draw cut values across shared draws (tables must retain them).
+
+    Each distinct nonzero crossing block of the body hops contributes its
+    per-draw column once, times the number of hops it crosses; blocks with
+    a zero dimension are exact zeros and are skipped.
+    """
+    body, last = _hop_tables(tables, params)
+    if not _shared_pool(body, last):
         raise ValueError("per-draw cut values need tables built over shared draws")
-    acc = np.zeros(tables[0].num_samples)
-    for i, (m, n) in enumerate(_block_dims(profile, params)):
-        acc += tables[i].per_draw[:, m, n]
+    dims = _block_dims(profile, params)
+    body_dims = dims if last is body else dims[:-1]
+    acc = np.zeros(body.num_samples)
+    for (m, n), mult in Counter(d for d in body_dims if d[0] and d[1]).items():
+        acc += mult * body.per_draw[:, m, n]
+    if last is not body:
+        m, n = dims[-1]
+        if m and n:
+            acc += last.per_draw[:, m, n]
     return acc - node_penalty * sum(profile.counts)
 
 
@@ -214,7 +248,8 @@ def cut_value(
         profile: Relay counts on the source side, length num_hops - 1.
         params: Network shape.
         table: Shared CapacityTable, or one table per hop (hop i read from
-            table i; the per-hop form supports an unquantized final hop).
+            table i; hops 1..D-1 must share one table, so the per-hop form
+            only supports an unquantized final hop).
         node_penalty: Rate subtracted per counted relay, nats.
 
     Returns:
@@ -222,10 +257,12 @@ def cut_value(
         to first, matching the dynamic program's accumulation order exactly.
     """
     _check_profile(profile, params)
-    tables = _hop_tables(table, params)
+    body, last = _hop_tables(table, params)
     dims = _block_dims(profile, params)
+    D = params.num_hops
+    hop_tables = [body] * (D - 1) + [last]
     per_block = tuple(
-        ((m, n), tables[i].mean(m, n)) for i, (m, n) in enumerate(dims)
+        ((m, n), hop_tables[i].mean(m, n)) for i, (m, n) in enumerate(dims)
     )
     total = 0.0
     for i in reversed(range(params.num_hops)):
@@ -233,18 +270,19 @@ def cut_value(
         if 1 <= i + 1 <= params.num_hops - 1:
             contrib -= node_penalty * profile.counts[i]
         total = contrib + total
-    if _shared_pool(tables):
-        draws = cut_profile_draws(profile, params, tables)
+    if _shared_pool(body, last):
+        draws = cut_profile_draws(profile, params, table)
         _, se = _stream_stats(draws)
     else:
         se = math.sqrt(
-            sum(tables[i].std_error(m, n) ** 2 for i, (m, n) in enumerate(dims))
+            sum(hop_tables[i].std_error(m, n) ** 2 for i, (m, n) in enumerate(dims))
         )
     return CutValue(total, se, profile, per_block)
 
 
 def _edge_weight(
-    tables: list[CapacityTable],
+    body: CapacityTable,
+    last: CapacityTable,
     params: NetworkParams,
     node_penalty: float,
     hop: int,
@@ -253,10 +291,9 @@ def _edge_weight(
 ) -> float:
     """Contribution of hop ``hop`` when M_hop = cur and M_{hop+1} = nxt."""
     K = params.relays_per_layer
-    w = float(tables[hop].means[K - nxt, cur])
     if hop + 1 <= params.num_hops - 1:
-        w -= node_penalty * nxt
-    return w
+        return float(body.means[K - nxt, cur]) - node_penalty * nxt
+    return float(last.means[K - nxt, cur])
 
 
 def min_cut_dp(
@@ -267,49 +304,49 @@ def min_cut_dp(
     """Minimize the penalized cut value over all profiles by dynamic program.
 
     The objective is sum_i C(K - M_{i+1}, M_i) - node_penalty * sum_i M_i
-    with M_0 = K and M_D = 0.  Runs in O(D * K^2) table lookups.  Among
-    minimizing profiles the lexicographically smallest is returned; floating
-    point sums are associated exactly as in ``cut_value`` so the result
-    matches brute-force enumeration bitwise.
+    with M_0 = K and M_D = 0.  Hops 1..D-1 share the body table, so their
+    (K+1)^2 edge weights C(K - nxt, cur) - node_penalty * nxt are computed
+    once per call; the last hop reads the last table without penalty.  The
+    backward pass and the reconstruction then take O(D * (K+1)^2) float
+    operations on that matrix.  Among minimizing profiles the
+    lexicographically smallest is returned; every edge weight is the float
+    ``_edge_weight`` evaluates and sums are associated exactly as in
+    ``cut_value``, so the result matches brute-force enumeration bitwise.
 
     Returns:
         (minimum value in nats, argmin profile).
     """
     K, D = params.relays_per_layer, params.num_hops
-    tables = _hop_tables(table, params)
+    body, last = _hop_tables(table, params)
+    body_means = body.means[: K + 1, : K + 1].tolist()
+    # edges[cur][nxt]: body hop from M_i = cur to M_{i+1} = nxt
+    edges = [
+        [body_means[K - nxt][cur] - node_penalty * nxt for nxt in range(K + 1)]
+        for cur in range(K + 1)
+    ]
+    last_edges = last.means[K, : K + 1].tolist()  # hop D, M_D = 0
 
-    def states(layer: int) -> list[int]:
-        if layer == 0:
-            return [K]
-        if layer == D:
-            return [0]
-        return list(range(K + 1))
-
-    # backward pass: g[layer][m] = min remaining value from (layer, m)
-    g: dict[int, dict[int, float]] = {D: {0: 0.0}}
-    for layer in reversed(range(D)):
-        g[layer] = {}
-        for m in states(layer):
-            best = None
-            for nxt in states(layer + 1):
-                v = _edge_weight(tables, params, node_penalty, layer, m, nxt) + g[layer + 1][nxt]
-                if best is None or v < best:
-                    best = v
-            g[layer][m] = best
+    # backward pass: g[layer][m] = min remaining value from state m at layer;
+    # layer 0 only uses m = K, and the extra states cost (K+1)^2 additions
+    g = [None] * (D + 1)
+    g[D] = [0.0]
+    g[D - 1] = [w + 0.0 for w in last_edges]  # + 0.0 as brute force adds it
+    for layer in range(D - 2, -1, -1):
+        nxt_g = g[layer + 1]
+        g[layer] = [min(map(add, row, nxt_g)) for row in edges]
 
     # forward reconstruction; picking the smallest next state at each layer
     # yields the lexicographically smallest argmin
     profile = []
     cur = K
-    for layer in range(D):
-        for nxt in states(layer + 1):
-            v = _edge_weight(tables, params, node_penalty, layer, cur, nxt) + g[layer + 1][nxt]
-            if v == g[layer][cur]:
+    for layer in range(D - 1):
+        target, nxt_g, row = g[layer][cur], g[layer + 1], edges[cur]
+        for nxt in range(K + 1):
+            if row[nxt] + nxt_g[nxt] == target:
                 break
         else:  # pragma: no cover - reconstruction always finds its own minimum
             raise RuntimeError("min-cut reconstruction failed")
-        if layer + 1 <= D - 1:
-            profile.append(nxt)
+        profile.append(nxt)
         cur = nxt
     return g[0][K], CutProfile(tuple(profile))
 
@@ -332,7 +369,7 @@ def brute_force_min_cut(
             f"brute force would enumerate {count} profiles "
             f"(limit {BRUTE_FORCE_LIMIT}); use min_cut_dp"
         )
-    tables = _hop_tables(table, params)
+    body, last = _hop_tables(table, params)
     best = None
     best_profile = None
     for counts in itertools.product(range(K + 1), repeat=D - 1):
@@ -340,7 +377,9 @@ def brute_force_min_cut(
         total = 0.0
         for hop in reversed(range(D)):
             total = (
-                _edge_weight(tables, params, node_penalty, hop, bounds[hop], bounds[hop + 1])
+                _edge_weight(
+                    body, last, params, node_penalty, hop, bounds[hop], bounds[hop + 1]
+                )
                 + total
             )
         if best is None or total < best:

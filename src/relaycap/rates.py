@@ -157,6 +157,16 @@ def _penalized_min_cut(
     )
 
 
+def _clamped_rate(raw: float, scheme: QuantizationScheme) -> float:
+    """The reported achievable rate max(raw, 0); a clamp is logged."""
+    if raw < 0.0:
+        logger.info(
+            "achievable rate clamped to zero (raw %.6g nats at q=%g)",
+            raw, scheme.noise_ratio,
+        )
+    return max(raw, 0.0)
+
+
 def nnc_lower_bound(
     params: NetworkParams,
     scheme: QuantizationScheme,
@@ -184,13 +194,8 @@ def nnc_lower_bound(
     tables = _nnc_tables(params, scheme, table_degraded, table_full)
     raw, profile, pen = _penalized_min_cut(params, scheme, tables, mode)
     se = cut_value(profile, params, tables, node_penalty=pen).std_error
-    if raw < 0.0:
-        logger.info(
-            "achievable rate clamped to zero (raw %.6g nats at q=%g)",
-            raw, scheme.noise_ratio,
-        )
     return NncBound(
-        value=max(raw, 0.0),
+        value=_clamped_rate(raw, scheme),
         raw_value=raw,
         std_error=se,
         profile=profile,
@@ -313,7 +318,7 @@ def rate_report(
             (q = num_hops - 1).
         num_samples: Draws in the shared pool.
         seed: Pool seed.
-        mode: Passed to nnc_lower_bound.
+        mode: Bound mode, as in nnc_lower_bound.
         workers: Threads for pool generation; output independent of it.
     """
     if scheme is None:
@@ -325,20 +330,18 @@ def rate_report(
     table_deg = cache.at(degraded_snr(params, scheme))
 
     upper = table_full.estimate(K, K)
-    bound = nnc_lower_bound(
-        params, scheme, table_deg, mode=mode,
-        table_full=table_full if not scheme.destination_quantizes else None,
+    tables = _nnc_tables(
+        params, scheme, table_deg,
+        table_full if not scheme.destination_quantizes else None,
     )
-    gap = upper.mean - bound.value
-    if bound.was_clamped:
+    raw, profile, pen = _penalized_min_cut(params, scheme, tables, mode)
+    lower = _clamped_rate(raw, scheme)
+    gap = upper.mean - lower
+    if raw < 0.0:
+        # the reported rate is the constant 0: only the upper bound varies
         se = upper.std_error
     else:
-        tables = _nnc_tables(
-            params, scheme, table_deg,
-            table_full if not scheme.destination_quantizes else None,
-        )
-        pen = scheme.penalty_per_relay if mode == "per_cut_exact" else 0.0
-        se = _gap_std_error(params, tables, table_full, bound.profile, pen)
+        se = _gap_std_error(params, tables, table_full, profile, pen)
 
     s = rate_scale(params.log_base)
     return RateReport(
@@ -348,14 +351,14 @@ def rate_report(
         noise_ratio=scheme.noise_ratio,
         log_base=params.log_base,
         upper=upper.mean * s,
-        lower=bound.value * s,
+        lower=lower * s,
         gap=gap * s,
         thm_bound=depth_gap_bound(K, D, params.log_base),
         prior_cf_bound=prior_cf_gap_bound(K, D),
         alignment_bound=alignment_gap_bound(K, params.log_base),
         std_error=se * s,
-        raw_lower=bound.raw_value * s,
-        was_clamped=bound.was_clamped,
+        raw_lower=raw * s,
+        was_clamped=raw < 0.0,
         mode=mode,
         num_samples=num_samples,
         seed=seed,

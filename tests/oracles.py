@@ -7,13 +7,35 @@ evidence and not circularity.
 
 from __future__ import annotations
 
+import logging
 import math
 
 import numpy as np
 from scipy import integrate, linalg, special
 
+logger = logging.getLogger(__name__)
+
 #: e * E1(1): the exact 1x1 ergodic capacity at snr = 1, in nats.
 SISO_SNR1 = 0.5963473623231946
+
+
+def siso_capacity_oracle(snr: float) -> float:
+    """Ergodic 1 x 1 capacity by quadrature, in nats.
+
+    Integrates log(1 + snr*x) exp(-x) over x >= 0, the exact expectation for
+    an exponentially distributed channel power.
+    """
+    if snr < 0:
+        raise ValueError(f"snr must be nonnegative, got {snr}")
+    if snr == 0.0:
+        return 0.0
+    val, err = integrate.quad(
+        lambda x: math.log1p(snr * x) * math.exp(-x), 0.0, np.inf,
+        epsabs=1e-10, limit=200,
+    )
+    if err > 1e-8:
+        logger.warning("siso_capacity_oracle quadrature error %g at snr=%g", err, snr)
+    return val
 
 
 def siso_closed_form(snr: float) -> float:

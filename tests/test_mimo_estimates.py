@@ -5,11 +5,8 @@ import math
 import pytest
 
 import oracles
-from relaycap import (
-    CapacityEstimate,
-    estimate_ergodic_capacity,
-    siso_capacity_oracle,
-)
+from oracles import siso_capacity_oracle
+from relaycap import CapacityEstimate, estimate_ergodic_capacity
 
 
 def test_quadrature_oracle_frozen_values():

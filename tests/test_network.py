@@ -17,6 +17,7 @@ from relaycap import (
     min_cut_dp,
     node_cut_value_mc,
 )
+from relaycap.network import cut_profile_draws
 
 
 def params_for(table, K, D):
@@ -159,6 +160,48 @@ def test_dp_equals_brute_force_bitwise(table3_10, K, D, penalty):
     v_bf, p_bf = brute_force_min_cut(params, table3_10, node_penalty=penalty)
     assert v_dp == v_bf
     assert p_dp == p_bf
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+@pytest.mark.parametrize("D", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("penalty", [0.0, 0.2, math.log(2), 5.0])
+def test_dp_equals_brute_force_bitwise_with_distinct_last_hop(
+    table3_10, table3_1, K, D, penalty
+):
+    params = params_for(table3_10, K, D)
+    tables = [table3_10] * (D - 1) + [table3_1]
+    v_dp, p_dp = min_cut_dp(params, tables, node_penalty=penalty)
+    v_bf, p_bf = brute_force_min_cut(params, tables, node_penalty=penalty)
+    assert v_dp == v_bf
+    assert p_dp == p_bf
+
+
+def test_per_hop_tables_must_share_the_body(table3_10, table3_1):
+    params = params_for(table3_10, 2, 3)
+    mixed_body = [table3_10, table3_1, table3_10]
+    for fn in (min_cut_dp, brute_force_min_cut):
+        with pytest.raises(ValueError, match="share one table"):
+            fn(params, mixed_body)
+    with pytest.raises(ValueError, match="share one table"):
+        cut_value(CutProfile((1, 1)), params, mixed_body)
+
+
+@pytest.mark.parametrize("last", ["shared", "mixed"])
+@pytest.mark.parametrize("penalty", [0.0, 0.3])
+def test_cut_draws_equal_per_hop_column_sum(table3_10, table3_1, last, penalty):
+    K = 2
+    for D in range(1, 6):
+        params = params_for(table3_10, K, D)
+        tables = [table3_10] * (D - 1) + [table3_10 if last == "shared" else table3_1]
+        for counts in itertools.product(range(K + 1), repeat=D - 1):
+            profile = CutProfile(counts)
+            bounds = [K, *counts, 0]
+            naive = np.zeros(table3_10.num_samples)
+            for hop in range(D):
+                naive += tables[hop].per_draw[:, K - bounds[hop + 1], bounds[hop]]
+            naive -= penalty * sum(counts)
+            got = cut_profile_draws(profile, params, tables, node_penalty=penalty)
+            np.testing.assert_allclose(got, naive, rtol=1e-12, atol=0)
 
 
 def test_min_cut_without_penalty_is_full_capacity(table3_10):

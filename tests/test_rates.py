@@ -20,7 +20,7 @@ from relaycap import (
     prior_cf_gap_bound,
     rate_report,
 )
-from relaycap.rates import resolve_policy
+from relaycap.rates import _gap_std_error, _nnc_tables, resolve_policy
 
 LN2 = math.log(2.0)
 
@@ -215,6 +215,46 @@ def test_rate_report_clamped_network():
     rep = rate_report(params, QuantizationScheme(0.02), num_samples=2_000, seed=0)
     assert rep.was_clamped and rep.lower == 0.0 and rep.raw_lower < 0
     assert rep.gap == pytest.approx(rep.upper, abs=1e-12)
+
+
+def _rate_report_via_nnc(params, scheme, num_samples, seed, mode):
+    """rate_report's fields computed through nnc_lower_bound, which also
+    evaluates the minimizing cut's own standard error."""
+    K = params.relays_per_layer
+    cache = TableCache(SamplePool.build(K, num_samples, seed))
+    full = cache.at(params.snr)
+    deg = cache.at(degraded_snr(params, scheme))
+    table_full = None if scheme.destination_quantizes else full
+    bound = nnc_lower_bound(params, scheme, deg, mode=mode, table_full=table_full)
+    if bound.was_clamped:
+        se = full.std_error(K, K)
+    else:
+        tables = _nnc_tables(params, scheme, deg, table_full)
+        pen = scheme.penalty_per_relay if mode == "per_cut_exact" else 0.0
+        se = _gap_std_error(params, tables, full, bound.profile, pen)
+    return bound.value, bound.raw_value, bound.was_clamped, se
+
+
+@pytest.mark.parametrize(
+    "params, scheme, mode, clamped",
+    [
+        (NetworkParams(2, 4, power=10.0), QuantizationScheme(3.0), "per_cut_exact",
+         False),
+        (NetworkParams(2, 5, power=10.0), QuantizationScheme(2.0, False),
+         "split_bound", False),
+        (NetworkParams(2, 12, power=0.5), QuantizationScheme(0.05), "per_cut_exact",
+         True),
+    ],
+)
+def test_rate_report_equals_nnc_path_bitwise(params, scheme, mode, clamped, caplog):
+    with caplog.at_level("INFO", logger="relaycap.rates"):
+        rep = rate_report(params, scheme, num_samples=3_000, seed=7, mode=mode)
+    lower, raw, was_clamped, se = _rate_report_via_nnc(params, scheme, 3_000, 7, mode)
+    assert rep.was_clamped is was_clamped is clamped
+    assert (rep.lower, rep.raw_lower, rep.std_error) == (lower, raw, se)
+    logged = [r for r in caplog.records if r.getMessage().startswith(
+        "achievable rate clamped to zero")]
+    assert len(logged) == int(clamped)
 
 
 # --------------------------------------------------------------- optimizer
