@@ -301,10 +301,13 @@ def run_capacity(cfg: ExperimentConfig) -> int:
 def run_mincut(cfg: ExperimentConfig) -> int:
     D = cfg.single_depth()
     scale = mimo.rate_scale(cfg.log_base)
+    # one pool serves every snr, as in run_sweep
+    pool = mimo.SamplePool.build(cfg.K, cfg.num_samples, cfg.seed, workers=cfg.workers)
+    cache = mimo.TableCache(pool)
     rows, results = [], []
     for snr in cfg.snr:
         params = network.NetworkParams(cfg.K, D, power=snr, noise_var=1.0, log_base=cfg.log_base)
-        table = mimo.build_capacity_table(cfg.K, snr, cfg.num_samples, cfg.seed, workers=cfg.workers)
+        table = cache.at(snr)
         value, profile = network.min_cut_dp(params, table, node_penalty=cfg.penalty)
         cut = network.cut_value(profile, params, table, node_penalty=cfg.penalty)
         rows.append(

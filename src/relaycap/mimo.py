@@ -414,6 +414,12 @@ class SamplePool:
         repr=False
     )
 
+    @property
+    def key(self) -> tuple[int, int, int, int]:
+        """(max_dim, num_samples, seed, hop_index): pools with equal keys
+        hold the same draws."""
+        return (self.max_dim, self.num_samples, self.seed, self.hop_index)
+
     @classmethod
     def build(
         cls,
@@ -496,6 +502,18 @@ def _window_values(
     return np.log1p(snr * eigenvalues) @ weights
 
 
+def _entry_column(pool: SamplePool, m: int, n: int, snr: float) -> np.ndarray:
+    """Per-draw values of entry (m, n), m, n >= 1, evaluated on the same
+    blocks as the direct estimator so their statistics match it bitwise."""
+    eigenvalues, weights = pool.spectra[(max(m, n), min(m, n))]
+    N = pool.num_samples
+    column = np.empty(N)
+    for b in range(_num_blocks(N)):
+        lo, hi = _block_bounds(b, N)
+        column[lo:hi] = _window_values(eigenvalues[lo:hi], weights, snr)
+    return column
+
+
 class CapacityTable:
     """Ergodic capacities for every dimension pair (m, n) with m, n <= max_dim.
 
@@ -506,12 +524,13 @@ class CapacityTable:
     zero.  Building a table costs one elementwise pass over the pool's
     stored eigenvalues; no matrix is formed or factored.
 
+    Per-draw entry values, needed for common-random-number error bars, are
+    not stored: ``entry_draws`` derives them from the pool's spectrum when
+    first asked and keeps only the columns that were asked for.
+
     Attributes:
         means: (max_dim+1, max_dim+1) array of entry means in nats.
         std_errors: matching standard errors.
-        per_draw: optional (num_samples, max_dim+1, max_dim+1) array of the
-            per-draw entry values; needed for common-random-number error bars
-            and for draw-level property checks.
         pool: the SamplePool the table was built from, if retained.
     """
 
@@ -524,7 +543,6 @@ class CapacityTable:
         hop_index: int,
         means: np.ndarray,
         std_errors: np.ndarray,
-        per_draw: np.ndarray | None = None,
         pool: SamplePool | None = None,
     ):
         self.max_dim = max_dim
@@ -534,39 +552,47 @@ class CapacityTable:
         self.hop_index = hop_index
         self.means = means
         self.std_errors = std_errors
-        self.per_draw = per_draw
         self.pool = pool
+        self.per_draw = None  # always None; ROADMAP item 4 drops it with perfbench
+        self._columns: dict[tuple[int, int], np.ndarray] = {}
 
     @classmethod
     def from_pool(
         cls, pool: SamplePool, snr: float, keep_per_draw: bool = True
     ) -> "CapacityTable":
-        if snr < 0:
-            raise ValueError(f"snr must be nonnegative, got {snr}")
+        # keep_per_draw is ignored; ROADMAP item 4 drops it with perfbench
+        if not (math.isfinite(snr) and snr >= 0):
+            raise ValueError(f"snr must be finite and nonnegative, got {snr}")
         K = pool.max_dim
-        N = pool.num_samples
-        per_draw = np.zeros((N, K + 1, K + 1))
         means = np.zeros((K + 1, K + 1))
         ses = np.zeros((K + 1, K + 1))
-        partials: dict[tuple[int, int], list] = {e: [] for e in pool.spectra}
-        # block by block keeps temporaries cache-sized; stats come from the
-        # same blocks as a direct estimate, so the full-size entry matches it
-        # bit for bit
-        for b in range(_num_blocks(N)):
-            lo, hi = _block_bounds(b, N)
-            for (m, n), (eigenvalues, weights) in pool.spectra.items():
-                vals = _window_values(eigenvalues[lo:hi], weights, snr)
-                per_draw[lo:hi, m, n] = vals
-                per_draw[lo:hi, n, m] = vals  # symmetry is exact by sharing
-                partials[(m, n)].append(_partial_stats(vals))
-        for (m, n), parts in partials.items():
-            _, means[m, n], ses[m, n] = _combine_stats(parts)
+        for m, n in pool.spectra:
+            means[m, n], ses[m, n] = _stream_stats(_entry_column(pool, m, n, snr))
             means[n, m], ses[n, m] = means[m, n], ses[m, n]
-        return cls(
-            K, snr, N, pool.seed, pool.hop_index, means, ses,
-            per_draw=per_draw if keep_per_draw else None,
-            pool=pool,
-        )
+        return cls(K, snr, pool.num_samples, pool.seed, pool.hop_index, means, ses, pool)
+
+    def entry_draws(self, m: int, n: int) -> np.ndarray:
+        """Read-only per-draw values of entry (m, n) over the table's pool.
+
+        A column is computed from the pool's spectrum on first use and kept;
+        (m, n) and (n, m) share it.  Entries with a zero dimension are zeros.
+
+        Raises:
+            ValueError: if the table has no pool (e.g. loaded from JSON).
+        """
+        self._check_entry(m, n)
+        if self.pool is None:
+            raise ValueError("per-draw values need a table built with shared draws")
+        key = (max(m, n), min(m, n))
+        column = self._columns.get(key)
+        if column is None:
+            if key[1] == 0:
+                column = np.zeros(self.num_samples)
+            else:
+                column = _entry_column(self.pool, *key, self.snr)
+                self._columns[key] = column
+            column.flags.writeable = False
+        return column
 
     def _check_entry(self, m: int, n: int) -> None:
         if not (0 <= m <= self.max_dim and 0 <= n <= self.max_dim):
@@ -637,11 +663,10 @@ def build_capacity_table(
     seed: int,
     hop_index: int = 0,
     workers: int = 1,
-    keep_per_draw: bool = True,
 ) -> CapacityTable:
     """Build a pool of shared draws and the capacity table over it."""
     pool = SamplePool.build(max_dim, num_samples, seed, hop_index, workers)
-    return CapacityTable.from_pool(pool, snr, keep_per_draw=keep_per_draw)
+    return CapacityTable.from_pool(pool, snr)
 
 
 class TableCache:

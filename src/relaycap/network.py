@@ -18,7 +18,9 @@ per-hop list of length D and work on the pair (body, last), so their cost
 does not grow with the number of hops beyond one pass over the profile: a
 cut's per-draw values add each distinct crossing block once, weighted by its
 multiplicity, and the min-cut dynamic program reads a (K+1) x (K+1) edge
-matrix computed once per call.
+matrix computed once per call.  Per-draw block values come from
+``CapacityTable.entry_draws``, which derives each column from the pool's
+Gram spectrum on first use; tables store no per-draw copy.
 """
 
 from __future__ import annotations
@@ -75,10 +77,12 @@ class NetworkParams:
             )
         if self.num_hops <= 0:
             raise ValueError(f"num_hops must be positive, got {self.num_hops}")
-        if self.power < 0:
-            raise ValueError(f"power must be nonnegative, got {self.power}")
-        if self.noise_var <= 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
+        if not (math.isfinite(self.power) and self.power >= 0):
+            raise ValueError(f"power must be finite and nonnegative, got {self.power}")
+        if not (math.isfinite(self.noise_var) and self.noise_var > 0):
+            raise ValueError(
+                f"noise_var must be finite and positive, got {self.noise_var}"
+            )
         if self.log_base not in ("nats", "bits"):
             raise ValueError(
                 f"log_base must be 'nats' or 'bits', got {self.log_base!r}"
@@ -124,9 +128,10 @@ class CutValue:
 
     Attributes:
         value: Sum of crossing-block capacities minus penalties, nats.
-        std_error: Standard error.  Computed from per-draw values when the
-            tables retain them (common random numbers), otherwise by adding
-            per-block errors in quadrature.
+        std_error: Standard error.  Computed from per-draw values, derived
+            from the pool spectrum, when every hop table was built over one
+            pool (common random numbers); otherwise, as for tables loaded
+            from JSON, by adding per-block errors in quadrature.
         profile: The evaluated profile.
         per_block: ((m, n), capacity) for each hop's crossing block.
     """
@@ -199,13 +204,11 @@ def _block_dims(profile: CutProfile, params: NetworkParams) -> list[tuple[int, i
 
 
 def _shared_pool(body: CapacityTable, last: CapacityTable) -> bool:
-    """True when both tables carry per-draw values over the same draws."""
-    if body.per_draw is None or last.per_draw is None:
-        return False
+    """True when both tables were built over the same pool of draws."""
     return (
-        last.num_samples == body.num_samples
-        and last.seed == body.seed
-        and last.hop_index == body.hop_index
+        body.pool is not None
+        and last.pool is not None
+        and body.pool.key == last.pool.key
     )
 
 
@@ -215,7 +218,7 @@ def cut_profile_draws(
     tables: CapacityTable | list[CapacityTable],
     node_penalty: float = 0.0,
 ) -> np.ndarray:
-    """Per-draw cut values across shared draws (tables must retain them).
+    """Per-draw cut values across shared draws (tables must keep their pool).
 
     Each distinct nonzero crossing block of the body hops contributes its
     per-draw column once, times the number of hops it crosses; blocks with
@@ -228,11 +231,11 @@ def cut_profile_draws(
     body_dims = dims if last is body else dims[:-1]
     acc = np.zeros(body.num_samples)
     for (m, n), mult in Counter(d for d in body_dims if d[0] and d[1]).items():
-        acc += mult * body.per_draw[:, m, n]
+        acc += mult * body.entry_draws(m, n)
     if last is not body:
         m, n = dims[-1]
         if m and n:
-            acc += last.per_draw[:, m, n]
+            acc += last.entry_draws(m, n)
     return acc - node_penalty * sum(profile.counts)
 
 

@@ -121,10 +121,10 @@ def _nnc_tables(
     scheme: QuantizationScheme,
     table_degraded: CapacityTable,
     table_full: CapacityTable | None,
-) -> list[CapacityTable]:
+) -> CapacityTable | list[CapacityTable]:
     D = params.num_hops
     if scheme.destination_quantizes:
-        return [table_degraded] * D
+        return table_degraded
     if table_full is None:
         raise ValueError(
             "destination_quantizes=False needs table_full for the final hop"
@@ -135,10 +135,10 @@ def _nnc_tables(
 def _penalized_min_cut(
     params: NetworkParams,
     scheme: QuantizationScheme,
-    tables: list[CapacityTable],
+    tables: CapacityTable | list[CapacityTable],
     mode: str,
 ) -> tuple[float, CutProfile, float]:
-    """Unclamped achievable rate under ``mode`` on per-hop tables.
+    """Unclamped achievable rate under ``mode`` on one table or per-hop tables.
 
     Returns:
         (raw rate in nats, minimizing profile, per-relay penalty charged
@@ -202,7 +202,7 @@ def nnc_lower_bound(
         mode=mode,
         noise_ratio=scheme.noise_ratio,
         destination_quantizes=scheme.destination_quantizes,
-        num_samples=tables[0].num_samples,
+        num_samples=table_degraded.num_samples,
     )
 
 
@@ -283,7 +283,7 @@ class RateReport:
 
 def _gap_std_error(
     params: NetworkParams,
-    tables: list[CapacityTable],
+    tables: CapacityTable | list[CapacityTable],
     table_full: CapacityTable,
     profile: CutProfile,
     node_penalty: float,
@@ -292,7 +292,7 @@ def _gap_std_error(
     both sides share one pool of draws."""
     K = params.relays_per_layer
     cut_draws = cut_profile_draws(profile, params, tables, node_penalty=node_penalty)
-    diff = table_full.per_draw[:, K, K] - cut_draws
+    diff = table_full.entry_draws(K, K) - cut_draws
     _, se = _stream_stats(diff)
     return se
 
@@ -409,8 +409,7 @@ def _optimize_on_cache(
         if q not in evals:
             scheme = QuantizationScheme(q)
             table = cache.at(degraded_snr(params, scheme))
-            tables = [table] * params.num_hops
-            raw, _, _ = _penalized_min_cut(params, scheme, tables, mode)
+            raw, _, _ = _penalized_min_cut(params, scheme, table, mode)
             # the rate nnc_lower_bound reports, without its standard error
             evals[q] = max(raw, 0.0)
             order.append(q)
@@ -562,14 +561,11 @@ def gap_trend(
     K = relays_per_layer
     if cache is None:
         cache = TableCache(SamplePool.build(K, num_samples, seed, workers=workers))
-    else:
-        pool = cache.pool
-        got = (pool.max_dim, pool.num_samples, pool.seed, pool.hop_index)
-        if got != (K, num_samples, seed, 0):
-            raise ValueError(
-                f"cache pool (K, num_samples, seed, hop_index) = {got} does not "
-                f"match the requested {(K, num_samples, seed, 0)}"
-            )
+    elif cache.pool.key != (K, num_samples, seed, 0):
+        raise ValueError(
+            f"cache pool (K, num_samples, seed, hop_index) = {cache.pool.key} "
+            f"does not match the requested {(K, num_samples, seed, 0)}"
+        )
     table_full = cache.at(snr)
     points = []
     for D in depths:
@@ -584,10 +580,10 @@ def gap_trend(
                 mode, refine_rounds=3,
             )
         scheme = QuantizationScheme(q)
-        tables = [cache.at(degraded_snr(params, scheme))] * D
-        raw, profile, pen = _penalized_min_cut(params, scheme, tables, mode)
+        table = cache.at(degraded_snr(params, scheme))
+        raw, profile, pen = _penalized_min_cut(params, scheme, table, mode)
         upper = table_full.mean(K, K)
-        se = _gap_std_error(params, tables, table_full, profile, pen)
+        se = _gap_std_error(params, table, table_full, profile, pen)
         points.append(
             TrendPoint(
                 num_hops=D,

@@ -67,7 +67,7 @@ def test_criterion_2_min_cut_equals_full_capacity():
     for K in (1, 2, 3):
         pool = SamplePool.build(K, 100_000, seed=2)
         for snr in (1.0, 10.0, 100.0):
-            table = CapacityTable.from_pool(pool, snr, keep_per_draw=False)
+            table = CapacityTable.from_pool(pool, snr)
             full = table.mean(K, K)
             for D in (2, 3, 4):
                 params = NetworkParams(K, D, power=snr, noise_var=1.0)

@@ -7,7 +7,7 @@ import subprocess
 
 import pytest
 
-from relaycap import NetworkParams, optimize_quantization
+from relaycap import NetworkParams, mimo, optimize_quantization
 from relaycap.cli import (
     RATE_HEADER,
     ConfigError,
@@ -188,6 +188,26 @@ def test_mincut_csv(tmp_path):
     assert lines[2] == "K,D,snr,penalty,value,std_error,profile"
     row = lines[3].split(",")
     assert row[6] == "2|2"  # large penalty favors relays on the source side
+
+
+def test_mincut_builds_one_pool_for_every_snr(tmp_path, monkeypatch):
+    args = ["mincut", "--K", "2", "--D", "4", "--samples", "3000", "--penalty", "0.4"]
+    builds = []
+    build = mimo.SamplePool.build
+
+    def counting(*a, **kw):
+        builds.append(a)
+        return build(*a, **kw)
+
+    monkeypatch.setattr(mimo.SamplePool, "build", counting)
+    _, joint = run_cli(tmp_path, [*args, "--snr", "1,10"], "joint.csv")
+    assert len(builds) == 1
+    # the rows equal those of one run per snr, each with its own pool
+    singles = [
+        _data_rows(run_cli(tmp_path, [*args, "--snr", s], f"{s}.csv")[1])
+        for s in ("1", "10")
+    ]
+    assert _data_rows(joint) == b"".join(singles)
 
 
 def test_line_csv_and_bits(tmp_path):

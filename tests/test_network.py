@@ -11,12 +11,14 @@ from relaycap import (
     CapacityTable,
     CutProfile,
     NetworkParams,
+    SamplePool,
     brute_force_min_cut,
     check_capacity_properties,
     cut_value,
     min_cut_dp,
     node_cut_value_mc,
 )
+from relaycap.mimo import _stream_stats
 from relaycap.network import cut_profile_draws
 
 
@@ -38,6 +40,13 @@ def test_network_params_validation():
         with pytest.raises(ValueError):
             NetworkParams(**bad)
     assert NetworkParams(2, 3, power=5.0, noise_var=2.0).snr == 2.5
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["power", "noise_var"])
+def test_network_params_reject_non_finite(field, value):
+    with pytest.raises(ValueError, match=field):
+        NetworkParams(2, 3, **{field: value})
 
 
 def test_cut_profile_validation(table3_10):
@@ -198,10 +207,34 @@ def test_cut_draws_equal_per_hop_column_sum(table3_10, table3_1, last, penalty):
             bounds = [K, *counts, 0]
             naive = np.zeros(table3_10.num_samples)
             for hop in range(D):
-                naive += tables[hop].per_draw[:, K - bounds[hop + 1], bounds[hop]]
+                naive += tables[hop].entry_draws(K - bounds[hop + 1], bounds[hop])
             naive -= penalty * sum(counts)
             got = cut_profile_draws(profile, params, tables, node_penalty=penalty)
             np.testing.assert_allclose(got, naive, rtol=1e-12, atol=0)
+
+
+def test_tables_over_pools_of_different_size_use_quadrature():
+    # same seed, different K: the draws differ, so no common-random-number error
+    t2 = CapacityTable.from_pool(SamplePool.build(2, 3_000, seed=8), 10.0)
+    t3 = CapacityTable.from_pool(SamplePool.build(3, 3_000, seed=8), 10.0)
+    params = NetworkParams(2, 2, power=10.0)
+    profile = CutProfile((1,))
+    cut = cut_value(profile, params, [t2, t3])
+    quadrature = math.sqrt(t2.std_error(1, 2) ** 2 + t3.std_error(2, 1) ** 2)
+    assert cut.std_error == quadrature
+    with pytest.raises(ValueError, match="shared draws"):
+        cut_profile_draws(profile, params, [t2, t3])
+
+
+def test_tables_over_equal_pools_use_shared_draws():
+    # two builds with one key hold the same draws: the error is per draw
+    t2 = CapacityTable.from_pool(SamplePool.build(2, 3_000, seed=8), 10.0)
+    u2 = CapacityTable.from_pool(SamplePool.build(2, 3_000, seed=8), 1.0)
+    params = NetworkParams(2, 2, power=10.0)
+    profile = CutProfile((1,))
+    cut = cut_value(profile, params, [t2, u2])
+    draws = cut_profile_draws(profile, params, [t2, u2])
+    assert cut.std_error == _stream_stats(draws)[1]
 
 
 def test_min_cut_without_penalty_is_full_capacity(table3_10):

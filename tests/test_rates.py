@@ -20,7 +20,12 @@ from relaycap import (
     prior_cf_gap_bound,
     rate_report,
 )
-from relaycap.rates import _gap_std_error, _nnc_tables, resolve_policy
+from relaycap.rates import (
+    _gap_std_error,
+    _nnc_tables,
+    _penalized_min_cut,
+    resolve_policy,
+)
 
 LN2 = math.log(2.0)
 
@@ -400,6 +405,28 @@ def test_gap_trend_rejects_mismatched_cache(kw):
     args = {"relays_per_layer": 2, "num_samples": 2_000, "seed": 4, **kw}
     with pytest.raises(ValueError, match="cache pool"):
         gap_trend(depths=[2], cache=cache, **args)
+
+
+@pytest.mark.parametrize("snr", [math.nan, math.inf])
+def test_gap_trend_rejects_non_finite_snr(snr):
+    with pytest.raises(ValueError, match="snr"):
+        gap_trend(2, [3], snr=snr, num_samples=100, seed=0)
+
+
+def test_quantizing_destination_reads_one_table(cache2):
+    params = NetworkParams(2, 5, power=10.0)
+    scheme = QuantizationScheme(4.0)
+    table = cache2.at(degraded_snr(params, scheme))
+    full = cache2.at(params.snr)
+    assert _nnc_tables(params, scheme, table, None) is table
+    # the one-table form and the per-hop list give bitwise equal results
+    for mode in ("per_cut_exact", "split_bound"):
+        one = _penalized_min_cut(params, scheme, table, mode)
+        listed = _penalized_min_cut(params, scheme, [table] * 5, mode)
+        assert one == listed
+        assert _gap_std_error(params, table, full, one[1], one[2]) == _gap_std_error(
+            params, [table] * 5, full, one[1], one[2]
+        )
 
 
 def test_gap_trend_optimizes_over_given_grid():

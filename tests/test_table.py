@@ -1,5 +1,7 @@
 """Capacity tables over shared draws: exact structure, oracle agreement."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from relaycap import (
     estimate_ergodic_capacity,
     gram_logdet,
 )
+from relaycap.mimo import _stream_stats
 
 
 def test_full_entry_bitwise_matches_direct_estimator(table3_10):
@@ -26,15 +29,16 @@ def test_symmetry_is_exact(table3_10):
     for m in range(K + 1):
         for n in range(K + 1):
             assert table3_10.means[m, n] == table3_10.means[n, m]
-    assert np.array_equal(
-        table3_10.per_draw, np.swapaxes(table3_10.per_draw, 1, 2)
-    )
+            assert np.array_equal(
+                table3_10.entry_draws(m, n), table3_10.entry_draws(n, m)
+            )
 
 
 def test_zero_index_rows_and_columns_are_zero(table3_10):
     assert np.all(table3_10.means[0, :] == 0.0)
     assert np.all(table3_10.means[:, 0] == 0.0)
-    assert np.all(table3_10.per_draw[:, 0, :] == 0.0)
+    for n in range(table3_10.max_dim + 1):
+        assert np.all(table3_10.entry_draws(0, n) == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -51,22 +55,23 @@ def test_entries_match_wishart_oracle(table3_10, table3_1, m, n, snr):
 
 
 def test_monotone_in_each_dimension_on_every_draw(table3_10):
-    pd = table3_10.per_draw
+    pd = table3_10.entry_draws
     K = table3_10.max_dim
     for m in range(K):
-        assert np.all(pd[:, m + 1, :] >= pd[:, m, :] - 1e-12)
-        assert np.all(pd[:, :, m + 1] >= pd[:, :, m] - 1e-12)
+        for n in range(K + 1):
+            assert np.all(pd(m + 1, n) >= pd(m, n) - 1e-12)
+            assert np.all(pd(n, m + 1) >= pd(n, m) - 1e-12)
 
 
 def test_row_split_superadditive_on_every_draw(table3_10):
     # C_draw(x, y) + C_draw(K - x, y) >= C_draw(K, y): the ingredient that
     # makes every cut profile at least as big as the full-dimension entry
-    pd = table3_10.per_draw
+    pd = table3_10.entry_draws
     K = table3_10.max_dim
     for y in range(1, K + 1):
         for x in range(K + 1):
-            lhs = pd[:, x, y] + pd[:, K - x, y]
-            assert np.all(lhs >= pd[:, K, y] - 1e-12)
+            lhs = pd(x, y) + pd(K - x, y)
+            assert np.all(lhs >= pd(K, y) - 1e-12)
 
 
 def test_entry_bounds_checked(table3_10):
@@ -74,6 +79,8 @@ def test_entry_bounds_checked(table3_10):
         table3_10.mean(4, 1)
     with pytest.raises(ValueError, match="outside table"):
         table3_10.estimate(1, -1)
+    with pytest.raises(ValueError, match="outside table"):
+        table3_10.entry_draws(4, 1)
 
 
 def test_json_round_trip(table3_10):
@@ -91,6 +98,8 @@ def test_loaded_table_has_no_draws_and_says_so(table3_10):
     assert loaded.pool is None and loaded.per_draw is None
     with pytest.raises(ValueError, match="shared draws"):
         check_capacity_properties(loaded)
+    with pytest.raises(ValueError, match="shared draws"):
+        loaded.entry_draws(1, 1)
 
 
 def test_build_capacity_table_convenience():
@@ -113,12 +122,46 @@ def test_negative_snr_rejected(pool3):
         CapacityTable.from_pool(pool3, -1.0)
 
 
+@pytest.mark.parametrize("snr", [math.nan, math.inf])
+def test_non_finite_snr_rejected(pool3, snr):
+    with pytest.raises(ValueError, match="snr"):
+        CapacityTable.from_pool(pool3, snr)
+
+
 def test_keep_per_draw_false_drops_draw_storage(pool3):
     t = CapacityTable.from_pool(pool3, 1.0, keep_per_draw=False)
     assert t.per_draw is None
     # means must be identical to the draw-keeping construction
     full = CapacityTable.from_pool(pool3, 1.0)
     assert np.array_equal(t.means, full.means)
+    assert full.per_draw is None  # no table stores a per-draw copy
+
+
+# ------------------------------------------------ per-draw values on demand
+
+
+def test_entry_draws_reproduce_means_and_errors_bitwise(table3_1):
+    K = table3_1.max_dim
+    for m in range(K + 1):
+        for n in range(K + 1):
+            mean, se = _stream_stats(table3_1.entry_draws(m, n))
+            assert (mean, se) == (table3_1.means[m, n], table3_1.std_errors[m, n])
+
+
+def test_entry_draws_are_memoized_read_only_columns(pool3):
+    table = CapacityTable.from_pool(pool3, 3.0)
+    col = table.entry_draws(2, 3)
+    assert table.entry_draws(2, 3) is col
+    assert table.entry_draws(3, 2) is col  # mirrored entries share one column
+    assert not col.flags.writeable
+    with pytest.raises(ValueError):
+        col[0] = 0.0
+    assert not table.entry_draws(0, 2).flags.writeable
+    for m in range(4):
+        for n in range(4):
+            table.entry_draws(m, n)
+    # at most one column per entry with m >= n >= 1
+    assert len(table._columns) == 3 * 4 // 2
 
 
 # ------------------------------------------------- spectral table kernel
@@ -146,7 +189,7 @@ def test_per_draw_values_match_cholesky_reference(K):
         for m in range(1, K + 1):
             for n in range(1, K + 1):
                 ref = _cholesky_window_average(pool.draws, m, n, snr)
-                err = np.max(np.abs(table.per_draw[:, m, n] - ref))
+                err = np.max(np.abs(table.entry_draws(m, n) - ref))
                 assert err <= 1e-12, (m, n, snr, err)
 
 
