@@ -249,12 +249,6 @@ def _config_json(cfg: ExperimentConfig) -> str:
     return json.dumps(cfg.as_dict(), sort_keys=True, separators=(",", ":"))
 
 
-def _render_csv(schema: str, cfg: ExperimentConfig, header: str, rows: list[list]) -> str:
-    lines = [f"# schema={schema}", f"# config={_config_json(cfg)}", header]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
 def _render_json(schema: str, cfg: ExperimentConfig, results) -> str:
     doc = {"schema": schema, "config": cfg.as_dict(), "results": results}
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -266,6 +260,19 @@ def _emit(cfg: ExperimentConfig, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit_results(
+    cfg: ExperimentConfig, schema: str, header: str, rows: list[list], results: list
+) -> None:
+    """Write ``rows`` as CSV under ``header``, or ``results`` as JSON."""
+    if cfg.format == "csv":
+        lines = [f"# schema={schema}", f"# config={_config_json(cfg)}", header]
+        lines.extend(",".join(_fmt(v) for v in row) for row in rows)
+        text = "\n".join(lines) + "\n"
+    else:
+        text = _render_json(schema, cfg, results)
+    _emit(cfg, text)
 
 
 def _scheme_for(cfg: ExperimentConfig, num_hops: int) -> rates.QuantizationScheme:
@@ -290,11 +297,10 @@ def run_capacity(cfg: ExperimentConfig) -> int:
         d["seed"] = cfg.seed
         d["log_base"] = cfg.log_base
         results.append(d)
-    schema = "relaycap/capacity/1"
-    if cfg.format == "csv":
-        _emit(cfg, _render_csv(schema, cfg, "m,n,snr,mean,std_error,num_samples,seed", rows))
-    else:
-        _emit(cfg, _render_json(schema, cfg, results))
+    _emit_results(
+        cfg, "relaycap/capacity/1", "m,n,snr,mean,std_error,num_samples,seed",
+        rows, results,
+    )
     return 0
 
 
@@ -322,11 +328,10 @@ def run_mincut(cfg: ExperimentConfig) -> int:
         ]
         d.update({"K": cfg.K, "D": D, "snr": snr, "penalty": cfg.penalty, "log_base": cfg.log_base})
         results.append(d)
-    schema = "relaycap/mincut/1"
-    if cfg.format == "csv":
-        _emit(cfg, _render_csv(schema, cfg, "K,D,snr,penalty,value,std_error,profile", rows))
-    else:
-        _emit(cfg, _render_json(schema, cfg, results))
+    _emit_results(
+        cfg, "relaycap/mincut/1", "K,D,snr,penalty,value,std_error,profile",
+        rows, results,
+    )
     return 0
 
 
@@ -344,11 +349,7 @@ def run_rate(cfg: ExperimentConfig) -> int:
              report.thm_bound, report.prior_cf_bound, report.alignment_bound, report.std_error]
         )
         results.append(report.as_dict())
-    schema = "relaycap/rate/1"
-    if cfg.format == "csv":
-        _emit(cfg, _render_csv(schema, cfg, RATE_HEADER, rows))
-    else:
-        _emit(cfg, _render_json(schema, cfg, results))
+    _emit_results(cfg, "relaycap/rate/1", RATE_HEADER, rows, results)
     return 0
 
 
@@ -382,11 +383,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
                      "alignment_bound": align, "log_base": cfg.log_base}
                 )
                 results.append(d)
-    schema = "relaycap/sweep/1"
-    if cfg.format == "csv":
-        _emit(cfg, _render_csv(schema, cfg, RATE_HEADER, rows))
-    else:
-        _emit(cfg, _render_json(schema, cfg, results))
+    _emit_results(cfg, "relaycap/sweep/1", RATE_HEADER, rows, results)
     return 0
 
 
@@ -394,10 +391,10 @@ def run_line(cfg: ExperimentConfig) -> int:
     D = cfg.single_depth()
     gains = (1.0,) * D if cfg.gains is None else cfg.gains
     scale = mimo.rate_scale(cfg.log_base)
+    q = _scheme_for(cfg, D).noise_ratio
     rows, results = [], []
     for snr in cfg.snr:
         net = line_mod.LineNetwork(gains, power=snr, noise_var=1.0)
-        q = cfg.q if cfg.q is not None else float(max(D - 1, 1))
         cap = line_mod.line_capacity(net)
         simple = line_mod.line_nnc_rate(
             net, q, mode="simple_cuts", destination_quantizes=cfg.destination_quantizes
@@ -417,17 +414,10 @@ def run_line(cfg: ExperimentConfig) -> int:
              "depth_bound": bound, "log_base": cfg.log_base,
              "destination_quantizes": cfg.destination_quantizes}
         )
-    schema = "relaycap/line/1"
-    if cfg.format == "csv":
-        _emit(
-            cfg,
-            _render_csv(
-                schema, cfg,
-                "D,snr,q,capacity,rate,all_cuts_rate,gap,depth_bound", rows,
-            ),
-        )
-    else:
-        _emit(cfg, _render_json(schema, cfg, results))
+    _emit_results(
+        cfg, "relaycap/line/1", "D,snr,q,capacity,rate,all_cuts_rate,gap,depth_bound",
+        rows, results,
+    )
     return 0
 
 

@@ -639,15 +639,45 @@ class CapacityTable:
 
     @classmethod
     def from_dict(cls, data: dict) -> "CapacityTable":
+        """Load a table written by ``as_dict``.
+
+        Raises:
+            ValueError: naming the field, and the entry where there is one,
+                unless snr is finite and nonnegative and every entry (m, n)
+                with 0 <= m, n <= max_dim appears exactly once with a finite
+                mean and a finite, nonnegative standard error.
+        """
         K = data["max_dim"]
+        if not isinstance(K, int) or K < 1:
+            raise ValueError(f"max_dim must be a positive integer, got {K!r}")
+        snr = data["snr"]
+        if not (math.isfinite(snr) and snr >= 0):
+            raise ValueError(f"snr must be finite and nonnegative, got {snr}")
         means = np.zeros((K + 1, K + 1))
         ses = np.zeros((K + 1, K + 1))
+        seen = set()
         for e in data["entries"]:
-            m, n = e["dims"]
-            means[m, n] = e["mean"]
-            ses[m, n] = e["std_error"]
+            dims = tuple(e["dims"])
+            where = f"entry dims {list(dims)}"
+            in_range = all(isinstance(d, int) and 0 <= d <= K for d in dims)
+            if len(dims) != 2 or not in_range:
+                raise ValueError(f"{where}: dims must be two integers in 0..{K}")
+            if dims in seen:
+                raise ValueError(f"{where}: dims given twice")
+            seen.add(dims)
+            mean, se = e["mean"], e["std_error"]
+            if not math.isfinite(mean):
+                raise ValueError(f"{where}: mean must be finite, got {mean}")
+            if not (math.isfinite(se) and se >= 0):
+                raise ValueError(
+                    f"{where}: std_error must be finite and nonnegative, got {se}"
+                )
+            means[dims], ses[dims] = mean, se
+        for dims in itertools.product(range(K + 1), repeat=2):
+            if dims not in seen:
+                raise ValueError(f"entry dims {list(dims)}: missing")
         return cls(
-            K, data["snr"], data["num_samples"], data["seed"],
+            K, snr, data["num_samples"], data["seed"],
             data.get("hop_index", 0), means, ses,
         )
 

@@ -13,11 +13,11 @@ from a CapacityTable so that all cuts share the same channel draws.
 
 A network has at most two distinct hop tables: a body table read by hops
 1..D-1 (quantizing relays) and a last-hop table, which differs only when the
-destination does not quantize.  Functions accept one shared table or a
-per-hop list of length D and work on the pair (body, last), so their cost
-does not grow with the number of hops beyond one pass over the profile: a
-cut's per-draw values add each distinct crossing block once, weighted by its
-multiplicity, and the min-cut dynamic program reads a (K+1) x (K+1) edge
+destination does not quantize.  Functions take the body ``table`` and a
+keyword-only ``last`` (None: the final hop reads ``table`` too), so their
+cost does not grow with the number of hops beyond one pass over the profile:
+a cut's per-draw values add each distinct crossing block once, weighted by
+its multiplicity, and the min-cut dynamic program reads a (K+1) x (K+1) edge
 matrix computed once per call.  Per-draw block values come from
 ``CapacityTable.entry_draws``, which derives each column from the pool's
 Gram spectrum on first use; tables store no per-draw copy.
@@ -153,35 +153,22 @@ class CutValue:
 
 
 def _hop_tables(
-    table: CapacityTable | list[CapacityTable], params: NetworkParams
+    table: CapacityTable, last: CapacityTable | None, params: NetworkParams
 ) -> tuple[CapacityTable, CapacityTable]:
-    """Normalize a shared table or a per-hop list to (body, last), with checks.
-
-    Hops 1..D-1 read the body table and hop D the last one.  A per-hop list
-    must hold one table object in its first D - 1 places; only the final hop
-    may differ.
-    """
-    D = params.num_hops
+    """Resolve (body, last) hop tables, with checks; hop D reads ``last``."""
     if isinstance(table, (list, tuple)):
-        if len(table) != D:
-            raise ValueError(
-                f"expected one capacity table or {D} per-hop tables, got {len(table)}"
-            )
-        body, last = table[0], table[-1]
-        if any(t is not body for t in table[: D - 1]):
-            raise ValueError(
-                "per-hop tables must share one table for hops 1..D-1; "
-                "only the final hop may differ"
-            )
-    else:
-        body = last = table
-    for t in (body, last):
+        raise TypeError(
+            "pass one body table; give a distinct final-hop table as last=, "
+            "not a per-hop list"
+        )
+    last = table if last is None else last
+    for t in (table, last):
         if t.max_dim < params.relays_per_layer:
             raise ValueError(
                 f"table max_dim {t.max_dim} is smaller than relays_per_layer "
                 f"{params.relays_per_layer}"
             )
-    return body, last
+    return table, last
 
 
 def _check_profile(profile: CutProfile, params: NetworkParams) -> None:
@@ -215,8 +202,10 @@ def _shared_pool(body: CapacityTable, last: CapacityTable) -> bool:
 def cut_profile_draws(
     profile: CutProfile,
     params: NetworkParams,
-    tables: CapacityTable | list[CapacityTable],
+    table: CapacityTable,
     node_penalty: float = 0.0,
+    *,
+    last: CapacityTable | None = None,
 ) -> np.ndarray:
     """Per-draw cut values across shared draws (tables must keep their pool).
 
@@ -224,7 +213,7 @@ def cut_profile_draws(
     per-draw column once, times the number of hops it crosses; blocks with
     a zero dimension are exact zeros and are skipped.
     """
-    body, last = _hop_tables(tables, params)
+    body, last = _hop_tables(table, last, params)
     if not _shared_pool(body, last):
         raise ValueError("per-draw cut values need tables built over shared draws")
     dims = _block_dims(profile, params)
@@ -242,43 +231,49 @@ def cut_profile_draws(
 def cut_value(
     profile: CutProfile,
     params: NetworkParams,
-    table: CapacityTable | list[CapacityTable],
+    table: CapacityTable,
     node_penalty: float = 0.0,
+    *,
+    last: CapacityTable | None = None,
 ) -> CutValue:
     """Evaluate one cut profile against a capacity table.
 
     Args:
         profile: Relay counts on the source side, length num_hops - 1.
         params: Network shape.
-        table: Shared CapacityTable, or one table per hop (hop i read from
-            table i; hops 1..D-1 must share one table, so the per-hop form
-            only supports an unquantized final hop).
+        table: CapacityTable read by hops 1..D-1, and by hop D unless
+            ``last`` is given.
         node_penalty: Rate subtracted per counted relay, nats.
+        last: Table of the final hop when it differs from the body, as for
+            an unquantized destination.
 
     Returns:
         CutValue; its value sums the per-hop block capacities from last hop
         to first, matching the dynamic program's accumulation order exactly.
     """
     _check_profile(profile, params)
-    body, last = _hop_tables(table, params)
+    body, last = _hop_tables(table, last, params)
     dims = _block_dims(profile, params)
     D = params.num_hops
-    hop_tables = [body] * (D - 1) + [last]
+
+    def hop_table(i: int) -> CapacityTable:
+        return last if i == D - 1 else body
+
     per_block = tuple(
-        ((m, n), hop_tables[i].mean(m, n)) for i, (m, n) in enumerate(dims)
+        ((m, n), hop_table(i).mean(m, n)) for i, (m, n) in enumerate(dims)
     )
     total = 0.0
-    for i in reversed(range(params.num_hops)):
+    for i in reversed(range(D)):
         contrib = per_block[i][1]
-        if 1 <= i + 1 <= params.num_hops - 1:
+        if i < D - 1:
             contrib -= node_penalty * profile.counts[i]
         total = contrib + total
     if _shared_pool(body, last):
-        draws = cut_profile_draws(profile, params, table)
+        draws = cut_profile_draws(profile, params, body, last=last)
         _, se = _stream_stats(draws)
     else:
         se = math.sqrt(
-            sum(hop_tables[i].std_error(m, n) ** 2 for i, (m, n) in enumerate(dims))
+            sum(hop_table(i).std_error(m, n) ** 2 for i, (m, n) in enumerate(dims))
         )
     return CutValue(total, se, profile, per_block)
 
@@ -301,26 +296,29 @@ def _edge_weight(
 
 def min_cut_dp(
     params: NetworkParams,
-    table: CapacityTable | list[CapacityTable],
+    table: CapacityTable,
     node_penalty: float = 0.0,
+    *,
+    last: CapacityTable | None = None,
 ) -> tuple[float, CutProfile]:
     """Minimize the penalized cut value over all profiles by dynamic program.
 
     The objective is sum_i C(K - M_{i+1}, M_i) - node_penalty * sum_i M_i
     with M_0 = K and M_D = 0.  Hops 1..D-1 share the body table, so their
     (K+1)^2 edge weights C(K - nxt, cur) - node_penalty * nxt are computed
-    once per call; the last hop reads the last table without penalty.  The
-    backward pass and the reconstruction then take O(D * (K+1)^2) float
-    operations on that matrix.  Among minimizing profiles the
-    lexicographically smallest is returned; every edge weight is the float
-    ``_edge_weight`` evaluates and sums are associated exactly as in
-    ``cut_value``, so the result matches brute-force enumeration bitwise.
+    once per call; hop D reads ``last`` (default ``table``) without
+    penalty.  The backward pass and the reconstruction then take
+    O(D * (K+1)^2) float operations on that matrix.  Among minimizing
+    profiles the lexicographically smallest is returned; every edge weight
+    is the float ``_edge_weight`` evaluates and sums are associated exactly
+    as in ``cut_value``, so the result matches brute-force enumeration
+    bitwise.
 
     Returns:
         (minimum value in nats, argmin profile).
     """
     K, D = params.relays_per_layer, params.num_hops
-    body, last = _hop_tables(table, params)
+    body, last = _hop_tables(table, last, params)
     body_means = body.means[: K + 1, : K + 1].tolist()
     # edges[cur][nxt]: body hop from M_i = cur to M_{i+1} = nxt
     edges = [
@@ -356,8 +354,10 @@ def min_cut_dp(
 
 def brute_force_min_cut(
     params: NetworkParams,
-    table: CapacityTable | list[CapacityTable],
+    table: CapacityTable,
     node_penalty: float = 0.0,
+    *,
+    last: CapacityTable | None = None,
 ) -> tuple[float, CutProfile]:
     """Exhaustive minimum over all (K+1)**(D-1) profiles.
 
@@ -372,7 +372,7 @@ def brute_force_min_cut(
             f"brute force would enumerate {count} profiles "
             f"(limit {BRUTE_FORCE_LIMIT}); use min_cut_dp"
         )
-    body, last = _hop_tables(table, params)
+    body, last = _hop_tables(table, last, params)
     best = None
     best_profile = None
     for counts in itertools.product(range(K + 1), repeat=D - 1):

@@ -116,29 +116,15 @@ class NncBound:
         return self.raw_value < 0.0
 
 
-def _nnc_tables(
-    params: NetworkParams,
-    scheme: QuantizationScheme,
-    table_degraded: CapacityTable,
-    table_full: CapacityTable | None,
-) -> CapacityTable | list[CapacityTable]:
-    D = params.num_hops
-    if scheme.destination_quantizes:
-        return table_degraded
-    if table_full is None:
-        raise ValueError(
-            "destination_quantizes=False needs table_full for the final hop"
-        )
-    return [table_degraded] * (D - 1) + [table_full]
-
-
 def _penalized_min_cut(
     params: NetworkParams,
     scheme: QuantizationScheme,
-    tables: CapacityTable | list[CapacityTable],
+    table: CapacityTable,
     mode: str,
+    *,
+    last: CapacityTable | None = None,
 ) -> tuple[float, CutProfile, float]:
-    """Unclamped achievable rate under ``mode`` on one table or per-hop tables.
+    """Unclamped achievable rate under ``mode``; hop D reads ``last`` if given.
 
     Returns:
         (raw rate in nats, minimizing profile, per-relay penalty charged
@@ -147,10 +133,10 @@ def _penalized_min_cut(
     """
     if mode == "per_cut_exact":
         pen = scheme.penalty_per_relay
-        raw, profile = min_cut_dp(params, tables, node_penalty=pen)
+        raw, profile = min_cut_dp(params, table, node_penalty=pen, last=last)
         return raw, profile, pen
     if mode == "split_bound":
-        min_cut, profile = min_cut_dp(params, tables, node_penalty=0.0)
+        min_cut, profile = min_cut_dp(params, table, node_penalty=0.0, last=last)
         return min_cut - penalty_bound(params, scheme), profile, 0.0
     raise ValueError(
         f"mode must be 'per_cut_exact' or 'split_bound', got {mode!r}"
@@ -191,9 +177,17 @@ def nnc_lower_bound(
         ``value`` (a scheme can always fall silent) and kept in
         ``raw_value``; clamping is logged.
     """
-    tables = _nnc_tables(params, scheme, table_degraded, table_full)
-    raw, profile, pen = _penalized_min_cut(params, scheme, tables, mode)
-    se = cut_value(profile, params, tables, node_penalty=pen).std_error
+    if not scheme.destination_quantizes and table_full is None:
+        raise ValueError(
+            "destination_quantizes=False needs table_full for the final hop"
+        )
+    last = None if scheme.destination_quantizes else table_full
+    raw, profile, pen = _penalized_min_cut(
+        params, scheme, table_degraded, mode, last=last
+    )
+    se = cut_value(
+        profile, params, table_degraded, node_penalty=pen, last=last
+    ).std_error
     return NncBound(
         value=_clamped_rate(raw, scheme),
         raw_value=raw,
@@ -283,15 +277,19 @@ class RateReport:
 
 def _gap_std_error(
     params: NetworkParams,
-    tables: CapacityTable | list[CapacityTable],
+    table: CapacityTable,
     table_full: CapacityTable,
     profile: CutProfile,
     node_penalty: float,
+    *,
+    last: CapacityTable | None = None,
 ) -> float:
     """Standard error of (full-capacity upper bound - penalized cut) when
-    both sides share one pool of draws."""
+    both sides share one pool of draws; the cut's hop D reads ``last``."""
     K = params.relays_per_layer
-    cut_draws = cut_profile_draws(profile, params, tables, node_penalty=node_penalty)
+    cut_draws = cut_profile_draws(
+        profile, params, table, node_penalty=node_penalty, last=last
+    )
     diff = table_full.entry_draws(K, K) - cut_draws
     _, se = _stream_stats(diff)
     return se
@@ -330,18 +328,15 @@ def rate_report(
     table_deg = cache.at(degraded_snr(params, scheme))
 
     upper = table_full.estimate(K, K)
-    tables = _nnc_tables(
-        params, scheme, table_deg,
-        table_full if not scheme.destination_quantizes else None,
-    )
-    raw, profile, pen = _penalized_min_cut(params, scheme, tables, mode)
+    last = None if scheme.destination_quantizes else table_full
+    raw, profile, pen = _penalized_min_cut(params, scheme, table_deg, mode, last=last)
     lower = _clamped_rate(raw, scheme)
     gap = upper.mean - lower
     if raw < 0.0:
         # the reported rate is the constant 0: only the upper bound varies
         se = upper.std_error
     else:
-        se = _gap_std_error(params, tables, table_full, profile, pen)
+        se = _gap_std_error(params, table_deg, table_full, profile, pen, last=last)
 
     s = rate_scale(params.log_base)
     return RateReport(
@@ -379,7 +374,7 @@ class OptimizeResult:
 
 def default_q_grid(num_hops: int) -> list[float]:
     """Geometric candidate grid; always contains 1 and num_hops - 1."""
-    anchor = float(max(num_hops - 1, 1))
+    anchor = QuantizationScheme.depth_matched(num_hops).noise_ratio
     qs = {1.0, anchor}
     qs.update(float(x) for x in np.geomspace(0.25, 8.0 * anchor, 9))
     return sorted(qs)
@@ -573,7 +568,7 @@ def gap_trend(
         if policy == "fixed_1":
             q = 1.0
         elif policy == "depth_matched":
-            q = float(max(D - 1, 1))
+            q = QuantizationScheme.depth_matched(D).noise_ratio
         else:
             q, _, _ = _optimize_on_cache(
                 params, cache, grid if grid is not None else default_q_grid(D),

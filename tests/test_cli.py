@@ -7,7 +7,13 @@ import subprocess
 
 import pytest
 
-from relaycap import NetworkParams, mimo, optimize_quantization
+from relaycap import (
+    NetworkParams,
+    QuantizationScheme,
+    mimo,
+    optimize_quantization,
+    rate_report,
+)
 from relaycap.cli import (
     RATE_HEADER,
     ConfigError,
@@ -105,6 +111,36 @@ def test_rate_csv_layout(tmp_path):
     upper, lower, gap = float(row[4]), float(row[5]), float(row[6])
     assert gap == pytest.approx(upper - lower, abs=1e-12)
     assert float(row[7]) == pytest.approx(math.log(2) + 1, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
+def test_rate_without_destination_quantization(tmp_path, mode):
+    # the unquantized destination's final hop reads its own full-snr table
+    args = ["rate", "--K", "2", "--D", "5", "--snr", "1,10", "--samples", "3000",
+            "--seed", "7", "--mode", mode, "--no-destination-quantization"]
+    rc, out = run_cli(tmp_path, args)
+    assert rc == 0
+    lines = out.read_text().splitlines()
+    assert json.loads(lines[1][len("# config="):])["destination_quantizes"] is False
+    rows = [line.split(",") for line in lines[3:]]
+    assert len(rows) == 2
+    for row, snr in zip(rows, (1.0, 10.0)):
+        params = NetworkParams(2, 5, power=snr)
+        rep = rate_report(
+            params, QuantizationScheme.depth_matched(5, False), 3000, 7, mode=mode
+        )
+        assert [int(row[0]), int(row[1])] == [rep.relays_per_layer, rep.num_hops]
+        assert [float(v) for v in row[2:]] == [
+            rep.snr, rep.noise_ratio, rep.upper, rep.lower, rep.gap, rep.thm_bound,
+            rep.prior_cf_bound, rep.alignment_bound, rep.std_error,
+        ]
+        if mode == "per_cut_exact":
+            # the full-snr final hop lifts the penalized min cut; split_bound's
+            # unpenalized min cut is the first hop either way
+            quantized = rate_report(
+                params, QuantizationScheme.depth_matched(5), 3000, 7, mode=mode
+            )
+            assert rep.raw_lower > quantized.raw_lower
 
 
 def test_reruns_are_byte_identical_across_workers(tmp_path):

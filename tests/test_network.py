@@ -71,12 +71,6 @@ def test_table_too_small_rejected(table3_10):
         min_cut_dp(params, table3_10)
 
 
-def test_per_hop_table_count_checked(table3_10):
-    params = params_for(table3_10, 2, 3)
-    with pytest.raises(ValueError, match="per-hop"):
-        cut_value(CutProfile((1, 1)), params, [table3_10, table3_10])
-
-
 # ---------------------------------------------------------------- cut values
 
 
@@ -135,7 +129,7 @@ def test_every_profile_at_least_full_capacity(table3_10, table3_1):
 def test_per_hop_tables_change_the_final_hop(table3_10, table3_1):
     params = params_for(table3_10, 2, 3)
     prof = CutProfile((1, 2))
-    mixed = cut_value(prof, params, [table3_10, table3_10, table3_1])
+    mixed = cut_value(prof, params, table3_10, last=table3_1)
     expected = (
         table3_10.mean(1, 2) + (table3_10.mean(0, 1) + (table3_1.mean(2, 2) + 0.0))
     )
@@ -178,38 +172,46 @@ def test_dp_equals_brute_force_bitwise_with_distinct_last_hop(
     table3_10, table3_1, K, D, penalty
 ):
     params = params_for(table3_10, K, D)
-    tables = [table3_10] * (D - 1) + [table3_1]
-    v_dp, p_dp = min_cut_dp(params, tables, node_penalty=penalty)
-    v_bf, p_bf = brute_force_min_cut(params, tables, node_penalty=penalty)
+    v_dp, p_dp = min_cut_dp(params, table3_10, node_penalty=penalty, last=table3_1)
+    v_bf, p_bf = brute_force_min_cut(
+        params, table3_10, node_penalty=penalty, last=table3_1
+    )
     assert v_dp == v_bf
     assert p_dp == p_bf
 
 
-def test_per_hop_tables_must_share_the_body(table3_10, table3_1):
+def test_per_hop_table_list_refused(table3_10, table3_1):
     params = params_for(table3_10, 2, 3)
-    mixed_body = [table3_10, table3_1, table3_10]
-    for fn in (min_cut_dp, brute_force_min_cut):
-        with pytest.raises(ValueError, match="share one table"):
-            fn(params, mixed_body)
-    with pytest.raises(ValueError, match="share one table"):
-        cut_value(CutProfile((1, 1)), params, mixed_body)
+    profile = CutProfile((1, 1))
+    for tables in ((table3_10,) * 3, [table3_10, table3_10, table3_1]):
+        for call in (
+            lambda: cut_value(profile, params, tables),
+            lambda: cut_profile_draws(profile, params, tables),
+            lambda: min_cut_dp(params, tables),
+            lambda: brute_force_min_cut(params, tables),
+        ):
+            with pytest.raises(TypeError, match="last="):
+                call()
 
 
 @pytest.mark.parametrize("last", ["shared", "mixed"])
 @pytest.mark.parametrize("penalty", [0.0, 0.3])
 def test_cut_draws_equal_per_hop_column_sum(table3_10, table3_1, last, penalty):
     K = 2
+    last_table = table3_10 if last == "shared" else table3_1
     for D in range(1, 6):
         params = params_for(table3_10, K, D)
-        tables = [table3_10] * (D - 1) + [table3_10 if last == "shared" else table3_1]
         for counts in itertools.product(range(K + 1), repeat=D - 1):
             profile = CutProfile(counts)
             bounds = [K, *counts, 0]
             naive = np.zeros(table3_10.num_samples)
             for hop in range(D):
-                naive += tables[hop].entry_draws(K - bounds[hop + 1], bounds[hop])
+                hop_table = last_table if hop == D - 1 else table3_10
+                naive += hop_table.entry_draws(K - bounds[hop + 1], bounds[hop])
             naive -= penalty * sum(counts)
-            got = cut_profile_draws(profile, params, tables, node_penalty=penalty)
+            got = cut_profile_draws(
+                profile, params, table3_10, node_penalty=penalty, last=last_table
+            )
             np.testing.assert_allclose(got, naive, rtol=1e-12, atol=0)
 
 
@@ -219,11 +221,11 @@ def test_tables_over_pools_of_different_size_use_quadrature():
     t3 = CapacityTable.from_pool(SamplePool.build(3, 3_000, seed=8), 10.0)
     params = NetworkParams(2, 2, power=10.0)
     profile = CutProfile((1,))
-    cut = cut_value(profile, params, [t2, t3])
+    cut = cut_value(profile, params, t2, last=t3)
     quadrature = math.sqrt(t2.std_error(1, 2) ** 2 + t3.std_error(2, 1) ** 2)
     assert cut.std_error == quadrature
     with pytest.raises(ValueError, match="shared draws"):
-        cut_profile_draws(profile, params, [t2, t3])
+        cut_profile_draws(profile, params, t2, last=t3)
 
 
 def test_tables_over_equal_pools_use_shared_draws():
@@ -232,8 +234,8 @@ def test_tables_over_equal_pools_use_shared_draws():
     u2 = CapacityTable.from_pool(SamplePool.build(2, 3_000, seed=8), 1.0)
     params = NetworkParams(2, 2, power=10.0)
     profile = CutProfile((1,))
-    cut = cut_value(profile, params, [t2, u2])
-    draws = cut_profile_draws(profile, params, [t2, u2])
+    cut = cut_value(profile, params, t2, last=u2)
+    draws = cut_profile_draws(profile, params, t2, last=u2)
     assert cut.std_error == _stream_stats(draws)[1]
 
 

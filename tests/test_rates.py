@@ -22,7 +22,6 @@ from relaycap import (
 )
 from relaycap.rates import (
     _gap_std_error,
-    _nnc_tables,
     _penalized_min_cut,
     resolve_policy,
 )
@@ -234,9 +233,8 @@ def _rate_report_via_nnc(params, scheme, num_samples, seed, mode):
     if bound.was_clamped:
         se = full.std_error(K, K)
     else:
-        tables = _nnc_tables(params, scheme, deg, table_full)
         pen = scheme.penalty_per_relay if mode == "per_cut_exact" else 0.0
-        se = _gap_std_error(params, tables, full, bound.profile, pen)
+        se = _gap_std_error(params, deg, full, bound.profile, pen, last=table_full)
     return bound.value, bound.raw_value, bound.was_clamped, se
 
 
@@ -418,14 +416,13 @@ def test_quantizing_destination_reads_one_table(cache2):
     scheme = QuantizationScheme(4.0)
     table = cache2.at(degraded_snr(params, scheme))
     full = cache2.at(params.snr)
-    assert _nnc_tables(params, scheme, table, None) is table
-    # the one-table form and the per-hop list give bitwise equal results
+    # last=None and last=table give bitwise equal results
     for mode in ("per_cut_exact", "split_bound"):
         one = _penalized_min_cut(params, scheme, table, mode)
-        listed = _penalized_min_cut(params, scheme, [table] * 5, mode)
-        assert one == listed
+        same_last = _penalized_min_cut(params, scheme, table, mode, last=table)
+        assert one == same_last
         assert _gap_std_error(params, table, full, one[1], one[2]) == _gap_std_error(
-            params, [table] * 5, full, one[1], one[2]
+            params, table, full, one[1], one[2], last=table
         )
 
 

@@ -1,5 +1,6 @@
 """Capacity tables over shared draws: exact structure, oracle agreement."""
 
+import json
 import math
 
 import numpy as np
@@ -91,6 +92,53 @@ def test_json_round_trip(table3_10):
     assert loaded.seed == table3_10.seed
     assert np.array_equal(loaded.means, table3_10.means)
     assert np.array_equal(loaded.std_errors, table3_10.std_errors)
+
+
+def _entry(doc, dims):
+    return next(e for e in doc["entries"] if e["dims"] == list(dims))
+
+
+def _set_snr(doc, value):
+    doc["snr"] = value
+
+
+def _drop(doc, dims):
+    doc["entries"].remove(_entry(doc, dims))
+
+
+def _duplicate(doc, dims):
+    doc["entries"].append(dict(_entry(doc, dims)))
+
+
+@pytest.mark.parametrize(
+    "corrupt, match",
+    [
+        (lambda d: _entry(d, (1, 1)).update(mean=math.nan),
+         r"entry dims \[1, 1\]: mean"),
+        (lambda d: _entry(d, (2, 1)).update(mean=math.inf),
+         r"entry dims \[2, 1\]: mean"),
+        (lambda d: _entry(d, (2, 0)).update(dims=[-1, 0]),
+         r"entry dims \[-1, 0\]: dims"),
+        (lambda d: _entry(d, (2, 0)).update(dims=[3, 0]),
+         r"entry dims \[3, 0\]: dims"),
+        (lambda d: _set_snr(d, math.nan), "snr"),
+        (lambda d: _drop(d, (2, 2)), r"entry dims \[2, 2\]: missing"),
+        (lambda d: _duplicate(d, (1, 0)), r"entry dims \[1, 0\]: dims given twice"),
+        (lambda d: _entry(d, (1, 2)).update(std_error=-0.1),
+         r"entry dims \[1, 2\]: std_error"),
+        (lambda d: _entry(d, (1, 2)).update(std_error=math.nan),
+         r"entry dims \[1, 2\]: std_error"),
+    ],
+    ids=["nan-mean", "inf-mean", "negative-dims", "dims-above-max", "nan-snr",
+         "dropped-entry", "duplicate-entry", "negative-std-error", "nan-std-error"],
+)
+def test_from_json_refuses_corrupted_dump(corrupt, match):
+    table = CapacityTable.from_pool(SamplePool.build(2, 500, seed=3), 10.0)
+    doc = json.loads(table.to_json())
+    assert CapacityTable.from_dict(doc).means.tolist() == table.means.tolist()
+    corrupt(doc)
+    with pytest.raises(ValueError, match=match):
+        CapacityTable.from_json(json.dumps(doc))
 
 
 def test_loaded_table_has_no_draws_and_says_so(table3_10):
