@@ -180,18 +180,30 @@ def test_dp_equals_brute_force_bitwise_with_distinct_last_hop(
     assert p_dp == p_bf
 
 
-def test_per_hop_table_list_refused(table3_10, table3_1):
+def _assert_list_refused(params, tables):
+    profile = CutProfile((1,) * (params.num_hops - 1))
+    for call in (
+        lambda: cut_value(profile, params, tables),
+        lambda: cut_profile_draws(profile, params, tables),
+        lambda: min_cut_dp(params, tables),
+        lambda: brute_force_min_cut(params, tables),
+    ):
+        with pytest.raises(TypeError, match="last="):
+            call()
+
+
+def test_per_hop_table_count_checked(table3_10):
+    # a per-hop list is refused whatever its length: one per hop, or too few
     params = params_for(table3_10, 2, 3)
-    profile = CutProfile((1, 1))
-    for tables in ((table3_10,) * 3, [table3_10, table3_10, table3_1]):
-        for call in (
-            lambda: cut_value(profile, params, tables),
-            lambda: cut_profile_draws(profile, params, tables),
-            lambda: min_cut_dp(params, tables),
-            lambda: brute_force_min_cut(params, tables),
-        ):
-            with pytest.raises(TypeError, match="last="):
-                call()
+    for tables in ((table3_10,) * 3, [table3_10, table3_10]):
+        _assert_list_refused(params, tables)
+
+
+def test_per_hop_tables_must_share_the_body(table3_10, table3_1):
+    # two body tables cannot be passed at all; a distinct final hop goes in last=
+    params = params_for(table3_10, 2, 3)
+    for tables in ([table3_10, table3_1, table3_10], [table3_10, table3_10, table3_1]):
+        _assert_list_refused(params, tables)
 
 
 @pytest.mark.parametrize("last", ["shared", "mixed"])
