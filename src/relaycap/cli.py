@@ -190,6 +190,15 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
         q_grid = tuple(_as_float("q_grid", g, positive=True) for g in _as_tuple(q_grid))
         if not q_grid:
             raise ConfigError("q_grid", "must be nonempty when given")
+    if sub == "sweep":
+        # an echoed config carries "q": null and "q_grid": null, so refuse
+        # values, not keys
+        if q is not None:
+            raise ConfigError("q", "sweep sets q by q_policy; a fixed q would be ignored")
+        if q_grid is not None and "optimized" not in q_policy:
+            raise ConfigError(
+                "q_grid", "only the optimized q_policy reads it; it would be ignored"
+            )
     gains = merged["gains"]
     if gains is not None:
         gains = tuple(_as_float("gains", g, nonnegative=True) for g in _as_tuple(gains))

@@ -394,8 +394,10 @@ class SamplePool:
     differences of table entries are common-random-number differences and
     structural inequalities between entries hold draw by draw.
 
+    The draws themselves are not stored: they are a pure function of
+    ``key``, and ``draws`` regenerates them when asked.
+
     Attributes:
-        draws: (num_samples, max_dim, max_dim) complex channel draws.
         spectra: For every table entry (m, n) with m >= n, the pair
             (eigenvalues, weights).  ``eigenvalues`` has shape
             (num_samples, c): the smaller-side Gram eigenvalues of each of
@@ -409,7 +411,6 @@ class SamplePool:
     num_samples: int
     seed: int
     hop_index: int
-    draws: np.ndarray
     spectra: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = field(
         repr=False
     )
@@ -419,6 +420,19 @@ class SamplePool:
         """(max_dim, num_samples, seed, hop_index): pools with equal keys
         hold the same draws."""
         return (self.max_dim, self.num_samples, self.seed, self.hop_index)
+
+    @property
+    def draws(self) -> np.ndarray:
+        """Read-only (num_samples, max_dim, max_dim) complex channel draws,
+        regenerated block by block from ``key`` on every access."""
+        K, N = self.max_dim, self.num_samples
+        draws = np.empty((N, K, K), dtype=complex)
+        for b in range(_num_blocks(N)):
+            lo, hi = _block_bounds(b, N)
+            block = sample_channel_block(K, K, self.seed, b, self.hop_index)
+            draws[lo:hi] = block[: hi - lo]
+        draws.flags.writeable = False
+        return draws
 
     @classmethod
     def build(
@@ -443,7 +457,7 @@ class SamplePool:
         entries = [(m, n) for m in range(1, K + 1) for n in range(1, m + 1)]
         windows = {e: _windows(K, *e) for e in entries}
 
-        def task(b: int) -> tuple[np.ndarray, list[np.ndarray]]:
+        def task(b: int) -> list[np.ndarray]:
             lo, hi = _block_bounds(b, num_samples)
             block = sample_channel_block(K, K, seed, b, hop_index)[: hi - lo]
             spectra = []
@@ -459,13 +473,12 @@ class SamplePool:
                         W = np.ascontiguousarray(block[:, rows[:, None], cols[None, :]])
                     parts.append(_gram_spectrum(W))
                 spectra.append(parts[0] if len(parts) == 1 else np.hstack(parts))
-            return block, spectra
+            return spectra
 
         results = _map_blocks(task, _num_blocks(num_samples), workers)
-        draws = np.concatenate([block for block, _ in results], axis=0)
         spectra = {}
         for i, e in enumerate(entries):
-            eigenvalues = np.concatenate([parts[i] for _, parts in results], axis=0)
+            eigenvalues = np.concatenate([parts[i] for parts in results], axis=0)
             weights = None
             if len(windows[e]) > 1:
                 total = sum(w for w, _, _ in windows[e])
@@ -473,7 +486,7 @@ class SamplePool:
                     [np.full(min(len(r), len(c)), w / total) for w, r, c in windows[e]]
                 )
             spectra[e] = (eigenvalues, weights)
-        return cls(max_dim, num_samples, seed, hop_index, draws, spectra)
+        return cls(max_dim, num_samples, seed, hop_index, spectra)
 
 
 def _window_values(
@@ -700,7 +713,15 @@ def build_capacity_table(
 
 
 class TableCache:
-    """Capacity tables at several snr values over one shared pool."""
+    """Capacity tables at several snr values over one shared pool.
+
+    Over one pool, table means are nondecreasing in snr, entry by entry and
+    draw by draw (each per-draw value is a nonnegative combination of
+    log1p(snr * lambda) with lambda >= 0).  So any table already built at a
+    higher snr bounds every quantity that is nondecreasing in the entry
+    means, such as a penalized min cut, from above; ``ceiling`` returns the
+    tightest such table without building one.
+    """
 
     def __init__(self, pool: SamplePool):
         self.pool = pool
@@ -711,3 +732,8 @@ class TableCache:
         if key not in self._tables:
             self._tables[key] = CapacityTable.from_pool(self.pool, key)
         return self._tables[key]
+
+    def ceiling(self, snr: float) -> CapacityTable | None:
+        """The built table with the smallest snr >= ``snr``, or None."""
+        above = [s for s in self._tables if s >= snr]
+        return self._tables[min(above)] if above else None

@@ -373,7 +373,8 @@ class OptimizeResult:
 
 
 def default_q_grid(num_hops: int) -> list[float]:
-    """Geometric candidate grid; always contains 1 and num_hops - 1."""
+    """Geometric candidate grid from 0.25 to 8 times the depth-matched
+    ratio; always contains 1 and that ratio, max(num_hops - 1, 1)."""
     anchor = QuantizationScheme.depth_matched(num_hops).noise_ratio
     qs = {1.0, anchor}
     qs.update(float(x) for x in np.geomspace(0.25, 8.0 * anchor, 9))
@@ -396,24 +397,71 @@ def _optimize_on_cache(
     q_grid: list[float],
     mode: str,
     refine_rounds: int,
+    prune: bool = False,
 ) -> tuple[float, float, list[tuple[float, float]]]:
+    """Grid scan and refinement of ``optimize_quantization`` on ``cache``.
+
+    A candidate q scores max(raw, 0), raw being its penalized min cut on the
+    table at snr / (1 + q).  With ``prune``, a candidate whose table is not
+    built yet is first bounded: table means are nondecreasing in snr, so the
+    penalized min cut with q's penalty on ``cache.ceiling`` of that snr is
+    an upper bound UB >= raw.  With tol = 1e-9 * max(1, incumbent):
+
+      * UB < -tol: the score is exactly 0, known without a build;
+      * UB < incumbent - tol: the candidate can neither beat nor tie the
+        incumbent and is skipped;
+      * otherwise its table is built and it is scored as without pruning.
+
+    Neither shortcut can change the chosen ratio or its score, so pruning
+    leaves the result bitwise equal to the unpruned scan.
+
+    Returns:
+        (best ratio, its score, [(q, score)] in evaluation order); skipped
+        candidates are not listed.
+    """
     evals: dict[float, float] = {}
     order: list[float] = []
+
+    def record(q: float, raw: float) -> float:
+        # the rate nnc_lower_bound reports, without its standard error
+        evals[q] = max(raw, 0.0)
+        order.append(q)
+        return evals[q]
 
     def rate_at(q: float) -> float:
         if q not in evals:
             scheme = QuantizationScheme(q)
             table = cache.at(degraded_snr(params, scheme))
-            raw, _, _ = _penalized_min_cut(params, scheme, table, mode)
-            # the rate nnc_lower_bound reports, without its standard error
-            evals[q] = max(raw, 0.0)
-            order.append(q)
+            record(q, _penalized_min_cut(params, scheme, table, mode)[0])
         return evals[q]
+
+    def score(q: float, incumbent: float) -> float | None:
+        """Score of q, or None when q cannot beat or tie the incumbent."""
+        if not prune or q in evals:
+            return rate_at(q)
+        scheme = QuantizationScheme(q)
+        snr = degraded_snr(params, scheme)
+        above = cache.ceiling(snr)
+        if above is None:
+            return rate_at(q)
+        bound, _, _ = _penalized_min_cut(params, scheme, above, mode)
+        if above.snr == snr:
+            # q's own table was already built: the bound is its raw rate
+            return record(q, bound)
+        # scores are >= 0, and the incumbent is -inf before the first one
+        tol = 1e-9 * max(1.0, incumbent)
+        if bound < -tol:
+            return record(q, 0.0)
+        if bound < incumbent - tol:
+            return None
+        return rate_at(q)
 
     best_q = None
     best = -math.inf
     for q in q_grid:
-        r = rate_at(q)
+        r = score(q, best)
+        if r is None:
+            continue
         # strict improvement, ties break toward the smaller ratio
         if r > best or (r == best and (best_q is None or q < best_q)):
             best, best_q = r, q
@@ -429,10 +477,10 @@ def _optimize_on_cache(
         for cand in (best_q - step, best_q + step):
             if cand <= 0:
                 continue
-            r = rate_at(cand)
+            r = score(cand, best)
             # refinement moves only on strict improvement; ties were already
             # settled toward the smaller ratio by the ascending grid scan
-            if r > best:
+            if r is not None and r > best:
                 best, best_q = r, cand
         step /= 2.0
     return best_q, best, [(q, evals[q]) for q in order]
@@ -541,7 +589,12 @@ def gap_trend(
       * depth_matched: q = D - 1 (q = 1 at D = 1); the gap grows only
         logarithmically in depth.
       * optimized: q from optimize_quantization on ``q_grid``, or on
-        ``default_q_grid(D)`` when it is None.
+        ``default_q_grid(D)`` when it is None.  The scan here is pruned
+        (see ``_optimize_on_cache``): a candidate is first bounded from
+        above on a table already in the cache at a higher snr, a bound
+        below zero scores it 0 without a build, and a bound below the
+        incumbent skips it.  The chosen q, and so every output byte, is
+        the same as without pruning; only fewer tables are built.
 
     ``cache`` lets several calls share one pool and its tables; it replaces
     the pool build, and its pool must have been built with
@@ -572,7 +625,7 @@ def gap_trend(
         else:
             q, _, _ = _optimize_on_cache(
                 params, cache, grid if grid is not None else default_q_grid(D),
-                mode, refine_rounds=3,
+                mode, refine_rounds=3, prune=True,
             )
         scheme = QuantizationScheme(q)
         table = cache.at(degraded_snr(params, scheme))

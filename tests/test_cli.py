@@ -365,3 +365,33 @@ def test_sweep_q_grid_reaches_the_optimizer(tmp_path):
     ).noise_ratio
     assert q == expected
     assert q != float(_data_rows(default).split(b",")[3])
+
+
+@pytest.mark.parametrize(
+    "extra, key",
+    [
+        (["--q", "3"], "q"),
+        (["--q-grid", "0.5,2"], "q_grid"),
+        (["--q-grid", "0.5,2", "--q-policy", "fixed_1,depth_matched"], "q_grid"),
+    ],
+)
+def test_sweep_refuses_q_settings_it_would_ignore(tmp_path, capsys, extra, key):
+    rc, out = run_cli(tmp_path, ["sweep", "--D", "2,4", "--samples", "500", *extra])
+    assert rc == 2 and not out.exists()
+    assert f"config key '{key}'" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        validate_config({"q": 3.0} if key == "q" else {"q_grid": [0.5, 2.0]}, "sweep")
+
+
+def test_sweep_accepts_q_grid_with_optimized_and_its_echoed_config(tmp_path):
+    args = ["sweep", "--D", "2,4", "--samples", "500", "--q-grid", "0.5,2",
+            "--q-policy", "depth_matched,optimized"]
+    rc, out = run_cli(tmp_path, args, "grid.csv")
+    assert rc == 0
+    # the echoed config carries "q": null; fed back, it reproduces the run
+    echoed = out.read_text().splitlines()[1].removeprefix("# config=")
+    assert json.loads(echoed)["q"] is None
+    cfg_path = tmp_path / "echo.json"
+    cfg_path.write_text(echoed)
+    rc, again = run_cli(tmp_path, ["sweep", "--config", str(cfg_path)], "again.csv")
+    assert rc == 0 and again.read_bytes() == out.read_bytes()

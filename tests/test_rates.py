@@ -22,6 +22,7 @@ from relaycap import (
 )
 from relaycap.rates import (
     _gap_std_error,
+    _optimize_on_cache,
     _penalized_min_cut,
     resolve_policy,
 )
@@ -436,3 +437,97 @@ def test_gap_trend_optimizes_over_given_grid():
     with pytest.raises(ValueError, match="positive"):
         gap_trend(2, [8], q_policy="optimized", num_samples=100, seed=0,
                   q_grid=[1.0, 0.0])
+
+
+# ------------------------------------------------- pruned optimizer scan
+
+PRUNE_DEPTHS = [1, 2, 3, 8, 32, 64]
+PRUNE_SNRS = [0.5, 10.0, 1000.0]
+CUSTOM_GRID = [0.3, 1.0, 2.5, 9.0, 40.0]
+
+
+@pytest.mark.parametrize("grid", [None, CUSTOM_GRID], ids=["default", "custom"])
+@pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_pruned_optimizer_picks_the_unpruned_q(K, mode, grid):
+    N, seed = 1_000, 3
+    cache = TableCache(SamplePool.build(K, N, seed))
+    for snr in PRUNE_SNRS:
+        points = gap_trend(K, PRUNE_DEPTHS, snr, "optimized", N, seed, mode=mode,
+                           q_grid=grid, cache=cache)
+        for p in points:
+            params = NetworkParams(K, p.num_hops, power=snr)
+            oracle = optimize_quantization(params, q_grid=grid, num_samples=N,
+                                           seed=seed, mode=mode)
+            assert p.noise_ratio == oracle.noise_ratio, (snr, p.num_hops)
+
+
+@pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_pruned_scan_equals_unpruned_scan_bitwise(K, mode):
+    N, seed = 1_000, 8
+    pool = SamplePool.build(K, N, seed)
+    pruned_cache = TableCache(pool)
+    skipped = 0
+    for snr in PRUNE_SNRS:
+        pruned_cache.at(snr)  # gap_trend's full-snr table
+        for D in PRUNE_DEPTHS:
+            params = NetworkParams(K, D, power=snr)
+            for grid in (default_q_grid(D), CUSTOM_GRID):
+                full = _optimize_on_cache(params, TableCache(pool), grid, mode, 3)
+                pruned = _optimize_on_cache(params, pruned_cache, grid, mode, 3,
+                                            prune=True)
+                assert pruned[:2] == full[:2], (snr, D, grid)
+                # every score the pruned scan records is the exact score
+                assert set(pruned[2]) <= set(full[2])
+                skipped += len(full[2]) - len(pruned[2])
+    assert skipped > 0
+
+
+@pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_cached_bound_is_at_least_the_raw_rate(K, mode):
+    N, seed = 1_000, 5
+    pool = SamplePool.build(K, N, seed)
+    cache = TableCache(pool)
+    exact = TableCache(pool)
+    for snr in PRUNE_SNRS:
+        gap_trend(K, PRUNE_DEPTHS, snr, "optimized", N, seed, mode=mode, cache=cache)
+        for D in PRUNE_DEPTHS:
+            params = NetworkParams(K, D, power=snr)
+            for q in sorted({*default_q_grid(D), *CUSTOM_GRID}):
+                scheme = QuantizationScheme(q)
+                deg = degraded_snr(params, scheme)
+                raw = _penalized_min_cut(params, scheme, exact.at(deg), mode)[0]
+                # the tightest table strictly above, and the full-snr table
+                for above in (cache.ceiling(math.nextafter(deg, math.inf)),
+                              cache.at(snr)):
+                    assert above.snr > deg
+                    bound = _penalized_min_cut(params, scheme, above, mode)[0]
+                    assert bound >= raw, (snr, D, q, above.snr)
+
+
+@pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
+def test_candidates_bounded_below_zero_score_zero_without_a_build(mode):
+    # deep and fine enough that every candidate clamps: with only the
+    # full-snr table cached, each bound is negative, so the scan builds
+    # nothing and still picks the smallest ratio, as the unpruned scan does
+    pool = SamplePool.build(2, 2_000, seed=9)
+    params = NetworkParams(2, 64, power=10.0)
+    grid = [0.25, 1.0, 4.0]
+    cache = TableCache(pool)
+    cache.at(params.snr)
+    best_q, best, evals = _optimize_on_cache(params, cache, grid, mode, 3, prune=True)
+    full = _optimize_on_cache(params, TableCache(pool), grid, mode, 3)
+    assert (best_q, best) == full[:2] == (grid[0], 0.0)
+    assert len(cache._tables) == 1
+    assert set(grid) <= set(dict(evals)) and set(dict(evals).values()) == {0.0}
+
+
+def test_sweep_shape_builds_at_most_45_tables():
+    # the sweep-optimized workload: K 2, depths 2..32, snr 10, three policies
+    # on one cache; the unpruned scan builds 77 tables here
+    cache = TableCache(SamplePool.build(2, 5_000, seed=12345))
+    for policy in ("fixed_1", "depth_matched", "optimized"):
+        gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, 5_000, 12345, cache=cache)
+    assert len(cache._tables) <= 45

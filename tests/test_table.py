@@ -1,5 +1,6 @@
 """Capacity tables over shared draws: exact structure, oracle agreement."""
 
+import dataclasses
 import json
 import math
 
@@ -13,8 +14,10 @@ from relaycap import (
     TableCache,
     build_capacity_table,
     check_capacity_properties,
+    default_q_grid,
     estimate_ergodic_capacity,
     gram_logdet,
+    sample_channel_block,
 )
 from relaycap.mimo import _stream_stats
 
@@ -268,3 +271,52 @@ def test_pool_is_identical_for_any_worker_count():
         eig_b, w_b = b.spectra[key]
         assert np.array_equal(eig_a, eig_b)
         assert (w_a is None and w_b is None) or np.array_equal(w_a, w_b)
+
+
+def test_table_cache_ceiling_returns_tightest_built_table(pool3):
+    cache = TableCache(pool3)
+    assert cache.ceiling(1.0) is None and len(cache._tables) == 0
+    two, four = cache.at(2.0), cache.at(4.0)
+    assert cache.ceiling(1.0) is two
+    assert cache.ceiling(2.0) is two
+    assert cache.ceiling(3.0) is four
+    assert cache.ceiling(4.5) is None
+    assert len(cache._tables) == 2  # ceiling never builds
+
+
+def _monotonicity_snrs():
+    """Dense snr grid with close pairs: 0, a geometric spread, and each of
+    1, 10 and the degraded snrs 10 / (1 + q) of default_q_grid(32) next to
+    the float just above it."""
+    anchors = [1.0, 10.0] + [10.0 / (1.0 + q) for q in default_q_grid(32)]
+    close = [np.nextafter(s, np.inf) for s in anchors]
+    spread = np.geomspace(1e-3, 1e3, 48)
+    return sorted({0.0, 1.0 + 2e-16, *anchors, *close, *map(float, spread)})
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_tables_nondecreasing_in_snr_on_every_draw(K):
+    # the exact (no tolerance) property the optimizer's pruning bound rests on
+    snrs = _monotonicity_snrs()
+    assert len(snrs) >= 70
+    cache = TableCache(SamplePool.build(K, 2_000, seed=20 + K))
+    tables = [cache.at(s) for s in snrs]
+    for lo, hi in zip(tables, tables[1:]):
+        assert lo.snr < hi.snr
+        assert np.all(hi.means >= lo.means), (K, lo.snr, hi.snr)
+        for m in range(1, K + 1):
+            for n in range(1, m + 1):
+                assert np.all(hi.entry_draws(m, n) >= lo.entry_draws(m, n)), (
+                    K, m, n, lo.snr, hi.snr
+                )
+
+
+def test_pool_draws_are_regenerated_not_stored():
+    pool = SamplePool.build(2, 5_000, seed=6)
+    assert "draws" not in {f.name for f in dataclasses.fields(pool)}
+    blocks = [sample_channel_block(2, 2, 6, b) for b in range(2)]
+    expected = np.concatenate(blocks)[:5_000]
+    draws = pool.draws
+    assert np.array_equal(draws, expected)
+    assert not draws.flags.writeable
+    assert draws is not pool.draws
