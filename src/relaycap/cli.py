@@ -65,10 +65,9 @@ class ExperimentConfig:
     """Resolved settings for one CLI run.
 
     ``D``, ``snr``, ``q_policy`` and list-like fields are tuples; single
-    values are singleton tuples.  ``explicit`` records which keys were given
-    by the user rather than defaulted.  ``explicit``, ``workers`` and ``out``
-    are excluded from equality and from the echoed config: they control how
-    and where results are produced, never what they are.
+    values are singleton tuples.  ``workers`` and ``out`` are excluded from
+    equality and from the echoed config: they control how and where results
+    are produced, never what they are.
     """
 
     subcommand: str
@@ -91,12 +90,11 @@ class ExperimentConfig:
     max_dim: int
     mode: str
     destination_quantizes: bool
-    explicit: frozenset = field(default_factory=frozenset, compare=False)
 
     def as_dict(self) -> dict:
         d = {}
         for f in dataclasses.fields(self):
-            if f.name in ("explicit", "workers", "out"):
+            if f.name in ("workers", "out"):
                 continue
             v = getattr(self, f.name)
             d[f.name] = list(v) if isinstance(v, tuple) else v
@@ -169,7 +167,6 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
     unknown = set(data) - set(_DEFAULTS)
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown key")
-    explicit = frozenset(data) | ({"subcommand"} if ssub is not None else frozenset())
 
     merged = dict(_DEFAULTS)
     if sub == "verify":
@@ -190,15 +187,25 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
         q_grid = tuple(_as_float("q_grid", g, positive=True) for g in _as_tuple(q_grid))
         if not q_grid:
             raise ConfigError("q_grid", "must be nonempty when given")
+    dq = merged["destination_quantizes"]
+    if not isinstance(dq, bool):
+        raise ConfigError("destination_quantizes", f"expected true or false, got {dq!r}")
     if sub == "sweep":
-        # an echoed config carries "q": null and "q_grid": null, so refuse
-        # values, not keys
+        # an echoed config carries "q": null, "q_grid": null and
+        # "destination_quantizes": true, so refuse values, not keys
         if q is not None:
             raise ConfigError("q", "sweep sets q by q_policy; a fixed q would be ignored")
         if q_grid is not None and "optimized" not in q_policy:
             raise ConfigError(
                 "q_grid", "only the optimized q_policy reads it; it would be ignored"
             )
+        if not dq:
+            raise ConfigError(
+                "destination_quantizes",
+                "sweep always quantizes at the destination; false would be ignored",
+            )
+    if sub == "mincut" and q is not None:
+        raise ConfigError("q", "mincut charges penalty per relay; a q would be ignored")
     gains = merged["gains"]
     if gains is not None:
         gains = tuple(_as_float("gains", g, nonnegative=True) for g in _as_tuple(gains))
@@ -207,9 +214,6 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
     out = merged["out"]
     if out is not None and not isinstance(out, str):
         raise ConfigError("out", f"expected a path string, got {out!r}")
-    dq = merged["destination_quantizes"]
-    if not isinstance(dq, bool):
-        raise ConfigError("destination_quantizes", f"expected true or false, got {dq!r}")
 
     if sub == "line" and gains is not None:
         if "D" in data:
@@ -243,7 +247,6 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
         max_dim=_as_int("max_dim", merged["max_dim"], minimum=1),
         mode=_as_choice("mode", merged["mode"], ("per_cut_exact", "split_bound")),
         destination_quantizes=dq,
-        explicit=explicit,
     )
     return cfg
 

@@ -401,89 +401,67 @@ def _optimize_on_cache(
 ) -> tuple[float, float, list[tuple[float, float]]]:
     """Grid scan and refinement of ``optimize_quantization`` on ``cache``.
 
-    A candidate q scores max(raw, 0), raw being its penalized min cut on the
-    table at snr / (1 + q).  With ``prune``, a candidate whose table is not
-    built yet is first bounded: table means are nondecreasing in snr, so the
-    penalized min cut with q's penalty on ``cache.ceiling`` of that snr is
-    an upper bound UB >= raw.  With tol = 1e-9 * max(1, incumbent):
+    A candidate q scores ``_clamped_rate`` of its penalized min cut on the
+    table at snr / (1 + q).  The incumbent starts at (q_grid[0], 0): scores
+    are >= 0 and the grid ascends, so moving only on a strictly higher score
+    keeps ties on the smaller ratio, in the scan and in the refinement.
+
+    With ``prune``, the full-snr table is built first, and a candidate not
+    yet scored is bounded before its own table is: table means are
+    nondecreasing in snr, so its penalized min cut on ``cache.ceiling`` of
+    its snr is an upper bound UB >= raw.  With tol = 1e-9 * max(1, incumbent):
 
       * UB < -tol: the score is exactly 0, known without a build;
-      * UB < incumbent - tol: the candidate can neither beat nor tie the
-        incumbent and is skipped;
-      * otherwise its table is built and it is scored as without pruning.
+      * UB < incumbent - tol: the candidate cannot beat the incumbent and is
+        not scored;
+      * otherwise it is scored as without pruning (a cache hit when its own
+        table was the ceiling).
 
     Neither shortcut can change the chosen ratio or its score, so pruning
     leaves the result bitwise equal to the unpruned scan.
 
     Returns:
-        (best ratio, its score, [(q, score)] in evaluation order); skipped
-        candidates are not listed.
+        (best ratio, its score, [(q, score)] in evaluation order); candidates
+        that cannot beat the incumbent are not listed.
     """
-    evals: dict[float, float] = {}
-    order: list[float] = []
+    scores: dict[float, float] = {}  # insertion order is evaluation order
+    if prune:
+        cache.at(params.snr)  # every degraded snr now has a ceiling
 
-    def record(q: float, raw: float) -> float:
-        # the rate nnc_lower_bound reports, without its standard error
-        evals[q] = max(raw, 0.0)
-        order.append(q)
-        return evals[q]
-
-    def rate_at(q: float) -> float:
-        if q not in evals:
+    def beats(q: float, best: tuple[float, float]) -> bool:
+        if q not in scores:
             scheme = QuantizationScheme(q)
-            table = cache.at(degraded_snr(params, scheme))
-            record(q, _penalized_min_cut(params, scheme, table, mode)[0])
-        return evals[q]
+            snr = degraded_snr(params, scheme)
+            if prune:
+                bound, _, _ = _penalized_min_cut(params, scheme, cache.ceiling(snr), mode)
+                tol = 1e-9 * max(1.0, best[1])
+                if bound < -tol:
+                    scores[q] = 0.0  # raw <= bound < 0: it clamps
+                    return False
+                if bound < best[1] - tol:
+                    return False
+            raw, _, _ = _penalized_min_cut(params, scheme, cache.at(snr), mode)
+            scores[q] = _clamped_rate(raw, scheme)
+        return scores[q] > best[1]
 
-    def score(q: float, incumbent: float) -> float | None:
-        """Score of q, or None when q cannot beat or tie the incumbent."""
-        if not prune or q in evals:
-            return rate_at(q)
-        scheme = QuantizationScheme(q)
-        snr = degraded_snr(params, scheme)
-        above = cache.ceiling(snr)
-        if above is None:
-            return rate_at(q)
-        bound, _, _ = _penalized_min_cut(params, scheme, above, mode)
-        if above.snr == snr:
-            # q's own table was already built: the bound is its raw rate
-            return record(q, bound)
-        # scores are >= 0, and the incumbent is -inf before the first one
-        tol = 1e-9 * max(1.0, incumbent)
-        if bound < -tol:
-            return record(q, 0.0)
-        if bound < incumbent - tol:
-            return None
-        return rate_at(q)
-
-    best_q = None
-    best = -math.inf
+    best = (q_grid[0], 0.0)
     for q in q_grid:
-        r = score(q, best)
-        if r is None:
-            continue
-        # strict improvement, ties break toward the smaller ratio
-        if r > best or (r == best and (best_q is None or q < best_q)):
-            best, best_q = r, q
+        if beats(q, best):
+            best = (q, scores[q])
 
-    i = q_grid.index(best_q)
+    i = q_grid.index(best[0])
     gaps = []
     if i > 0:
         gaps.append(q_grid[i] - q_grid[i - 1])
     if i < len(q_grid) - 1:
         gaps.append(q_grid[i + 1] - q_grid[i])
-    step = (max(gaps) if gaps else best_q) / 2.0
+    step = (max(gaps) if gaps else best[0]) / 2.0
     for _ in range(refine_rounds):
-        for cand in (best_q - step, best_q + step):
-            if cand <= 0:
-                continue
-            r = score(cand, best)
-            # refinement moves only on strict improvement; ties were already
-            # settled toward the smaller ratio by the ascending grid scan
-            if r is not None and r > best:
-                best, best_q = r, cand
+        for cand in (best[0] - step, best[0] + step):
+            if cand > 0 and beats(cand, best):
+                best = (cand, scores[cand])
         step /= 2.0
-    return best_q, best, [(q, evals[q]) for q in order]
+    return best[0], best[1], list(scores.items())
 
 
 def optimize_quantization(
@@ -591,10 +569,11 @@ def gap_trend(
       * optimized: q from optimize_quantization on ``q_grid``, or on
         ``default_q_grid(D)`` when it is None.  The scan here is pruned
         (see ``_optimize_on_cache``): a candidate is first bounded from
-        above on a table already in the cache at a higher snr, a bound
-        below zero scores it 0 without a build, and a bound below the
-        incumbent skips it.  The chosen q, and so every output byte, is
-        the same as without pruning; only fewer tables are built.
+        above on the cached table nearest at or above its snr (at worst
+        the full-snr table), a bound below zero scores it 0 without a
+        build, and a bound below the incumbent skips it.  The chosen q,
+        and so every output byte, is the same as without pruning; only
+        fewer tables are built.
 
     ``cache`` lets several calls share one pool and its tables; it replaces
     the pool build, and its pool must have been built with

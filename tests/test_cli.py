@@ -306,6 +306,41 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "'snrr'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flags, key",
+    [
+        (["--K", "1.5"], "K"),
+        (["--snr", "ten"], "snr"),
+        (["--snr", "nan"], "snr"),
+        (["--penalty", "-1"], "penalty"),
+        (["--format", "xml"], "format"),
+        ({"q_grid": []}, "q_grid"),
+        ({"gains": []}, "gains"),
+        ({"out": 5}, "out"),
+    ],
+    ids=["fractional-K", "word-snr", "nan-snr", "negative-penalty", "unknown-format",
+         "empty-q-grid", "empty-gains", "numeric-out"],
+)
+def test_invalid_value_exits_2_naming_the_key(tmp_path, capsys, flags, key):
+    if isinstance(flags, dict):
+        cfg_file = tmp_path / "cfg.json"
+        cfg_file.write_text(json.dumps(flags))
+        flags = ["--config", str(cfg_file)]
+    assert main(["rate", *flags]) == 2
+    assert f"config key '{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "contents", [None, "{", "[1, 2]"], ids=["unreadable", "invalid-json", "not-an-object"]
+)
+def test_bad_config_file_exits_2(tmp_path, capsys, contents):
+    cfg_file = tmp_path / "cfg.json"
+    if contents is not None:
+        cfg_file.write_text(contents)
+    assert main(["rate", "--config", str(cfg_file)]) == 2
+    assert "config key 'config'" in capsys.readouterr().err
+
+
 def test_multi_depth_rejected_for_single_network_commands(capsys):
     rc = main(["rate", "--D", "2,4"])
     assert rc == 2
@@ -381,6 +416,36 @@ def test_sweep_refuses_q_settings_it_would_ignore(tmp_path, capsys, extra, key):
     assert f"config key '{key}'" in capsys.readouterr().err
     with pytest.raises(ConfigError, match=f"'{key}'"):
         validate_config({"q": 3.0} if key == "q" else {"q_grid": [0.5, 2.0]}, "sweep")
+
+
+@pytest.mark.parametrize(
+    "argv, data, key",
+    [
+        (["sweep", "--D", "2,4", "--no-destination-quantization"],
+         {"destination_quantizes": False}, "destination_quantizes"),
+        (["mincut", "--D", "3", "--q", "3"], {"q": 3.0}, "q"),
+    ],
+    ids=["sweep-destination_quantizes", "mincut-q"],
+)
+def test_subcommands_refuse_values_they_would_ignore(tmp_path, capsys, argv, data, key):
+    rc, out = run_cli(tmp_path, [*argv, "--samples", "500"])
+    assert rc == 2 and not out.exists()
+    assert f"config key '{key}'" in capsys.readouterr().err
+    with pytest.raises(ConfigError, match=f"'{key}'"):
+        validate_config(data, argv[0])
+
+
+def test_mincut_echoed_config_reproduces_the_run(tmp_path):
+    # the echo carries "q": null, which mincut accepts; only a value is refused
+    args = ["mincut", "--D", "3", "--samples", "500", "--penalty", "0.2"]
+    rc, out = run_cli(tmp_path, args, "first.csv")
+    assert rc == 0
+    echoed = out.read_text().splitlines()[1].removeprefix("# config=")
+    assert json.loads(echoed)["q"] is None
+    cfg_path = tmp_path / "echo.json"
+    cfg_path.write_text(echoed)
+    rc, again = run_cli(tmp_path, ["mincut", "--config", str(cfg_path)], "again.csv")
+    assert rc == 0 and again.read_bytes() == out.read_bytes()
 
 
 def test_sweep_accepts_q_grid_with_optimized_and_its_echoed_config(tmp_path):

@@ -27,6 +27,8 @@ def test_validation():
         LineNetwork((1.0, math.inf))
     with pytest.raises(ValueError, match="noise_var"):
         LineNetwork((1.0,), noise_var=0.0)
+    with pytest.raises(ValueError, match="power"):
+        LineNetwork((1.0,), power=-1.0)
     with pytest.raises(ValueError, match="noise_ratio"):
         line_nnc_rate(LineNetwork((1.0,)), 0.0)
     with pytest.raises(ValueError, match="mode"):

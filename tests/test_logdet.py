@@ -94,6 +94,11 @@ def test_negative_snr_rejected():
         gram_logdet(np.eye(2, dtype=complex), -1.0)
 
 
+def test_one_dimensional_input_rejected():
+    with pytest.raises(ValueError, match="at least 2 dimensions"):
+        gram_logdet(np.ones(3, dtype=complex), 1.0)
+
+
 def test_bad_side_rejected():
     with pytest.raises(ValueError, match="side"):
         gram_logdet(np.eye(2, dtype=complex), 1.0, side="diag")

@@ -75,6 +75,11 @@ def test_rejects_bad_sample_counts(bad):
         estimate_ergodic_capacity(1, 1, 1.0, bad, seed=0)
 
 
+def test_rejects_negative_snr():
+    with pytest.raises(ValueError, match="snr"):
+        estimate_ergodic_capacity(1, 1, -0.5, 100, seed=0)
+
+
 def test_worker_count_never_changes_the_answer():
     kw = dict(m=2, n=2, snr=10.0, num_samples=9_000, seed=3)
     e1 = estimate_ergodic_capacity(kw["m"], kw["n"], kw["snr"], kw["num_samples"], kw["seed"], workers=1)

@@ -486,6 +486,25 @@ def test_pruned_scan_equals_unpruned_scan_bitwise(K, mode):
 
 @pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
 @pytest.mark.parametrize("K", [1, 2, 3])
+def test_pruned_scan_on_an_empty_cache_equals_unpruned_scan_bitwise(K, mode):
+    # with nothing cached, the pruned scan builds the full-snr table itself,
+    # so every candidate still has a table to be bounded on
+    N, seed = 1_000, 6
+    pool = SamplePool.build(K, N, seed)
+    for snr in PRUNE_SNRS:
+        for D in PRUNE_DEPTHS:
+            params = NetworkParams(K, D, power=snr)
+            for grid in (default_q_grid(D), CUSTOM_GRID):
+                full = _optimize_on_cache(params, TableCache(pool), grid, mode, 3)
+                pruned = _optimize_on_cache(params, TableCache(pool), grid, mode, 3,
+                                            prune=True)
+                assert [v.hex() for v in pruned[:2]] == [v.hex() for v in full[:2]], (
+                    snr, D, grid)
+                assert set(pruned[2]) <= set(full[2])
+
+
+@pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
+@pytest.mark.parametrize("K", [1, 2, 3])
 def test_cached_bound_is_at_least_the_raw_rate(K, mode):
     N, seed = 1_000, 5
     pool = SamplePool.build(K, N, seed)

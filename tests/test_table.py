@@ -131,9 +131,11 @@ def _duplicate(doc, dims):
          r"entry dims \[1, 2\]: std_error"),
         (lambda d: _entry(d, (1, 2)).update(std_error=math.nan),
          r"entry dims \[1, 2\]: std_error"),
+        (lambda d: d.update(max_dim=0), "max_dim"),
     ],
     ids=["nan-mean", "inf-mean", "negative-dims", "dims-above-max", "nan-snr",
-         "dropped-entry", "duplicate-entry", "negative-std-error", "nan-std-error"],
+         "dropped-entry", "duplicate-entry", "negative-std-error", "nan-std-error",
+         "zero-max-dim"],
 )
 def test_from_json_refuses_corrupted_dump(corrupt, match):
     table = CapacityTable.from_pool(SamplePool.build(2, 500, seed=3), 10.0)
