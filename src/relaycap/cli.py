@@ -2,7 +2,8 @@
 
 Subcommands: capacity, mincut, rate, sweep, verify, line.  Every run is
 driven by a fully resolved ExperimentConfig; precedence is package defaults,
-then a --config JSON file, then explicit flags.  Outputs embed the resolved
+then a --config JSON file, then explicit flags.  A subcommand refuses a
+non-default value of any key it does not read.  Outputs embed the resolved
 config, and identical configs produce byte-identical output for any worker
 count.
 """
@@ -24,28 +25,6 @@ SUBCOMMANDS = ("capacity", "mincut", "rate", "sweep", "verify", "line")
 #: Mandated sweep / rate row layout.
 RATE_HEADER = "K,D,snr,q,upper,lower,gap,thm_bound,prior_cf_bound,alignment_bound,std_error"
 
-_DEFAULTS: dict = {
-    "K": 2,
-    "D": (4,),
-    "snr": (10.0,),
-    "q": None,
-    "q_policy": ("fixed_1", "depth_matched"),
-    "q_grid": None,
-    "num_samples": 100000,
-    "seed": 0,
-    "log_base": "nats",
-    "out": None,
-    "format": "csv",
-    "workers": 1,
-    "penalty": 0.0,
-    "m": None,
-    "n": None,
-    "gains": None,
-    "max_dim": 4,
-    "mode": "per_cut_exact",
-    "destination_quantizes": True,
-}
-
 # verify exercises small dimensions across a spread of snrs by default
 _VERIFY_DEFAULTS = {"snr": (0.1, 1.0, 10.0), "num_samples": 10000}
 
@@ -64,32 +43,33 @@ class ConfigError(ValueError):
 class ExperimentConfig:
     """Resolved settings for one CLI run.
 
-    ``D``, ``snr``, ``q_policy`` and list-like fields are tuples; single
-    values are singleton tuples.  ``workers`` and ``out`` are excluded from
-    equality and from the echoed config: they control how and where results
-    are produced, never what they are.
+    The field defaults are the package defaults of the config keys, the one
+    place they are written.  ``D``, ``snr``, ``q_policy`` and list-like
+    fields are tuples; single values are singleton tuples.  ``workers`` and
+    ``out`` are excluded from equality and from the echoed config: they
+    control how and where results are produced, never what they are.
     """
 
     subcommand: str
-    K: int
-    D: tuple[int, ...]
-    snr: tuple[float, ...]
-    q: float | None
-    q_policy: tuple[str, ...]
-    q_grid: tuple[float, ...] | None
-    num_samples: int
-    seed: int
-    log_base: str
-    out: str | None = field(compare=False)
-    format: str
-    workers: int = field(compare=False)
-    penalty: float
-    m: int | None
-    n: int | None
-    gains: tuple[float, ...] | None
-    max_dim: int
-    mode: str
-    destination_quantizes: bool
+    K: int = 2
+    D: tuple[int, ...] = (4,)
+    snr: tuple[float, ...] = (10.0,)
+    q: float | None = None
+    q_policy: tuple[str, ...] = ("fixed_1", "depth_matched")
+    q_grid: tuple[float, ...] | None = None
+    num_samples: int = 100000
+    seed: int = 0
+    log_base: str = "nats"
+    out: str | None = field(default=None, compare=False)
+    format: str = "csv"
+    workers: int = field(default=1, compare=False)
+    penalty: float = 0.0
+    m: int | None = None
+    n: int | None = None
+    gains: tuple[float, ...] | None = None
+    max_dim: int = 4
+    mode: str = "per_cut_exact"
+    destination_quantizes: bool = True
 
     def as_dict(self) -> dict:
         d = {}
@@ -104,6 +84,27 @@ class ExperimentConfig:
         if len(self.D) != 1:
             raise ConfigError("D", f"this subcommand needs a single depth, got {list(self.D)}")
         return self.D[0]
+
+
+#: Config keys in field order, each with its package default.
+_DEFAULTS = {
+    f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name != "subcommand"
+}
+
+#: The keys each subcommand reads (README's flag table).  Every other key
+#: must keep its default, or the run would silently ignore it.
+_READS = {
+    sub: frozenset(keys.split())
+    for sub, keys in {
+        "capacity": "K snr num_samples seed log_base out format workers m n",
+        "mincut": "K D snr num_samples seed log_base out format workers penalty",
+        "rate": "K D snr q num_samples seed log_base out format workers mode"
+        " destination_quantizes",
+        "sweep": "K D snr q_policy q_grid num_samples seed log_base out format workers mode",
+        "verify": "snr num_samples seed out format workers max_dim",
+        "line": "D snr q log_base out format gains destination_quantizes",
+    }.items()
+}
 
 
 def _as_int(key: str, v, minimum: int | None = None) -> int:
@@ -141,6 +142,19 @@ def _as_tuple(v) -> tuple:
     return (v,)
 
 
+def _as_list(key: str, v, convert) -> tuple:
+    """``v`` as a nonempty tuple of ``convert(item)``; a string splits at commas."""
+    items = _as_tuple(v)
+    if not items:
+        raise ConfigError(key, "must be a nonempty list")
+    try:
+        return tuple(convert(item) for item in items)
+    except ConfigError:
+        raise
+    except ValueError as e:
+        raise ConfigError(key, str(e)) from None
+
+
 def _as_choice(key: str, v, choices: tuple[str, ...]) -> str:
     if v not in choices:
         raise ConfigError(key, f"must be one of {choices}, got {v!r}")
@@ -152,7 +166,10 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
 
     Unknown keys and constraint violations raise ConfigError naming the key.
     An empty dict is valid and yields all defaults.  ``subcommand`` given by
-    the caller must agree with one present in the data.
+    the caller must agree with one present in the data.  A key the
+    subcommand does not read (``_READS``) must resolve to its default, so no
+    setting is silently ignored; an echoed config, which names every key,
+    passes because its unread keys hold their defaults.
     """
     data = dict(data)
     ssub = data.pop("subcommand", None)
@@ -173,67 +190,23 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
         merged.update({k: v for k, v in _VERIFY_DEFAULTS.items() if k not in data})
     merged.update({k: v for k, v in data.items() if v is not None})
 
-    K = _as_int("K", merged["K"], minimum=1)
-    D = tuple(_as_int("D", d, minimum=1) for d in _as_tuple(merged["D"]))
-    snr = tuple(_as_float("snr", s, nonnegative=True) for s in _as_tuple(merged["snr"]))
-    q = merged["q"]
-    if q is not None:
-        q = _as_float("q", q, positive=True)
-    q_policy = tuple(
-        rates.resolve_policy(str(p)) for p in _as_tuple(merged["q_policy"])
-    )
-    q_grid = merged["q_grid"]
-    if q_grid is not None:
-        q_grid = tuple(_as_float("q_grid", g, positive=True) for g in _as_tuple(q_grid))
-        if not q_grid:
-            raise ConfigError("q_grid", "must be nonempty when given")
+    q, q_grid, m, n, gains = (merged[k] for k in ("q", "q_grid", "m", "n", "gains"))
     dq = merged["destination_quantizes"]
     if not isinstance(dq, bool):
         raise ConfigError("destination_quantizes", f"expected true or false, got {dq!r}")
-    if sub == "sweep":
-        # an echoed config carries "q": null, "q_grid": null and
-        # "destination_quantizes": true, so refuse values, not keys
-        if q is not None:
-            raise ConfigError("q", "sweep sets q by q_policy; a fixed q would be ignored")
-        if q_grid is not None and "optimized" not in q_policy:
-            raise ConfigError(
-                "q_grid", "only the optimized q_policy reads it; it would be ignored"
-            )
-        if not dq:
-            raise ConfigError(
-                "destination_quantizes",
-                "sweep always quantizes at the destination; false would be ignored",
-            )
-    if sub == "mincut" and q is not None:
-        raise ConfigError("q", "mincut charges penalty per relay; a q would be ignored")
-    gains = merged["gains"]
-    if gains is not None:
-        gains = tuple(_as_float("gains", g, nonnegative=True) for g in _as_tuple(gains))
-        if not gains:
-            raise ConfigError("gains", "must be nonempty when given")
     out = merged["out"]
     if out is not None and not isinstance(out, str):
         raise ConfigError("out", f"expected a path string, got {out!r}")
-
-    if sub == "line" and gains is not None:
-        if "D" in data:
-            if len(D) != 1 or D[0] != len(gains):
-                raise ConfigError(
-                    "gains", f"length {len(gains)} does not match D={list(D)}"
-                )
-        else:
-            D = (len(gains),)
-
-    m = merged["m"]
-    n = merged["n"]
     cfg = ExperimentConfig(
         subcommand=sub,
-        K=K,
-        D=D,
-        snr=snr,
-        q=q,
-        q_policy=q_policy,
-        q_grid=q_grid,
+        K=_as_int("K", merged["K"], minimum=1),
+        D=_as_list("D", merged["D"], lambda d: _as_int("D", d, minimum=1)),
+        snr=_as_list("snr", merged["snr"], lambda s: _as_float("snr", s, nonnegative=True)),
+        q=None if q is None else _as_float("q", q, positive=True),
+        q_policy=_as_list("q_policy", merged["q_policy"], lambda p: rates.resolve_policy(str(p))),
+        q_grid=None if q_grid is None else _as_list(
+            "q_grid", q_grid, lambda g: _as_float("q_grid", g, positive=True)
+        ),
         num_samples=_as_int("num_samples", merged["num_samples"], minimum=1),
         seed=_as_int("seed", merged["seed"], minimum=0),
         log_base=_as_choice("log_base", merged["log_base"], ("nats", "bits")),
@@ -243,11 +216,24 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
         penalty=_as_float("penalty", merged["penalty"], nonnegative=True),
         m=None if m is None else _as_int("m", m, minimum=0),
         n=None if n is None else _as_int("n", n, minimum=0),
-        gains=gains,
+        gains=None if gains is None else _as_list(
+            "gains", gains, lambda g: _as_float("gains", g, nonnegative=True)
+        ),
         max_dim=_as_int("max_dim", merged["max_dim"], minimum=1),
         mode=_as_choice("mode", merged["mode"], ("per_cut_exact", "split_bound")),
         destination_quantizes=dq,
     )
+    if sub == "line" and cfg.gains is not None:
+        if "D" not in data:
+            cfg = dataclasses.replace(cfg, D=(len(cfg.gains),))
+        elif cfg.D != (len(cfg.gains),):
+            raise ConfigError("gains", f"length {len(cfg.gains)} does not match D={list(cfg.D)}")
+
+    for key, default in _DEFAULTS.items():
+        if key not in _READS[sub] and getattr(cfg, key) != default:
+            raise ConfigError(key, f"{sub} does not read it; it would be ignored")
+    if sub == "sweep" and cfg.q_grid is not None and "optimized" not in cfg.q_policy:
+        raise ConfigError("q_grid", "only the optimized q_policy reads it; it would be ignored")
     return cfg
 
 
@@ -275,10 +261,17 @@ def _emit(cfg: ExperimentConfig, text: str) -> None:
 
 
 def _emit_results(
-    cfg: ExperimentConfig, schema: str, header: str, rows: list[list], results: list
+    cfg: ExperimentConfig, schema: str, header: str, results: list[dict],
+    rows: list[list] | None = None,
 ) -> None:
-    """Write ``rows`` as CSV under ``header``, or ``results`` as JSON."""
+    """Write ``rows`` as CSV under ``header``, or ``results`` as JSON.
+
+    Without ``rows`` each CSV row reads the header's keys from one result.
+    """
     if cfg.format == "csv":
+        if rows is None:
+            keys = header.split(",")
+            rows = [[r[k] for k in keys] for r in results]
         lines = [f"# schema={schema}", f"# config={_config_json(cfg)}", header]
         lines.extend(",".join(_fmt(v) for v in row) for row in rows)
         text = "\n".join(lines) + "\n"
@@ -311,7 +304,7 @@ def run_capacity(cfg: ExperimentConfig) -> int:
         results.append(d)
     _emit_results(
         cfg, "relaycap/capacity/1", "m,n,snr,mean,std_error,num_samples,seed",
-        rows, results,
+        results, rows,
     )
     return 0
 
@@ -342,26 +335,22 @@ def run_mincut(cfg: ExperimentConfig) -> int:
         results.append(d)
     _emit_results(
         cfg, "relaycap/mincut/1", "K,D,snr,penalty,value,std_error,profile",
-        rows, results,
+        results, rows,
     )
     return 0
 
 
 def run_rate(cfg: ExperimentConfig) -> int:
     D = cfg.single_depth()
-    rows, results = [], []
+    results = []
     for snr in cfg.snr:
         params = network.NetworkParams(cfg.K, D, power=snr, noise_var=1.0, log_base=cfg.log_base)
         report = rates.rate_report(
             params, _scheme_for(cfg, D), cfg.num_samples, cfg.seed,
             mode=cfg.mode, workers=cfg.workers,
         )
-        rows.append(
-            [cfg.K, D, snr, report.noise_ratio, report.upper, report.lower, report.gap,
-             report.thm_bound, report.prior_cf_bound, report.alignment_bound, report.std_error]
-        )
         results.append(report.as_dict())
-    _emit_results(cfg, "relaycap/rate/1", RATE_HEADER, rows, results)
+    _emit_results(cfg, "relaycap/rate/1", RATE_HEADER, results)
     return 0
 
 
@@ -371,7 +360,7 @@ def run_sweep(cfg: ExperimentConfig) -> int:
     pool = mimo.SamplePool.build(cfg.K, cfg.num_samples, cfg.seed, workers=cfg.workers)
     cache = mimo.TableCache(pool)
     q_grid = None if cfg.q_grid is None else list(cfg.q_grid)
-    rows, results = [], []
+    results = []
     for snr in cfg.snr:
         for policy in cfg.q_policy:
             points = rates.gap_trend(
@@ -379,23 +368,17 @@ def run_sweep(cfg: ExperimentConfig) -> int:
                 mode=cfg.mode, workers=cfg.workers, q_grid=q_grid, cache=cache,
             )
             for p in points:
-                thm = rates.depth_gap_bound(cfg.K, p.num_hops, cfg.log_base)
-                prior = rates.prior_cf_gap_bound(cfg.K, p.num_hops)
-                align = rates.alignment_gap_bound(cfg.K, cfg.log_base)
-                rows.append(
-                    [cfg.K, p.num_hops, snr, p.noise_ratio, p.upper * scale,
-                     p.lower * scale, p.gap * scale, thm, prior, align,
-                     p.std_error * scale]
-                )
                 d = p.as_dict()
                 d.update(
                     {"upper": p.upper * scale, "lower": p.lower * scale,
                      "gap": p.gap * scale, "std_error": p.std_error * scale,
-                     "thm_bound": thm, "prior_cf_bound": prior,
-                     "alignment_bound": align, "log_base": cfg.log_base}
+                     "thm_bound": rates.depth_gap_bound(cfg.K, p.num_hops, cfg.log_base),
+                     "prior_cf_bound": rates.prior_cf_gap_bound(cfg.K, p.num_hops),
+                     "alignment_bound": rates.alignment_gap_bound(cfg.K, cfg.log_base),
+                     "log_base": cfg.log_base}
                 )
                 results.append(d)
-    _emit_results(cfg, "relaycap/sweep/1", RATE_HEADER, rows, results)
+    _emit_results(cfg, "relaycap/sweep/1", RATE_HEADER, results)
     return 0
 
 
@@ -404,7 +387,7 @@ def run_line(cfg: ExperimentConfig) -> int:
     gains = (1.0,) * D if cfg.gains is None else cfg.gains
     scale = mimo.rate_scale(cfg.log_base)
     q = _scheme_for(cfg, D).noise_ratio
-    rows, results = [], []
+    results = []
     for snr in cfg.snr:
         net = line_mod.LineNetwork(gains, power=snr, noise_var=1.0)
         cap = line_mod.line_capacity(net)
@@ -414,21 +397,15 @@ def run_line(cfg: ExperimentConfig) -> int:
         full = line_mod.line_nnc_rate(
             net, q, mode="all_cuts", destination_quantizes=cfg.destination_quantizes
         )
-        bound = (math.log(D) + 1.0) * scale
-        rows.append(
-            [D, snr, q, cap * scale, simple * scale, full * scale,
-             (cap - simple) * scale, bound]
-        )
         results.append(
             {"D": D, "snr": snr, "q": q, "gains": list(gains),
              "capacity": cap * scale, "rate": simple * scale,
              "all_cuts_rate": full * scale, "gap": (cap - simple) * scale,
-             "depth_bound": bound, "log_base": cfg.log_base,
+             "depth_bound": (math.log(D) + 1.0) * scale, "log_base": cfg.log_base,
              "destination_quantizes": cfg.destination_quantizes}
         )
     _emit_results(
-        cfg, "relaycap/line/1", "D,snr,q,capacity,rate,all_cuts_rate,gap,depth_bound",
-        rows, results,
+        cfg, "relaycap/line/1", "D,snr,q,capacity,rate,all_cuts_rate,gap,depth_bound", results
     )
     return 0
 

@@ -45,10 +45,10 @@ class LineNetwork:
         if not np.all(np.isfinite(powers)):
             raise ValueError("link gains must be finite")
         object.__setattr__(self, "gains", tuple(float(p) for p in powers))
-        if self.power < 0:
-            raise ValueError(f"power must be nonnegative, got {self.power}")
-        if self.noise_var <= 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
+        if not (math.isfinite(self.power) and self.power >= 0):
+            raise ValueError(f"power must be finite and nonnegative, got {self.power}")
+        if not (math.isfinite(self.noise_var) and self.noise_var > 0):
+            raise ValueError(f"noise_var must be finite and positive, got {self.noise_var}")
 
     @property
     def num_hops(self) -> int:

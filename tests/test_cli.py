@@ -2,8 +2,10 @@
 
 import json
 import math
+import re
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -15,8 +17,11 @@ from relaycap import (
     rate_report,
 )
 from relaycap.cli import (
+    _READS,
     RATE_HEADER,
+    SUBCOMMANDS,
     ConfigError,
+    build_parser,
     main,
     validate_config,
 )
@@ -72,7 +77,7 @@ def test_verify_has_its_own_defaults():
 
 
 def test_policy_alias_accepted():
-    cfg = validate_config({"q_policy": "d_minus_1"})
+    cfg = validate_config({"q_policy": "d_minus_1"}, "sweep")
     assert cfg.q_policy == ("depth_matched",)
 
 
@@ -317,16 +322,26 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
         ({"q_grid": []}, "q_grid"),
         ({"gains": []}, "gains"),
         ({"out": 5}, "out"),
+        (["--q-policy", "none"], "q_policy"),
+        ({"q_policy": "none"}, "q_policy"),
+        (["sweep", "--D", ","], "D"),
+        (["--snr", ","], "snr"),
+        ({"snr": []}, "snr"),
+        ({"q_policy": []}, "q_policy"),
+        (["verify", "--snr", ","], "snr"),
     ],
     ids=["fractional-K", "word-snr", "nan-snr", "negative-penalty", "unknown-format",
-         "empty-q-grid", "empty-gains", "numeric-out"],
+         "empty-q-grid", "empty-gains", "numeric-out", "unknown-policy-flag",
+         "unknown-policy-file", "sweep-empty-D", "empty-snr-flag", "empty-snr-file",
+         "empty-policy-file", "verify-empty-snr"],
 )
 def test_invalid_value_exits_2_naming_the_key(tmp_path, capsys, flags, key):
     if isinstance(flags, dict):
         cfg_file = tmp_path / "cfg.json"
         cfg_file.write_text(json.dumps(flags))
         flags = ["--config", str(cfg_file)]
-    assert main(["rate", *flags]) == 2
+    argv = flags if flags[0] in SUBCOMMANDS else ["rate", *flags]
+    assert main(argv) == 2
     assert f"config key '{key}'" in capsys.readouterr().err
 
 
@@ -424,11 +439,25 @@ def test_sweep_refuses_q_settings_it_would_ignore(tmp_path, capsys, extra, key):
         (["sweep", "--D", "2,4", "--no-destination-quantization"],
          {"destination_quantizes": False}, "destination_quantizes"),
         (["mincut", "--D", "3", "--q", "3"], {"q": 3.0}, "q"),
+        (["capacity", "--q", "3"], {"q": 3.0}, "q"),
+        (["capacity", "--penalty", "2"], {"penalty": 2.0}, "penalty"),
+        (["capacity", "--mode", "split_bound"], {"mode": "split_bound"}, "mode"),
+        (["verify", "--K", "3"], {"K": 3}, "K"),
+        (["verify", "--base", "bits"], {"log_base": "bits"}, "log_base"),
+        (["verify", "--mode", "split_bound"], {"mode": "split_bound"}, "mode"),
+        (["rate", "--penalty", "3"], {"penalty": 3.0}, "penalty"),
+        (["rate", "--q-policy", "optimized"], {"q_policy": ["optimized"]}, "q_policy"),
+        (["line", "--seed", "5"], {"seed": 5}, "seed"),
+        (["line", "--samples", "10"], {"num_samples": 10}, "num_samples"),
     ],
-    ids=["sweep-destination_quantizes", "mincut-q"],
+    ids=["sweep-destination_quantizes", "mincut-q", "capacity-q", "capacity-penalty",
+         "capacity-mode", "verify-K", "verify-log_base", "verify-mode", "rate-penalty",
+         "rate-q_policy", "line-seed", "line-num_samples"],
 )
 def test_subcommands_refuse_values_they_would_ignore(tmp_path, capsys, argv, data, key):
-    rc, out = run_cli(tmp_path, [*argv, "--samples", "500"])
+    # line reads no sample count; elsewhere a small one keeps a missed refusal cheap
+    samples = [] if argv[0] == "line" else ["--samples", "500"]
+    rc, out = run_cli(tmp_path, [*argv, *samples])
     assert rc == 2 and not out.exists()
     assert f"config key '{key}'" in capsys.readouterr().err
     with pytest.raises(ConfigError, match=f"'{key}'"):
@@ -460,3 +489,53 @@ def test_sweep_accepts_q_grid_with_optimized_and_its_echoed_config(tmp_path):
     cfg_path.write_text(echoed)
     rc, again = run_cli(tmp_path, ["sweep", "--config", str(cfg_path)], "again.csv")
     assert rc == 0 and again.read_bytes() == out.read_bytes()
+
+
+def test_refused_value_is_named_in_field_order():
+    with pytest.raises(ConfigError, match="'q'"):
+        validate_config({"penalty": 2.0, "q": 3.0, "mode": "split_bound"}, "capacity")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["capacity", "--samples", "500"], ["mincut", "--samples", "500"],
+     ["rate", "--samples", "500"], ["sweep", "--samples", "500"],
+     ["verify", "--samples", "500", "--format", "json"], ["line"]],
+    ids=lambda argv: argv[0],
+)
+def test_default_run_echo_replays_byte_for_byte(tmp_path, argv):
+    rc, out = run_cli(tmp_path, argv, "first.txt")
+    assert rc == 0
+    text = out.read_text()
+    if "--format" in argv:
+        echoed = json.loads(text)["config"]
+    else:
+        echoed = json.loads(text.splitlines()[1].removeprefix("# config="))
+    assert echoed["subcommand"] == argv[0]
+    cfg_path = tmp_path / "echo.json"
+    cfg_path.write_text(json.dumps(echoed))
+    rc, again = run_cli(tmp_path, ["--config", str(cfg_path)], "again.txt")
+    assert rc == 0 and again.read_bytes() == out.read_bytes()
+
+
+def test_readme_flag_table_matches_reads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("| flag | read by |\n|------|---------|\n", 1)[1].split("\n\n", 1)[0]
+    dest = {
+        opt: action.dest
+        for action in build_parser()._actions
+        for opt in action.option_strings
+    }
+    readers = {}
+    for row in table.splitlines():
+        flags, read_by = row.strip("|").split("|")
+        subs = (set(SUBCOMMANDS) if "every subcommand" in read_by
+                else set(re.findall(r"`(\w+)`", read_by)))
+        for flag in re.findall(r"`(--[\w-]+)", flags):
+            if flag != "--config":
+                readers[dest[flag]] = subs
+    expected = {}
+    for sub, keys in _READS.items():
+        for key in keys:
+            expected.setdefault(key, set()).add(sub)
+    assert readers == expected

@@ -29,6 +29,11 @@ def test_validation():
         LineNetwork((1.0,), noise_var=0.0)
     with pytest.raises(ValueError, match="power"):
         LineNetwork((1.0,), power=-1.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="power"):
+            LineNetwork((1.0,), power=bad)
+        with pytest.raises(ValueError, match="noise_var"):
+            LineNetwork((1.0,), noise_var=bad)
     with pytest.raises(ValueError, match="noise_ratio"):
         line_nnc_rate(LineNetwork((1.0,)), 0.0)
     with pytest.raises(ValueError, match="mode"):
