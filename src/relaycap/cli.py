@@ -232,6 +232,8 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
     for key, default in _DEFAULTS.items():
         if key not in _READS[sub] and getattr(cfg, key) != default:
             raise ConfigError(key, f"{sub} does not read it; it would be ignored")
+    if sub == "capacity" and None not in (cfg.m, cfg.n) and cfg.K != _DEFAULTS["K"]:
+        raise ConfigError("K", "capacity with m and n set does not read it; it would be ignored")
     if sub == "sweep" and cfg.q_grid is not None and "optimized" not in cfg.q_policy:
         raise ConfigError("q_grid", "only the optimized q_policy reads it; it would be ignored")
     return cfg
@@ -401,7 +403,7 @@ def run_line(cfg: ExperimentConfig) -> int:
             {"D": D, "snr": snr, "q": q, "gains": list(gains),
              "capacity": cap * scale, "rate": simple * scale,
              "all_cuts_rate": full * scale, "gap": (cap - simple) * scale,
-             "depth_bound": (math.log(D) + 1.0) * scale, "log_base": cfg.log_base,
+             "depth_bound": rates.depth_gap_bound(1, D, cfg.log_base), "log_base": cfg.log_base,
              "destination_quantizes": cfg.destination_quantizes}
         )
     _emit_results(

@@ -13,6 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .rates import QuantizationScheme
+
 _MODES = ("simple_cuts", "all_cuts")
 
 
@@ -105,12 +107,10 @@ def line_nnc_rate(
     Returns:
         The minimized cut value in nats; may be negative for tiny q.
     """
-    if not (noise_ratio > 0) or not math.isfinite(noise_ratio):
-        raise ValueError(f"noise_ratio must be positive and finite, got {noise_ratio}")
+    penalty = QuantizationScheme(noise_ratio).penalty_per_relay
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     D = line.num_hops
-    penalty = math.log1p(1.0 / noise_ratio)
 
     def receiver_quantizes(hop: int) -> bool:
         # the receiver of link ``hop`` is node hop+1; the destination is node D

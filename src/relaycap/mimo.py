@@ -85,6 +85,11 @@ def _check_seed(seed: int) -> None:
         raise ValueError(f"seed must be a nonnegative integer, got {seed}")
 
 
+def _check_snr(snr: float) -> None:
+    if not (math.isfinite(snr) and snr >= 0):
+        raise ValueError(f"snr must be finite and nonnegative, got {snr}")
+
+
 def _block_rng(seed: int, hop_index: int, block_index: int) -> np.random.Generator:
     # spawn_key makes streams for distinct (hop, block) pairs independent
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(hop_index, block_index))
@@ -139,7 +144,7 @@ def gram_logdet(channels: np.ndarray, snr: float, side: str = "auto") -> np.ndar
 
     Args:
         channels: Array of shape (..., m, n).
-        snr: Nonnegative signal-to-noise ratio.
+        snr: Finite, nonnegative signal-to-noise ratio.
         side: "auto" picks the smaller Gram side; "rows" forces the m x m
             receive-side Gram, "cols" the n x n transmit side.  The forced
             variants exist so consistency of the two routes can be checked.
@@ -152,8 +157,7 @@ def gram_logdet(channels: np.ndarray, snr: float, side: str = "auto") -> np.ndar
         raise ValueError("channels must have at least 2 dimensions")
     m, n = H.shape[-2:]
     batch_shape = H.shape[:-2]
-    if snr < 0:
-        raise ValueError(f"snr must be nonnegative, got {snr}")
+    _check_snr(snr)
     if m == 0 or n == 0 or snr == 0.0:
         return np.zeros(batch_shape)
     if not np.isfinite(H).all():
@@ -280,36 +284,23 @@ def _block_bounds(block_index: int, num_samples: int) -> tuple[int, int]:
     return lo, min(lo + BLOCK_SIZE, num_samples)
 
 
-def _partial_stats(values: np.ndarray) -> tuple[int, float, float]:
-    # np.sum uses pairwise summation; per-block partials are combined with
-    # math.fsum so the final mean does not depend on how blocks were scheduled
-    return len(values), float(np.sum(values)), float(np.sum(values * values))
-
-
-def _combine_stats(partials: list[tuple[int, float, float]]) -> tuple[int, float, float]:
-    """Combine ordered per-block (count, sum, sum of squares) partials."""
-    n = sum(p[0] for p in partials)
-    total = math.fsum(p[1] for p in partials)
-    total_sq = math.fsum(p[2] for p in partials)
-    mean = total / n
-    if n > 1:
-        var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-        se = math.sqrt(var / n)
-    else:
-        se = 0.0
-    return n, mean, se
-
-
 def _stream_stats(values: np.ndarray) -> tuple[float, float]:
-    """Mean / standard error of a value array, chunked exactly like the
-    block-wise estimators so both paths agree bitwise on shared draws."""
+    """Mean and standard error of a per-draw column; the package's only
+    such reduction.
+
+    Each BLOCK_SIZE chunk is summed with np.sum (pairwise summation) and the
+    chunk partials are combined with math.fsum, so the result depends only
+    on the values, never on how their blocks were scheduled, and estimates
+    over shared draws agree bitwise.
+    """
     n = len(values)
-    partials = []
-    for b in range(_num_blocks(n)):
-        lo, hi = _block_bounds(b, n)
-        partials.append(_partial_stats(values[lo:hi]))
-    _, mean, se = _combine_stats(partials)
-    return mean, se
+    chunks = [values[slice(*_block_bounds(b, n))] for b in range(_num_blocks(n))]
+    mean = math.fsum(float(np.sum(c)) for c in chunks) / n
+    if n == 1:
+        return mean, 0.0
+    total_sq = math.fsum(float(np.sum(c * c)) for c in chunks)
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return mean, math.sqrt(var / n)
 
 
 def _map_blocks(task, num_blocks: int, workers: int) -> list:
@@ -334,7 +325,7 @@ def estimate_ergodic_capacity(
     Args:
         m: Receive dimension.
         n: Transmit dimension.
-        snr: Nonnegative signal-to-noise ratio.
+        snr: Finite, nonnegative signal-to-noise ratio.
         num_samples: Number of channel draws, must be positive.
         seed: Stream seed.
         hop_index: Stream selector.
@@ -349,20 +340,17 @@ def estimate_ergodic_capacity(
     _check_seed(seed)
     if num_samples <= 0:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
-    if snr < 0:
-        raise ValueError(f"snr must be nonnegative, got {snr}")
+    _check_snr(snr)
     if m == 0 or n == 0 or snr == 0.0:
         return CapacityEstimate(0.0, 0.0, num_samples, (m, n), snr)
 
-    def task(b: int) -> tuple[int, float, float]:
+    def task(b: int) -> np.ndarray:
         lo, hi = _block_bounds(b, num_samples)
         draws = sample_channel_block(m, n, seed, b, hop_index)[: hi - lo]
-        return _partial_stats(_spectral_logdet(_gram_spectrum(draws), snr))
+        return _spectral_logdet(_gram_spectrum(draws), snr)
 
-    partials = _map_blocks(task, _num_blocks(num_samples), workers)
-    total, mean, se = _combine_stats(partials)
-    assert total == num_samples
-    return CapacityEstimate(mean, se, num_samples, (m, n), snr)
+    column = np.concatenate(_map_blocks(task, _num_blocks(num_samples), workers))
+    return CapacityEstimate(*_stream_stats(column), num_samples, (m, n), snr)
 
 
 def _windows(K: int, m: int, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
@@ -574,8 +562,7 @@ class CapacityTable:
         cls, pool: SamplePool, snr: float, keep_per_draw: bool = True
     ) -> "CapacityTable":
         # keep_per_draw is ignored; ROADMAP item 4 drops it with perfbench
-        if not (math.isfinite(snr) and snr >= 0):
-            raise ValueError(f"snr must be finite and nonnegative, got {snr}")
+        _check_snr(snr)
         K = pool.max_dim
         means = np.zeros((K + 1, K + 1))
         ses = np.zeros((K + 1, K + 1))
@@ -664,8 +651,7 @@ class CapacityTable:
         if not isinstance(K, int) or K < 1:
             raise ValueError(f"max_dim must be a positive integer, got {K!r}")
         snr = data["snr"]
-        if not (math.isfinite(snr) and snr >= 0):
-            raise ValueError(f"snr must be finite and nonnegative, got {snr}")
+        _check_snr(snr)
         means = np.zeros((K + 1, K + 1))
         ses = np.zeros((K + 1, K + 1))
         seen = set()

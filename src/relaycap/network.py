@@ -37,9 +37,7 @@ from .mimo import (
     CapacityEstimate,
     CapacityTable,
     _block_bounds,
-    _combine_stats,
     _num_blocks,
-    _partial_stats,
     _stream_stats,
     gram_logdet,
     sample_channel_block,
@@ -101,6 +99,8 @@ class CutProfile:
 
     def __post_init__(self):
         counts = tuple(int(c) for c in self.counts)
+        if counts != tuple(self.counts):
+            raise ValueError(f"profile counts must be integers, got {self.counts}")
         object.__setattr__(self, "counts", counts)
         if any(c < 0 for c in counts):
             raise ValueError(f"profile counts must be nonnegative, got {counts}")
@@ -153,9 +153,12 @@ class CutValue:
 
 
 def _hop_tables(
-    table: CapacityTable, last: CapacityTable | None, params: NetworkParams
+    table: CapacityTable, last: CapacityTable | None, params: NetworkParams, node_penalty: float
 ) -> tuple[CapacityTable, CapacityTable]:
-    """Resolve (body, last) hop tables, with checks; hop D reads ``last``."""
+    """Resolve (body, last) hop tables, with the checks every cut function
+    shares; hop D reads ``last``."""
+    if not math.isfinite(node_penalty):
+        raise ValueError(f"node_penalty must be finite, got {node_penalty}")
     if isinstance(table, (list, tuple)):
         raise TypeError(
             "pass one body table; give a distinct final-hop table as last=, "
@@ -184,10 +187,36 @@ def _check_profile(profile: CutProfile, params: NetworkParams) -> None:
         )
 
 
-def _block_dims(profile: CutProfile, params: NetworkParams) -> list[tuple[int, int]]:
+def _block_dims(counts: tuple[int, ...], params: NetworkParams) -> list[tuple[int, int]]:
     K = params.relays_per_layer
-    bounds = [K, *profile.counts, 0]
+    bounds = [K, *counts, 0]
     return [(K - bounds[i + 1], bounds[i]) for i in range(params.num_hops)]
+
+
+def _cut_sum(
+    counts: tuple[int, ...], params: NetworkParams, body: CapacityTable,
+    last: CapacityTable, node_penalty: float,
+) -> tuple[float, tuple[tuple[tuple[int, int], float], ...]]:
+    """(value, per_block) of the cut with source-side relay counts ``counts``.
+
+    Each body hop contributes C(K - M_{i+1}, M_i) - node_penalty * M_{i+1},
+    hop D its capacity on ``last``; the sum runs from the last hop to the
+    first.  ``cut_value`` and ``brute_force_min_cut`` both evaluate cuts
+    here; ``min_cut_dp`` forms the same floats from its own edge matrix,
+    so DP == brute force checks two independent implementations.
+    """
+    D = params.num_hops
+    per_block = tuple(
+        ((m, n), float((last if i == D - 1 else body).means[m, n]))
+        for i, (m, n) in enumerate(_block_dims(counts, params))
+    )
+    total = 0.0
+    for i in reversed(range(D)):
+        contrib = per_block[i][1]
+        if i < D - 1:
+            contrib -= node_penalty * counts[i]
+        total = contrib + total
+    return total, per_block
 
 
 def _shared_pool(body: CapacityTable, last: CapacityTable) -> bool:
@@ -213,10 +242,11 @@ def cut_profile_draws(
     per-draw column once, times the number of hops it crosses; blocks with
     a zero dimension are exact zeros and are skipped.
     """
-    body, last = _hop_tables(table, last, params)
+    _check_profile(profile, params)
+    body, last = _hop_tables(table, last, params, node_penalty)
     if not _shared_pool(body, last):
         raise ValueError("per-draw cut values need tables built over shared draws")
-    dims = _block_dims(profile, params)
+    dims = _block_dims(profile.counts, params)
     body_dims = dims if last is body else dims[:-1]
     acc = np.zeros(body.num_samples)
     for (m, n), mult in Counter(d for d in body_dims if d[0] and d[1]).items():
@@ -248,50 +278,21 @@ def cut_value(
             an unquantized destination.
 
     Returns:
-        CutValue; its value sums the per-hop block capacities from last hop
-        to first, matching the dynamic program's accumulation order exactly.
+        CutValue.  Its value is the ``_cut_sum`` that brute force minimizes,
+        so it equals both min-cut routines' value at their argmin bitwise.
     """
     _check_profile(profile, params)
-    body, last = _hop_tables(table, last, params)
-    dims = _block_dims(profile, params)
-    D = params.num_hops
-
-    def hop_table(i: int) -> CapacityTable:
-        return last if i == D - 1 else body
-
-    per_block = tuple(
-        ((m, n), hop_table(i).mean(m, n)) for i, (m, n) in enumerate(dims)
-    )
-    total = 0.0
-    for i in reversed(range(D)):
-        contrib = per_block[i][1]
-        if i < D - 1:
-            contrib -= node_penalty * profile.counts[i]
-        total = contrib + total
+    body, last = _hop_tables(table, last, params, node_penalty)
+    total, per_block = _cut_sum(profile.counts, params, body, last, node_penalty)
     if _shared_pool(body, last):
-        draws = cut_profile_draws(profile, params, body, last=last)
-        _, se = _stream_stats(draws)
+        _, se = _stream_stats(cut_profile_draws(profile, params, body, last=last))
     else:
-        se = math.sqrt(
-            sum(hop_table(i).std_error(m, n) ** 2 for i, (m, n) in enumerate(dims))
-        )
+        D = params.num_hops
+        se = math.sqrt(sum(
+            float((last if i == D - 1 else body).std_errors[dims]) ** 2
+            for i, (dims, _) in enumerate(per_block)
+        ))
     return CutValue(total, se, profile, per_block)
-
-
-def _edge_weight(
-    body: CapacityTable,
-    last: CapacityTable,
-    params: NetworkParams,
-    node_penalty: float,
-    hop: int,
-    cur: int,
-    nxt: int,
-) -> float:
-    """Contribution of hop ``hop`` when M_hop = cur and M_{hop+1} = nxt."""
-    K = params.relays_per_layer
-    if hop + 1 <= params.num_hops - 1:
-        return float(body.means[K - nxt, cur]) - node_penalty * nxt
-    return float(last.means[K - nxt, cur])
 
 
 def min_cut_dp(
@@ -310,15 +311,15 @@ def min_cut_dp(
     penalty.  The backward pass and the reconstruction then take
     O(D * (K+1)^2) float operations on that matrix.  Among minimizing
     profiles the lexicographically smallest is returned; every edge weight
-    is the float ``_edge_weight`` evaluates and sums are associated exactly
-    as in ``cut_value``, so the result matches brute-force enumeration
-    bitwise.
+    is the float ``_cut_sum`` adds for that hop and sums are associated
+    exactly as there, so the result matches brute-force enumeration
+    bitwise, though no code is shared with it.
 
     Returns:
         (minimum value in nats, argmin profile).
     """
     K, D = params.relays_per_layer, params.num_hops
-    body, last = _hop_tables(table, last, params)
+    body, last = _hop_tables(table, last, params, node_penalty)
     body_means = body.means[: K + 1, : K + 1].tolist()
     # edges[cur][nxt]: body hop from M_i = cur to M_{i+1} = nxt
     edges = [
@@ -361,9 +362,12 @@ def brute_force_min_cut(
 ) -> tuple[float, CutProfile]:
     """Exhaustive minimum over all (K+1)**(D-1) profiles.
 
+    Each profile is valued by ``_cut_sum``, the sum ``cut_value`` reports;
+    ties keep the lexicographically smallest profile.  The dynamic program
+    associates its sums the same way, so the two agree bitwise.
+
     Guard: raises ValueError when the enumeration would exceed
-    BRUTE_FORCE_LIMIT profiles.  Sums are accumulated from the last hop to
-    the first, like the dynamic program, so the two agree bitwise.
+    BRUTE_FORCE_LIMIT profiles.
     """
     K, D = params.relays_per_layer, params.num_hops
     count = (K + 1) ** (D - 1)
@@ -372,23 +376,12 @@ def brute_force_min_cut(
             f"brute force would enumerate {count} profiles "
             f"(limit {BRUTE_FORCE_LIMIT}); use min_cut_dp"
         )
-    body, last = _hop_tables(table, last, params)
-    best = None
-    best_profile = None
-    for counts in itertools.product(range(K + 1), repeat=D - 1):
-        bounds = (K, *counts, 0)
-        total = 0.0
-        for hop in reversed(range(D)):
-            total = (
-                _edge_weight(
-                    body, last, params, node_penalty, hop, bounds[hop], bounds[hop + 1]
-                )
-                + total
-            )
-        if best is None or total < best:
-            best = total
-            best_profile = counts
-    return best, CutProfile(best_profile)
+    body, last = _hop_tables(table, last, params, node_penalty)
+    best, counts = min(
+        (_cut_sum(counts, params, body, last, node_penalty)[0], counts)
+        for counts in itertools.product(range(K + 1), repeat=D - 1)
+    )
+    return best, CutProfile(counts)
 
 
 @dataclass(frozen=True)
@@ -526,17 +519,14 @@ def node_cut_value_mc(
     if num_samples <= 0:
         raise ValueError(f"num_samples must be positive, got {num_samples}")
 
-    partials = []
+    column = np.zeros(num_samples)
     for b in range(_num_blocks(num_samples)):
         lo, hi = _block_bounds(b, num_samples)
-        acc = np.zeros(hi - lo)
         for hop in range(D):
             if not rows[hop] or not cols[hop]:
                 continue
             draws = sample_channel_block(K, K, seed, b, hop_index=hop)[: hi - lo]
             W = draws[:, np.asarray(rows[hop])[:, None], np.asarray(cols[hop])[None, :]]
-            acc += gram_logdet(W, params.snr)
-        partials.append(_partial_stats(acc))
-    total, mean, se = _combine_stats(partials)
+            column[lo:hi] += gram_logdet(W, params.snr)
     dims = (sum(len(r) for r in rows), sum(len(c) for c in cols))
-    return CapacityEstimate(mean, se, num_samples, dims, params.snr)
+    return CapacityEstimate(*_stream_stats(column), num_samples, dims, params.snr)

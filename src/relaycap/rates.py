@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mimo import CapacityTable, SamplePool, TableCache, _stream_stats, rate_scale
+from .mimo import CapacityEstimate, CapacityTable, SamplePool, TableCache, _stream_stats, rate_scale
 from .network import (
     CutProfile,
     NetworkParams,
@@ -275,24 +275,21 @@ class RateReport:
         }
 
 
-def _gap_std_error(
-    params: NetworkParams,
-    table: CapacityTable,
-    table_full: CapacityTable,
-    profile: CutProfile,
-    node_penalty: float,
-    *,
-    last: CapacityTable | None = None,
-) -> float:
-    """Standard error of (full-capacity upper bound - penalized cut) when
-    both sides share one pool of draws; the cut's hop D reads ``last``."""
+def _scheme_bounds(
+    params: NetworkParams, scheme: QuantizationScheme, cache: TableCache, mode: str
+) -> tuple[CapacityEstimate, float, float]:
+    """(C(K, K) estimate at full snr, unclamped penalized min cut under
+    ``mode``, standard error of their difference) over the cache's one pool,
+    so the error is a common-random-number error of the gap.  Hop D reads
+    the full-snr table when the destination does not quantize."""
     K = params.relays_per_layer
-    cut_draws = cut_profile_draws(
-        profile, params, table, node_penalty=node_penalty, last=last
-    )
-    diff = table_full.entry_draws(K, K) - cut_draws
-    _, se = _stream_stats(diff)
-    return se
+    table_full = cache.at(params.snr)
+    table = cache.at(degraded_snr(params, scheme))
+    last = None if scheme.destination_quantizes else table_full
+    raw, profile, pen = _penalized_min_cut(params, scheme, table, mode, last=last)
+    cut_draws = cut_profile_draws(profile, params, table, node_penalty=pen, last=last)
+    _, se = _stream_stats(table_full.entry_draws(K, K) - cut_draws)
+    return table_full.estimate(K, K), raw, se
 
 
 def rate_report(
@@ -322,21 +319,13 @@ def rate_report(
     if scheme is None:
         scheme = QuantizationScheme.depth_matched(params.num_hops)
     K, D = params.relays_per_layer, params.num_hops
-    pool = SamplePool.build(K, num_samples, seed, workers=workers)
-    cache = TableCache(pool)
-    table_full = cache.at(params.snr)
-    table_deg = cache.at(degraded_snr(params, scheme))
-
-    upper = table_full.estimate(K, K)
-    last = None if scheme.destination_quantizes else table_full
-    raw, profile, pen = _penalized_min_cut(params, scheme, table_deg, mode, last=last)
+    cache = TableCache(SamplePool.build(K, num_samples, seed, workers=workers))
+    upper, raw, se = _scheme_bounds(params, scheme, cache, mode)
     lower = _clamped_rate(raw, scheme)
     gap = upper.mean - lower
     if raw < 0.0:
         # the reported rate is the constant 0: only the upper bound varies
         se = upper.std_error
-    else:
-        se = _gap_std_error(params, table_deg, table_full, profile, pen, last=last)
 
     s = rate_scale(params.log_base)
     return RateReport(
@@ -593,7 +582,7 @@ def gap_trend(
             f"cache pool (K, num_samples, seed, hop_index) = {cache.pool.key} "
             f"does not match the requested {(K, num_samples, seed, 0)}"
         )
-    table_full = cache.at(snr)
+    cache.at(snr)  # refuses a non-finite snr, naming it, before any depth
     points = []
     for D in depths:
         params = NetworkParams(K, D, power=snr, noise_var=1.0)
@@ -606,18 +595,14 @@ def gap_trend(
                 params, cache, grid if grid is not None else default_q_grid(D),
                 mode, refine_rounds=3, prune=True,
             )
-        scheme = QuantizationScheme(q)
-        table = cache.at(degraded_snr(params, scheme))
-        raw, profile, pen = _penalized_min_cut(params, scheme, table, mode)
-        upper = table_full.mean(K, K)
-        se = _gap_std_error(params, table, table_full, profile, pen)
+        upper, raw, se = _scheme_bounds(params, QuantizationScheme(q), cache, mode)
         points.append(
             TrendPoint(
                 num_hops=D,
                 noise_ratio=q,
-                upper=upper,
+                upper=upper.mean,
                 lower=raw,
-                gap=upper - raw,
+                gap=upper.mean - raw,
                 std_error=se,
                 snr=snr,
                 relays_per_layer=K,

@@ -449,10 +449,11 @@ def test_sweep_refuses_q_settings_it_would_ignore(tmp_path, capsys, extra, key):
         (["rate", "--q-policy", "optimized"], {"q_policy": ["optimized"]}, "q_policy"),
         (["line", "--seed", "5"], {"seed": 5}, "seed"),
         (["line", "--samples", "10"], {"num_samples": 10}, "num_samples"),
+        (["capacity", "--K", "3", "--m", "2", "--n", "2"], {"K": 3, "m": 2, "n": 2}, "K"),
     ],
     ids=["sweep-destination_quantizes", "mincut-q", "capacity-q", "capacity-penalty",
          "capacity-mode", "verify-K", "verify-log_base", "verify-mode", "rate-penalty",
-         "rate-q_policy", "line-seed", "line-num_samples"],
+         "rate-q_policy", "line-seed", "line-num_samples", "capacity-K-with-m-n"],
 )
 def test_subcommands_refuse_values_they_would_ignore(tmp_path, capsys, argv, data, key):
     # line reads no sample count; elsewhere a small one keeps a missed refusal cheap

@@ -90,8 +90,10 @@ def test_nonfinite_input_rejected():
 
 
 def test_negative_snr_rejected():
-    with pytest.raises(ValueError, match="snr"):
-        gram_logdet(np.eye(2, dtype=complex), -1.0)
+    # non-finite snr values are refused too
+    for snr in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="snr"):
+            gram_logdet(np.eye(2, dtype=complex), snr)
 
 
 def test_one_dimensional_input_rejected():

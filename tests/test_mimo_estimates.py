@@ -76,8 +76,10 @@ def test_rejects_bad_sample_counts(bad):
 
 
 def test_rejects_negative_snr():
-    with pytest.raises(ValueError, match="snr"):
-        estimate_ergodic_capacity(1, 1, -0.5, 100, seed=0)
+    # non-finite snr values are refused too, not turned into nan or inf rates
+    for snr in (-0.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match="snr"):
+            estimate_ergodic_capacity(1, 1, snr, 100, seed=0)
 
 
 def test_worker_count_never_changes_the_answer():

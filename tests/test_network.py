@@ -57,6 +57,28 @@ def test_cut_profile_validation(table3_10):
         cut_value(CutProfile((1,)), params, table3_10)
     with pytest.raises(ValueError, match="exceed"):
         cut_value(CutProfile((4, 0)), params, table3_10)
+    # per-draw cut values check the profile as cut_value does
+    for counts, match in (((1,), "length"), ((2, 2, 2, 2), "length"), ((4, 0), "exceed")):
+        with pytest.raises(ValueError, match=match):
+            cut_profile_draws(CutProfile(counts), params, table3_10)
+    # non-integral counts are refused, not truncated
+    with pytest.raises(ValueError, match="integers"):
+        CutProfile((1.7, 0.2))
+    assert CutProfile((1.0, 2.0)).counts == (1, 2)
+
+
+@pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf])
+def test_node_penalty_must_be_finite(table3_10, penalty):
+    params = params_for(table3_10, 2, 3)
+    profile = CutProfile((1, 1))
+    for call in (
+        lambda: cut_value(profile, params, table3_10, node_penalty=penalty),
+        lambda: cut_profile_draws(profile, params, table3_10, node_penalty=penalty),
+        lambda: min_cut_dp(params, table3_10, node_penalty=penalty),
+        lambda: brute_force_min_cut(params, table3_10, node_penalty=penalty),
+    ):
+        with pytest.raises(ValueError, match="node_penalty"):
+            call()
 
 
 def test_profile_helpers():
@@ -163,6 +185,8 @@ def test_dp_equals_brute_force_bitwise(table3_10, K, D, penalty):
     v_bf, p_bf = brute_force_min_cut(params, table3_10, node_penalty=penalty)
     assert v_dp == v_bf
     assert p_dp == p_bf
+    # the reported cut value is the minimum itself, bit for bit
+    assert cut_value(p_dp, params, table3_10, node_penalty=penalty).value == v_dp
 
 
 @pytest.mark.parametrize("K", [1, 2, 3])
@@ -178,6 +202,8 @@ def test_dp_equals_brute_force_bitwise_with_distinct_last_hop(
     )
     assert v_dp == v_bf
     assert p_dp == p_bf
+    cut = cut_value(p_dp, params, table3_10, node_penalty=penalty, last=table3_1)
+    assert cut.value == v_dp
 
 
 def _assert_list_refused(params, tables):

@@ -20,14 +20,23 @@ from relaycap import (
     prior_cf_gap_bound,
     rate_report,
 )
+from relaycap.mimo import _stream_stats
+from relaycap.network import cut_profile_draws
 from relaycap.rates import (
-    _gap_std_error,
     _optimize_on_cache,
     _penalized_min_cut,
     resolve_policy,
 )
 
 LN2 = math.log(2.0)
+
+
+def _gap_se(params, table, full, profile, pen, last=None):
+    """Standard error of C(K, K) at full snr minus the penalized cut,
+    over the draws both tables share."""
+    K = params.relays_per_layer
+    cut = cut_profile_draws(profile, params, table, node_penalty=pen, last=last)
+    return _stream_stats(full.entry_draws(K, K) - cut)[1]
 
 
 # ------------------------------------------------------------ scheme basics
@@ -235,7 +244,7 @@ def _rate_report_via_nnc(params, scheme, num_samples, seed, mode):
         se = full.std_error(K, K)
     else:
         pen = scheme.penalty_per_relay if mode == "per_cut_exact" else 0.0
-        se = _gap_std_error(params, deg, full, bound.profile, pen, last=table_full)
+        se = _gap_se(params, deg, full, bound.profile, pen, last=table_full)
     return bound.value, bound.raw_value, bound.was_clamped, se
 
 
@@ -422,7 +431,7 @@ def test_quantizing_destination_reads_one_table(cache2):
         one = _penalized_min_cut(params, scheme, table, mode)
         same_last = _penalized_min_cut(params, scheme, table, mode, last=table)
         assert one == same_last
-        assert _gap_std_error(params, table, full, one[1], one[2]) == _gap_std_error(
+        assert _gap_se(params, table, full, one[1], one[2]) == _gap_se(
             params, table, full, one[1], one[2], last=table
         )
 
