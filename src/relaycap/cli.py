@@ -45,9 +45,9 @@ class ExperimentConfig:
 
     The field defaults are the package defaults of the config keys, the one
     place they are written.  ``D``, ``snr``, ``q_policy`` and list-like
-    fields are tuples; single values are singleton tuples.  ``workers`` and
-    ``out`` are excluded from equality and from the echoed config: they
-    control how and where results are produced, never what they are.
+    fields are tuples; single values are singleton tuples.  Fields declared
+    ``compare=False`` (``workers``, ``out``) are excluded from equality and
+    the echoed config: they control how results are produced, never what.
     """
 
     subcommand: str
@@ -72,13 +72,7 @@ class ExperimentConfig:
     destination_quantizes: bool = True
 
     def as_dict(self) -> dict:
-        d = {}
-        for f in dataclasses.fields(self):
-            if f.name in ("workers", "out"):
-                continue
-            v = getattr(self, f.name)
-            d[f.name] = list(v) if isinstance(v, tuple) else v
-        return d
+        return mimo._record_dict(self)
 
     def single_depth(self) -> int:
         if len(self.D) != 1:
@@ -242,6 +236,8 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
 def _fmt(v) -> str:
     if isinstance(v, float):
         return repr(v)
+    if isinstance(v, list):
+        return "|".join(_fmt(item) for item in v)
     return str(v)
 
 
@@ -317,16 +313,12 @@ def run_mincut(cfg: ExperimentConfig) -> int:
     # one pool serves every snr, as in run_sweep
     pool = mimo.SamplePool.build(cfg.K, cfg.num_samples, cfg.seed, workers=cfg.workers)
     cache = mimo.TableCache(pool)
-    rows, results = [], []
+    results = []
     for snr in cfg.snr:
         params = network.NetworkParams(cfg.K, D, power=snr, noise_var=1.0, log_base=cfg.log_base)
         table = cache.at(snr)
-        value, profile = network.min_cut_dp(params, table, node_penalty=cfg.penalty)
+        _, profile = network.min_cut_dp(params, table, node_penalty=cfg.penalty)
         cut = network.cut_value(profile, params, table, node_penalty=cfg.penalty)
-        rows.append(
-            [cfg.K, D, snr, cfg.penalty, value * scale, cut.std_error * scale,
-             "|".join(str(c) for c in profile.counts)]
-        )
         d = cut.as_dict()
         d["value"] *= scale
         d["std_error"] *= scale
@@ -335,10 +327,7 @@ def run_mincut(cfg: ExperimentConfig) -> int:
         ]
         d.update({"K": cfg.K, "D": D, "snr": snr, "penalty": cfg.penalty, "log_base": cfg.log_base})
         results.append(d)
-    _emit_results(
-        cfg, "relaycap/mincut/1", "K,D,snr,penalty,value,std_error,profile",
-        results, rows,
-    )
+    _emit_results(cfg, "relaycap/mincut/1", "K,D,snr,penalty,value,std_error,profile", results)
     return 0
 
 
@@ -367,7 +356,8 @@ def run_sweep(cfg: ExperimentConfig) -> int:
         for policy in cfg.q_policy:
             points = rates.gap_trend(
                 cfg.K, list(cfg.D), snr, policy, cfg.num_samples, cfg.seed,
-                mode=cfg.mode, workers=cfg.workers, q_grid=q_grid, cache=cache,
+                mode=cfg.mode, workers=cfg.workers, cache=cache,
+                q_grid=q_grid if policy == "optimized" else None,
             )
             for p in points:
                 d = p.as_dict()

@@ -32,7 +32,7 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -255,6 +255,19 @@ def logdet_capacity(
     return float(gram_logdet(H, snr)) * rate_scale(log_base)
 
 
+def _record_dict(record, rename: dict[str, str] | None = None) -> dict:
+    """The output record of a dataclass instance: one key per field declared
+    with ``compare=True``, named as in ``rename`` where it names the field,
+    with tuples as lists.  A record's fields are its output schema."""
+    rename = rename or {}
+    out = {}
+    for f in fields(record):
+        if f.compare:
+            v = getattr(record, f.name)
+            out[rename.get(f.name, f.name)] = list(v) if isinstance(v, tuple) else v
+    return out
+
+
 @dataclass(frozen=True)
 class CapacityEstimate:
     """Sample mean and standard error of an ergodic capacity, in nats."""
@@ -266,13 +279,7 @@ class CapacityEstimate:
     snr: float
 
     def as_dict(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "snr": self.snr,
-            "num_samples": self.num_samples,
-            "mean": self.mean,
-            "std_error": self.std_error,
-        }
+        return _record_dict(self)
 
 
 def _num_blocks(num_samples: int) -> int:
@@ -515,6 +522,7 @@ def _entry_column(pool: SamplePool, m: int, n: int, snr: float) -> np.ndarray:
     return column
 
 
+@dataclass(eq=False)
 class CapacityTable:
     """Ergodic capacities for every dimension pair (m, n) with m, n <= max_dim.
 
@@ -535,27 +543,18 @@ class CapacityTable:
         pool: the SamplePool the table was built from, if retained.
     """
 
-    def __init__(
-        self,
-        max_dim: int,
-        snr: float,
-        num_samples: int,
-        seed: int,
-        hop_index: int,
-        means: np.ndarray,
-        std_errors: np.ndarray,
-        pool: SamplePool | None = None,
-    ):
-        self.max_dim = max_dim
-        self.snr = snr
-        self.num_samples = num_samples
-        self.seed = seed
-        self.hop_index = hop_index
-        self.means = means
-        self.std_errors = std_errors
-        self.pool = pool
-        self.per_draw = None  # always None; ROADMAP item 4 drops it with perfbench
-        self._columns: dict[tuple[int, int], np.ndarray] = {}
+    max_dim: int
+    snr: float
+    num_samples: int
+    seed: int
+    hop_index: int
+    means: np.ndarray = field(repr=False)
+    std_errors: np.ndarray = field(repr=False)
+    pool: SamplePool | None = field(default=None, repr=False)
+    per_draw: None = field(default=None, init=False, repr=False)  # always None; tracer shim
+    _columns: dict[tuple[int, int], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False
+    )
 
     @classmethod
     def from_pool(

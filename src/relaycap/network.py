@@ -29,7 +29,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import add
+from operator import add, index
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .mimo import (
     CapacityTable,
     _block_bounds,
     _num_blocks,
+    _record_dict,
     _stream_stats,
     gram_logdet,
     sample_channel_block,
@@ -45,6 +46,20 @@ from .mimo import (
 
 #: Cap on the brute-force cut enumeration, (K+1)**(D-1) profiles.
 BRUTE_FORCE_LIMIT = 10**6
+
+
+def _positive_int(name: str, v) -> int:
+    """``v`` as a positive int; integer types only (numpy ones too), no bools.
+
+    Raises:
+        ValueError: naming ``name`` otherwise.
+    """
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    iv = index(v)
+    if iv <= 0:
+        raise ValueError(f"{name} must be positive, got {iv}")
+    return iv
 
 
 @dataclass(frozen=True)
@@ -69,12 +84,8 @@ class NetworkParams:
     log_base: str = "nats"
 
     def __post_init__(self):
-        if self.relays_per_layer <= 0:
-            raise ValueError(
-                f"relays_per_layer must be positive, got {self.relays_per_layer}"
-            )
-        if self.num_hops <= 0:
-            raise ValueError(f"num_hops must be positive, got {self.num_hops}")
+        for name in ("relays_per_layer", "num_hops"):
+            object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
         if not (math.isfinite(self.power) and self.power >= 0):
             raise ValueError(f"power must be finite and nonnegative, got {self.power}")
         if not (math.isfinite(self.noise_var) and self.noise_var > 0):
@@ -412,16 +423,7 @@ class PropertyReport:
     passed: bool
 
     def as_dict(self) -> dict:
-        return {
-            "symmetry_error": self.symmetry_error,
-            "monotonicity_violation": self.monotonicity_violation,
-            "split_violation": self.split_violation,
-            "num_draws": self.num_draws,
-            "max_dim": self.max_dim,
-            "snr": self.snr,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return _record_dict(self)
 
 
 def check_capacity_properties(

@@ -20,10 +20,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mimo import CapacityEstimate, CapacityTable, SamplePool, TableCache, _stream_stats, rate_scale
+from .mimo import (
+    CapacityEstimate,
+    CapacityTable,
+    SamplePool,
+    TableCache,
+    _record_dict,
+    _stream_stats,
+    rate_scale,
+)
 from .network import (
     CutProfile,
     NetworkParams,
+    _positive_int,
     cut_profile_draws,
     cut_value,
     min_cut_dp,
@@ -33,6 +42,9 @@ logger = logging.getLogger(__name__)
 
 _POLICIES = ("fixed_1", "depth_matched", "optimized")
 _POLICY_ALIASES = {"d_minus_1": "depth_matched"}
+
+#: Output keys of the report fields not named by their field.
+_REPORT_KEYS = {"relays_per_layer": "K", "num_hops": "D", "noise_ratio": "q"}
 
 
 @dataclass(frozen=True)
@@ -254,25 +266,7 @@ class RateReport:
     seed: int
 
     def as_dict(self) -> dict:
-        return {
-            "K": self.relays_per_layer,
-            "D": self.num_hops,
-            "snr": self.snr,
-            "q": self.noise_ratio,
-            "log_base": self.log_base,
-            "upper": self.upper,
-            "lower": self.lower,
-            "gap": self.gap,
-            "thm_bound": self.thm_bound,
-            "prior_cf_bound": self.prior_cf_bound,
-            "alignment_bound": self.alignment_bound,
-            "std_error": self.std_error,
-            "raw_lower": self.raw_lower,
-            "was_clamped": self.was_clamped,
-            "mode": self.mode,
-            "num_samples": self.num_samples,
-            "seed": self.seed,
-        }
+        return _record_dict(self, _REPORT_KEYS)
 
 
 def _scheme_bounds(
@@ -510,17 +504,7 @@ class TrendPoint:
     policy: str
 
     def as_dict(self) -> dict:
-        return {
-            "D": self.num_hops,
-            "q": self.noise_ratio,
-            "upper": self.upper,
-            "lower": self.lower,
-            "gap": self.gap,
-            "std_error": self.std_error,
-            "snr": self.snr,
-            "K": self.relays_per_layer,
-            "policy": self.policy,
-        }
+        return _record_dict(self, _REPORT_KEYS)
 
 
 def resolve_policy(name: str) -> str:
@@ -569,12 +553,18 @@ def gap_trend(
     ``(relays_per_layer, num_samples, seed)`` at hop 0.
 
     Returns one TrendPoint per depth, in the given order.
+
+    Raises:
+        ValueError: before any pool is built, if ``relays_per_layer`` or a
+            depth is not a positive integer, or if ``q_grid`` is given to a
+            policy other than optimized, which would ignore it.
     """
-    if any(d < 1 for d in depths):
-        raise ValueError(f"depths must be positive, got {depths}")
+    K = _positive_int("relays_per_layer", relays_per_layer)
+    depths = [_positive_int("depths", d) for d in depths]
     policy = resolve_policy(q_policy)
+    if q_grid is not None and policy != "optimized":
+        raise ValueError(f"q_grid is read only by the optimized q policy, not {policy}")
     grid = None if q_grid is None else _candidate_grid(q_grid)
-    K = relays_per_layer
     if cache is None:
         cache = TableCache(SamplePool.build(K, num_samples, seed, workers=workers))
     elif cache.pool.key != (K, num_samples, seed, 0):

@@ -1,5 +1,6 @@
 """CLI: config validation, output formats, determinism, round-trips."""
 
+import dataclasses
 import json
 import math
 import re
@@ -12,6 +13,8 @@ import pytest
 from relaycap import (
     NetworkParams,
     QuantizationScheme,
+    check_capacity_properties,
+    gap_trend,
     mimo,
     optimize_quantization,
     rate_report,
@@ -21,6 +24,7 @@ from relaycap.cli import (
     RATE_HEADER,
     SUBCOMMANDS,
     ConfigError,
+    ExperimentConfig,
     build_parser,
     main,
     validate_config,
@@ -540,3 +544,81 @@ def test_readme_flag_table_matches_reads():
         for key in keys:
             expected.setdefault(key, set()).add(sub)
     assert readers == expected
+
+
+# ---------------------------------------------------------- output records
+
+#: The only result keys not spelled as their record's field.
+RENAMED = {"relays_per_layer": "K", "num_hops": "D", "noise_ratio": "q"}
+
+
+RECORDS = {
+    "RateReport": lambda: rate_report(NetworkParams(2, 3, power=10.0), num_samples=500),
+    "TrendPoint": lambda: gap_trend(2, [3], num_samples=500)[0],
+    "PropertyReport": lambda: check_capacity_properties(
+        mimo.build_capacity_table(2, 10.0, 500, seed=0)
+    ),
+    "CapacityEstimate": lambda: mimo.estimate_ergodic_capacity(2, 1, 10.0, 500, seed=0),
+}
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_keys_are_its_field_names(name):
+    record = RECORDS[name]()
+    assert type(record).__name__ == name
+    names = [RENAMED.get(f.name, f.name) for f in dataclasses.fields(record)]
+    d = record.as_dict()
+    assert list(d) == names
+    for f in dataclasses.fields(record):
+        v = getattr(record, f.name)
+        assert d[RENAMED.get(f.name, f.name)] == (list(v) if isinstance(v, tuple) else v)
+
+
+def test_rate_results_carry_every_header_column(tmp_path):
+    columns = RATE_HEADER.split(",")
+    report = rate_report(NetworkParams(2, 3, power=10.0), num_samples=500)
+    assert set(columns) <= set(report.as_dict())
+    rc, out = run_cli(
+        tmp_path, ["sweep", "--D", "2,3", "--samples", "500", "--format", "json"], "s.json"
+    )
+    assert rc == 0
+    for result in json.loads(out.read_text())["results"]:
+        assert set(columns) <= set(result)
+
+
+def test_config_echo_keys_are_the_compared_fields():
+    fields = dataclasses.fields(ExperimentConfig)
+    compared = [f.name for f in fields if f.compare]
+    assert list(validate_config({}, "sweep").as_dict()) == compared
+    assert {f.name for f in fields if not f.compare} == {"workers", "out"}
+
+
+def test_capacity_table_repr_prints_no_array():
+    table = mimo.build_capacity_table(2, 10.0, 500, seed=0)
+    table.entry_draws(2, 2)  # fill the column memo too
+    text = repr(table)
+    assert "array" not in text and "[" not in text
+    assert text.startswith("CapacityTable(max_dim=2, snr=10.0,")
+    # tables stay equal and hashed by identity only
+    twin = mimo.CapacityTable.from_pool(table.pool, 10.0)
+    assert table == table and table != twin and len({table, twin}) == 2
+
+
+@pytest.mark.parametrize("D", ["1", "4"])
+def test_mincut_csv_and_json_rows_agree(tmp_path, D):
+    args = ["mincut", "--D", D, "--snr", "1,10", "--samples", "800"]
+    csv_rows, json_rows = [], []
+    for penalty in ("0", "0.4"):
+        _, csv_out = run_cli(tmp_path, [*args, "--penalty", penalty], "m.csv")
+        csv_rows += [r.split(",") for r in _data_rows(csv_out).decode().splitlines()]
+        _, json_out = run_cli(
+            tmp_path, [*args, "--penalty", penalty, "--format", "json"], "m.json"
+        )
+        json_rows += json.loads(json_out.read_text())["results"]
+    assert len(csv_rows) == len(json_rows) == 4
+    for row, result in zip(csv_rows, json_rows):
+        value, std_error, profile = row[4:]
+        assert float(value) == result["value"]  # bitwise: both print repr
+        assert float(std_error) == result["std_error"]
+        assert profile == "|".join(str(c) for c in result["profile"])
+        assert len(result["profile"]) == int(D) - 1

@@ -36,10 +36,21 @@ def test_network_params_validation():
         dict(relays_per_layer=2, num_hops=2, power=-1.0),
         dict(relays_per_layer=2, num_hops=2, noise_var=0.0),
         dict(relays_per_layer=2, num_hops=2, log_base="ban"),
+        dict(relays_per_layer=2.0, num_hops=2),
+        dict(relays_per_layer=2, num_hops=3.5),
+        dict(relays_per_layer=True, num_hops=2),
     ):
         with pytest.raises(ValueError):
             NetworkParams(**bad)
     assert NetworkParams(2, 3, power=5.0, noise_var=2.0).snr == 2.5
+    # a non-integral or bool count is refused at construction, naming the field
+    for args, field in (((2.0, 3), "relays_per_layer"), ((2, 3.5), "num_hops"),
+                        ((True, 3), "relays_per_layer"), ((2, False), "num_hops")):
+        with pytest.raises(ValueError, match=field):
+            NetworkParams(*args)
+    params = NetworkParams(np.int64(2), np.int32(3))
+    assert (params.relays_per_layer, params.num_hops) == (2, 3)
+    assert type(params.relays_per_layer) is int and type(params.num_hops) is int
 
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])

@@ -375,13 +375,28 @@ def test_gap_trend_optimized_no_worse_than_depth_matched():
         assert a.lower >= b.lower - 1e-12
 
 
-def test_gap_trend_validates_input():
+def test_gap_trend_validates_input(monkeypatch):
     with pytest.raises(ValueError, match="depths"):
         gap_trend(2, [0, 2], num_samples=100, seed=0)
     with pytest.raises(ValueError, match="policy"):
         gap_trend(2, [2], q_policy="none", num_samples=100, seed=0)
     with pytest.raises(ValueError, match="mode"):
         gap_trend(2, [2], mode="loose", num_samples=100, seed=0)
+    # a grid only the optimized policy reads is refused, not ignored
+    for policy in ("fixed_1", "depth_matched", "d_minus_1"):
+        with pytest.raises(ValueError, match="q_grid"):
+            gap_trend(2, [4], q_policy=policy, q_grid=[3.0], num_samples=100)
+    # a non-integral depth or K is refused before any pool is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("pool built before the depths were checked")
+
+    monkeypatch.setattr(SamplePool, "build", no_build)
+    for depths in ([2.5], [2, 3.0], [True]):
+        with pytest.raises(ValueError, match="depths"):
+            gap_trend(2, depths, num_samples=100)
+    for K in (2.5, 2.0, True):
+        with pytest.raises(ValueError, match="relays_per_layer"):
+            gap_trend(K, [2], num_samples=100)
 
 
 @pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
