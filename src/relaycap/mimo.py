@@ -32,7 +32,8 @@ import json
 import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
+from operator import index
 
 import numpy as np
 
@@ -75,14 +76,20 @@ class ChannelSample:
         return self.entries.shape
 
 
-def _check_dims(m: int, n: int) -> None:
-    if m < 0 or n < 0:
-        raise ValueError(f"channel dimensions must be nonnegative, got ({m}, {n})")
+def _positive_int(name: str, v, minimum: int = 1) -> int:
+    """``v`` as an int of at least ``minimum``; integer types only (numpy
+    ones too), no bools.  The package's one rule for integer arguments.
 
-
-def _check_seed(seed: int) -> None:
-    if seed < 0:
-        raise ValueError(f"seed must be a nonnegative integer, got {seed}")
+    Raises:
+        ValueError: naming ``name`` otherwise.
+    """
+    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {v!r}")
+    iv = index(v)
+    if iv < minimum:
+        kind = "positive" if minimum == 1 else f"at least {minimum}"
+        raise ValueError(f"{name} must be {kind}, got {iv}")
+    return iv
 
 
 def _check_snr(snr: float) -> None:
@@ -111,8 +118,8 @@ def sample_channel_block(
     Returns:
         Complex array of shape (BLOCK_SIZE, m, n) with unit-variance entries.
     """
-    _check_dims(m, n)
-    _check_seed(seed)
+    m, n = _positive_int("m", m, minimum=0), _positive_int("n", n, minimum=0)
+    seed = _positive_int("seed", seed, minimum=0)
     g = _block_rng(seed, hop_index, block_index)
     z = g.standard_normal((BLOCK_SIZE, m, n, 2))
     return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
@@ -291,23 +298,42 @@ def _block_bounds(block_index: int, num_samples: int) -> tuple[int, int]:
     return lo, min(lo + BLOCK_SIZE, num_samples)
 
 
-def _stream_stats(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of a per-draw column; the package's only
-    such reduction.
+def _block_sums(values: np.ndarray) -> list[tuple[float, float]]:
+    """(sum, sum of squares) of each BLOCK_SIZE chunk of a per-draw column,
+    the last chunk possibly shorter; the package's only reduction.
 
-    Each BLOCK_SIZE chunk is summed with np.sum (pairwise summation) and the
-    chunk partials are combined with math.fsum, so the result depends only
+    Every chunk is summed by np.sum's pairwise summation, the full ones in
+    one reshaped call, so a chunk's sums do not depend on how many chunks
+    were reduced together: a column passed whole and the same column passed
+    block by block give the same list.
+    """
+    full = len(values) - len(values) % BLOCK_SIZE
+    head, tail = values[:full].reshape(-1, BLOCK_SIZE), values[full:]
+    sums = list(zip(np.sum(head, axis=1).tolist(),
+                    np.sum(head * head, axis=1).tolist()))
+    if len(tail):
+        sums.append((float(np.sum(tail)), float(np.sum(tail * tail))))
+    return sums
+
+
+def _moments(sums: list[tuple[float, float]], n: int) -> tuple[float, float]:
+    """Mean and standard error of n draws from their ``_block_sums``.
+
+    The chunk sums are combined with math.fsum, so the result depends only
     on the values, never on how their blocks were scheduled, and estimates
     over shared draws agree bitwise.
     """
-    n = len(values)
-    chunks = [values[slice(*_block_bounds(b, n))] for b in range(_num_blocks(n))]
-    mean = math.fsum(float(np.sum(c)) for c in chunks) / n
+    mean = math.fsum(s for s, _ in sums) / n
     if n == 1:
         return mean, 0.0
-    total_sq = math.fsum(float(np.sum(c * c)) for c in chunks)
+    total_sq = math.fsum(sq for _, sq in sums)
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
     return mean, math.sqrt(var / n)
+
+
+def _stream_stats(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a per-draw column."""
+    return _moments(_block_sums(values), len(values))
 
 
 def _map_blocks(task, num_blocks: int, workers: int) -> list:
@@ -343,10 +369,9 @@ def estimate_ergodic_capacity(
         cases (a zero dimension, or snr == 0) return an exact zero without
         sampling.
     """
-    _check_dims(m, n)
-    _check_seed(seed)
-    if num_samples <= 0:
-        raise ValueError(f"num_samples must be positive, got {num_samples}")
+    m, n = _positive_int("m", m, minimum=0), _positive_int("n", n, minimum=0)
+    num_samples = _positive_int("num_samples", num_samples)
+    seed = _positive_int("seed", seed, minimum=0)
     _check_snr(snr)
     if m == 0 or n == 0 or snr == 0.0:
         return CapacityEstimate(0.0, 0.0, num_samples, (m, n), snr)
@@ -443,22 +468,25 @@ class SamplePool:
         ``workers`` threads share the blocks; the pool is bit-identical for
         any worker count.
         """
-        if max_dim <= 0:
-            raise ValueError(f"max_dim must be positive, got {max_dim}")
-        if num_samples <= 0:
-            raise ValueError(f"num_samples must be positive, got {num_samples}")
-        _check_seed(seed)
+        max_dim = _positive_int("max_dim", max_dim)
+        num_samples = _positive_int("num_samples", num_samples)
+        seed = _positive_int("seed", seed, minimum=0)
+        hop_index = _positive_int("hop_index", hop_index, minimum=0)
         K = max_dim
-        entries = [(m, n) for m in range(1, K + 1) for n in range(1, m + 1)]
-        windows = {e: _windows(K, *e) for e in entries}
+        windows = {
+            (m, n): _windows(K, m, n) for m in range(1, K + 1) for n in range(1, m + 1)
+        }
+        # every window of entry (m, n) has n eigenvalues, one column each
+        eigenvalues = {
+            (m, n): np.empty((num_samples, n * len(w))) for (m, n), w in windows.items()
+        }
 
-        def task(b: int) -> list[np.ndarray]:
+        def task(b: int) -> None:
+            # each block writes only its own rows
             lo, hi = _block_bounds(b, num_samples)
             block = sample_channel_block(K, K, seed, b, hop_index)[: hi - lo]
-            spectra = []
-            for e in entries:
-                parts = []
-                for _, rows, cols in windows[e]:
+            for (m, n), entry_windows in windows.items():
+                for j, (_, rows, cols) in enumerate(entry_windows):
                     if len(rows) == K and len(cols) == K:
                         W = block
                     else:
@@ -466,21 +494,16 @@ class SamplePool:
                         # fastest); force C layout so the Gram matmul sees the
                         # same accumulation order as on freshly sampled blocks
                         W = np.ascontiguousarray(block[:, rows[:, None], cols[None, :]])
-                    parts.append(_gram_spectrum(W))
-                spectra.append(parts[0] if len(parts) == 1 else np.hstack(parts))
-            return spectra
+                    eigenvalues[(m, n)][lo:hi, j * n : (j + 1) * n] = _gram_spectrum(W)
 
-        results = _map_blocks(task, _num_blocks(num_samples), workers)
+        _map_blocks(task, _num_blocks(num_samples), workers)
         spectra = {}
-        for i, e in enumerate(entries):
-            eigenvalues = np.concatenate([parts[i] for parts in results], axis=0)
+        for (m, n), entry_windows in windows.items():
             weights = None
-            if len(windows[e]) > 1:
-                total = sum(w for w, _, _ in windows[e])
-                weights = np.concatenate(
-                    [np.full(min(len(r), len(c)), w / total) for w, r, c in windows[e]]
-                )
-            spectra[e] = (eigenvalues, weights)
+            if len(entry_windows) > 1:
+                total = sum(w for w, _, _ in entry_windows)
+                weights = np.repeat([w / total for w, _, _ in entry_windows], n)
+            spectra[(m, n)] = (eigenvalues[(m, n)], weights)
         return cls(max_dim, num_samples, seed, hop_index, spectra)
 
 
@@ -510,16 +533,14 @@ def _window_values(
     return np.log1p(snr * eigenvalues) @ weights
 
 
-def _entry_column(pool: SamplePool, m: int, n: int, snr: float) -> np.ndarray:
-    """Per-draw values of entry (m, n), m, n >= 1, evaluated on the same
-    blocks as the direct estimator so their statistics match it bitwise."""
+def _entry_chunks(pool: SamplePool, m: int, n: int, snr: float):
+    """Per-draw values of entry (m, n), m, n >= 1, one block at a time: the
+    blocks of the direct estimator, so statistics over them match it
+    bitwise."""
     eigenvalues, weights = pool.spectra[(max(m, n), min(m, n))]
     N = pool.num_samples
-    column = np.empty(N)
     for b in range(_num_blocks(N)):
-        lo, hi = _block_bounds(b, N)
-        column[lo:hi] = _window_values(eigenvalues[lo:hi], weights, snr)
-    return column
+        yield _window_values(eigenvalues[slice(*_block_bounds(b, N))], weights, snr)
 
 
 @dataclass(eq=False)
@@ -566,7 +587,10 @@ class CapacityTable:
         means = np.zeros((K + 1, K + 1))
         ses = np.zeros((K + 1, K + 1))
         for m, n in pool.spectra:
-            means[m, n], ses[m, n] = _stream_stats(_entry_column(pool, m, n, snr))
+            # reduced block by block; no N-length column is formed
+            chunks = _entry_chunks(pool, m, n, snr)
+            sums = [s for values in chunks for s in _block_sums(values)]
+            means[m, n], ses[m, n] = _moments(sums, pool.num_samples)
             means[n, m], ses[n, m] = means[m, n], ses[m, n]
         return cls(K, snr, pool.num_samples, pool.seed, pool.hop_index, means, ses, pool)
 
@@ -588,7 +612,7 @@ class CapacityTable:
             if key[1] == 0:
                 column = np.zeros(self.num_samples)
             else:
-                column = _entry_column(self.pool, *key, self.snr)
+                column = np.concatenate(list(_entry_chunks(self.pool, *key, self.snr)))
                 self._columns[key] = column
             column.flags.writeable = False
         return column
@@ -705,12 +729,17 @@ class TableCache:
     log1p(snr * lambda) with lambda >= 0).  So any table already built at a
     higher snr bounds every quantity that is nondecreasing in the entry
     means, such as a penalized min cut, from above; ``ceiling`` returns the
-    tightest such table without building one.
+    tightest such table and ``upper`` a tighter bound, neither building
+    one.
     """
 
     def __init__(self, pool: SamplePool):
         self.pool = pool
         self._tables: dict[float, CapacityTable] = {}
+
+    def __len__(self) -> int:
+        """Number of tables built."""
+        return len(self._tables)
 
     def at(self, snr: float) -> CapacityTable:
         key = float(snr)
@@ -722,3 +751,34 @@ class TableCache:
         """The built table with the smallest snr >= ``snr``, or None."""
         above = [s for s in self._tables if s >= snr]
         return self._tables[min(above)] if above else None
+
+    def upper(self, snr: float) -> CapacityTable | None:
+        """A pool-less table whose means bound the means at ``snr`` from
+        above, entry by entry and draw by draw, or None when
+        ``ceiling(snr)`` is None.  Nothing is built.
+
+        Each per-draw value is a nonnegative combination of f(t) =
+        log1p(e^t * lambda) at t = log(snr), and f is convex in t (its
+        slope, a logistic function of t, increases).  So between the
+        nearest built tables below (at s0 > 0) and above (the ceiling, at
+        s1), the chord in log snr lies above every entry:
+
+            C_snr <= (1 - theta) C_s0 + theta C_s1,
+            theta = log(snr / s0) / log(s1 / s0).
+
+        The chord is at most the ceiling's means, and at most
+        C_s0(m, n) + min(m, n) * log(snr / s0), since each eigenvalue term
+        grows by at most log(snr / s0).  Without a table below, the means
+        are the ceiling's; at a built snr, that table's.  Standard errors
+        are the ceiling's.
+        """
+        above = self.ceiling(snr)
+        if above is None:
+            return None
+        means = above.means
+        below = [s for s in self._tables if 0.0 < s < snr]
+        if below and above.snr > snr:
+            s0 = max(below)
+            theta = (math.log(snr) - math.log(s0)) / (math.log(above.snr) - math.log(s0))
+            means = (1.0 - theta) * self._tables[s0].means + theta * above.means
+        return replace(above, snr=float(snr), means=means, pool=None)

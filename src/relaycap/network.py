@@ -29,7 +29,7 @@ import itertools
 import math
 from collections import Counter
 from dataclasses import dataclass
-from operator import add, index
+from operator import add
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .mimo import (
     CapacityTable,
     _block_bounds,
     _num_blocks,
+    _positive_int,
     _record_dict,
     _stream_stats,
     gram_logdet,
@@ -46,20 +47,6 @@ from .mimo import (
 
 #: Cap on the brute-force cut enumeration, (K+1)**(D-1) profiles.
 BRUTE_FORCE_LIMIT = 10**6
-
-
-def _positive_int(name: str, v) -> int:
-    """``v`` as a positive int; integer types only (numpy ones too), no bools.
-
-    Raises:
-        ValueError: naming ``name`` otherwise.
-    """
-    if isinstance(v, bool) or not hasattr(type(v), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {v!r}")
-    iv = index(v)
-    if iv <= 0:
-        raise ValueError(f"{name} must be positive, got {iv}")
-    return iv
 
 
 @dataclass(frozen=True)
@@ -518,8 +505,7 @@ def node_cut_value_mc(
 
     cols = [sorted(subsets[i]) for i in range(D)]
     rows = [sorted(set(range(K)) - subsets[i + 1]) for i in range(D)]
-    if num_samples <= 0:
-        raise ValueError(f"num_samples must be positive, got {num_samples}")
+    num_samples = _positive_int("num_samples", num_samples)
 
     column = np.zeros(num_samples)
     for b in range(_num_blocks(num_samples)):

@@ -14,6 +14,7 @@ All internal rates are nats; report fields honor the configured log base.
 
 from __future__ import annotations
 
+import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -25,6 +26,7 @@ from .mimo import (
     CapacityTable,
     SamplePool,
     TableCache,
+    _positive_int,
     _record_dict,
     _stream_stats,
     rate_scale,
@@ -32,7 +34,6 @@ from .mimo import (
 from .network import (
     CutProfile,
     NetworkParams,
-    _positive_int,
     cut_profile_draws,
     cut_value,
     min_cut_dp,
@@ -386,22 +387,28 @@ def _optimize_on_cache(
 
     A candidate q scores ``_clamped_rate`` of its penalized min cut on the
     table at snr / (1 + q).  The incumbent starts at (q_grid[0], 0): scores
-    are >= 0 and the grid ascends, so moving only on a strictly higher score
-    keeps ties on the smaller ratio, in the scan and in the refinement.
+    are >= 0 and the grid ascends.  The grid scan keeps the maximum score,
+    ties going to the smaller ratio; the refinement then moves only on a
+    strictly higher score.
 
-    With ``prune``, the full-snr table is built first, and a candidate not
-    yet scored is bounded before its own table is: table means are
-    nondecreasing in snr, so its penalized min cut on ``cache.ceiling`` of
-    its snr is an upper bound UB >= raw.  With tol = 1e-9 * max(1, incumbent):
+    The grid is scanned best-first, from one heap keyed by (-UB, q), where
+    UB bounds q's raw rate from above.  Without ``prune`` every UB is +inf,
+    so the scan runs in ascending q.  With ``prune``, the full-snr table is
+    built first, and UB is q's penalized min cut on ``cache.upper`` of its
+    snr, which bounds every entry mean at that snr from above: the min cut
+    is nondecreasing in the entry means, so UB >= raw.  A popped UB
+    computed before the latest table build is refreshed and pushed back.
+    With tol = 1e-9 * max(1, incumbent):
 
       * UB < -tol: the score is exactly 0, known without a build;
       * UB < incumbent - tol: the candidate cannot beat the incumbent and is
-        not scored;
-      * otherwise it is scored as without pruning (a cache hit when its own
-        table was the ceiling).
+        not scored; in the grid scan no candidate left on the heap can
+        either, so the scan ends;
+      * otherwise it is scored as without pruning.
 
-    Neither shortcut can change the chosen ratio or its score, so pruning
-    leaves the result bitwise equal to the unpruned scan.
+    Refinement candidates are bounded the same way.  Neither shortcut can
+    change the chosen ratio or its score, so pruning leaves the result
+    bitwise equal to the unpruned scan.
 
     Returns:
         (best ratio, its score, [(q, score)] in evaluation order); candidates
@@ -411,26 +418,47 @@ def _optimize_on_cache(
     if prune:
         cache.at(params.snr)  # every degraded snr now has a ceiling
 
-    def beats(q: float, best: tuple[float, float]) -> bool:
+    def bound(q: float) -> float:
+        if not prune:
+            return math.inf
+        scheme = QuantizationScheme(q)
+        return _penalized_min_cut(
+            params, scheme, cache.upper(degraded_snr(params, scheme)), mode
+        )[0]
+
+    def score(
+        q: float, best: tuple[float, float], ub: float | None = None
+    ) -> float | None:
+        """q's score, or None when its bound (``ub``, or computed) shows
+        that it cannot beat ``best``."""
         if q not in scores:
-            scheme = QuantizationScheme(q)
-            snr = degraded_snr(params, scheme)
-            if prune:
-                bound, _, _ = _penalized_min_cut(params, scheme, cache.ceiling(snr), mode)
-                tol = 1e-9 * max(1.0, best[1])
-                if bound < -tol:
-                    scores[q] = 0.0  # raw <= bound < 0: it clamps
-                    return False
-                if bound < best[1] - tol:
-                    return False
-            raw, _, _ = _penalized_min_cut(params, scheme, cache.at(snr), mode)
-            scores[q] = _clamped_rate(raw, scheme)
-        return scores[q] > best[1]
+            ub = bound(q) if ub is None else ub
+            tol = 1e-9 * max(1.0, best[1])
+            if ub < -tol:
+                scores[q] = 0.0  # raw <= UB < 0: it clamps
+            elif ub < best[1] - tol:
+                return None
+            else:
+                scheme = QuantizationScheme(q)
+                raw, _, _ = _penalized_min_cut(
+                    params, scheme, cache.at(degraded_snr(params, scheme)), mode
+                )
+                scores[q] = _clamped_rate(raw, scheme)
+        return scores[q]
 
     best = (q_grid[0], 0.0)
-    for q in q_grid:
-        if beats(q, best):
-            best = (q, scores[q])
+    heap = [(-bound(q), q, len(cache)) for q in q_grid]
+    heapq.heapify(heap)
+    while heap:
+        neg_ub, q, built = heapq.heappop(heap)
+        if prune and built < len(cache):
+            heapq.heappush(heap, (-bound(q), q, len(cache)))
+            continue
+        s = score(q, best, -neg_ub)
+        if s is None:
+            break
+        if (s, -q) > (best[1], -best[0]):
+            best = (q, s)
 
     i = q_grid.index(best[0])
     gaps = []
@@ -441,8 +469,9 @@ def _optimize_on_cache(
     step = (max(gaps) if gaps else best[0]) / 2.0
     for _ in range(refine_rounds):
         for cand in (best[0] - step, best[0] + step):
-            if cand > 0 and beats(cand, best):
-                best = (cand, scores[cand])
+            s = score(cand, best) if cand > 0 else None
+            if s is not None and s > best[1]:
+                best = (cand, s)
         step /= 2.0
     return best[0], best[1], list(scores.items())
 
@@ -541,12 +570,13 @@ def gap_trend(
         logarithmically in depth.
       * optimized: q from optimize_quantization on ``q_grid``, or on
         ``default_q_grid(D)`` when it is None.  The scan here is pruned
-        (see ``_optimize_on_cache``): a candidate is first bounded from
-        above on the cached table nearest at or above its snr (at worst
-        the full-snr table), a bound below zero scores it 0 without a
-        build, and a bound below the incumbent skips it.  The chosen q,
-        and so every output byte, is the same as without pruning; only
-        fewer tables are built.
+        and best-first (see ``_optimize_on_cache``): each candidate is
+        bounded from above without a build, on ``TableCache.upper`` of its
+        snr (the chord in log snr between the cached tables nearest below
+        and above it), and the grid is scored highest bound first.  A
+        bound below zero scores a candidate 0 without a build, and a bound
+        below the incumbent skips it.  The chosen q, and so every output
+        byte, is the same as without pruning; only fewer tables are built.
 
     ``cache`` lets several calls share one pool and its tables; it replaces
     the pool build, and its pool must have been built with

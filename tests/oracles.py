@@ -1,8 +1,10 @@
 """Independent oracles the test suite checks the package against.
 
-Everything here is derived from classical results about complex Wishart
-matrices, not from the package's own Monte Carlo machinery, so agreement is
-evidence and not circularity.
+The analytic oracles are derived from classical results about complex
+Wishart matrices, not from the package's own Monte Carlo machinery, so
+agreement is evidence and not circularity.  The per-block oracles at the end
+are earlier forms of package kernels, kept as bitwise references for the
+faster forms that replaced them.
 """
 
 from __future__ import annotations
@@ -121,3 +123,44 @@ def block_diag_cut_mc(
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(num_samples))
     return mean, se
+
+
+def entry_column_per_block(pool, m: int, n: int, snr: float) -> np.ndarray:
+    """Per-draw values of table entry (m, n), m, n >= 1, block by block
+    into one N-length column: the table kernel before it reduced blocks
+    without forming the column.  A bitwise reference, with the per-block
+    arithmetic written out: the windows' log1p terms summed column by
+    column for a single window, weighted by a matrix product otherwise."""
+    from relaycap.mimo import _block_bounds, _num_blocks
+
+    eigenvalues, weights = pool.spectra[(max(m, n), min(m, n))]
+    N = pool.num_samples
+    column = np.empty(N)
+    for b in range(_num_blocks(N)):
+        lo, hi = _block_bounds(b, N)
+        terms = np.log1p(snr * eigenvalues[lo:hi])
+        if weights is None:
+            values = terms[..., 0]
+            for i in range(1, terms.shape[-1]):
+                values = values + terms[..., i]
+        else:
+            values = terms @ weights
+        column[lo:hi] = values
+    return column
+
+
+def stream_stats_per_chunk(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a per-draw column, each BLOCK_SIZE chunk
+    summed by its own np.sum and the partials combined with math.fsum: the
+    reduction before it summed every full chunk in one reshaped call.  A
+    bitwise reference."""
+    from relaycap.mimo import _block_bounds, _num_blocks
+
+    n = len(values)
+    chunks = [values[slice(*_block_bounds(b, n))] for b in range(_num_blocks(n))]
+    mean = math.fsum(float(np.sum(c)) for c in chunks) / n
+    if n == 1:
+        return mean, 0.0
+    total_sq = math.fsum(float(np.sum(c * c)) for c in chunks)
+    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    return mean, math.sqrt(var / n)

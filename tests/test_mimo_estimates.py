@@ -2,11 +2,12 @@
 
 import math
 
+import numpy as np
 import pytest
 
 import oracles
 from oracles import siso_capacity_oracle
-from relaycap import CapacityEstimate, estimate_ergodic_capacity
+from relaycap import CapacityEstimate, estimate_ergodic_capacity, mimo
 
 
 def test_quadrature_oracle_frozen_values():
@@ -110,3 +111,31 @@ def test_mean_nonnegative_and_monotone_in_snr():
     lo = estimate_ergodic_capacity(3, 3, 1.0, 4_000, seed=7)
     hi = estimate_ergodic_capacity(3, 3, 10.0, 4_000, seed=7)
     assert 0.0 <= lo.mean < hi.mean
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((2.0, 2, 100, 0), "m"),
+        ((2, True, 100, 0), "n"),
+        ((-1, 2, 100, 0), "m"),
+        ((2, 2, 100.0, 0), "num_samples"),
+        ((2, 2, True, 0), "num_samples"),
+        ((2, 2, 100, 1.5), "seed"),
+        ((2, 2, 100, -3), "seed"),
+    ],
+)
+def test_estimator_refuses_bad_integers_before_any_work(monkeypatch, args, name):
+    def no_sampling(*a, **kw):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(mimo, "sample_channel_block", no_sampling)
+    m, n, N, seed = args
+    with pytest.raises(ValueError, match=f"^{name} "):
+        estimate_ergodic_capacity(m, n, 1.0, N, seed)
+
+
+def test_estimator_takes_numpy_integers():
+    a = estimate_ergodic_capacity(np.int64(2), np.int8(1), 3.0, np.int32(500), np.uint16(4))
+    b = estimate_ergodic_capacity(2, 1, 3.0, 500, 4)
+    assert a == b

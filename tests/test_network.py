@@ -381,5 +381,8 @@ def test_node_cut_validation(table3_10):
         node_cut_value_mc(params, [{0}], 100, seed=0)
     with pytest.raises(ValueError, match="indices"):
         node_cut_value_mc(params, [{0}, {5}], 100, seed=0)
-    with pytest.raises(ValueError, match="num_samples"):
-        node_cut_value_mc(params, [{0}, {1}], 0, seed=0)
+    for bad in (0, 100.0, True):
+        with pytest.raises(ValueError, match="num_samples"):
+            node_cut_value_mc(params, [{0}, {1}], bad, seed=0)
+    with pytest.raises(ValueError, match="seed"):
+        node_cut_value_mc(params, [{0}, {1}], 100, seed=1.5)

@@ -567,6 +567,48 @@ def test_candidates_bounded_below_zero_score_zero_without_a_build(mode):
     assert set(grid) <= set(dict(evals)) and set(dict(evals).values()) == {0.0}
 
 
+@pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_pruned_scan_on_a_sweep_filled_cache_equals_unpruned_scan_bitwise(K, mode):
+    # sweep fills the cache with the fixed_1 and depth_matched tables before
+    # the optimized policy scans, so the best-first scan starts from bounds
+    # on tables below and above most candidates
+    N, seed = 1_000, 13
+    pool = SamplePool.build(K, N, seed)
+    depths = [2, 4, 8, 16, 32]
+    for snr in PRUNE_SNRS:
+        cache = TableCache(pool)
+        for policy in ("fixed_1", "depth_matched"):
+            gap_trend(K, depths, snr, policy, N, seed, mode=mode, cache=cache)
+        for D in depths:
+            params = NetworkParams(K, D, power=snr)
+            for grid in (default_q_grid(D), CUSTOM_GRID):
+                full = _optimize_on_cache(params, TableCache(pool), grid, mode, 3)
+                pruned = _optimize_on_cache(params, cache, grid, mode, 3, prune=True)
+                assert [v.hex() for v in pruned[:2]] == [v.hex() for v in full[:2]], (
+                    snr, D, grid)
+                assert set(pruned[2]) <= set(full[2])
+                if (K, snr, D, grid) == (2, 10.0, 32, default_q_grid(32)):
+                    assert full[:2] == (grid[0], 0.0)  # every candidate clamps
+
+
+def test_unpruned_scan_evaluates_the_grid_in_ascending_order():
+    params = NetworkParams(2, 6, power=10.0)
+    grid = default_q_grid(6)
+    res = optimize_quantization(params, q_grid=grid[::-1], num_samples=2_000, seed=1)
+    assert [q for q, _ in res.evaluations[: len(grid)]] == grid
+    assert len(res.evaluations) > len(grid)  # then the refinement
+
+
+def test_headline_sweep_builds_at_most_23_tables():
+    # the sweep-optimized shape at seed 0: 45 tables with the ceiling alone
+    # as the bound, 77 unpruned
+    cache = TableCache(SamplePool.build(2, 50_000, seed=0))
+    for policy in ("fixed_1", "depth_matched", "optimized"):
+        gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, 50_000, 0, cache=cache)
+    assert len(cache) <= 23
+
+
 def test_sweep_shape_builds_at_most_45_tables():
     # the sweep-optimized workload: K 2, depths 2..32, snr 10, three policies
     # on one cache; the unpruned scan builds 77 tables here

@@ -1,6 +1,7 @@
 """Capacity tables over shared draws: exact structure, oracle agreement."""
 
 import dataclasses
+import itertools
 import json
 import math
 
@@ -17,6 +18,7 @@ from relaycap import (
     default_q_grid,
     estimate_ergodic_capacity,
     gram_logdet,
+    mimo,
     sample_channel_block,
 )
 from relaycap.mimo import _stream_stats
@@ -322,3 +324,90 @@ def test_pool_draws_are_regenerated_not_stored():
     assert np.array_equal(draws, expected)
     assert not draws.flags.writeable
     assert draws is not pool.draws
+
+
+def _bits(*values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+# K = 4 stops at 4097 draws: its spectra at 50 000 draws take about 100 MB
+@pytest.mark.parametrize(
+    "K, N",
+    [(K, N) for K in (1, 2, 3, 4) for N in (1, 4095, 4096, 4097, 50_000)
+     if (K, N) != (4, 50_000)],
+)
+def test_one_pass_kernel_equals_per_block_column_bitwise(K, N):
+    # from_pool reduces each block without forming the N-length column, and
+    # _stream_stats sums full blocks in one reshaped call; both must give the
+    # floats of the per-block column and the per-chunk reduction
+    pool = SamplePool.build(K, N, seed=30 + K)
+    kinds = {w is None for _, w in pool.spectra.values()}
+    assert kinds == ({True} if K == 1 else {True, False})  # single-window, weighted
+    for snr in (0.0, 1e-3, 10.0, 1e5):
+        table = CapacityTable.from_pool(pool, snr)
+        for m, n in pool.spectra:
+            column = oracles.entry_column_per_block(pool, m, n, snr)
+            expected = oracles.stream_stats_per_chunk(column)
+            assert np.array_equal(table.entry_draws(m, n), column), (m, n, snr)
+            assert _bits(*_stream_stats(column)) == _bits(*expected), (m, n, snr)
+            assert _bits(table.means[m, n], table.std_errors[m, n]) == _bits(*expected)
+
+
+UPPER_SNRS = [float(s) for s in np.geomspace(1e-3, 1e5, 9)]
+
+
+@pytest.mark.parametrize("N", [1, 5_000])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_table_cache_upper_bounds_every_entry_mean(K, N):
+    pool = SamplePool.build(K, N, seed=40 + K)
+    exact = TableCache(pool)
+    dims = np.minimum.outer(np.arange(K + 1), np.arange(K + 1))
+    for s0, s1 in itertools.combinations(UPPER_SNRS, 2):
+        cache = TableCache(pool)
+        low, high = cache.at(s0), cache.at(s1)
+        for t in (0.1, 0.5, 0.9):
+            s = s0 * (s1 / s0) ** t
+            bound = cache.upper(s)
+            assert bound.pool is None and bound.snr == s
+            assert np.all(bound.means >= exact.at(s).means), (s0, s1, s)
+            # no looser than the ceiling or the per-eigenvalue shift bound
+            tighter = np.minimum(high.means, low.means + dims * math.log(s / s0))
+            assert np.all(bound.means <= tighter * (1 + 1e-12)), (s0, s1, s)
+        for built in (low, high):
+            assert np.array_equal(cache.upper(built.snr).means, built.means)
+        assert np.array_equal(cache.upper(s0 / 2).means, low.means)  # no table below
+        assert cache.upper(2 * s1) is None  # no table above
+        assert len(cache) == 2  # upper never builds
+
+
+BAD_POOL_ARGS = [
+    ((2.0, 100, 0), "max_dim"),
+    ((True, 100, 0), "max_dim"),
+    ((0, 100, 0), "max_dim"),
+    ((2, True, 0), "num_samples"),
+    ((2, 100.0, 0), "num_samples"),
+    ((2, 0, 0), "num_samples"),
+    ((2, 100, 1.5), "seed"),
+    ((2, 100, False), "seed"),
+    ((2, 100, -1), "seed"),
+]
+
+
+@pytest.mark.parametrize("args, name", BAD_POOL_ARGS)
+def test_pool_builders_refuse_bad_integers_before_any_work(monkeypatch, args, name):
+    def no_sampling(*a, **kw):
+        raise AssertionError("sampled before the arguments were checked")
+
+    monkeypatch.setattr(mimo, "sample_channel_block", no_sampling)
+    with pytest.raises(ValueError, match=name):
+        SamplePool.build(*args)
+    K, N, seed = args
+    with pytest.raises(ValueError, match=name):
+        build_capacity_table(K, 10.0, N, seed)
+
+
+def test_pool_builders_take_numpy_integers():
+    a = SamplePool.build(np.int64(2), np.int32(300), np.uint8(3))
+    b = SamplePool.build(2, 300, 3)
+    assert a.key == b.key and all(type(v) is int for v in a.key)
+    assert all(np.array_equal(a.spectra[e][0], b.spectra[e][0]) for e in b.spectra)
