@@ -469,7 +469,10 @@ _RUNNERS = {
 }
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags the top-level parser and every subcommand share, declared
+    once; parsers take them as ``parents``."""
+    p = argparse.ArgumentParser(add_help=False)
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--K", help="antennas per terminal and relays per layer")
     p.add_argument("--D", help="number of hops; comma list for sweeps")
@@ -493,14 +496,16 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--no-destination-quantization", dest="destination_quantizes",
                    action="store_false", default=None,
                    help="final hop runs at full snr")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
+    common = _common_flags()
     parser = argparse.ArgumentParser(
         prog="relaycap",
         description="Capacity bounds for layered relay networks under relay quantization.",
+        parents=[common],
     )
-    _add_common_flags(parser)
     sub = parser.add_subparsers(dest="subcommand")
     helps = {
         "capacity": "ergodic MIMO capacity of one dimension pair",
@@ -511,8 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
         "line": "closed-form rates of a single-antenna relay chain",
     }
     for name in SUBCOMMANDS:
-        sp = sub.add_parser(name, help=helps[name])
-        _add_common_flags(sp)
+        sub.add_parser(name, help=helps[name], parents=[common])
     return parser
 
 

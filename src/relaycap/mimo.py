@@ -31,6 +31,7 @@ import itertools
 import json
 import logging
 import math
+from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from operator import index
@@ -122,7 +123,10 @@ def sample_channel_block(
     seed = _positive_int("seed", seed, minimum=0)
     g = _block_rng(seed, hop_index, block_index)
     z = g.standard_normal((BLOCK_SIZE, m, n, 2))
-    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+    # scaled in place, (re, im) pairs viewed as complex: the floats of
+    # (z[..., 0] + 1j * z[..., 1]) * sqrt(0.5) without its three temporaries
+    z *= np.sqrt(0.5)
+    return z.view(complex)[..., 0]
 
 
 def sample_channel(
@@ -222,12 +226,12 @@ def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
         H = np.swapaxes(H, -1, -2)
     d, k = H.shape[-2:]
     if d == 1:
-        return np.sum(H.real**2 + H.imag**2, axis=-1)
+        return _row_sum(H.real**2 + H.imag**2)
     if d == 2:
         r0, r1 = H[..., 0, :], H[..., 1, :]
-        a = np.sum(r0.real**2 + r0.imag**2, axis=-1)
-        c = np.sum(r1.real**2 + r1.imag**2, axis=-1)
-        b = np.abs(np.sum(r0 * r1.conj(), axis=-1))
+        a = _row_sum(r0.real**2 + r0.imag**2)
+        c = _row_sum(r1.real**2 + r1.imag**2)
+        b = np.abs(_row_sum(r0 * r1.conj()))
         # Cauchy-Binet: det(Gram) is the sum of the squared 2 x 2 minors,
         # free of the cancellation in a * c - |b|^2
         det = np.zeros(a.shape)
@@ -244,14 +248,27 @@ def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
     return np.maximum(lam, 0.0, out=lam)
 
 
+def _column_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, column by column in order: a reduction over a
+    short last axis is far slower."""
+    total = x[..., 0]
+    for i in range(1, x.shape[-1]):
+        total = total + x[..., i]
+    return total
+
+
+def _row_sum(x: np.ndarray) -> np.ndarray:
+    """np.sum over the last axis, with its floats.  np.sum adds fewer than 8
+    real or 4 complex terms in order, so those rows are summed by
+    ``_column_sum``."""
+    if x.shape[-1] < (4 if np.iscomplexobj(x) else 8):
+        return _column_sum(x)
+    return np.sum(x, axis=-1)
+
+
 def _spectral_logdet(spectrum: np.ndarray, snr: float) -> np.ndarray:
     """sum_i log1p(snr * lambda_i) over the last axis, in nats."""
-    terms = np.log1p(snr * spectrum)
-    # column by column: a reduction over a short last axis is far slower
-    total = terms[..., 0]
-    for i in range(1, terms.shape[-1]):
-        total = total + terms[..., i]
-    return total
+    return _column_sum(np.log1p(snr * spectrum))
 
 
 def logdet_capacity(
@@ -385,25 +402,28 @@ def estimate_ergodic_capacity(
     return CapacityEstimate(*_stream_stats(column), num_samples, (m, n), snr)
 
 
-def _windows(K: int, m: int, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(weight, rows, cols) of the cyclic windows averaged into entry (m, n).
+def _window_groups(K: int, m: int, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
+    """(weight, rows, cols) of each window shape averaged into entry (m, n).
 
     The windows are every m x n and n x m cyclic window of a K x K draw (rows
-    r..r+m-1, columns c..c+n-1, indices mod K).  Windows whose dimension
-    equals K are all equal up to a row or column rotation, which leaves the
-    Gram spectrum unchanged; only one representative per rotation class is
-    kept, weighted by the size of its class.
+    r..r+a-1, columns c..c+b-1, indices mod K), grouped by shape a x b:
+    ``rows`` has shape (w, a) and ``cols`` shape (w, b) for the group's w
+    windows, row start major.  Windows whose dimension equals K are all
+    equal up to a row or column rotation, which leaves the Gram spectrum
+    unchanged; only one representative per rotation class is kept, and each
+    window of a group weighs the size of its class.
     """
     orientations = [(m, n)] if m == n else [(m, n), (n, m)]
-    windows = []
+    groups = []
     for a, b in orientations:
         row_starts = [0] if a == K else list(range(K))
         col_starts = [0] if b == K else list(range(K))
         mult = (K // len(row_starts)) * (K // len(col_starts))
-        for r in row_starts:
-            for c in col_starts:
-                windows.append((mult, (r + np.arange(a)) % K, (c + np.arange(b)) % K))
-    return windows
+        starts = list(itertools.product(row_starts, col_starts))
+        rows = np.array([(r + np.arange(a)) % K for r, _ in starts])
+        cols = np.array([(c + np.arange(b)) % K for _, c in starts])
+        groups.append((mult, rows, cols))
+    return groups
 
 
 @dataclass(frozen=True)
@@ -421,10 +441,11 @@ class SamplePool:
         spectra: For every table entry (m, n) with m >= n, the pair
             (eigenvalues, weights).  ``eigenvalues`` has shape
             (num_samples, c): the smaller-side Gram eigenvalues of each of
-            the entry's cyclic windows (see ``_windows``), side by side.
-            ``weights`` gives each column its window's share of the average,
-            or is None when the entry has a single window.  Spectra do not
-            depend on snr, so tables at any number of snr values reuse them.
+            the entry's cyclic windows (see ``_window_groups``), side by
+            side.  ``weights`` gives each column its window's share of the
+            average, or is None when the entry has a single window.  Spectra
+            do not depend on snr, so tables at any number of snr values
+            reuse them.
     """
 
     max_dim: int
@@ -473,36 +494,46 @@ class SamplePool:
         seed = _positive_int("seed", seed, minimum=0)
         hop_index = _positive_int("hop_index", hop_index, minimum=0)
         K = max_dim
-        windows = {
-            (m, n): _windows(K, m, n) for m in range(1, K + 1) for n in range(1, m + 1)
+        groups = {
+            (m, n): _window_groups(K, m, n)
+            for m in range(1, K + 1) for n in range(1, m + 1)
         }
         # every window of entry (m, n) has n eigenvalues, one column each
         eigenvalues = {
-            (m, n): np.empty((num_samples, n * len(w))) for (m, n), w in windows.items()
+            (m, n): np.empty((num_samples, n * sum(len(rows) for _, rows, _ in g)))
+            for (m, n), g in groups.items()
         }
 
         def task(b: int) -> None:
             # each block writes only its own rows
             lo, hi = _block_bounds(b, num_samples)
             block = sample_channel_block(K, K, seed, b, hop_index)[: hi - lo]
-            for (m, n), entry_windows in windows.items():
-                for j, (_, rows, cols) in enumerate(entry_windows):
-                    if len(rows) == K and len(cols) == K:
-                        W = block
+            for (m, n), entry_groups in groups.items():
+                col = 0
+                for _, rows, cols in entry_groups:
+                    if rows.shape[1] == K and cols.shape[1] == K:
+                        # the full window is the block itself, as in the
+                        # direct estimator
+                        spectrum = _gram_spectrum(block)
                     else:
-                        # advanced indexing reorders memory (draw axis becomes
-                        # fastest); force C layout so the Gram matmul sees the
-                        # same accumulation order as on freshly sampled blocks
-                        W = np.ascontiguousarray(block[:, rows[:, None], cols[None, :]])
-                    eigenvalues[(m, n)][lo:hi, j * n : (j + 1) * n] = _gram_spectrum(W)
+                        # all of the group's windows in one call; advanced
+                        # indexing reorders memory (draw axis becomes
+                        # fastest), so force C layout: the Gram matmul then
+                        # sees the accumulation order of a sampled block
+                        W = block[:, rows[:, :, None], cols[:, None, :]]
+                        spectrum = _gram_spectrum(np.ascontiguousarray(W)).reshape(hi - lo, -1)
+                    eigenvalues[(m, n)][lo:hi, col : col + spectrum.shape[1]] = spectrum
+                    col += spectrum.shape[1]
 
         _map_blocks(task, _num_blocks(num_samples), workers)
         spectra = {}
-        for (m, n), entry_windows in windows.items():
+        for (m, n), entry_groups in groups.items():
             weights = None
-            if len(entry_windows) > 1:
-                total = sum(w for w, _, _ in entry_windows)
-                weights = np.repeat([w / total for w, _, _ in entry_windows], n)
+            if sum(len(rows) for _, rows, _ in entry_groups) > 1:
+                total = sum(w * len(rows) for w, rows, _ in entry_groups)
+                weights = np.concatenate(
+                    [np.full(n * len(rows), w / total) for w, rows, _ in entry_groups]
+                )
             spectra[(m, n)] = (eigenvalues[(m, n)], weights)
         return cls(max_dim, num_samples, seed, hop_index, spectra)
 
@@ -515,8 +546,8 @@ def _window_values(
     ``eigenvalues`` and ``weights`` are what a SamplePool stores for an entry
     (m, n).  For each pooled draw P the value is the weighted average of
     logdet(I + snr * W W^dagger) = sum log1p(snr * lambda) over every m x n
-    and n x m cyclic window W of P (see ``_windows``).  Averaging over the
-    window group makes the entries of a table share exact structural
+    and n x m cyclic window W of P (see ``_window_groups``).  Averaging over
+    the window group makes the entries of a table share exact structural
     relations on every draw:
 
       * (m, n) and (n, m) give the same value (the window sets are mirrors),
@@ -541,6 +572,15 @@ def _entry_chunks(pool: SamplePool, m: int, n: int, snr: float):
     N = pool.num_samples
     for b in range(_num_blocks(N)):
         yield _window_values(eigenvalues[slice(*_block_bounds(b, N))], weights, snr)
+
+
+def _entry_stats(pool: SamplePool, m: int, n: int, snr: float) -> tuple[float, float]:
+    """Mean and standard error of entry (m, n), m, n >= 1, at ``snr``: each
+    block reduced as ``_entry_chunks`` yields it, so no N-length column is
+    formed.  The one computation of a table entry; an entry computed alone
+    is bitwise the entry of a table built at the same snr."""
+    sums = [s for values in _entry_chunks(pool, m, n, snr) for s in _block_sums(values)]
+    return _moments(sums, pool.num_samples)
 
 
 @dataclass(eq=False)
@@ -579,19 +619,23 @@ class CapacityTable:
 
     @classmethod
     def from_pool(
-        cls, pool: SamplePool, snr: float, keep_per_draw: bool = True
+        cls, pool: SamplePool, snr: float, keep_per_draw: bool = True,
+        *, _known: dict[tuple[int, int], tuple[float, float]] | None = None,
     ) -> "CapacityTable":
-        # keep_per_draw is ignored; ROADMAP item 4 drops it with perfbench
+        """The table at ``snr`` over ``pool``, every entry by ``_entry_stats``.
+
+        ``keep_per_draw`` is ignored; ROADMAP item 2 drops it with the
+        benchmark's tracer.  ``_known`` is internal: entries (m, n), m >= n,
+        that ``_entry_stats`` already gave at this snr, reused as they are.
+        """
         _check_snr(snr)
+        known = _known or {}
         K = pool.max_dim
         means = np.zeros((K + 1, K + 1))
         ses = np.zeros((K + 1, K + 1))
         for m, n in pool.spectra:
-            # reduced block by block; no N-length column is formed
-            chunks = _entry_chunks(pool, m, n, snr)
-            sums = [s for values in chunks for s in _block_sums(values)]
-            means[m, n], ses[m, n] = _moments(sums, pool.num_samples)
-            means[n, m], ses[n, m] = means[m, n], ses[m, n]
+            stats = known.get((m, n)) or _entry_stats(pool, m, n, snr)
+            means[m, n], ses[m, n] = means[n, m], ses[n, m] = stats
         return cls(K, snr, pool.num_samples, pool.seed, pool.hop_index, means, ses, pool)
 
     def entry_draws(self, m: int, n: int) -> np.ndarray:
@@ -730,12 +774,15 @@ class TableCache:
     higher snr bounds every quantity that is nondecreasing in the entry
     means, such as a penalized min cut, from above; ``ceiling`` returns the
     tightest such table and ``upper`` a tighter bound, neither building
-    one.
+    one.  ``upper`` can also compute single entries exactly; they are kept,
+    and a table built later at their snr reuses them.
     """
 
     def __init__(self, pool: SamplePool):
         self.pool = pool
         self._tables: dict[float, CapacityTable] = {}
+        # snr -> {(m, n), m >= n: (mean, std_error)} computed by upper
+        self._entries: dict[float, dict[tuple[int, int], tuple[float, float]]] = {}
 
     def __len__(self) -> int:
         """Number of tables built."""
@@ -744,7 +791,9 @@ class TableCache:
     def at(self, snr: float) -> CapacityTable:
         key = float(snr)
         if key not in self._tables:
-            self._tables[key] = CapacityTable.from_pool(self.pool, key)
+            self._tables[key] = CapacityTable.from_pool(
+                self.pool, key, _known=self._entries.get(key)
+            )
         return self._tables[key]
 
     def ceiling(self, snr: float) -> CapacityTable | None:
@@ -752,10 +801,12 @@ class TableCache:
         above = [s for s in self._tables if s >= snr]
         return self._tables[min(above)] if above else None
 
-    def upper(self, snr: float) -> CapacityTable | None:
+    def upper(
+        self, snr: float, exact: Iterable[tuple[int, int]] = ()
+    ) -> CapacityTable | None:
         """A pool-less table whose means bound the means at ``snr`` from
         above, entry by entry and draw by draw, or None when
-        ``ceiling(snr)`` is None.  Nothing is built.
+        ``ceiling(snr)`` is None.  No table is built.
 
         Each per-draw value is a nonnegative combination of f(t) =
         log1p(e^t * lambda) at t = log(snr), and f is convex in t (its
@@ -771,14 +822,29 @@ class TableCache:
         grows by at most log(snr / s0).  Without a table below, the means
         are the ceiling's; at a built snr, that table's.  Standard errors
         are the ceiling's.
+
+        The entries (m, n), m, n >= 1, named in ``exact`` hold their exact
+        mean and standard error at ``snr`` instead, bitwise those of a
+        table built there.  Each is computed once, by ``_entry_stats``,
+        and kept for that table.
         """
+        snr = float(snr)
         above = self.ceiling(snr)
         if above is None:
             return None
-        means = above.means
-        below = [s for s in self._tables if 0.0 < s < snr]
-        if below and above.snr > snr:
-            s0 = max(below)
-            theta = (math.log(snr) - math.log(s0)) / (math.log(above.snr) - math.log(s0))
-            means = (1.0 - theta) * self._tables[s0].means + theta * above.means
-        return replace(above, snr=float(snr), means=means, pool=None)
+        means, ses = above.means, above.std_errors
+        if above.snr > snr:
+            below = [s for s in self._tables if 0.0 < s < snr]
+            if below:
+                s0 = max(below)
+                theta = (math.log(snr) - math.log(s0)) / (math.log(above.snr) - math.log(s0))
+                means = (1.0 - theta) * self._tables[s0].means + theta * above.means
+            keys = {(max(m, n), min(m, n)) for m, n in exact}
+            if keys:
+                memo = self._entries.setdefault(snr, {})
+                means, ses = means.copy(), ses.copy()
+                for m, n in keys:
+                    if (m, n) not in memo:
+                        memo[(m, n)] = _entry_stats(self.pool, m, n, snr)
+                    means[m, n], ses[m, n] = means[n, m], ses[n, m] = memo[(m, n)]
+        return replace(above, snr=snr, means=means, std_errors=ses, pool=None)

@@ -14,7 +14,6 @@ All internal rates are nats; report fields honor the configured log base.
 
 from __future__ import annotations
 
-import heapq
 import logging
 import math
 from dataclasses import dataclass
@@ -34,6 +33,7 @@ from .mimo import (
 from .network import (
     CutProfile,
     NetworkParams,
+    _block_dims,
     cut_profile_draws,
     cut_value,
     min_cut_dp,
@@ -391,24 +391,37 @@ def _optimize_on_cache(
     ties going to the smaller ratio; the refinement then moves only on a
     strictly higher score.
 
-    The grid is scanned best-first, from one heap keyed by (-UB, q), where
-    UB bounds q's raw rate from above.  Without ``prune`` every UB is +inf,
-    so the scan runs in ascending q.  With ``prune``, the full-snr table is
-    built first, and UB is q's penalized min cut on ``cache.upper`` of its
-    snr, which bounds every entry mean at that snr from above: the min cut
-    is nondecreasing in the entry means, so UB >= raw.  A popped UB
-    computed before the latest table build is refreshed and pushed back.
-    With tol = 1e-9 * max(1, incumbent):
+    The grid is scanned best-first, in descending order of an upper bound
+    UB on each candidate's raw rate, ties in ascending q.  Without
+    ``prune`` every UB is +inf, so the scan runs in ascending q.  With
+    ``prune``, the full-snr table is built first, and a candidate passes up
+    to three tiers, each bounding its raw rate from above on the cache's
+    tables at its snr; the min cut is nondecreasing in the entry means, so
+    each UB >= raw:
+
+      1. the chord bound: the min cut on ``cache.upper`` of its snr, no
+         entry computed (for the grid, on the tables built before the
+         scan);
+      2. if that bound cannot rule it out, and no table is built at its
+         snr, the tightened bound: the min cut on ``cache.upper`` with the
+         entries that the chord bound's argmin cut crosses computed
+         exactly (for K = 2 that cut is usually all relays on the source
+         side, and the one entry is (K, K));
+      3. if that bound cannot rule it out either, the score itself, on a
+         table built at its snr, which reuses the exact entries.
+
+    With tol = 1e-9 * max(1, incumbent), a tier's UB decides:
 
       * UB < -tol: the score is exactly 0, known without a build;
       * UB < incumbent - tol: the candidate cannot beat the incumbent and is
-        not scored; in the grid scan no candidate left on the heap can
-        either, so the scan ends;
-      * otherwise it is scored as without pruning.
+        not scored; the scan goes on, since a later candidate's chord bound,
+        though lower, may exceed the tightened bound that ruled this one
+        out;
+      * otherwise the next tier runs.
 
-    Refinement candidates are bounded the same way.  Neither shortcut can
-    change the chosen ratio or its score, so pruning leaves the result
-    bitwise equal to the unpruned scan.
+    Refinement candidates pass the same tiers.  No tier can change the
+    chosen ratio or its score, so pruning leaves the result bitwise equal
+    to the unpruned scan.
 
     Returns:
         (best ratio, its score, [(q, score)] in evaluation order); candidates
@@ -418,46 +431,44 @@ def _optimize_on_cache(
     if prune:
         cache.at(params.snr)  # every degraded snr now has a ceiling
 
-    def bound(q: float) -> float:
+    def chord(q: float) -> tuple[float, CutProfile | None]:
+        """q's chord bound and its argmin profile; +inf without pruning."""
         if not prune:
-            return math.inf
+            return math.inf, None
         scheme = QuantizationScheme(q)
-        return _penalized_min_cut(
-            params, scheme, cache.upper(degraded_snr(params, scheme)), mode
-        )[0]
+        table = cache.upper(degraded_snr(params, scheme))
+        return _penalized_min_cut(params, scheme, table, mode)[:2]
 
     def score(
-        q: float, best: tuple[float, float], ub: float | None = None
+        q: float, best: tuple[float, float],
+        bound: tuple[float, CutProfile | None] | None = None,
     ) -> float | None:
-        """q's score, or None when its bound (``ub``, or computed) shows
-        that it cannot beat ``best``."""
-        if q not in scores:
-            ub = bound(q) if ub is None else ub
-            tol = 1e-9 * max(1.0, best[1])
-            if ub < -tol:
-                scores[q] = 0.0  # raw <= UB < 0: it clamps
-            elif ub < best[1] - tol:
-                return None
-            else:
-                scheme = QuantizationScheme(q)
-                raw, _, _ = _penalized_min_cut(
-                    params, scheme, cache.at(degraded_snr(params, scheme)), mode
-                )
-                scores[q] = _clamped_rate(raw, scheme)
+        """q's score, or None when a bound shows that it cannot beat
+        ``best``; ``bound`` is q's chord bound, computed if not given."""
+        if q in scores:
+            return scores[q]
+        scheme = QuantizationScheme(q)
+        snr = degraded_snr(params, scheme)
+        ub, profile = chord(q) if bound is None else bound
+        tol = 1e-9 * max(1.0, best[1])
+        if prune and ub >= best[1] - tol and cache.ceiling(snr).snr > snr:
+            crossing = [dims for dims in _block_dims(profile.counts, params) if min(dims)]
+            table = cache.upper(snr, exact=crossing)
+            ub = _penalized_min_cut(params, scheme, table, mode)[0]
+        if ub < -tol:
+            scores[q] = 0.0  # raw <= UB < 0: it clamps
+        elif ub < best[1] - tol:
+            return None
+        else:
+            raw, _, _ = _penalized_min_cut(params, scheme, cache.at(snr), mode)
+            scores[q] = _clamped_rate(raw, scheme)
         return scores[q]
 
     best = (q_grid[0], 0.0)
-    heap = [(-bound(q), q, len(cache)) for q in q_grid]
-    heapq.heapify(heap)
-    while heap:
-        neg_ub, q, built = heapq.heappop(heap)
-        if prune and built < len(cache):
-            heapq.heappush(heap, (-bound(q), q, len(cache)))
-            continue
-        s = score(q, best, -neg_ub)
-        if s is None:
-            break
-        if (s, -q) > (best[1], -best[0]):
+    bounds = {q: chord(q) for q in q_grid}
+    for q in sorted(q_grid, key=lambda q: (-bounds[q][0], q)):
+        s = score(q, best, bounds[q])
+        if s is not None and (s, -q) > (best[1], -best[0]):
             best = (q, s)
 
     i = q_grid.index(best[0])
@@ -571,12 +582,15 @@ def gap_trend(
       * optimized: q from optimize_quantization on ``q_grid``, or on
         ``default_q_grid(D)`` when it is None.  The scan here is pruned
         and best-first (see ``_optimize_on_cache``): each candidate is
-        bounded from above without a build, on ``TableCache.upper`` of its
-        snr (the chord in log snr between the cached tables nearest below
-        and above it), and the grid is scored highest bound first.  A
-        bound below zero scores a candidate 0 without a build, and a bound
-        below the incumbent skips it.  The chosen q, and so every output
-        byte, is the same as without pruning; only fewer tables are built.
+        bounded from above on ``TableCache.upper`` of its snr, first by
+        the chord in log snr between the cached tables nearest below and
+        above it, then, if that cannot rule it out, with the entries its
+        argmin cut crosses computed exactly; only a candidate neither
+        bound rules out gets a table built.  The grid is scored highest
+        chord bound first.  A bound below zero scores a candidate 0
+        without a build, and a bound below the incumbent skips it.  The
+        chosen q, and so every output byte, is the same as without
+        pruning; only fewer tables are built.
 
     ``cache`` lets several calls share one pool and its tables; it replaces
     the pool build, and its pool must have been built with

@@ -164,3 +164,36 @@ def stream_stats_per_chunk(values: np.ndarray) -> tuple[float, float]:
     total_sq = math.fsum(float(np.sum(c * c)) for c in chunks)
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
     return mean, math.sqrt(var / n)
+
+
+def pool_spectra_per_window(max_dim: int, num_samples: int, seed: int,
+                            hop_index: int = 0) -> dict:
+    """Gram eigenvalues of every table entry's cyclic windows, one
+    ``_gram_spectrum`` call per window and block: the pool build before it
+    gathered a window shape's windows into one call.  A reference for
+    ``SamplePool.spectra``'s eigenvalue arrays, with the windows listed one
+    by one in the order of their columns."""
+    from relaycap.mimo import (
+        _block_bounds, _gram_spectrum, _num_blocks, sample_channel_block,
+    )
+
+    K, N = max_dim, num_samples
+    spectra = {}
+    for m in range(1, K + 1):
+        for n in range(1, m + 1):
+            windows = []
+            for a, b in [(m, n)] if m == n else [(m, n), (n, m)]:
+                for r in [0] if a == K else range(K):
+                    for c in [0] if b == K else range(K):
+                        windows.append(((r + np.arange(a)) % K, (c + np.arange(b)) % K))
+            spectra[(m, n)] = np.empty((N, n * len(windows)))
+            for blk in range(_num_blocks(N)):
+                lo, hi = _block_bounds(blk, N)
+                block = sample_channel_block(K, K, seed, blk, hop_index)[: hi - lo]
+                for j, (rows, cols) in enumerate(windows):
+                    if len(rows) == K and len(cols) == K:
+                        W = block
+                    else:
+                        W = np.ascontiguousarray(block[:, rows[:, None], cols[None, :]])
+                    spectra[(m, n)][lo:hi, j * n : (j + 1) * n] = _gram_spectrum(W)
+    return spectra

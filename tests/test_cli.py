@@ -20,6 +20,7 @@ from relaycap import (
     rate_report,
 )
 from relaycap.cli import (
+    _DEFAULTS,
     _READS,
     RATE_HEADER,
     SUBCOMMANDS,
@@ -544,6 +545,31 @@ def test_readme_flag_table_matches_reads():
         for key in keys:
             expected.setdefault(key, set()).add(sub)
     assert readers == expected
+
+
+def test_common_flags_are_declared_once_and_parse_alike(monkeypatch):
+    import argparse
+
+    calls = []
+    add_argument = argparse._ActionsContainer.add_argument
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return add_argument(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse._ActionsContainer, "add_argument", counting)
+    parser = build_parser()
+    monkeypatch.undo()
+    flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
+    declared = [args for args in calls if args[0] != "-h"]  # each parser adds its -h
+    assert len(declared) == len(flags) == len(_DEFAULTS) + 1  # every key, and --config
+    argv = []
+    for a in flags:
+        argv += [a.option_strings[0]] + ([] if a.nargs == 0 else ["7"])
+    expected = {a.dest: (a.const if a.nargs == 0 else "7") for a in flags}
+    assert vars(parser.parse_args(argv)) == {**expected, "subcommand": None}
+    for sub in SUBCOMMANDS:
+        assert vars(parser.parse_args([sub, *argv])) == {**expected, "subcommand": sub}
 
 
 # ---------------------------------------------------------- output records

@@ -2,9 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from relaycap import (
+    CapacityTable,
     NetworkParams,
     QuantizationScheme,
     SamplePool,
@@ -576,6 +578,7 @@ def test_pruned_scan_on_a_sweep_filled_cache_equals_unpruned_scan_bitwise(K, mod
     N, seed = 1_000, 13
     pool = SamplePool.build(K, N, seed)
     depths = [2, 4, 8, 16, 32]
+    tightened = 0
     for snr in PRUNE_SNRS:
         cache = TableCache(pool)
         for policy in ("fixed_1", "depth_matched"):
@@ -590,6 +593,13 @@ def test_pruned_scan_on_a_sweep_filled_cache_equals_unpruned_scan_bitwise(K, mod
                 assert set(pruned[2]) <= set(full[2])
                 if (K, snr, D, grid) == (2, 10.0, 32, default_q_grid(32)):
                     assert full[:2] == (grid[0], 0.0)  # every candidate clamps
+        # tables built after exact entries were computed reuse them bitwise
+        for s, table in cache._tables.items():
+            fresh = CapacityTable.from_pool(pool, s)
+            assert np.array_equal(table.means, fresh.means), s
+            assert np.array_equal(table.std_errors, fresh.std_errors), s
+        tightened += len(cache._entries.keys() - cache._tables.keys())
+    assert tightened > 0  # some candidates were decided by exact entries alone
 
 
 def test_unpruned_scan_evaluates_the_grid_in_ascending_order():
@@ -600,13 +610,28 @@ def test_unpruned_scan_evaluates_the_grid_in_ascending_order():
     assert len(res.evaluations) > len(grid)  # then the refinement
 
 
-def test_headline_sweep_builds_at_most_23_tables():
-    # the sweep-optimized shape at seed 0: 45 tables with the ceiling alone
-    # as the bound, 77 unpruned
+@pytest.fixture(scope="module")
+def headline_cache():
+    """The sweep-optimized shape at pool seed 0, all three policies run."""
     cache = TableCache(SamplePool.build(2, 50_000, seed=0))
     for policy in ("fixed_1", "depth_matched", "optimized"):
         gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, 50_000, 0, cache=cache)
-    assert len(cache) <= 23
+    return cache
+
+
+def test_headline_sweep_builds_at_most_17_tables(headline_cache):
+    # 23 tables on the chord bound alone, 45 on the ceiling, 77 unpruned
+    assert len(headline_cache) <= 17
+
+
+def test_headline_sweep_skips_builds_on_exact_entries(headline_cache):
+    # an snr with exact entries but no table: a candidate there was ruled
+    # out by its tightened bound, at the cost of the entries its chord
+    # bound's argmin cut crosses, all relays on the source side: (K, K)
+    memo = headline_cache._entries
+    decided = memo.keys() - headline_cache._tables.keys()
+    assert len(decided) >= 5
+    assert all(memo[s].keys() == {(2, 2)} for s in decided)
 
 
 def test_sweep_shape_builds_at_most_45_tables():

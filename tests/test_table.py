@@ -362,6 +362,7 @@ def test_table_cache_upper_bounds_every_entry_mean(K, N):
     pool = SamplePool.build(K, N, seed=40 + K)
     exact = TableCache(pool)
     dims = np.minimum.outer(np.arange(K + 1), np.arange(K + 1))
+    keys = [(m, n) for m in range(1, K + 1) for n in range(1, m + 1)]
     for s0, s1 in itertools.combinations(UPPER_SNRS, 2):
         cache = TableCache(pool)
         low, high = cache.at(s0), cache.at(s1)
@@ -373,11 +374,89 @@ def test_table_cache_upper_bounds_every_entry_mean(K, N):
             # no looser than the ceiling or the per-eigenvalue shift bound
             tighter = np.minimum(high.means, low.means + dims * math.log(s / s0))
             assert np.all(bound.means <= tighter * (1 + 1e-12)), (s0, s1, s)
+            # with one entry (named mirrored) or every entry computed
+            # exactly: still a bound, tighter, and bitwise the built table's
+            truth = exact.at(s)
+            for named in ([keys[-1][::-1]], keys):
+                tight = cache.upper(s, exact=named)
+                assert tight.pool is None and tight.snr == s
+                assert np.all(tight.means >= truth.means), (s0, s1, s, named)
+                assert np.all(tight.means <= bound.means), (s0, s1, s, named)
+                for m, n in named:
+                    for a, b in ((m, n), (n, m)):
+                        assert _bits(tight.means[a, b], tight.std_errors[a, b]) == _bits(
+                            truth.means[a, b], truth.std_errors[a, b]), (s, a, b)
+            assert np.array_equal(cache.upper(s).means, bound.means)  # no side effect
         for built in (low, high):
             assert np.array_equal(cache.upper(built.snr).means, built.means)
+        # at a built snr the table is exact already: no entry is computed
+        assert np.array_equal(cache.upper(s1, exact=keys).means, high.means)
+        assert s1 not in cache._entries
         assert np.array_equal(cache.upper(s0 / 2).means, low.means)  # no table below
         assert cache.upper(2 * s1) is None  # no table above
         assert len(cache) == 2  # upper never builds
+
+
+def test_upper_computes_each_exact_entry_once_and_the_build_reuses_it(monkeypatch):
+    pool = SamplePool.build(2, 3_000, seed=7)
+    cache = TableCache(pool)
+    cache.at(1.0), cache.at(10.0)
+    calls = []
+    entry_stats = mimo._entry_stats
+
+    def counting(pool, m, n, snr):
+        calls.append((m, n, snr))
+        return entry_stats(pool, m, n, snr)
+
+    monkeypatch.setattr(mimo, "_entry_stats", counting)
+    for _ in range(2):
+        cache.upper(4.0, exact=[(2, 2)])
+    cache.upper(4.0, exact=[(1, 2), (2, 1)])
+    assert calls == [(2, 2, 4.0), (2, 1, 4.0)]
+    table = cache.at(4.0)
+    assert calls[2:] == [(1, 1, 4.0)]  # the build computes only the rest
+    fresh = CapacityTable.from_pool(pool, 4.0)
+    assert np.array_equal(table.means, fresh.means)
+    assert np.array_equal(table.std_errors, fresh.std_errors)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_pool_spectra_equal_the_per_window_loop(K):
+    # each window shape's windows go through one _gram_spectrum call; the
+    # closed form for two-row windows then rounds differently in a few
+    # eigenvalues, by at most 1e-15 relative, where a call stacks more than
+    # 8191 of them (numpy's complex multiply changes route)
+    N, seed = 9_000, 50 + K
+    pool = SamplePool.build(K, N, seed, workers=2)
+    reference = oracles.pool_spectra_per_window(K, N, seed)
+    assert pool.spectra.keys() == reference.keys()
+    for (m, n), (eigenvalues, _) in pool.spectra.items():
+        expected = reference[(m, n)]
+        if n != 2 or K <= 2:
+            assert np.array_equal(eigenvalues, expected), (m, n)
+        else:
+            assert np.all(np.abs(eigenvalues - expected) <= 1e-15 * expected), (m, n)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_sample_channel_block_scales_the_normals_in_place(K):
+    for m, n, block in ((K, K, 0), (K, 1, 1), (1, K, 2)):
+        z = mimo._block_rng(3, 1, block).standard_normal((mimo.BLOCK_SIZE, m, n, 2))
+        expected = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+        got = sample_channel_block(m, n, 3, block, hop_index=1)
+        assert got.shape == expected.shape and got.dtype == expected.dtype
+        assert np.array_equal(got.view(float), expected.view(float))
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_row_sum_is_np_sum_bitwise(dtype):
+    rng = np.random.default_rng(8)
+    for k in range(1, 10):
+        x = rng.standard_normal((3_000, 3, k, 2)).view(complex)[..., 0]
+        x = x if dtype is complex else x.real.copy()
+        strided = np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)
+        for layout in (x, strided):
+            assert np.array_equal(mimo._row_sum(layout), np.sum(layout, axis=-1)), (k, dtype)
 
 
 BAD_POOL_ARGS = [
