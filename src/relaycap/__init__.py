@@ -12,15 +12,12 @@ from .mimo import (
     BLOCK_SIZE,
     CapacityEstimate,
     CapacityTable,
-    ChannelSample,
     SamplePool,
     TableCache,
     build_capacity_table,
     estimate_ergodic_capacity,
     gram_logdet,
-    logdet_capacity,
     rate_scale,
-    sample_channel,
     sample_channel_block,
 )
 from .network import (
@@ -32,7 +29,6 @@ from .network import (
     check_capacity_properties,
     cut_value,
     min_cut_dp,
-    node_cut_value_mc,
 )
 from .rates import (
     NncBound,
@@ -58,7 +54,6 @@ __all__ = [
     "BLOCK_SIZE",
     "CapacityEstimate",
     "CapacityTable",
-    "ChannelSample",
     "CutProfile",
     "CutValue",
     "LineNetwork",
@@ -84,16 +79,13 @@ __all__ = [
     "gram_logdet",
     "line_capacity",
     "line_nnc_rate",
-    "logdet_capacity",
     "min_cut_dp",
     "nnc_lower_bound",
-    "node_cut_value_mc",
     "optimize_quantization",
     "penalty_bound",
     "prior_cf_gap_bound",
     "rate_report",
     "rate_scale",
-    "sample_channel",
     "sample_channel_block",
     "__version__",
 ]

@@ -33,7 +33,7 @@ import logging
 import math
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from operator import index
 
 import numpy as np
@@ -56,25 +56,6 @@ def rate_scale(log_base: str) -> float:
     if log_base not in _BASES:
         raise ValueError(f"log_base must be one of {_BASES}, got {log_base!r}")
     return 1.0 if log_base == "nats" else 1.0 / _LOG2
-
-
-@dataclass(frozen=True)
-class ChannelSample:
-    """One channel realization.
-
-    Attributes:
-        entries: Complex matrix of fading coefficients, shape (m, n).
-        hop_index: Which hop's stream the draw came from.
-        draw_index: Position of the draw within that stream.
-    """
-
-    entries: np.ndarray
-    hop_index: int = 0
-    draw_index: int = 0
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
 
 
 def _positive_int(name: str, v, minimum: int = 1) -> int:
@@ -127,22 +108,6 @@ def sample_channel_block(
     # (z[..., 0] + 1j * z[..., 1]) * sqrt(0.5) without its three temporaries
     z *= np.sqrt(0.5)
     return z.view(complex)[..., 0]
-
-
-def sample_channel(
-    m: int, n: int, seed: int, draw_index: int = 0, hop_index: int = 0
-) -> ChannelSample:
-    """Return the draw at a given index of a stream.
-
-    The draw is located inside its enclosing block, so
-    ``sample_channel(m, n, s, i)`` agrees with the i-th matrix seen by any
-    block-based consumer with the same seed and hop.
-    """
-    if draw_index < 0:
-        raise ValueError(f"draw_index must be nonnegative, got {draw_index}")
-    block, offset = divmod(draw_index, BLOCK_SIZE)
-    entries = sample_channel_block(m, n, seed, block, hop_index)[offset]
-    return ChannelSample(entries=entries, hop_index=hop_index, draw_index=draw_index)
 
 
 def gram_logdet(channels: np.ndarray, snr: float, side: str = "auto") -> np.ndarray:
@@ -269,14 +234,6 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
 def _spectral_logdet(spectrum: np.ndarray, snr: float) -> np.ndarray:
     """sum_i log1p(snr * lambda_i) over the last axis, in nats."""
     return _column_sum(np.log1p(snr * spectrum))
-
-
-def logdet_capacity(
-    channel: ChannelSample | np.ndarray, snr: float, log_base: str = "nats"
-) -> float:
-    """Instantaneous capacity of a single channel realization."""
-    H = channel.entries if isinstance(channel, ChannelSample) else np.asarray(channel)
-    return float(gram_logdet(H, snr)) * rate_scale(log_base)
 
 
 def _record_dict(record, rename: dict[str, str] | None = None) -> dict:
@@ -619,23 +576,19 @@ class CapacityTable:
 
     @classmethod
     def from_pool(
-        cls, pool: SamplePool, snr: float, keep_per_draw: bool = True,
-        *, _known: dict[tuple[int, int], tuple[float, float]] | None = None,
+        cls, pool: SamplePool, snr: float, keep_per_draw: bool = True
     ) -> "CapacityTable":
         """The table at ``snr`` over ``pool``, every entry by ``_entry_stats``.
 
         ``keep_per_draw`` is ignored; ROADMAP item 2 drops it with the
-        benchmark's tracer.  ``_known`` is internal: entries (m, n), m >= n,
-        that ``_entry_stats`` already gave at this snr, reused as they are.
+        benchmark's tracer.
         """
         _check_snr(snr)
-        known = _known or {}
         K = pool.max_dim
         means = np.zeros((K + 1, K + 1))
         ses = np.zeros((K + 1, K + 1))
         for m, n in pool.spectra:
-            stats = known.get((m, n)) or _entry_stats(pool, m, n, snr)
-            means[m, n], ses[m, n] = means[n, m], ses[n, m] = stats
+            means[m, n], ses[m, n] = means[n, m], ses[n, m] = _entry_stats(pool, m, n, snr)
         return cls(K, snr, pool.num_samples, pool.seed, pool.hop_index, means, ses, pool)
 
     def entry_draws(self, m: int, n: int) -> np.ndarray:
@@ -765,24 +718,36 @@ def build_capacity_table(
     return CapacityTable.from_pool(pool, snr)
 
 
+def _entry_floor(mn, K: int, kk):
+    """(mn / K^2) * kk - 1e-9 * max(1, kk), elementwise: a lower bound on
+    entry (m, n), mn = m * n >= 1, of a table over a pool of K x K draws
+    whose entry (K, K) is kk, on every draw and so for the means.
+
+    Han's inequality (Shearer's lemma with an exact cover) applied to the
+    cyclic windows that ``_window_groups`` averages gives C(m, n) >=
+    (m n / K^2) C(K, K) draw by draw; the margin covers rounding.
+    """
+    return mn / K**2 * kk - 1e-9 * np.maximum(1.0, kk)
+
+
 class TableCache:
     """Capacity tables at several snr values over one shared pool.
 
-    Over one pool, table means are nondecreasing in snr, entry by entry and
-    draw by draw (each per-draw value is a nonnegative combination of
-    log1p(snr * lambda) with lambda >= 0).  So any table already built at a
-    higher snr bounds every quantity that is nondecreasing in the entry
-    means, such as a penalized min cut, from above; ``ceiling`` returns the
-    tightest such table and ``upper`` a tighter bound, neither building
-    one.  ``upper`` can also compute single entries exactly; they are kept,
-    and a table built later at their snr reuses them.
+    ``at`` builds and keeps the full table at an snr.  ``lower`` keeps, per
+    snr, a table that computes only the entries asked for: (K, K) always,
+    and others through ``make_exact``; every other entry holds
+    ``_entry_floor``, a lower bound.  A min cut on it whose argmin crosses
+    only exact entries is, bitwise, the min cut of the full table: every
+    cut's value there is at least its value on the lower table (float
+    addition is monotone), the argmin's value is equal, and ties break the
+    same way.  ``chord`` bounds the (K, K) mean at any snr from above on
+    the ones ``lower`` has computed.
     """
 
     def __init__(self, pool: SamplePool):
         self.pool = pool
         self._tables: dict[float, CapacityTable] = {}
-        # snr -> {(m, n), m >= n: (mean, std_error)} computed by upper
-        self._entries: dict[float, dict[tuple[int, int], tuple[float, float]]] = {}
+        self._lower: dict[float, CapacityTable] = {}
 
     def __len__(self) -> int:
         """Number of tables built."""
@@ -791,60 +756,75 @@ class TableCache:
     def at(self, snr: float) -> CapacityTable:
         key = float(snr)
         if key not in self._tables:
-            self._tables[key] = CapacityTable.from_pool(
-                self.pool, key, _known=self._entries.get(key)
-            )
+            self._tables[key] = CapacityTable.from_pool(self.pool, key)
         return self._tables[key]
 
-    def ceiling(self, snr: float) -> CapacityTable | None:
-        """The built table with the smallest snr >= ``snr``, or None."""
-        above = [s for s in self._tables if s >= snr]
-        return self._tables[min(above)] if above else None
+    def lower(self, snr: float) -> CapacityTable:
+        """The lower-bound table at ``snr``, made on first use by computing
+        entry (K, K) alone, without a table build.
 
-    def upper(
-        self, snr: float, exact: Iterable[tuple[int, int]] = ()
-    ) -> CapacityTable | None:
-        """A pool-less table whose means bound the means at ``snr`` from
-        above, entry by entry and draw by draw, or None when
-        ``ceiling(snr)`` is None.  No table is built.
+        Exact entries ((K, K) and those ``make_exact`` computed) hold their
+        mean and standard error bitwise as a built table would; every other
+        entry holds ``_entry_floor`` of the (K, K) mean and a NaN standard
+        error, which marks it inexact: it must not be reported.  Entries
+        with a zero dimension are exact zeros.  The table keeps the pool,
+        so ``entry_draws`` gives exact per-draw columns for any entry.
+        """
+        key = float(snr)
+        table = self._lower.get(key)
+        if table is None:
+            _check_snr(key)
+            K = self.pool.max_dim
+            kk, kk_se = _entry_stats(self.pool, K, K, key)
+            dims = np.arange(K + 1)
+            means = _entry_floor(np.outer(dims, dims), K, kk)
+            ses = np.full((K + 1, K + 1), math.nan)
+            means[0] = means[:, 0] = ses[0] = ses[:, 0] = 0.0
+            means[K, K], ses[K, K] = kk, kk_se
+            pool = self.pool
+            table = self._lower[key] = CapacityTable(
+                K, key, pool.num_samples, pool.seed, pool.hop_index, means, ses, pool
+            )
+        return table
+
+    def make_exact(self, snr: float, dims: Iterable[tuple[int, int]]) -> int:
+        """Compute the entries ``dims`` of ``lower(snr)`` that are not exact
+        yet, each once (with its mirror), by ``_entry_stats``; returns how
+        many were computed."""
+        table = self.lower(snr)
+        means, ses = table.means, table.std_errors
+        todo = sorted({(max(m, n), min(m, n)) for m, n in set(dims) if math.isnan(ses[m, n])})
+        for m, n in todo:
+            means[m, n], ses[m, n] = means[n, m], ses[n, m] = _entry_stats(
+                self.pool, m, n, table.snr
+            )
+        return len(todo)
+
+    def chord(self, snr: float) -> float:
+        """An upper bound on the (K, K) mean at ``snr`` from the (K, K)
+        means ``lower`` has computed, or +inf when none is at an snr >=
+        ``snr``.  Nothing is computed.
 
         Each per-draw value is a nonnegative combination of f(t) =
-        log1p(e^t * lambda) at t = log(snr), and f is convex in t (its
-        slope, a logistic function of t, increases).  So between the
-        nearest built tables below (at s0 > 0) and above (the ceiling, at
-        s1), the chord in log snr lies above every entry:
+        log1p(e^t * lambda) at t = log(snr), which is nondecreasing and
+        convex in t (its slope, a logistic function of t, increases).  So
+        with the nearest known snr values below (s0 > 0) and above (s1),
+        the mean lies below the chord in log snr,
 
             C_snr <= (1 - theta) C_s0 + theta C_s1,
-            theta = log(snr / s0) / log(s1 / s0).
+            theta = log(snr / s0) / log(s1 / s0),
 
-        The chord is at most the ceiling's means, and at most
-        C_s0(m, n) + min(m, n) * log(snr / s0), since each eigenvalue term
-        grows by at most log(snr / s0).  Without a table below, the means
-        are the ceiling's; at a built snr, that table's.  Standard errors
-        are the ceiling's.
-
-        The entries (m, n), m, n >= 1, named in ``exact`` hold their exact
-        mean and standard error at ``snr`` instead, bitwise those of a
-        table built there.  Each is computed once, by ``_entry_stats``,
-        and kept for that table.
+        and without s0, below C_s1.  At a known snr it is that mean.
         """
-        snr = float(snr)
-        above = self.ceiling(snr)
-        if above is None:
-            return None
-        means, ses = above.means, above.std_errors
-        if above.snr > snr:
-            below = [s for s in self._tables if 0.0 < s < snr]
-            if below:
-                s0 = max(below)
-                theta = (math.log(snr) - math.log(s0)) / (math.log(above.snr) - math.log(s0))
-                means = (1.0 - theta) * self._tables[s0].means + theta * above.means
-            keys = {(max(m, n), min(m, n)) for m, n in exact}
-            if keys:
-                memo = self._entries.setdefault(snr, {})
-                means, ses = means.copy(), ses.copy()
-                for m, n in keys:
-                    if (m, n) not in memo:
-                        memo[(m, n)] = _entry_stats(self.pool, m, n, snr)
-                    means[m, n], ses[m, n] = means[n, m], ses[n, m] = memo[(m, n)]
-        return replace(above, snr=snr, means=means, std_errors=ses, pool=None)
+        K = self.pool.max_dim
+        known = {s: float(t.means[K, K]) for s, t in self._lower.items()}
+        above = [s for s in known if s >= snr]
+        if not above:
+            return math.inf
+        s1 = min(above)
+        below = [s for s in known if 0.0 < s < snr]
+        if s1 == snr or not below:
+            return known[s1]
+        s0 = max(below)
+        theta = (math.log(snr) - math.log(s0)) / (math.log(s1) - math.log(s0))
+        return (1.0 - theta) * known[s0] + theta * known[s1]

@@ -34,15 +34,11 @@ from operator import add
 import numpy as np
 
 from .mimo import (
-    CapacityEstimate,
     CapacityTable,
-    _block_bounds,
-    _num_blocks,
     _positive_int,
     _record_dict,
     _stream_stats,
     gram_logdet,
-    sample_channel_block,
 )
 
 #: Cap on the brute-force cut enumeration, (K+1)**(D-1) profiles.
@@ -469,52 +465,3 @@ def check_capacity_properties(
         sym_err, mono, split, table.pool.num_samples, K, snr, tolerance, passed
     )
 
-
-def node_cut_value_mc(
-    params: NetworkParams,
-    layer_subsets: list[set[int] | frozenset[int]],
-    num_samples: int,
-    seed: int,
-) -> CapacityEstimate:
-    """Monte Carlo value of an explicit node-level cut.
-
-    Args:
-        params: Network shape; relays are indexed 0..K-1 within each layer.
-        layer_subsets: For each relay layer 1..D-1, the indices of relays on
-            the source side of the cut.  The source's antennas are always on
-            the source side and the destination's on the other.
-        num_samples: Channel draws per hop.
-        seed: Seed; hop i uses stream hop_index = i, independent across hops.
-
-    Returns:
-        CapacityEstimate of the crossing-block capacity sum.  ``dims`` holds
-        the total (receive, transmit) sizes across hops.
-    """
-    K, D = params.relays_per_layer, params.num_hops
-    if len(layer_subsets) != D - 1:
-        raise ValueError(
-            f"expected {D - 1} relay-layer subsets, got {len(layer_subsets)}"
-        )
-    subsets = [frozenset(range(K))]  # source side of layer 0: all antennas
-    for s in layer_subsets:
-        s = frozenset(int(i) for i in s)
-        if any(i < 0 or i >= K for i in s):
-            raise ValueError(f"relay indices must be in 0..{K - 1}, got {sorted(s)}")
-        subsets.append(s)
-    subsets.append(frozenset())  # destination contributes no source-side nodes
-
-    cols = [sorted(subsets[i]) for i in range(D)]
-    rows = [sorted(set(range(K)) - subsets[i + 1]) for i in range(D)]
-    num_samples = _positive_int("num_samples", num_samples)
-
-    column = np.zeros(num_samples)
-    for b in range(_num_blocks(num_samples)):
-        lo, hi = _block_bounds(b, num_samples)
-        for hop in range(D):
-            if not rows[hop] or not cols[hop]:
-                continue
-            draws = sample_channel_block(K, K, seed, b, hop_index=hop)[: hi - lo]
-            W = draws[:, np.asarray(rows[hop])[:, None], np.asarray(cols[hop])[None, :]]
-            column[lo:hi] += gram_logdet(W, params.snr)
-    dims = (sum(len(r) for r in rows), sum(len(c) for c in cols))
-    return CapacityEstimate(*_stream_stats(column), num_samples, dims, params.snr)

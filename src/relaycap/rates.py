@@ -270,18 +270,48 @@ class RateReport:
         return _record_dict(self, _REPORT_KEYS)
 
 
+def _certified_min_cut(
+    params: NetworkParams, scheme: QuantizationScheme, cache: TableCache, mode: str
+) -> tuple[float, CutProfile, float]:
+    """``_penalized_min_cut`` of ``scheme`` on the cache's lower-bound
+    tables (``TableCache.lower``), bitwise what the full tables give.
+
+    The body hops read the table at snr / (1 + q), hop D the one at full
+    snr when the destination does not quantize.  The min cut is certified
+    once its argmin crosses only exact entries; otherwise those entries are
+    computed and the min cut is taken again.  For pool-built tables under
+    per_cut_exact with a quantizing destination, the argmin is all relays
+    on the source side, and the one entry computed is (K, K), unless the
+    penalty is within about D * 1e-9 * C(K, K) of zero.
+    """
+    snr = degraded_snr(params, scheme)
+    full = None if scheme.destination_quantizes else params.snr
+    while True:
+        table = cache.lower(snr)
+        last = None if full is None else cache.lower(full)
+        raw, profile, pen = _penalized_min_cut(params, scheme, table, mode, last=last)
+        dims = _block_dims(profile.counts, params)
+        if last is None:
+            computed = cache.make_exact(snr, dims)
+        else:
+            computed = cache.make_exact(snr, dims[:-1]) + cache.make_exact(full, dims[-1:])
+        if not computed:
+            return raw, profile, pen
+
+
 def _scheme_bounds(
     params: NetworkParams, scheme: QuantizationScheme, cache: TableCache, mode: str
 ) -> tuple[CapacityEstimate, float, float]:
     """(C(K, K) estimate at full snr, unclamped penalized min cut under
     ``mode``, standard error of their difference) over the cache's one pool,
     so the error is a common-random-number error of the gap.  Hop D reads
-    the full-snr table when the destination does not quantize."""
+    the full-snr table when the destination does not quantize.  Only the
+    entries the min cut needs are computed (``_certified_min_cut``)."""
     K = params.relays_per_layer
-    table_full = cache.at(params.snr)
-    table = cache.at(degraded_snr(params, scheme))
+    raw, profile, pen = _certified_min_cut(params, scheme, cache, mode)
+    table_full = cache.lower(params.snr)
+    table = cache.lower(degraded_snr(params, scheme))
     last = None if scheme.destination_quantizes else table_full
-    raw, profile, pen = _penalized_min_cut(params, scheme, table, mode, last=last)
     cut_draws = cut_profile_draws(profile, params, table, node_penalty=pen, last=last)
     _, se = _stream_stats(table_full.entry_draws(K, K) - cut_draws)
     return table_full.estimate(K, K), raw, se
@@ -375,6 +405,18 @@ def _candidate_grid(q_grid: list[float]) -> list[float]:
     return grid
 
 
+def _raw_rate_bound(
+    params: NetworkParams, scheme: QuantizationScheme, cache: TableCache
+) -> float:
+    """An upper bound on the raw rate of ``scheme`` (quantizing destination)
+    in either mode, from the (K, K) means the cache has computed: the cut
+    with all relays on the source side crosses only hop D's K x K block
+    and charges K (D - 1) penalties, and the min cut is at most its value,
+    C(K, K) at snr / (1 + q), itself at most ``cache.chord`` there.  Up to
+    rounding: the scan keeps a relative margin of 1e-9."""
+    return cache.chord(degraded_snr(params, scheme)) - penalty_bound(params, scheme)
+
+
 def _optimize_on_cache(
     params: NetworkParams,
     cache: TableCache,
@@ -385,43 +427,35 @@ def _optimize_on_cache(
 ) -> tuple[float, float, list[tuple[float, float]]]:
     """Grid scan and refinement of ``optimize_quantization`` on ``cache``.
 
-    A candidate q scores ``_clamped_rate`` of its penalized min cut on the
-    table at snr / (1 + q).  The incumbent starts at (q_grid[0], 0): scores
-    are >= 0 and the grid ascends.  The grid scan keeps the maximum score,
-    ties going to the smaller ratio; the refinement then moves only on a
-    strictly higher score.
+    A candidate q scores ``_clamped_rate`` of its penalized min cut at
+    snr / (1 + q).  The incumbent starts at (q_grid[0], 0): scores are >= 0
+    and the grid ascends.  The grid scan keeps the maximum score, ties going
+    to the smaller ratio; the refinement then moves only on a strictly
+    higher score.
 
     The grid is scanned best-first, in descending order of an upper bound
-    UB on each candidate's raw rate, ties in ascending q.  Without
-    ``prune`` every UB is +inf, so the scan runs in ascending q.  With
-    ``prune``, the full-snr table is built first, and a candidate passes up
-    to three tiers, each bounding its raw rate from above on the cache's
-    tables at its snr; the min cut is nondecreasing in the entry means, so
-    each UB >= raw:
+    UB on each candidate's raw rate, computed before the scan, ties in
+    ascending q.  Without ``prune`` every UB is +inf, so the scan runs in
+    ascending q, and every min cut is taken on a full table (``cache.at``).
+    With ``prune``, C(K, K) at full snr is computed first, min cuts are
+    taken by ``_certified_min_cut``, and UB is one scalar, the bound on the
+    all-source-side cut of ``_raw_rate_bound``:
 
-      1. the chord bound: the min cut on ``cache.upper`` of its snr, no
-         entry computed (for the grid, on the tables built before the
-         scan);
-      2. if that bound cannot rule it out, and no table is built at its
-         snr, the tightened bound: the min cut on ``cache.upper`` with the
-         entries that the chord bound's argmin cut crosses computed
-         exactly (for K = 2 that cut is usually all relays on the source
-         side, and the one entry is (K, K));
-      3. if that bound cannot rule it out either, the score itself, on a
-         table built at its snr, which reuses the exact entries.
+        UB = chord(snr / (1 + q)) - K (D - 1) log(1 + 1/q).
 
-    With tol = 1e-9 * max(1, incumbent), a tier's UB decides:
+    With tol = 1e-9 * max(1, incumbent), a candidate's UB, taken again when
+    it is scored, decides:
 
-      * UB < -tol: the score is exactly 0, known without a build;
+      * UB < -tol: the score is exactly 0, known without a min cut;
       * UB < incumbent - tol: the candidate cannot beat the incumbent and is
-        not scored; the scan goes on, since a later candidate's chord bound,
-        though lower, may exceed the tightened bound that ruled this one
-        out;
-      * otherwise the next tier runs.
+        not scored; the scan goes on, since a later candidate's bound may
+        be higher;
+      * otherwise the candidate is scored.
 
-    Refinement candidates pass the same tiers.  No tier can change the
-    chosen ratio or its score, so pruning leaves the result bitwise equal
-    to the unpruned scan.
+    Refinement candidates are decided the same way.  The bound cannot change
+    the chosen ratio or its score, and a certified min cut is bitwise the
+    full table's, so pruning leaves the result bitwise equal to the
+    unpruned scan.
 
     Returns:
         (best ratio, its score, [(q, score)] in evaluation order); candidates
@@ -429,45 +463,37 @@ def _optimize_on_cache(
     """
     scores: dict[float, float] = {}  # insertion order is evaluation order
     if prune:
-        cache.at(params.snr)  # every degraded snr now has a ceiling
+        cache.lower(params.snr)  # every degraded snr now has a chord bound
 
-    def chord(q: float) -> tuple[float, CutProfile | None]:
-        """q's chord bound and its argmin profile; +inf without pruning."""
-        if not prune:
-            return math.inf, None
-        scheme = QuantizationScheme(q)
-        table = cache.upper(degraded_snr(params, scheme))
-        return _penalized_min_cut(params, scheme, table, mode)[:2]
+    def bound(q: float) -> float:
+        """q's upper bound UB; +inf without pruning."""
+        return _raw_rate_bound(params, QuantizationScheme(q), cache) if prune else math.inf
 
-    def score(
-        q: float, best: tuple[float, float],
-        bound: tuple[float, CutProfile | None] | None = None,
-    ) -> float | None:
-        """q's score, or None when a bound shows that it cannot beat
-        ``best``; ``bound`` is q's chord bound, computed if not given."""
+    def score(q: float, best: tuple[float, float]) -> float | None:
+        """q's score, or None when its bound shows that it cannot beat
+        ``best``."""
         if q in scores:
             return scores[q]
         scheme = QuantizationScheme(q)
-        snr = degraded_snr(params, scheme)
-        ub, profile = chord(q) if bound is None else bound
+        ub = bound(q)
         tol = 1e-9 * max(1.0, best[1])
-        if prune and ub >= best[1] - tol and cache.ceiling(snr).snr > snr:
-            crossing = [dims for dims in _block_dims(profile.counts, params) if min(dims)]
-            table = cache.upper(snr, exact=crossing)
-            ub = _penalized_min_cut(params, scheme, table, mode)[0]
         if ub < -tol:
             scores[q] = 0.0  # raw <= UB < 0: it clamps
         elif ub < best[1] - tol:
             return None
         else:
-            raw, _, _ = _penalized_min_cut(params, scheme, cache.at(snr), mode)
+            if prune:
+                raw, _, _ = _certified_min_cut(params, scheme, cache, mode)
+            else:
+                table = cache.at(degraded_snr(params, scheme))
+                raw, _, _ = _penalized_min_cut(params, scheme, table, mode)
             scores[q] = _clamped_rate(raw, scheme)
         return scores[q]
 
     best = (q_grid[0], 0.0)
-    bounds = {q: chord(q) for q in q_grid}
-    for q in sorted(q_grid, key=lambda q: (-bounds[q][0], q)):
-        s = score(q, best, bounds[q])
+    bounds = {q: bound(q) for q in q_grid}
+    for q in sorted(q_grid, key=lambda q: (-bounds[q], q)):
+        s = score(q, best)
         if s is not None and (s, -q) > (best[1], -best[0]):
             best = (q, s)
 
@@ -582,15 +608,18 @@ def gap_trend(
       * optimized: q from optimize_quantization on ``q_grid``, or on
         ``default_q_grid(D)`` when it is None.  The scan here is pruned
         and best-first (see ``_optimize_on_cache``): each candidate is
-        bounded from above on ``TableCache.upper`` of its snr, first by
-        the chord in log snr between the cached tables nearest below and
-        above it, then, if that cannot rule it out, with the entries its
-        argmin cut crosses computed exactly; only a candidate neither
-        bound rules out gets a table built.  The grid is scored highest
-        chord bound first.  A bound below zero scores a candidate 0
-        without a build, and a bound below the incumbent skips it.  The
-        chosen q, and so every output byte, is the same as without
-        pruning; only fewer tables are built.
+        bounded from above by the all-source-side cut, C(K, K) at its snr,
+        itself bounded by the chord in log snr between the (K, K) means
+        already computed nearest below and above it, minus the
+        K (D - 1) penalties.  A bound below zero scores a candidate 0, and
+        a bound below the incumbent skips it, both without a min cut.  The
+        grid is scored highest bound first.  The chosen q, and so every
+        output byte, is the same as without pruning.
+
+    Every min cut is certified on lower-bound tables (see
+    ``_certified_min_cut``), so no table is built: at each snr the sweep
+    computes C(K, K), and another entry only where a min cut's argmin
+    crosses it.
 
     ``cache`` lets several calls share one pool and its tables; it replaces
     the pool build, and its pool must have been built with
@@ -616,7 +645,7 @@ def gap_trend(
             f"cache pool (K, num_samples, seed, hop_index) = {cache.pool.key} "
             f"does not match the requested {(K, num_samples, seed, 0)}"
         )
-    cache.at(snr)  # refuses a non-finite snr, naming it, before any depth
+    cache.lower(snr)  # refuses a non-finite snr, naming it, before any depth
     points = []
     for D in depths:
         params = NetworkParams(K, D, power=snr, noise_var=1.0)

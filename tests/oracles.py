@@ -4,16 +4,28 @@ The analytic oracles are derived from classical results about complex
 Wishart matrices, not from the package's own Monte Carlo machinery, so
 agreement is evidence and not circularity.  The per-block oracles at the end
 are earlier forms of package kernels, kept as bitwise references for the
-faster forms that replaced them.
+faster forms that replaced them.  The single-draw helpers and the node-level
+cut estimator in between read the package's own streams; they check its
+indexing and cut bookkeeping from another direction.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate, linalg, special
+
+from relaycap import BLOCK_SIZE, CapacityEstimate, NetworkParams, gram_logdet, rate_scale
+from relaycap.mimo import (
+    _block_bounds,
+    _num_blocks,
+    _positive_int,
+    _stream_stats,
+    sample_channel_block,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -123,6 +135,99 @@ def block_diag_cut_mc(
     mean = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(num_samples))
     return mean, se
+
+
+@dataclass(frozen=True)
+class ChannelSample:
+    """One channel realization.
+
+    Attributes:
+        entries: Complex matrix of fading coefficients, shape (m, n).
+        hop_index: Which hop's stream the draw came from.
+        draw_index: Position of the draw within that stream.
+    """
+
+    entries: np.ndarray
+    hop_index: int = 0
+    draw_index: int = 0
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.entries.shape
+
+
+def sample_channel(
+    m: int, n: int, seed: int, draw_index: int = 0, hop_index: int = 0
+) -> ChannelSample:
+    """Return the draw at a given index of a stream.
+
+    The draw is located inside its enclosing block, so
+    ``sample_channel(m, n, s, i)`` agrees with the i-th matrix seen by any
+    block-based consumer with the same seed and hop.
+    """
+    if draw_index < 0:
+        raise ValueError(f"draw_index must be nonnegative, got {draw_index}")
+    block, offset = divmod(draw_index, BLOCK_SIZE)
+    entries = sample_channel_block(m, n, seed, block, hop_index)[offset]
+    return ChannelSample(entries=entries, hop_index=hop_index, draw_index=draw_index)
+
+
+def logdet_capacity(
+    channel: ChannelSample | np.ndarray, snr: float, log_base: str = "nats"
+) -> float:
+    """Instantaneous capacity of a single channel realization."""
+    H = channel.entries if isinstance(channel, ChannelSample) else np.asarray(channel)
+    return float(gram_logdet(H, snr)) * rate_scale(log_base)
+
+
+def node_cut_value_mc(
+    params: NetworkParams,
+    layer_subsets: list[set[int] | frozenset[int]],
+    num_samples: int,
+    seed: int,
+) -> CapacityEstimate:
+    """Monte Carlo value of an explicit node-level cut.
+
+    Args:
+        params: Network shape; relays are indexed 0..K-1 within each layer.
+        layer_subsets: For each relay layer 1..D-1, the indices of relays on
+            the source side of the cut.  The source's antennas are always on
+            the source side and the destination's on the other.
+        num_samples: Channel draws per hop.
+        seed: Seed; hop i uses stream hop_index = i, independent across hops.
+
+    Returns:
+        CapacityEstimate of the crossing-block capacity sum.  ``dims`` holds
+        the total (receive, transmit) sizes across hops.
+    """
+    K, D = params.relays_per_layer, params.num_hops
+    if len(layer_subsets) != D - 1:
+        raise ValueError(
+            f"expected {D - 1} relay-layer subsets, got {len(layer_subsets)}"
+        )
+    subsets = [frozenset(range(K))]  # source side of layer 0: all antennas
+    for s in layer_subsets:
+        s = frozenset(int(i) for i in s)
+        if any(i < 0 or i >= K for i in s):
+            raise ValueError(f"relay indices must be in 0..{K - 1}, got {sorted(s)}")
+        subsets.append(s)
+    subsets.append(frozenset())  # destination contributes no source-side nodes
+
+    cols = [sorted(subsets[i]) for i in range(D)]
+    rows = [sorted(set(range(K)) - subsets[i + 1]) for i in range(D)]
+    num_samples = _positive_int("num_samples", num_samples)
+
+    column = np.zeros(num_samples)
+    for b in range(_num_blocks(num_samples)):
+        lo, hi = _block_bounds(b, num_samples)
+        for hop in range(D):
+            if not rows[hop] or not cols[hop]:
+                continue
+            draws = sample_channel_block(K, K, seed, b, hop_index=hop)[: hi - lo]
+            W = draws[:, np.asarray(rows[hop])[:, None], np.asarray(cols[hop])[None, :]]
+            column[lo:hi] += gram_logdet(W, params.snr)
+    dims = (sum(len(r) for r in rows), sum(len(c) for c in cols))
+    return CapacityEstimate(*_stream_stats(column), num_samples, dims, params.snr)
 
 
 def entry_column_per_block(pool, m: int, n: int, snr: float) -> np.ndarray:

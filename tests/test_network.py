@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import node_cut_value_mc
 from relaycap import (
     CapacityTable,
     CutProfile,
@@ -16,7 +17,6 @@ from relaycap import (
     check_capacity_properties,
     cut_value,
     min_cut_dp,
-    node_cut_value_mc,
 )
 from relaycap.mimo import _stream_stats
 from relaycap.network import cut_profile_draws

@@ -25,8 +25,10 @@ from relaycap import (
 from relaycap.mimo import _stream_stats
 from relaycap.network import cut_profile_draws
 from relaycap.rates import (
+    _certified_min_cut,
     _optimize_on_cache,
     _penalized_min_cut,
+    _raw_rate_bound,
     resolve_policy,
 )
 
@@ -465,6 +467,95 @@ def test_gap_trend_optimizes_over_given_grid():
                   q_grid=[1.0, 0.0])
 
 
+# ------------------------------------------------- certified min cuts
+
+CERT_DEPTHS = [1, 2, 3, 8, 64, 474]
+
+
+def _exact(table):
+    """Entries (m, n), m >= n >= 1, of a lower-bound table that are exact
+    (a finite standard error)."""
+    K = table.max_dim
+    return {(m, n) for m in range(1, K + 1) for n in range(1, m + 1)
+            if not math.isnan(table.std_errors[m, n])}
+
+
+def _assert_exact_entries_match_built_tables(cache, mode):
+    """Every exact entry of the cache's lower-bound tables is bitwise a
+    built table's, and every other entry lies below it.  Under per_cut_exact
+    no min cut of these tests falls back: (K, K) is the only entry computed
+    at each snr."""
+    K = cache.pool.max_dim
+    for s, table in cache._lower.items():
+        fresh = CapacityTable.from_pool(cache.pool, s)
+        for m, n in _exact(table):
+            for a, b in ((m, n), (n, m)):
+                assert table.means[a, b] == fresh.means[a, b], (s, a, b)
+                assert table.std_errors[a, b] == fresh.std_errors[a, b], (s, a, b)
+        assert np.all(table.means <= fresh.means), s
+        if mode == "per_cut_exact":
+            assert _exact(table) == {(K, K)}, s
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_certified_min_cut_equals_the_full_table_dp_bitwise(K):
+    pool = SamplePool.build(K, 1_500, seed=60 + K)
+    full = TableCache(pool)
+    for snr in (0.5, 10.0):
+        caches = {mode: TableCache(pool) for mode in ("per_cut_exact", "split_bound")}
+        for D in CERT_DEPTHS:
+            params = NetworkParams(K, D, power=snr)
+            for q in (1e-3, 0.25, 1.0, float(max(D - 1, 1)), 1e6):
+                for quantizes in (True, False):
+                    scheme = QuantizationScheme(q, quantizes)
+                    last = None if quantizes else full.at(snr)
+                    table = full.at(degraded_snr(params, scheme))
+                    for mode, cache in caches.items():
+                        raw, profile, pen = _certified_min_cut(params, scheme, cache, mode)
+                        want = _penalized_min_cut(params, scheme, table, mode, last=last)
+                        assert (raw.hex(), profile, pen) == (want[0].hex(), *want[1:]), (
+                            snr, D, q, quantizes, mode)
+        for mode, cache in caches.items():
+            assert len(cache) == 0
+            _assert_exact_entries_match_built_tables(cache, mode)
+
+
+def test_certified_min_cut_computes_the_entries_its_first_argmin_crosses():
+    # split_bound minimizes without penalty.  On the lower-bound table the
+    # cut through both (1, 2) and (2, 1) reads 2 * (2/4) C(2, 2) - 2 margins,
+    # below C(2, 2), so the first argmin crosses inexact entries; once
+    # (2, 1) is computed (its mirror with it), the tie at C(2, 2) goes to the
+    # all-destination-side cut, as on the full table
+    pool = SamplePool.build(2, 2_000, seed=3)
+    params = NetworkParams(2, 2, power=10.0)
+    scheme = QuantizationScheme(1.0)
+    cache = TableCache(pool)
+    raw, profile, _ = _certified_min_cut(params, scheme, cache, "split_bound")
+    want = _penalized_min_cut(
+        params, scheme, CapacityTable.from_pool(pool, 5.0), "split_bound")
+    assert (raw.hex(), profile) == (want[0].hex(), want[1])
+    assert profile.counts == (0,)
+    assert cache._lower.keys() == {5.0}
+    assert _exact(cache.lower(5.0)) == {(2, 2), (2, 1)}
+    # per_cut_exact's penalty makes the all-source-side cut win at once
+    cache = TableCache(pool)
+    _, profile, _ = _certified_min_cut(params, scheme, cache, "per_cut_exact")
+    assert profile.counts == (2,) and _exact(cache.lower(5.0)) == {(2, 2)}
+    # at snr 1e-12 every floor is about -1e-9, below the exact entries, so
+    # with an unquantized destination the first argmin crosses inexact
+    # entries of both tables, and both get computed
+    params = NetworkParams(2, 2, power=1e-12)
+    scheme = QuantizationScheme(1.0, destination_quantizes=False)
+    cache = TableCache(pool)
+    raw, profile, _ = _certified_min_cut(params, scheme, cache, "split_bound")
+    want = _penalized_min_cut(
+        params, scheme, CapacityTable.from_pool(pool, 5e-13), "split_bound",
+        last=CapacityTable.from_pool(pool, 1e-12))
+    assert (raw.hex(), profile) == (want[0].hex(), want[1])
+    assert {s: _exact(t) for s, t in cache._lower.items()} == {
+        5e-13: {(2, 2), (2, 1)}, 1e-12: {(2, 2), (2, 1)}}
+
+
 # ------------------------------------------------- pruned optimizer scan
 
 PRUNE_DEPTHS = [1, 2, 3, 8, 32, 64]
@@ -532,53 +623,57 @@ def test_pruned_scan_on_an_empty_cache_equals_unpruned_scan_bitwise(K, mode):
 @pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_cached_bound_is_at_least_the_raw_rate(K, mode):
+    # the scan's one scalar bound against the raw rate on the full table,
+    # both on a sweep-filled cache and with only C(K, K) at full snr known;
+    # the bound holds up to rounding, and the scan keeps the same margin
     N, seed = 1_000, 5
     pool = SamplePool.build(K, N, seed)
     cache = TableCache(pool)
     exact = TableCache(pool)
     for snr in PRUNE_SNRS:
         gap_trend(K, PRUNE_DEPTHS, snr, "optimized", N, seed, mode=mode, cache=cache)
+        only_full = TableCache(pool)
+        only_full.lower(snr)
         for D in PRUNE_DEPTHS:
             params = NetworkParams(K, D, power=snr)
             for q in sorted({*default_q_grid(D), *CUSTOM_GRID}):
                 scheme = QuantizationScheme(q)
-                deg = degraded_snr(params, scheme)
-                raw = _penalized_min_cut(params, scheme, exact.at(deg), mode)[0]
-                # the tightest table strictly above, and the full-snr table
-                for above in (cache.ceiling(math.nextafter(deg, math.inf)),
-                              cache.at(snr)):
-                    assert above.snr > deg
-                    bound = _penalized_min_cut(params, scheme, above, mode)[0]
-                    assert bound >= raw, (snr, D, q, above.snr)
+                raw = _penalized_min_cut(
+                    params, scheme, exact.at(degraded_snr(params, scheme)), mode)[0]
+                for bounded in (cache, only_full):
+                    bound = _raw_rate_bound(params, scheme, bounded)
+                    assert bound >= raw - 1e-9 * max(1.0, abs(raw)), (snr, D, q)
+        assert len(only_full._lower) == 1  # the bound computes nothing
 
 
 @pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
 def test_candidates_bounded_below_zero_score_zero_without_a_build(mode):
-    # deep and fine enough that every candidate clamps: with only the
-    # full-snr table cached, each bound is negative, so the scan builds
-    # nothing and still picks the smallest ratio, as the unpruned scan does
+    # deep and fine enough that every candidate clamps: with only C(K, K)
+    # at full snr known, each bound is negative, so the scan computes
+    # nothing more and still picks the smallest ratio, as the unpruned scan
+    # does
     pool = SamplePool.build(2, 2_000, seed=9)
     params = NetworkParams(2, 64, power=10.0)
     grid = [0.25, 1.0, 4.0]
     cache = TableCache(pool)
-    cache.at(params.snr)
+    cache.lower(params.snr)
     best_q, best, evals = _optimize_on_cache(params, cache, grid, mode, 3, prune=True)
     full = _optimize_on_cache(params, TableCache(pool), grid, mode, 3)
     assert (best_q, best) == full[:2] == (grid[0], 0.0)
-    assert len(cache._tables) == 1
+    assert len(cache) == 0 and cache._lower.keys() == {params.snr}
     assert set(grid) <= set(dict(evals)) and set(dict(evals).values()) == {0.0}
 
 
 @pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_pruned_scan_on_a_sweep_filled_cache_equals_unpruned_scan_bitwise(K, mode):
-    # sweep fills the cache with the fixed_1 and depth_matched tables before
-    # the optimized policy scans, so the best-first scan starts from bounds
-    # on tables below and above most candidates
+    # sweep fills the cache with the fixed_1 and depth_matched (K, K) means
+    # before the optimized policy scans, so the best-first scan starts from
+    # chord bounds between known means below and above most candidates
     N, seed = 1_000, 13
     pool = SamplePool.build(K, N, seed)
     depths = [2, 4, 8, 16, 32]
-    tightened = 0
+    skipped = 0
     for snr in PRUNE_SNRS:
         cache = TableCache(pool)
         for policy in ("fixed_1", "depth_matched"):
@@ -591,15 +686,12 @@ def test_pruned_scan_on_a_sweep_filled_cache_equals_unpruned_scan_bitwise(K, mod
                 assert [v.hex() for v in pruned[:2]] == [v.hex() for v in full[:2]], (
                     snr, D, grid)
                 assert set(pruned[2]) <= set(full[2])
+                skipped += len(full[2]) - len(pruned[2])
                 if (K, snr, D, grid) == (2, 10.0, 32, default_q_grid(32)):
                     assert full[:2] == (grid[0], 0.0)  # every candidate clamps
-        # tables built after exact entries were computed reuse them bitwise
-        for s, table in cache._tables.items():
-            fresh = CapacityTable.from_pool(pool, s)
-            assert np.array_equal(table.means, fresh.means), s
-            assert np.array_equal(table.std_errors, fresh.std_errors), s
-        tightened += len(cache._entries.keys() - cache._tables.keys())
-    assert tightened > 0  # some candidates were decided by exact entries alone
+        assert len(cache) == 0  # no table was built
+        _assert_exact_entries_match_built_tables(cache, mode)
+    assert skipped > 0  # some candidates were decided on the bound alone
 
 
 def test_unpruned_scan_evaluates_the_grid_in_ascending_order():
@@ -610,28 +702,16 @@ def test_unpruned_scan_evaluates_the_grid_in_ascending_order():
     assert len(res.evaluations) > len(grid)  # then the refinement
 
 
-@pytest.fixture(scope="module")
-def headline_cache():
-    """The sweep-optimized shape at pool seed 0, all three policies run."""
+def test_headline_sweep_builds_no_table_and_computes_only_kk_entries():
+    # the sweep-optimized shape at pool seed 0, all three policies run: the
+    # parent built 17 full tables here and computed 59 entries; each snr now
+    # gets C(K, K) alone, at 24 snr values (measured)
     cache = TableCache(SamplePool.build(2, 50_000, seed=0))
     for policy in ("fixed_1", "depth_matched", "optimized"):
         gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, 50_000, 0, cache=cache)
-    return cache
-
-
-def test_headline_sweep_builds_at_most_17_tables(headline_cache):
-    # 23 tables on the chord bound alone, 45 on the ceiling, 77 unpruned
-    assert len(headline_cache) <= 17
-
-
-def test_headline_sweep_skips_builds_on_exact_entries(headline_cache):
-    # an snr with exact entries but no table: a candidate there was ruled
-    # out by its tightened bound, at the cost of the entries its chord
-    # bound's argmin cut crosses, all relays on the source side: (K, K)
-    memo = headline_cache._entries
-    decided = memo.keys() - headline_cache._tables.keys()
-    assert len(decided) >= 5
-    assert all(memo[s].keys() == {(2, 2)} for s in decided)
+    assert len(cache) == 0
+    assert len(cache._lower) <= 24
+    assert all(_exact(t) == {(2, 2)} for t in cache._lower.values())
 
 
 def test_sweep_shape_builds_at_most_45_tables():

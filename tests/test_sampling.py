@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from relaycap import BLOCK_SIZE, SamplePool, sample_channel, sample_channel_block
+from oracles import sample_channel
+from relaycap import BLOCK_SIZE, SamplePool, sample_channel_block
 
 
 def test_block_shape_and_dtype():

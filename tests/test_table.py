@@ -277,17 +277,6 @@ def test_pool_is_identical_for_any_worker_count():
         assert (w_a is None and w_b is None) or np.array_equal(w_a, w_b)
 
 
-def test_table_cache_ceiling_returns_tightest_built_table(pool3):
-    cache = TableCache(pool3)
-    assert cache.ceiling(1.0) is None and len(cache._tables) == 0
-    two, four = cache.at(2.0), cache.at(4.0)
-    assert cache.ceiling(1.0) is two
-    assert cache.ceiling(2.0) is two
-    assert cache.ceiling(3.0) is four
-    assert cache.ceiling(4.5) is None
-    assert len(cache._tables) == 2  # ceiling never builds
-
-
 def _monotonicity_snrs():
     """Dense snr grid with close pairs: 0, a geometric spread, and each of
     1, 10 and the degraded snrs 10 / (1 + q) of default_q_grid(32) next to
@@ -359,48 +348,48 @@ UPPER_SNRS = [float(s) for s in np.geomspace(1e-3, 1e5, 9)]
 @pytest.mark.parametrize("N", [1, 5_000])
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_table_cache_upper_bounds_every_entry_mean(K, N):
+    # the chord over the known C(K, K) means bounds C(K, K), and so every
+    # entry mean (entries grow with each dimension), at every snr between
     pool = SamplePool.build(K, N, seed=40 + K)
     exact = TableCache(pool)
-    dims = np.minimum.outer(np.arange(K + 1), np.arange(K + 1))
-    keys = [(m, n) for m in range(1, K + 1) for n in range(1, m + 1)]
     for s0, s1 in itertools.combinations(UPPER_SNRS, 2):
         cache = TableCache(pool)
-        low, high = cache.at(s0), cache.at(s1)
+        low, high = cache.lower(s0).means[K, K], cache.lower(s1).means[K, K]
         for t in (0.1, 0.5, 0.9):
             s = s0 * (s1 / s0) ** t
-            bound = cache.upper(s)
-            assert bound.pool is None and bound.snr == s
-            assert np.all(bound.means >= exact.at(s).means), (s0, s1, s)
-            # no looser than the ceiling or the per-eigenvalue shift bound
-            tighter = np.minimum(high.means, low.means + dims * math.log(s / s0))
-            assert np.all(bound.means <= tighter * (1 + 1e-12)), (s0, s1, s)
-            # with one entry (named mirrored) or every entry computed
-            # exactly: still a bound, tighter, and bitwise the built table's
-            truth = exact.at(s)
-            for named in ([keys[-1][::-1]], keys):
-                tight = cache.upper(s, exact=named)
-                assert tight.pool is None and tight.snr == s
-                assert np.all(tight.means >= truth.means), (s0, s1, s, named)
-                assert np.all(tight.means <= bound.means), (s0, s1, s, named)
-                for m, n in named:
-                    for a, b in ((m, n), (n, m)):
-                        assert _bits(tight.means[a, b], tight.std_errors[a, b]) == _bits(
-                            truth.means[a, b], truth.std_errors[a, b]), (s, a, b)
-            assert np.array_equal(cache.upper(s).means, bound.means)  # no side effect
-        for built in (low, high):
-            assert np.array_equal(cache.upper(built.snr).means, built.means)
-        # at a built snr the table is exact already: no entry is computed
-        assert np.array_equal(cache.upper(s1, exact=keys).means, high.means)
-        assert s1 not in cache._entries
-        assert np.array_equal(cache.upper(s0 / 2).means, low.means)  # no table below
-        assert cache.upper(2 * s1) is None  # no table above
-        assert len(cache) == 2  # upper never builds
+            bound = cache.chord(s)
+            assert np.all(bound >= exact.at(s).means), (s0, s1, s)
+            # no looser than the mean above or the per-eigenvalue shift bound
+            tighter = min(high, low + K * math.log(s / s0))
+            assert bound <= tighter * (1 + 1e-12), (s0, s1, s)
+        assert cache.chord(s0) == low and cache.chord(s1) == high
+        assert cache.chord(s0 / 2) == low  # no known mean below
+        assert cache.chord(2 * s1) == math.inf  # none above
+        assert cache._lower.keys() == {s0, s1}  # the chord computes nothing
+        assert len(cache) == 0
 
 
-def test_upper_computes_each_exact_entry_once_and_the_build_reuses_it(monkeypatch):
+@pytest.mark.parametrize("N", [1, 4097, 20_000])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_lower_table_bounds_every_entry_from_below(K, N):
+    # the certificate's premise: on pool-built tables,
+    # C(m, n) >= (mn / K^2) C(K, K) - 1e-9 max(1, C(K, K)) for every entry
+    # mean, and for every entry on every draw
+    for seed in (1, 2, 3):
+        pool = SamplePool.build(K, N, seed=seed)
+        cache = TableCache(pool)
+        for snr in (0.0, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e5):
+            full = CapacityTable.from_pool(pool, snr)
+            assert np.all(cache.lower(snr).means <= full.means), (seed, snr)
+            kk = full.entry_draws(K, K)
+            for m, n in itertools.product(range(1, K + 1), repeat=2):
+                floor = mimo._entry_floor(m * n, K, kk)
+                assert np.all(full.entry_draws(m, n) >= floor), (seed, snr, m, n)
+
+
+def test_lower_computes_each_entry_once():
     pool = SamplePool.build(2, 3_000, seed=7)
     cache = TableCache(pool)
-    cache.at(1.0), cache.at(10.0)
     calls = []
     entry_stats = mimo._entry_stats
 
@@ -408,16 +397,25 @@ def test_upper_computes_each_exact_entry_once_and_the_build_reuses_it(monkeypatc
         calls.append((m, n, snr))
         return entry_stats(pool, m, n, snr)
 
-    monkeypatch.setattr(mimo, "_entry_stats", counting)
-    for _ in range(2):
-        cache.upper(4.0, exact=[(2, 2)])
-    cache.upper(4.0, exact=[(1, 2), (2, 1)])
-    assert calls == [(2, 2, 4.0), (2, 1, 4.0)]
-    table = cache.at(4.0)
-    assert calls[2:] == [(1, 1, 4.0)]  # the build computes only the rest
-    fresh = CapacityTable.from_pool(pool, 4.0)
-    assert np.array_equal(table.means, fresh.means)
-    assert np.array_equal(table.std_errors, fresh.std_errors)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mimo, "_entry_stats", counting)
+        table = cache.lower(4.0)
+        assert cache.lower(4.0) is table and calls == [(2, 2, 4.0)]
+        assert cache.make_exact(4.0, [(2, 2), (0, 2), (2, 0)]) == 0
+        assert cache.make_exact(4.0, [(1, 2), (2, 1)]) == 1
+        assert cache.make_exact(4.0, [(2, 1)]) == 0
+        assert calls[1:] == [(2, 1, 4.0)]
+    built = CapacityTable.from_pool(pool, 4.0)
+    for dims in ((2, 2), (2, 1), (1, 2)):
+        assert _bits(table.means[dims], table.std_errors[dims]) == _bits(
+            built.means[dims], built.std_errors[dims])
+    assert table.means[1, 1] < built.means[1, 1] and math.isnan(table.std_errors[1, 1])
+    assert not table.means[0].any() and not table.means[:, 0].any()
+    # per-draw columns come from the pool whatever the table's means
+    assert np.array_equal(table.entry_draws(1, 1), built.entry_draws(1, 1))
+    assert len(cache) == 0
+    with pytest.raises(ValueError, match="snr"):
+        cache.lower(math.nan)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
