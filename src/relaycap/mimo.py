@@ -18,11 +18,11 @@ blocks.
 Estimates come from Gram spectra: with eigenvalues lambda_i of the Gram
 matrix of the smaller side, logdet(I + snr * H H^dagger) =
 sum_i log1p(snr * lambda_i).  The spectrum does not depend on snr, so a
-``SamplePool`` decomposes every cyclic window of its draws once, and each
-``CapacityTable`` over the pool is an elementwise pass over the stored
-eigenvalues.  ``gram_logdet`` (a Cholesky factorization of I + snr * Gram) is
-kept as the independent reference that the property checks and tests compare
-the spectral path against.
+``SamplePool`` decomposes the cyclic windows of a table entry once, when a
+table first reads the entry, and the entry at any snr is an elementwise
+pass over the stored eigenvalues.  ``gram_logdet`` (a Cholesky
+factorization of I + snr * Gram) is kept as the independent reference that
+the property checks and tests compare the spectral path against.
 """
 
 from __future__ import annotations
@@ -346,6 +346,7 @@ def estimate_ergodic_capacity(
     m, n = _positive_int("m", m, minimum=0), _positive_int("n", n, minimum=0)
     num_samples = _positive_int("num_samples", num_samples)
     seed = _positive_int("seed", seed, minimum=0)
+    workers = _positive_int("workers", workers)
     _check_snr(snr)
     if m == 0 or n == 0 or snr == 0.0:
         return CapacityEstimate(0.0, 0.0, num_samples, (m, n), snr)
@@ -395,22 +396,25 @@ class SamplePool:
     ``key``, and ``draws`` regenerates them when asked.
 
     Attributes:
-        spectra: For every table entry (m, n) with m >= n, the pair
-            (eigenvalues, weights).  ``eigenvalues`` has shape
-            (num_samples, c): the smaller-side Gram eigenvalues of each of
-            the entry's cyclic windows (see ``_window_groups``), side by
-            side.  ``weights`` gives each column its window's share of the
-            average, or is None when the entry has a single window.  Spectra
-            do not depend on snr, so tables at any number of snr values
-            reuse them.
+        spectra: The entries decomposed so far (see ``decompose``): for a
+            table entry (m, n) with m >= n, the pair (eigenvalues, weights).
+            ``eigenvalues`` has shape (num_samples, c): the smaller-side
+            Gram eigenvalues of each of the entry's cyclic windows (see
+            ``_window_groups``), side by side.  ``weights`` gives each
+            column its window's share of the average, or is None when the
+            entry has a single window.  Spectra do not depend on snr, so
+            tables at any number of snr values reuse them.
+        workers: Threads that share the blocks of a decomposition; the
+            spectra are bit-identical for any worker count.
     """
 
     max_dim: int
     num_samples: int
     seed: int
     hop_index: int
+    workers: int = field(default=1, compare=False)
     spectra: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = field(
-        repr=False
+        default_factory=dict, compare=False, repr=False
     )
 
     @property
@@ -441,30 +445,40 @@ class SamplePool:
         hop_index: int = 0,
         workers: int = 1,
     ) -> "SamplePool":
-        """Sample the draws and decompose every cyclic window, block by block.
-
-        ``workers`` threads share the blocks; the pool is bit-identical for
-        any worker count.
-        """
+        """The pool, with entry (max_dim, max_dim) decomposed: every table
+        reads it first."""
         max_dim = _positive_int("max_dim", max_dim)
         num_samples = _positive_int("num_samples", num_samples)
         seed = _positive_int("seed", seed, minimum=0)
         hop_index = _positive_int("hop_index", hop_index, minimum=0)
-        K = max_dim
-        groups = {
-            (m, n): _window_groups(K, m, n)
-            for m in range(1, K + 1) for n in range(1, m + 1)
-        }
+        pool = cls(max_dim, num_samples, seed, hop_index, _positive_int("workers", workers))
+        pool.decompose([(max_dim, max_dim)])
+        return pool
+
+    def decompose(self, entries: Iterable[tuple[int, int]]) -> None:
+        """Decompose every cyclic window of each entry (m, n) not in
+        ``spectra`` yet, in one pass over the blocks.
+
+        Raises:
+            ValueError: unless max_dim >= m >= n >= 1 for every entry.
+        """
+        K, N = self.max_dim, self.num_samples
+        entries = set(entries)
+        if not all(K >= m >= n >= 1 for m, n in entries):
+            raise ValueError(f"entries must have {K} >= m >= n >= 1, got {sorted(entries)}")
+        groups = {e: _window_groups(K, *e) for e in sorted(entries - self.spectra.keys())}
+        if not groups:
+            return
         # every window of entry (m, n) has n eigenvalues, one column each
         eigenvalues = {
-            (m, n): np.empty((num_samples, n * sum(len(rows) for _, rows, _ in g)))
+            (m, n): np.empty((N, n * sum(len(rows) for _, rows, _ in g)))
             for (m, n), g in groups.items()
         }
 
         def task(b: int) -> None:
             # each block writes only its own rows
-            lo, hi = _block_bounds(b, num_samples)
-            block = sample_channel_block(K, K, seed, b, hop_index)[: hi - lo]
+            lo, hi = _block_bounds(b, N)
+            block = sample_channel_block(K, K, self.seed, b, self.hop_index)[: hi - lo]
             for (m, n), entry_groups in groups.items():
                 col = 0
                 for _, rows, cols in entry_groups:
@@ -482,8 +496,7 @@ class SamplePool:
                     eigenvalues[(m, n)][lo:hi, col : col + spectrum.shape[1]] = spectrum
                     col += spectrum.shape[1]
 
-        _map_blocks(task, _num_blocks(num_samples), workers)
-        spectra = {}
+        _map_blocks(task, _num_blocks(N), self.workers)
         for (m, n), entry_groups in groups.items():
             weights = None
             if sum(len(rows) for _, rows, _ in entry_groups) > 1:
@@ -491,8 +504,7 @@ class SamplePool:
                 weights = np.concatenate(
                     [np.full(n * len(rows), w / total) for w, rows, _ in entry_groups]
                 )
-            spectra[(m, n)] = (eigenvalues[(m, n)], weights)
-        return cls(max_dim, num_samples, seed, hop_index, spectra)
+            self.spectra[(m, n)] = (eigenvalues[(m, n)], weights)
 
 
 def _window_values(
@@ -522,20 +534,20 @@ def _window_values(
 
 
 def _entry_chunks(pool: SamplePool, m: int, n: int, snr: float):
-    """Per-draw values of entry (m, n), m, n >= 1, one block at a time: the
-    blocks of the direct estimator, so statistics over them match it
-    bitwise."""
-    eigenvalues, weights = pool.spectra[(max(m, n), min(m, n))]
+    """Per-draw values of entry (m, n), m >= n >= 1, one block at a time:
+    the blocks of the direct estimator, so statistics over them match it
+    bitwise.  The pool decomposes the entry if it has not yet."""
+    pool.decompose([(m, n)])
+    eigenvalues, weights = pool.spectra[(m, n)]
     N = pool.num_samples
     for b in range(_num_blocks(N)):
         yield _window_values(eigenvalues[slice(*_block_bounds(b, N))], weights, snr)
 
 
 def _entry_stats(pool: SamplePool, m: int, n: int, snr: float) -> tuple[float, float]:
-    """Mean and standard error of entry (m, n), m, n >= 1, at ``snr``: each
-    block reduced as ``_entry_chunks`` yields it, so no N-length column is
-    formed.  The one computation of a table entry; an entry computed alone
-    is bitwise the entry of a table built at the same snr."""
+    """Mean and standard error of entry (m, n), m >= n >= 1, at ``snr``:
+    each block reduced as ``_entry_chunks`` yields it, so no N-length
+    column is formed.  The one computation of a table entry."""
     sums = [s for values in _entry_chunks(pool, m, n, snr) for s in _block_sums(values)]
     return _moments(sums, pool.num_samples)
 
@@ -548,8 +560,8 @@ class CapacityTable:
     via cyclic-window symmetrization (see ``_window_values``), so on every
     single draw the table is symmetric, monotone in each dimension, and
     superadditive in the row split.  Index 0 rows and columns are exactly
-    zero.  Building a table costs one elementwise pass over the pool's
-    stored eigenvalues; no matrix is formed or factored.
+    zero.  An entry costs one elementwise pass over its eigenvalues in the
+    pool, which decomposes them when a table first reads the entry.
 
     Per-draw entry values, needed for common-random-number error bars, are
     not stored: ``entry_draws`` derives them from the pool's spectrum when
@@ -578,18 +590,13 @@ class CapacityTable:
     def from_pool(
         cls, pool: SamplePool, snr: float, keep_per_draw: bool = True
     ) -> "CapacityTable":
-        """The table at ``snr`` over ``pool``, every entry by ``_entry_stats``.
+        """The table at ``snr`` over ``pool``, every entry exact:
+        ``TableCache(pool).at(snr)``.
 
         ``keep_per_draw`` is ignored; ROADMAP item 2 drops it with the
         benchmark's tracer.
         """
-        _check_snr(snr)
-        K = pool.max_dim
-        means = np.zeros((K + 1, K + 1))
-        ses = np.zeros((K + 1, K + 1))
-        for m, n in pool.spectra:
-            means[m, n], ses[m, n] = means[n, m], ses[n, m] = _entry_stats(pool, m, n, snr)
-        return cls(K, snr, pool.num_samples, pool.seed, pool.hop_index, means, ses, pool)
+        return TableCache(pool).at(snr)
 
     def entry_draws(self, m: int, n: int) -> np.ndarray:
         """Read-only per-draw values of entry (m, n) over the table's pool.
@@ -663,13 +670,15 @@ class CapacityTable:
 
         Raises:
             ValueError: naming the field, and the entry where there is one,
-                unless snr is finite and nonnegative and every entry (m, n)
-                with 0 <= m, n <= max_dim appears exactly once with a finite
-                mean and a finite, nonnegative standard error.
+                unless max_dim and num_samples are positive integers, seed and
+                hop_index nonnegative ones, snr is finite and nonnegative, and
+                every entry (m, n) with 0 <= m, n <= max_dim appears exactly
+                once with a finite mean and a finite, nonnegative standard error.
         """
-        K = data["max_dim"]
-        if not isinstance(K, int) or K < 1:
-            raise ValueError(f"max_dim must be a positive integer, got {K!r}")
+        K = _positive_int("max_dim", data["max_dim"])
+        num_samples = _positive_int("num_samples", data["num_samples"])
+        seed = _positive_int("seed", data["seed"], minimum=0)
+        hop_index = _positive_int("hop_index", data.get("hop_index", 0), minimum=0)
         snr = data["snr"]
         _check_snr(snr)
         means = np.zeros((K + 1, K + 1))
@@ -695,10 +704,7 @@ class CapacityTable:
         for dims in itertools.product(range(K + 1), repeat=2):
             if dims not in seen:
                 raise ValueError(f"entry dims {list(dims)}: missing")
-        return cls(
-            K, snr, data["num_samples"], data["seed"],
-            data.get("hop_index", 0), means, ses,
-        )
+        return cls(K, snr, num_samples, seed, hop_index, means, ses)
 
     @classmethod
     def from_json(cls, text: str) -> "CapacityTable":
@@ -733,42 +739,35 @@ def _entry_floor(mn, K: int, kk):
 class TableCache:
     """Capacity tables at several snr values over one shared pool.
 
-    ``at`` builds and keeps the full table at an snr.  ``lower`` keeps, per
-    snr, a table that computes only the entries asked for: (K, K) always,
-    and others through ``make_exact``; every other entry holds
-    ``_entry_floor``, a lower bound.  A min cut on it whose argmin crosses
-    only exact entries is, bitwise, the min cut of the full table: every
-    cut's value there is at least its value on the lower table (float
-    addition is monotone), the argmin's value is equal, and ties break the
-    same way.  ``chord`` bounds the (K, K) mean at any snr from above on
-    the ones ``lower`` has computed.
+    ``lower`` keeps, per snr, a table that computes only the entries asked
+    for: (K, K) always, and others through ``make_exact``; every other
+    entry holds ``_entry_floor``, a lower bound.  A min cut on it whose
+    argmin crosses only exact entries is, bitwise, the min cut of the full
+    table: every cut's value there is at least its value on the lower table
+    (float addition is monotone), the argmin's value is equal, and ties
+    break the same way.  ``at`` makes every entry of that one table exact:
+    the full table.  ``chord`` bounds the (K, K) mean at any snr from above
+    on the ones ``lower`` has computed.
     """
 
     def __init__(self, pool: SamplePool):
         self.pool = pool
-        self._tables: dict[float, CapacityTable] = {}
         self._lower: dict[float, CapacityTable] = {}
 
-    def __len__(self) -> int:
-        """Number of tables built."""
-        return len(self._tables)
-
     def at(self, snr: float) -> CapacityTable:
-        key = float(snr)
-        if key not in self._tables:
-            self._tables[key] = CapacityTable.from_pool(self.pool, key)
-        return self._tables[key]
+        """The full table at ``snr``: ``lower(snr)`` with every entry exact."""
+        self.make_exact(snr, itertools.product(range(1, self.pool.max_dim + 1), repeat=2))
+        return self.lower(snr)
 
     def lower(self, snr: float) -> CapacityTable:
-        """The lower-bound table at ``snr``, made on first use by computing
-        entry (K, K) alone, without a table build.
+        """The lower-bound table at ``snr``, made on first use from entry (K, K).
 
         Exact entries ((K, K) and those ``make_exact`` computed) hold their
-        mean and standard error bitwise as a built table would; every other
-        entry holds ``_entry_floor`` of the (K, K) mean and a NaN standard
-        error, which marks it inexact: it must not be reported.  Entries
-        with a zero dimension are exact zeros.  The table keeps the pool,
-        so ``entry_draws`` gives exact per-draw columns for any entry.
+        mean and standard error; every other entry holds ``_entry_floor`` of
+        the (K, K) mean and a NaN standard error, which marks it inexact: it
+        must not be reported.  Entries with a zero dimension are exact
+        zeros.  The table keeps the pool, so ``entry_draws`` gives exact
+        per-draw columns for any entry.
         """
         key = float(snr)
         table = self._lower.get(key)
@@ -789,11 +788,12 @@ class TableCache:
 
     def make_exact(self, snr: float, dims: Iterable[tuple[int, int]]) -> int:
         """Compute the entries ``dims`` of ``lower(snr)`` that are not exact
-        yet, each once (with its mirror), by ``_entry_stats``; returns how
-        many were computed."""
+        yet, each once (with its mirror), from one ``SamplePool.decompose``;
+        returns how many were computed."""
         table = self.lower(snr)
         means, ses = table.means, table.std_errors
         todo = sorted({(max(m, n), min(m, n)) for m, n in set(dims) if math.isnan(ses[m, n])})
+        self.pool.decompose(todo)
         for m, n in todo:
             means[m, n], ses[m, n] = means[n, m], ses[n, m] = _entry_stats(
                 self.pool, m, n, table.snr

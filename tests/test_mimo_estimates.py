@@ -116,13 +116,17 @@ def test_mean_nonnegative_and_monotone_in_snr():
 @pytest.mark.parametrize(
     "args, name",
     [
-        ((2.0, 2, 100, 0), "m"),
-        ((2, True, 100, 0), "n"),
-        ((-1, 2, 100, 0), "m"),
-        ((2, 2, 100.0, 0), "num_samples"),
-        ((2, 2, True, 0), "num_samples"),
-        ((2, 2, 100, 1.5), "seed"),
-        ((2, 2, 100, -3), "seed"),
+        ((2.0, 2, 100, 0, 1), "m"),
+        ((2, True, 100, 0, 1), "n"),
+        ((-1, 2, 100, 0, 1), "m"),
+        ((2, 2, 100.0, 0, 1), "num_samples"),
+        ((2, 2, True, 0, 1), "num_samples"),
+        ((2, 2, 100, 1.5, 1), "seed"),
+        ((2, 2, 100, -3, 1), "seed"),
+        ((2, 2, 100, 0, 0), "workers"),
+        ((2, 2, 100, 0, -3), "workers"),
+        ((2, 2, 100, 0, 2.5), "workers"),
+        ((2, 2, 100, 0, True), "workers"),
     ],
 )
 def test_estimator_refuses_bad_integers_before_any_work(monkeypatch, args, name):
@@ -130,9 +134,9 @@ def test_estimator_refuses_bad_integers_before_any_work(monkeypatch, args, name)
         raise AssertionError("sampled before the arguments were checked")
 
     monkeypatch.setattr(mimo, "sample_channel_block", no_sampling)
-    m, n, N, seed = args
+    m, n, N, seed, workers = args
     with pytest.raises(ValueError, match=f"^{name} "):
-        estimate_ergodic_capacity(m, n, 1.0, N, seed)
+        estimate_ergodic_capacity(m, n, 1.0, N, seed, workers=workers)
 
 
 def test_estimator_takes_numpy_integers():

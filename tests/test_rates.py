@@ -498,7 +498,7 @@ def _assert_exact_entries_match_built_tables(cache, mode):
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
-def test_certified_min_cut_equals_the_full_table_dp_bitwise(K):
+def test_certified_min_cut_equals_the_full_table_dp_bitwise(K, no_full_table):
     pool = SamplePool.build(K, 1_500, seed=60 + K)
     full = TableCache(pool)
     for snr in (0.5, 10.0):
@@ -511,12 +511,13 @@ def test_certified_min_cut_equals_the_full_table_dp_bitwise(K):
                     last = None if quantizes else full.at(snr)
                     table = full.at(degraded_snr(params, scheme))
                     for mode, cache in caches.items():
-                        raw, profile, pen = _certified_min_cut(params, scheme, cache, mode)
+                        with no_full_table():
+                            raw, profile, pen = _certified_min_cut(
+                                params, scheme, cache, mode)
                         want = _penalized_min_cut(params, scheme, table, mode, last=last)
                         assert (raw.hex(), profile, pen) == (want[0].hex(), *want[1:]), (
                             snr, D, q, quantizes, mode)
         for mode, cache in caches.items():
-            assert len(cache) == 0
             _assert_exact_entries_match_built_tables(cache, mode)
 
 
@@ -647,7 +648,7 @@ def test_cached_bound_is_at_least_the_raw_rate(K, mode):
 
 
 @pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
-def test_candidates_bounded_below_zero_score_zero_without_a_build(mode):
+def test_candidates_bounded_below_zero_score_zero_without_a_build(mode, no_full_table):
     # deep and fine enough that every candidate clamps: with only C(K, K)
     # at full snr known, each bound is negative, so the scan computes
     # nothing more and still picks the smallest ratio, as the unpruned scan
@@ -656,17 +657,20 @@ def test_candidates_bounded_below_zero_score_zero_without_a_build(mode):
     params = NetworkParams(2, 64, power=10.0)
     grid = [0.25, 1.0, 4.0]
     cache = TableCache(pool)
-    cache.lower(params.snr)
-    best_q, best, evals = _optimize_on_cache(params, cache, grid, mode, 3, prune=True)
+    with no_full_table():
+        cache.lower(params.snr)
+        best_q, best, evals = _optimize_on_cache(params, cache, grid, mode, 3, prune=True)
     full = _optimize_on_cache(params, TableCache(pool), grid, mode, 3)
     assert (best_q, best) == full[:2] == (grid[0], 0.0)
-    assert len(cache) == 0 and cache._lower.keys() == {params.snr}
+    assert cache._lower.keys() == {params.snr}
     assert set(grid) <= set(dict(evals)) and set(dict(evals).values()) == {0.0}
 
 
 @pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
 @pytest.mark.parametrize("K", [1, 2, 3])
-def test_pruned_scan_on_a_sweep_filled_cache_equals_unpruned_scan_bitwise(K, mode):
+def test_pruned_scan_on_a_sweep_filled_cache_equals_unpruned_scan_bitwise(
+    K, mode, no_full_table
+):
     # sweep fills the cache with the fixed_1 and depth_matched (K, K) means
     # before the optimized policy scans, so the best-first scan starts from
     # chord bounds between known means below and above most candidates
@@ -676,20 +680,21 @@ def test_pruned_scan_on_a_sweep_filled_cache_equals_unpruned_scan_bitwise(K, mod
     skipped = 0
     for snr in PRUNE_SNRS:
         cache = TableCache(pool)
-        for policy in ("fixed_1", "depth_matched"):
-            gap_trend(K, depths, snr, policy, N, seed, mode=mode, cache=cache)
+        with no_full_table():
+            for policy in ("fixed_1", "depth_matched"):
+                gap_trend(K, depths, snr, policy, N, seed, mode=mode, cache=cache)
         for D in depths:
             params = NetworkParams(K, D, power=snr)
             for grid in (default_q_grid(D), CUSTOM_GRID):
                 full = _optimize_on_cache(params, TableCache(pool), grid, mode, 3)
-                pruned = _optimize_on_cache(params, cache, grid, mode, 3, prune=True)
+                with no_full_table():
+                    pruned = _optimize_on_cache(params, cache, grid, mode, 3, prune=True)
                 assert [v.hex() for v in pruned[:2]] == [v.hex() for v in full[:2]], (
                     snr, D, grid)
                 assert set(pruned[2]) <= set(full[2])
                 skipped += len(full[2]) - len(pruned[2])
                 if (K, snr, D, grid) == (2, 10.0, 32, default_q_grid(32)):
                     assert full[:2] == (grid[0], 0.0)  # every candidate clamps
-        assert len(cache) == 0  # no table was built
         _assert_exact_entries_match_built_tables(cache, mode)
     assert skipped > 0  # some candidates were decided on the bound alone
 
@@ -703,17 +708,33 @@ def test_unpruned_scan_evaluates_the_grid_in_ascending_order():
 
 
 @pytest.fixture(scope="module")
-def headline_cache():
-    """The sweep-optimized shape at pool seed 0, all three policies run."""
+def headline_cache(no_full_table):
+    """The sweep-optimized shape at pool seed 0, all three policies run,
+    with ``TableCache.at`` and ``CapacityTable.from_pool`` refusing."""
     cache = TableCache(SamplePool.build(2, 50_000, seed=0))
-    for policy in ("fixed_1", "depth_matched", "optimized"):
-        gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, 50_000, 0, cache=cache)
+    with no_full_table():
+        for policy in ("fixed_1", "depth_matched", "optimized"):
+            gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, 50_000, 0, cache=cache)
     return cache
 
 
 def test_headline_sweep_builds_at_most_17_tables(headline_cache):
-    # 17 full tables before lower-bound certification, 77 unpruned; now none
-    assert len(headline_cache) == 0
+    # 17 full tables before lower-bound certification, 77 unpruned; now
+    # none: the sweep ran with full tables refused, and no table it left
+    # has all three entries (1, 1), (2, 1) and (2, 2) exact
+    assert headline_cache._lower
+    assert all(len(_exact(t)) < 3 for t in headline_cache._lower.values())
+
+
+@pytest.mark.parametrize("K", [2, 4])
+def test_certified_sweep_decomposes_only_the_full_entry(K):
+    # per_cut_exact min cuts read C(K, K) alone, so the pool never
+    # decomposes another entry
+    pool = SamplePool.build(K, 5_000, seed=K)
+    cache = TableCache(pool)
+    for policy in ("fixed_1", "depth_matched", "optimized"):
+        gap_trend(K, [2, 4, 8, 16, 32], 10.0, policy, 5_000, K, cache=cache)
+    assert pool.spectra.keys() == {(K, K)}
 
 
 def test_headline_sweep_skips_builds_on_exact_entries(headline_cache):
@@ -725,10 +746,18 @@ def test_headline_sweep_skips_builds_on_exact_entries(headline_cache):
     assert all(_exact(t) == {(2, 2)} for t in lower.values())
 
 
-def test_sweep_shape_builds_at_most_45_tables():
+def test_sweep_shape_builds_at_most_45_tables(monkeypatch):
     # the sweep-optimized workload: K 2, depths 2..32, snr 10, three policies
     # on one cache; the unpruned scan builds 77 tables here
+    full_snrs = []
+    at = TableCache.at
+
+    def counting(self, snr):
+        full_snrs.append(snr)
+        return at(self, snr)
+
+    monkeypatch.setattr(TableCache, "at", counting)
     cache = TableCache(SamplePool.build(2, 5_000, seed=12345))
     for policy in ("fixed_1", "depth_matched", "optimized"):
         gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, 5_000, 12345, cache=cache)
-    assert len(cache._tables) <= 45
+    assert len(full_snrs) <= 45

@@ -1,5 +1,6 @@
 """Capacity tables over shared draws: exact structure, oracle agreement."""
 
+import collections
 import dataclasses
 import itertools
 import json
@@ -134,10 +135,13 @@ def _duplicate(doc, dims):
         (lambda d: _entry(d, (1, 2)).update(std_error=math.nan),
          r"entry dims \[1, 2\]: std_error"),
         (lambda d: d.update(max_dim=0), "max_dim"),
+        (lambda d: d.update(num_samples="abc"), "num_samples"),
+        (lambda d: d.update(seed=-5), "seed"),
+        (lambda d: d.update(hop_index=1.5), "hop_index"),
     ],
     ids=["nan-mean", "inf-mean", "negative-dims", "dims-above-max", "nan-snr",
          "dropped-entry", "duplicate-entry", "negative-std-error", "nan-std-error",
-         "zero-max-dim"],
+         "zero-max-dim", "string-num-samples", "negative-seed", "float-hop-index"],
 )
 def test_from_json_refuses_corrupted_dump(corrupt, match):
     table = CapacityTable.from_pool(SamplePool.build(2, 500, seed=3), 10.0)
@@ -266,10 +270,19 @@ def test_tables_reuse_the_pool_decomposition(monkeypatch):
     assert len(calls) == decompositions
 
 
+def _entries(K: int) -> list[tuple[int, int]]:
+    """Every table entry (m, n) with K >= m >= n >= 1."""
+    return [(m, n) for m in range(1, K + 1) for n in range(1, m + 1)]
+
+
 def test_pool_is_identical_for_any_worker_count():
+    # entries are decomposed on first read, under the pool's threads
     a = SamplePool.build(3, 9_000, seed=4, workers=1)
     b = SamplePool.build(3, 9_000, seed=4, workers=3)
     assert np.array_equal(a.draws, b.draws)
+    for pool in (a, b):
+        CapacityTable.from_pool(pool, 1.0)
+    assert a.spectra.keys() == set(_entries(3))
     assert a.spectra.keys() == b.spectra.keys()
     for key, (eig_a, w_a) in a.spectra.items():
         eig_b, w_b = b.spectra[key]
@@ -330,6 +343,7 @@ def test_one_pass_kernel_equals_per_block_column_bitwise(K, N):
     # _stream_stats sums full blocks in one reshaped call; both must give the
     # floats of the per-block column and the per-chunk reduction
     pool = SamplePool.build(K, N, seed=30 + K)
+    pool.decompose(_entries(K))
     kinds = {w is None for _, w in pool.spectra.values()}
     assert kinds == ({True} if K == 1 else {True, False})  # single-window, weighted
     for snr in (0.0, 1e-3, 10.0, 1e5):
@@ -347,26 +361,27 @@ UPPER_SNRS = [float(s) for s in np.geomspace(1e-3, 1e5, 9)]
 
 @pytest.mark.parametrize("N", [1, 5_000])
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
-def test_table_cache_upper_bounds_every_entry_mean(K, N):
+def test_table_cache_upper_bounds_every_entry_mean(K, N, no_full_table):
     # the chord over the known C(K, K) means bounds C(K, K), and so every
     # entry mean (entries grow with each dimension), at every snr between
     pool = SamplePool.build(K, N, seed=40 + K)
     exact = TableCache(pool)
     for s0, s1 in itertools.combinations(UPPER_SNRS, 2):
+        snrs = [s0 * (s1 / s0) ** t for t in (0.1, 0.5, 0.9)]
+        exact_means = [exact.at(s).means for s in snrs]
         cache = TableCache(pool)
-        low, high = cache.lower(s0).means[K, K], cache.lower(s1).means[K, K]
-        for t in (0.1, 0.5, 0.9):
-            s = s0 * (s1 / s0) ** t
-            bound = cache.chord(s)
-            assert np.all(bound >= exact.at(s).means), (s0, s1, s)
-            # no looser than the mean above or the per-eigenvalue shift bound
-            tighter = min(high, low + K * math.log(s / s0))
-            assert bound <= tighter * (1 + 1e-12), (s0, s1, s)
-        assert cache.chord(s0) == low and cache.chord(s1) == high
-        assert cache.chord(s0 / 2) == low  # no known mean below
-        assert cache.chord(2 * s1) == math.inf  # none above
+        with no_full_table():
+            low, high = cache.lower(s0).means[K, K], cache.lower(s1).means[K, K]
+            for s, means in zip(snrs, exact_means):
+                bound = cache.chord(s)
+                assert np.all(bound >= means), (s0, s1, s)
+                # no looser than the mean above or the per-eigenvalue shift bound
+                tighter = min(high, low + K * math.log(s / s0))
+                assert bound <= tighter * (1 + 1e-12), (s0, s1, s)
+            assert cache.chord(s0) == low and cache.chord(s1) == high
+            assert cache.chord(s0 / 2) == low  # no known mean below
+            assert cache.chord(2 * s1) == math.inf  # none above
         assert cache._lower.keys() == {s0, s1}  # the chord computes nothing
-        assert len(cache) == 0
 
 
 @pytest.mark.parametrize("N", [1, 4097, 20_000])
@@ -387,7 +402,7 @@ def test_lower_table_bounds_every_entry_from_below(K, N):
                 assert np.all(full.entry_draws(m, n) >= floor), (seed, snr, m, n)
 
 
-def test_lower_computes_each_entry_once():
+def test_lower_computes_each_entry_once(no_full_table):
     pool = SamplePool.build(2, 3_000, seed=7)
     cache = TableCache(pool)
     calls = []
@@ -397,7 +412,7 @@ def test_lower_computes_each_entry_once():
         calls.append((m, n, snr))
         return entry_stats(pool, m, n, snr)
 
-    with pytest.MonkeyPatch.context() as mp:
+    with no_full_table(), pytest.MonkeyPatch.context() as mp:
         mp.setattr(mimo, "_entry_stats", counting)
         table = cache.lower(4.0)
         assert cache.lower(4.0) is table and calls == [(2, 2, 4.0)]
@@ -413,9 +428,39 @@ def test_lower_computes_each_entry_once():
     assert not table.means[0].any() and not table.means[:, 0].any()
     # per-draw columns come from the pool whatever the table's means
     assert np.array_equal(table.entry_draws(1, 1), built.entry_draws(1, 1))
-    assert len(cache) == 0
     with pytest.raises(ValueError, match="snr"):
         cache.lower(math.nan)
+
+
+def test_each_entry_is_decomposed_once(monkeypatch):
+    # a build decomposes (K, K) alone; every other entry is decomposed when
+    # a table first reads it, by one _gram_spectrum call per window shape
+    # and block, whichever reader comes first and however many follow
+    K, N = 3, 5_000
+    calls = collections.Counter()
+    gram_spectrum = mimo._gram_spectrum
+
+    def counting(channels):
+        calls[channels.shape[-2:]] += 1
+        return gram_spectrum(channels)
+
+    monkeypatch.setattr(mimo, "_gram_spectrum", counting)
+    pool = SamplePool.build(K, N, seed=5)
+    blocks = mimo._num_blocks(N)
+    assert calls == {(K, K): blocks} and pool.spectra.keys() == {(K, K)}
+    cache = TableCache(pool)
+    cache.lower(1.0)
+    cache.lower(2.0)
+    assert calls == {(K, K): blocks}
+    cache.make_exact(1.0, [(2, 1)])
+    cache.make_exact(2.0, [(1, 2), (2, 2)])
+    assert calls == {(2, 1): blocks, (1, 2): blocks, (2, 2): blocks, (K, K): blocks}
+    cache.lower(4.0).entry_draws(1, 3)
+    cache.at(1.0)
+    cache.at(2.0).entry_draws(1, 1)
+    CapacityTable.from_pool(pool, 3.0)
+    assert calls == {shape: blocks for shape in itertools.product(range(1, K + 1), repeat=2)}
+    assert pool.spectra.keys() == set(_entries(K))
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -426,6 +471,7 @@ def test_pool_spectra_equal_the_per_window_loop(K):
     # 8191 of them (numpy's complex multiply changes route)
     N, seed = 9_000, 50 + K
     pool = SamplePool.build(K, N, seed, workers=2)
+    pool.decompose(_entries(K))
     reference = oracles.pool_spectra_per_window(K, N, seed)
     assert pool.spectra.keys() == reference.keys()
     for (m, n), (eigenvalues, _) in pool.spectra.items():
@@ -458,15 +504,19 @@ def test_row_sum_is_np_sum_bitwise(dtype):
 
 
 BAD_POOL_ARGS = [
-    ((2.0, 100, 0), "max_dim"),
-    ((True, 100, 0), "max_dim"),
-    ((0, 100, 0), "max_dim"),
-    ((2, True, 0), "num_samples"),
-    ((2, 100.0, 0), "num_samples"),
-    ((2, 0, 0), "num_samples"),
-    ((2, 100, 1.5), "seed"),
-    ((2, 100, False), "seed"),
-    ((2, 100, -1), "seed"),
+    ((2.0, 100, 0, 1), "max_dim"),
+    ((True, 100, 0, 1), "max_dim"),
+    ((0, 100, 0, 1), "max_dim"),
+    ((2, True, 0, 1), "num_samples"),
+    ((2, 100.0, 0, 1), "num_samples"),
+    ((2, 0, 0, 1), "num_samples"),
+    ((2, 100, 1.5, 1), "seed"),
+    ((2, 100, False, 1), "seed"),
+    ((2, 100, -1, 1), "seed"),
+    ((2, 100, 0, 0), "workers"),
+    ((2, 100, 0, -3), "workers"),
+    ((2, 100, 0, 2.5), "workers"),
+    ((2, 100, 0, True), "workers"),
 ]
 
 
@@ -476,11 +526,11 @@ def test_pool_builders_refuse_bad_integers_before_any_work(monkeypatch, args, na
         raise AssertionError("sampled before the arguments were checked")
 
     monkeypatch.setattr(mimo, "sample_channel_block", no_sampling)
+    K, N, seed, workers = args
     with pytest.raises(ValueError, match=name):
-        SamplePool.build(*args)
-    K, N, seed = args
+        SamplePool.build(K, N, seed, workers=workers)
     with pytest.raises(ValueError, match=name):
-        build_capacity_table(K, 10.0, N, seed)
+        build_capacity_table(K, 10.0, N, seed, workers=workers)
 
 
 def test_pool_builders_take_numpy_integers():
