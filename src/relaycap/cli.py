@@ -203,7 +203,7 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
         ),
         num_samples=_as_int("num_samples", merged["num_samples"], minimum=1),
         seed=_as_int("seed", merged["seed"], minimum=0),
-        log_base=_as_choice("log_base", merged["log_base"], ("nats", "bits")),
+        log_base=_as_choice("log_base", merged["log_base"], mimo._BASES),
         out=out,
         format=_as_choice("format", merged["format"], _FORMATS),
         workers=_as_int("workers", merged["workers"], minimum=1),
@@ -214,7 +214,7 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
             "gains", gains, lambda g: _as_float("gains", g, nonnegative=True)
         ),
         max_dim=_as_int("max_dim", merged["max_dim"], minimum=1),
-        mode=_as_choice("mode", merged["mode"], ("per_cut_exact", "split_bound")),
+        mode=_as_choice("mode", merged["mode"], rates._MODES),
         destination_quantizes=dq,
     )
     if sub == "line" and cfg.gains is not None:
@@ -316,7 +316,7 @@ def run_mincut(cfg: ExperimentConfig) -> int:
     results = []
     for snr in cfg.snr:
         params = network.NetworkParams(cfg.K, D, power=snr, noise_var=1.0, log_base=cfg.log_base)
-        table = cache.at(snr)
+        table = cache.lower(snr)
         _, profile = network.min_cut_dp(params, table, node_penalty=cfg.penalty)
         cut = network.cut_value(profile, params, table, node_penalty=cfg.penalty)
         d = cut.as_dict()

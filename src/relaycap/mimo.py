@@ -568,8 +568,10 @@ class CapacityTable:
     first asked and keeps only the columns that were asked for.
 
     Attributes:
-        means: (max_dim+1, max_dim+1) array of entry means in nats.
-        std_errors: matching standard errors.
+        means: (max_dim+1, max_dim+1) array of entry means in nats.  On a
+            ``TableCache.lower`` table an inexact entry keeps its floor here,
+            for ``min_cut_dp``; each reader method makes what it reads exact.
+        std_errors: matching standard errors, NaN where inexact.
         pool: the SamplePool the table was built from, if retained.
     """
 
@@ -621,6 +623,20 @@ class CapacityTable:
             column.flags.writeable = False
         return column
 
+    def make_exact(self, dims: Iterable[tuple[int, int]]) -> int:
+        """Compute the entries ``dims`` that are not exact yet, each once
+        (with its mirror), from one ``SamplePool.decompose``; returns how
+        many were computed.  On a full or loaded table it computes nothing."""
+        ses = self.std_errors
+        todo = sorted({(max(m, n), min(m, n)) for m, n in set(dims) if math.isnan(ses[m, n])})
+        if todo:
+            self.pool.decompose(todo)
+        for m, n in todo:
+            self.means[m, n], ses[m, n] = self.means[n, m], ses[n, m] = _entry_stats(
+                self.pool, m, n, self.snr
+            )
+        return len(todo)
+
     def _check_entry(self, m: int, n: int) -> None:
         if not (0 <= m <= self.max_dim and 0 <= n <= self.max_dim):
             raise ValueError(
@@ -629,19 +645,21 @@ class CapacityTable:
 
     def mean(self, m: int, n: int) -> float:
         self._check_entry(m, n)
+        self.make_exact([(m, n)])
         return float(self.means[m, n])
 
     def std_error(self, m: int, n: int) -> float:
         self._check_entry(m, n)
+        self.make_exact([(m, n)])
         return float(self.std_errors[m, n])
 
     def estimate(self, m: int, n: int) -> CapacityEstimate:
-        self._check_entry(m, n)
         return CapacityEstimate(
             self.mean(m, n), self.std_error(m, n), self.num_samples, (m, n), self.snr
         )
 
     def as_dict(self) -> dict:
+        self.make_exact(itertools.product(range(self.max_dim + 1), repeat=2))
         entries = [
             {
                 "dims": [m, n],
@@ -740,14 +758,12 @@ class TableCache:
     """Capacity tables at several snr values over one shared pool.
 
     ``lower`` keeps, per snr, a table that computes only the entries asked
-    for: (K, K) always, and others through ``make_exact``; every other
-    entry holds ``_entry_floor``, a lower bound.  A min cut on it whose
-    argmin crosses only exact entries is, bitwise, the min cut of the full
-    table: every cut's value there is at least its value on the lower table
-    (float addition is monotone), the argmin's value is equal, and ties
-    break the same way.  ``at`` makes every entry of that one table exact:
-    the full table.  ``chord`` bounds the (K, K) mean at any snr from above
-    on the ones ``lower`` has computed.
+    for: (K, K) always, and others through ``CapacityTable.make_exact``;
+    every other entry holds ``_entry_floor``, a lower bound, which
+    ``network.min_cut_dp`` certifies its min cut against.  ``at`` makes
+    every entry of that one table exact: the full table.  ``chord`` bounds
+    the (K, K) mean at any snr from above on the ones ``lower`` has
+    computed.
     """
 
     def __init__(self, pool: SamplePool):
@@ -756,18 +772,19 @@ class TableCache:
 
     def at(self, snr: float) -> CapacityTable:
         """The full table at ``snr``: ``lower(snr)`` with every entry exact."""
-        self.make_exact(snr, itertools.product(range(1, self.pool.max_dim + 1), repeat=2))
-        return self.lower(snr)
+        table = self.lower(snr)
+        table.make_exact(itertools.product(range(1, self.pool.max_dim + 1), repeat=2))
+        return table
 
     def lower(self, snr: float) -> CapacityTable:
         """The lower-bound table at ``snr``, made on first use from entry (K, K).
 
         Exact entries ((K, K) and those ``make_exact`` computed) hold their
         mean and standard error; every other entry holds ``_entry_floor`` of
-        the (K, K) mean and a NaN standard error, which marks it inexact: it
-        must not be reported.  Entries with a zero dimension are exact
-        zeros.  The table keeps the pool, so ``entry_draws`` gives exact
-        per-draw columns for any entry.
+        the (K, K) mean and a NaN standard error, which marks it inexact;
+        the table's readers make it exact first.  Entries with a zero
+        dimension are exact zeros.  The table keeps the pool, so
+        ``entry_draws`` gives exact per-draw columns for any entry.
         """
         key = float(snr)
         table = self._lower.get(key)
@@ -785,20 +802,6 @@ class TableCache:
                 K, key, pool.num_samples, pool.seed, pool.hop_index, means, ses, pool
             )
         return table
-
-    def make_exact(self, snr: float, dims: Iterable[tuple[int, int]]) -> int:
-        """Compute the entries ``dims`` of ``lower(snr)`` that are not exact
-        yet, each once (with its mirror), from one ``SamplePool.decompose``;
-        returns how many were computed."""
-        table = self.lower(snr)
-        means, ses = table.means, table.std_errors
-        todo = sorted({(max(m, n), min(m, n)) for m, n in set(dims) if math.isnan(ses[m, n])})
-        self.pool.decompose(todo)
-        for m, n in todo:
-            means[m, n], ses[m, n] = means[n, m], ses[n, m] = _entry_stats(
-                self.pool, m, n, table.snr
-            )
-        return len(todo)
 
     def chord(self, snr: float) -> float:
         """An upper bound on the (K, K) mean at ``snr`` from the (K, K)

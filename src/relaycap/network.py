@@ -9,7 +9,9 @@ the ergodic capacities of the per-hop blocks crossing the cut,
     sum_i C(K - M_{i+1}, M_i)      with M_0 = K, M_D = 0,
 
 optionally minus a per-node penalty for counted relays.  Capacities are read
-from a CapacityTable so that all cuts share the same channel draws.
+from a CapacityTable so that all cuts share the same channel draws; on a
+lower-bound table (``TableCache.lower``) every function here reads the full
+table's values, and ``min_cut_dp`` computes only the entries it needs.
 
 A network has at most two distinct hop tables: a body table read by hops
 1..D-1 (quantizing relays) and a last-hop table, which differs only when the
@@ -34,6 +36,7 @@ from operator import add
 import numpy as np
 
 from .mimo import (
+    _BASES,
     CapacityTable,
     _positive_int,
     _record_dict,
@@ -75,10 +78,8 @@ class NetworkParams:
             raise ValueError(
                 f"noise_var must be finite and positive, got {self.noise_var}"
             )
-        if self.log_base not in ("nats", "bits"):
-            raise ValueError(
-                f"log_base must be 'nats' or 'bits', got {self.log_base!r}"
-            )
+        if self.log_base not in _BASES:
+            raise ValueError(f"log_base must be one of {_BASES}, got {self.log_base!r}")
 
     @property
     def snr(self) -> float:
@@ -187,6 +188,13 @@ def _block_dims(counts: tuple[int, ...], params: NetworkParams) -> list[tuple[in
     return [(K - bounds[i + 1], bounds[i]) for i in range(params.num_hops)]
 
 
+def _make_exact(body: CapacityTable, last: CapacityTable, dims: list[tuple[int, int]]) -> int:
+    """Make exact the entries hops ``dims`` read, hop D on ``last``; returns the count."""
+    if last is body:
+        return body.make_exact(dims)
+    return body.make_exact(dims[:-1]) + last.make_exact(dims[-1:])
+
+
 def _cut_sum(
     counts: tuple[int, ...], params: NetworkParams, body: CapacityTable,
     last: CapacityTable, node_penalty: float,
@@ -277,6 +285,7 @@ def cut_value(
     """
     _check_profile(profile, params)
     body, last = _hop_tables(table, last, params, node_penalty)
+    _make_exact(body, last, _block_dims(profile.counts, params))
     total, per_block = _cut_sum(profile.counts, params, body, last, node_penalty)
     if _shared_pool(body, last):
         _, se = _stream_stats(cut_profile_draws(profile, params, body, last=last))
@@ -306,14 +315,33 @@ def min_cut_dp(
     O(D * (K+1)^2) float operations on that matrix.  Among minimizing
     profiles the lexicographically smallest is returned; every edge weight
     is the float ``_cut_sum`` adds for that hop and sums are associated
-    exactly as there, so the result matches brute-force enumeration
-    bitwise, though no code is shared with it.
+    exactly as there, so the result matches brute-force enumeration on the
+    full tables bitwise, though no code is shared with it.
+
+    On any table the result is the full table's.  A lower-bound table's
+    inexact entries hold floors, so every cut is worth at least as much on
+    the full table (float addition is monotone); once the argmin crosses
+    only exact entries, its value is equal there and ties break the same
+    way.  Until then the entries it crosses are computed and the DP runs
+    again.  Under per_cut_exact with a quantizing destination the argmin
+    is all relays on the source side, so only (K, K) is computed, unless
+    the penalty is within about D * 1e-9 * C(K, K) of zero.
 
     Returns:
         (minimum value in nats, argmin profile).
     """
-    K, D = params.relays_per_layer, params.num_hops
     body, last = _hop_tables(table, last, params, node_penalty)
+    while True:
+        value, profile = _dp_pass(params, body, last, node_penalty)
+        if _make_exact(body, last, _block_dims(profile.counts, params)) == 0:
+            return value, profile
+
+
+def _dp_pass(
+    params: NetworkParams, body: CapacityTable, last: CapacityTable, node_penalty: float
+) -> tuple[float, CutProfile]:
+    """``min_cut_dp``'s one run on the tables' ``means`` as they stand."""
+    K, D = params.relays_per_layer, params.num_hops
     body_means = body.means[: K + 1, : K + 1].tolist()
     # edges[cur][nxt]: body hop from M_i = cur to M_{i+1} = nxt
     edges = [
@@ -356,9 +384,11 @@ def brute_force_min_cut(
 ) -> tuple[float, CutProfile]:
     """Exhaustive minimum over all (K+1)**(D-1) profiles.
 
-    Each profile is valued by ``_cut_sum``, the sum ``cut_value`` reports;
-    ties keep the lexicographically smallest profile.  The dynamic program
-    associates its sums the same way, so the two agree bitwise.
+    Each profile is valued by ``_cut_sum``, the sum ``cut_value`` reports,
+    on tables whose entries are all made exact first: the full-table
+    reference.  Ties keep the lexicographically smallest profile.  The
+    dynamic program associates its sums the same way, so the two agree
+    bitwise.
 
     Guard: raises ValueError when the enumeration would exceed
     BRUTE_FORCE_LIMIT profiles.
@@ -371,6 +401,8 @@ def brute_force_min_cut(
             f"(limit {BRUTE_FORCE_LIMIT}); use min_cut_dp"
         )
     body, last = _hop_tables(table, last, params, node_penalty)
+    for t in (body, last):
+        t.make_exact(itertools.product(range(K + 1), repeat=2))
     best, counts = min(
         (_cut_sum(counts, params, body, last, node_penalty)[0], counts)
         for counts in itertools.product(range(K + 1), repeat=D - 1)

@@ -33,7 +33,6 @@ from .mimo import (
 from .network import (
     CutProfile,
     NetworkParams,
-    _block_dims,
     cut_profile_draws,
     cut_value,
     min_cut_dp,
@@ -42,6 +41,7 @@ from .network import (
 logger = logging.getLogger(__name__)
 
 _POLICIES = ("fixed_1", "depth_matched", "optimized")
+_MODES = ("per_cut_exact", "split_bound")
 _POLICY_ALIASES = {"d_minus_1": "depth_matched"}
 
 #: Output keys of the report fields not named by their field.
@@ -144,16 +144,12 @@ def _penalized_min_cut(
         inside the minimization: penalty_per_relay for "per_cut_exact", 0
         for "split_bound", which subtracts the worst-case penalty instead).
     """
-    if mode == "per_cut_exact":
-        pen = scheme.penalty_per_relay
-        raw, profile = min_cut_dp(params, table, node_penalty=pen, last=last)
-        return raw, profile, pen
-    if mode == "split_bound":
-        min_cut, profile = min_cut_dp(params, table, node_penalty=0.0, last=last)
-        return min_cut - penalty_bound(params, scheme), profile, 0.0
-    raise ValueError(
-        f"mode must be 'per_cut_exact' or 'split_bound', got {mode!r}"
-    )
+    if mode not in _MODES:
+        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    per_cut = mode == "per_cut_exact"
+    pen = scheme.penalty_per_relay if per_cut else 0.0
+    min_cut, profile = min_cut_dp(params, table, node_penalty=pen, last=last)
+    return (min_cut if per_cut else min_cut - penalty_bound(params, scheme)), profile, pen
 
 
 def _clamped_rate(raw: float, scheme: QuantizationScheme) -> float:
@@ -270,48 +266,18 @@ class RateReport:
         return _record_dict(self, _REPORT_KEYS)
 
 
-def _certified_min_cut(
-    params: NetworkParams, scheme: QuantizationScheme, cache: TableCache, mode: str
-) -> tuple[float, CutProfile, float]:
-    """``_penalized_min_cut`` of ``scheme`` on the cache's lower-bound
-    tables (``TableCache.lower``), bitwise what the full tables give.
-
-    The body hops read the table at snr / (1 + q), hop D the one at full
-    snr when the destination does not quantize.  The min cut is certified
-    once its argmin crosses only exact entries; otherwise those entries are
-    computed and the min cut is taken again.  For pool-built tables under
-    per_cut_exact with a quantizing destination, the argmin is all relays
-    on the source side, and the one entry computed is (K, K), unless the
-    penalty is within about D * 1e-9 * C(K, K) of zero.
-    """
-    snr = degraded_snr(params, scheme)
-    full = None if scheme.destination_quantizes else params.snr
-    while True:
-        table = cache.lower(snr)
-        last = None if full is None else cache.lower(full)
-        raw, profile, pen = _penalized_min_cut(params, scheme, table, mode, last=last)
-        dims = _block_dims(profile.counts, params)
-        if last is None:
-            computed = cache.make_exact(snr, dims)
-        else:
-            computed = cache.make_exact(snr, dims[:-1]) + cache.make_exact(full, dims[-1:])
-        if not computed:
-            return raw, profile, pen
-
-
 def _scheme_bounds(
     params: NetworkParams, scheme: QuantizationScheme, cache: TableCache, mode: str
 ) -> tuple[CapacityEstimate, float, float]:
     """(C(K, K) estimate at full snr, unclamped penalized min cut under
-    ``mode``, standard error of their difference) over the cache's one pool,
-    so the error is a common-random-number error of the gap.  Hop D reads
-    the full-snr table when the destination does not quantize.  Only the
-    entries the min cut needs are computed (``_certified_min_cut``)."""
+    ``mode``, standard error of their difference) on the lower-bound tables
+    of the cache's one pool, so the error is a common-random-number error of
+    the gap.  Hop D reads the full-snr table when the destination does not quantize."""
     K = params.relays_per_layer
-    raw, profile, pen = _certified_min_cut(params, scheme, cache, mode)
-    table_full = cache.lower(params.snr)
     table = cache.lower(degraded_snr(params, scheme))
+    table_full = cache.lower(params.snr)
     last = None if scheme.destination_quantizes else table_full
+    raw, profile, pen = _penalized_min_cut(params, scheme, table, mode, last=last)
     cut_draws = cut_profile_draws(profile, params, table, node_penalty=pen, last=last)
     _, se = _stream_stats(table_full.entry_draws(K, K) - cut_draws)
     return table_full.estimate(K, K), raw, se
@@ -436,9 +402,9 @@ def _optimize_on_cache(
     The grid is scanned best-first, in descending order of an upper bound
     UB on each candidate's raw rate, computed before the scan, ties in
     ascending q.  Without ``prune`` every UB is +inf, so the scan runs in
-    ascending q, and every min cut is taken on a full table (``cache.at``).
-    With ``prune``, C(K, K) at full snr is computed first, min cuts are
-    taken by ``_certified_min_cut``, and UB is one scalar, the bound on the
+    ascending q.  Either way min cuts are taken on lower-bound tables
+    (``cache.lower``, see ``min_cut_dp``).  With ``prune``, C(K, K) at full
+    snr is computed first, and UB is one scalar, the bound on the
     all-source-side cut of ``_raw_rate_bound``:
 
         UB = chord(snr / (1 + q)) - K (D - 1) log(1 + 1/q).
@@ -453,9 +419,8 @@ def _optimize_on_cache(
       * otherwise the candidate is scored.
 
     Refinement candidates are decided the same way.  The bound cannot change
-    the chosen ratio or its score, and a certified min cut is bitwise the
-    full table's, so pruning leaves the result bitwise equal to the
-    unpruned scan.
+    the chosen ratio or its score, so pruning leaves the result bitwise
+    equal to the unpruned scan.
 
     Returns:
         (best ratio, its score, [(q, score)] in evaluation order); candidates
@@ -482,11 +447,8 @@ def _optimize_on_cache(
         elif ub < best[1] - tol:
             return None
         else:
-            if prune:
-                raw, _, _ = _certified_min_cut(params, scheme, cache, mode)
-            else:
-                table = cache.at(degraded_snr(params, scheme))
-                raw, _, _ = _penalized_min_cut(params, scheme, table, mode)
+            table = cache.lower(degraded_snr(params, scheme))
+            raw, _, _ = _penalized_min_cut(params, scheme, table, mode)
             scores[q] = _clamped_rate(raw, scheme)
         return scores[q]
 
@@ -616,10 +578,9 @@ def gap_trend(
         grid is scored highest bound first.  The chosen q, and so every
         output byte, is the same as without pruning.
 
-    Every min cut is certified on lower-bound tables (see
-    ``_certified_min_cut``), so no table is built: at each snr the sweep
-    computes C(K, K), and another entry only where a min cut's argmin
-    crosses it.
+    Every min cut is taken on lower-bound tables and certified there by
+    ``min_cut_dp``, so no table is built: at each snr the sweep computes
+    C(K, K), and another entry only where a min cut's argmin crosses it.
 
     ``cache`` lets several calls share one pool and its tables; it replaces
     the pool build, and its pool must have been built with

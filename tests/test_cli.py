@@ -14,10 +14,13 @@ from relaycap import (
     NetworkParams,
     QuantizationScheme,
     check_capacity_properties,
+    cut_value,
     gap_trend,
     mimo,
+    min_cut_dp,
     optimize_quantization,
     rate_report,
+    rates,
 )
 from relaycap.cli import (
     _DEFAULTS,
@@ -26,6 +29,7 @@ from relaycap.cli import (
     SUBCOMMANDS,
     ConfigError,
     ExperimentConfig,
+    _fmt,
     build_parser,
     main,
     validate_config,
@@ -314,6 +318,18 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     rc = main(["rate", "--config", str(cfg_file)])
     assert rc == 2
     assert "'snrr'" in capsys.readouterr().err
+
+
+def test_choice_keys_accept_the_library_choice_sets(monkeypatch):
+    # log_base and mode accept exactly the choices the library declares,
+    # mimo._BASES and rates._MODES, and refuse any other naming the key
+    for key, owner, attr in (("log_base", mimo, "_BASES"), ("mode", rates, "_MODES")):
+        for v in getattr(owner, attr):
+            assert getattr(validate_config({key: v}, "rate"), key) == v
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            validate_config({key: "other"}, "rate")
+        monkeypatch.setattr(owner, attr, (*getattr(owner, attr), "other"))
+        assert getattr(validate_config({key: "other"}, "rate"), key) == "other"
 
 
 @pytest.mark.parametrize(
@@ -648,3 +664,38 @@ def test_mincut_csv_and_json_rows_agree(tmp_path, D):
         assert float(std_error) == result["std_error"]
         assert profile == "|".join(str(c) for c in result["profile"])
         assert len(result["profile"]) == int(D) - 1
+
+
+@pytest.mark.parametrize(
+    "penalty, decomposed", [("0.4", {(3, 3)}), ("0", {(3, 1), (3, 2), (3, 3)})]
+)
+def test_mincut_certifies_on_lower_bound_tables(
+    tmp_path, monkeypatch, no_full_table, penalty, decomposed
+):
+    # mincut builds no full table: its rows are the DP and cut_value on the
+    # built table, and the pool decomposes only the entries the argmin
+    # crosses, (K, K) alone when the penalty puts every relay on the source
+    # side
+    args = ["mincut", "--K", "3", "--D", "5", "--samples", "5000", "--penalty", penalty]
+    params = NetworkParams(3, 5, power=10.0)
+    table = mimo.CapacityTable.from_pool(mimo.SamplePool.build(3, 5_000, seed=0), 10.0)
+    _, profile = min_cut_dp(params, table, node_penalty=float(penalty))
+    want = cut_value(profile, params, table, node_penalty=float(penalty)).as_dict()
+    entries = set()
+    decompose = mimo.SamplePool.decompose
+
+    def recording(self, dims):
+        dims = set(dims)
+        entries.update(dims - self.spectra.keys())
+        return decompose(self, dims)
+
+    monkeypatch.setattr(mimo.SamplePool, "decompose", recording)
+    with no_full_table():
+        _, csv_out = run_cli(tmp_path, args, "m.csv")
+        _, json_out = run_cli(tmp_path, [*args, "--format", "json"], "m.json")
+    assert entries == decomposed
+    (result,) = json.loads(json_out.read_text())["results"]
+    assert {k: result[k] for k in want} == want
+    row = ",".join(_fmt(v) for v in (3, 5, 10.0, float(penalty), want["value"],
+                                      want["std_error"], want["profile"]))
+    assert _data_rows(csv_out).decode() == row + "\n"

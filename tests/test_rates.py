@@ -1,5 +1,6 @@
 """Quantization schemes, achievable-rate bounds, optimizer, trend."""
 
+import itertools
 import math
 
 import numpy as np
@@ -23,9 +24,14 @@ from relaycap import (
     rate_report,
 )
 from relaycap.mimo import _stream_stats
-from relaycap.network import cut_profile_draws
+from relaycap.network import (
+    CutProfile,
+    brute_force_min_cut,
+    cut_profile_draws,
+    cut_value,
+    min_cut_dp,
+)
 from relaycap.rates import (
-    _certified_min_cut,
     _optimize_on_cache,
     _penalized_min_cut,
     _raw_rate_bound,
@@ -405,14 +411,22 @@ def test_gap_trend_validates_input(monkeypatch):
 
 @pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
 def test_optimizer_rates_equal_nnc_lower_bound_bitwise(mode):
-    params = NetworkParams(2, 6, power=10.0)
-    res = optimize_quantization(params, num_samples=3_000, seed=5, mode=mode)
-    cache = TableCache(SamplePool.build(2, 3_000, seed=5))
-    assert len(res.evaluations) > len(default_q_grid(6))  # refinement ran
-    for q, rate in res.evaluations:
-        scheme = QuantizationScheme(q)
-        table = cache.at(degraded_snr(params, scheme))
-        assert rate == nnc_lower_bound(params, scheme, table, mode=mode).value
+    # both scans take their min cuts on lower-bound tables; every score
+    # either records, the unpruned reference scan's included, is the rate
+    # on a full table
+    for K in (1, 2, 3):
+        params = NetworkParams(K, 6, power=10.0)
+        res = optimize_quantization(params, num_samples=3_000, seed=5, mode=mode)
+        pool = SamplePool.build(K, 3_000, seed=5)
+        pruned = _optimize_on_cache(
+            params, TableCache(pool), default_q_grid(6), mode, 3, prune=True)[2]
+        cache = TableCache(pool)
+        assert len(res.evaluations) > len(default_q_grid(6))  # refinement ran
+        for q, rate in [*res.evaluations, *pruned]:
+            scheme = QuantizationScheme(q)
+            table = cache.at(degraded_snr(params, scheme))
+            want = nnc_lower_bound(params, scheme, table, mode=mode).value
+            assert rate.hex() == want.hex(), (K, q)
 
 
 def test_gap_trend_on_shared_cache_matches_own_pool():
@@ -472,6 +486,15 @@ def test_gap_trend_optimizes_over_given_grid():
 CERT_DEPTHS = [1, 2, 3, 8, 64, 474]
 
 
+def _certified_min_cut(params, scheme, cache, mode):
+    """``_penalized_min_cut`` of ``scheme`` on the cache's lower-bound
+    tables: the body hops read the table at snr / (1 + q), hop D the one at
+    full snr when the destination does not quantize."""
+    table = cache.lower(degraded_snr(params, scheme))
+    last = None if scheme.destination_quantizes else cache.lower(params.snr)
+    return _penalized_min_cut(params, scheme, table, mode, last=last)
+
+
 def _exact(table):
     """Entries (m, n), m >= n >= 1, of a lower-bound table that are exact
     (a finite standard error)."""
@@ -519,6 +542,50 @@ def test_certified_min_cut_equals_the_full_table_dp_bitwise(K, no_full_table):
                             snr, D, q, quantizes, mode)
         for mode, cache in caches.items():
             _assert_exact_entries_match_built_tables(cache, mode)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3])
+def test_every_reader_of_a_lower_bound_table_reads_the_full_table(K):
+    # each reader gets a fresh lower-bound table, whose inexact entries
+    # hold floors, and must return bitwise (repr) what it returns on the
+    # built table; split_bound's min cut minimizes without penalty, so its
+    # first argmin can cross floors
+    pool = SamplePool.build(K, 2_000, seed=3)
+
+    def lower(snr):
+        return TableCache(pool).lower(snr)
+
+    for snr in (0.5, 10.0):
+        full = CapacityTable.from_pool(pool, snr)
+        for m, n in itertools.product(range(K + 1), repeat=2):
+            for read in (CapacityTable.mean, CapacityTable.std_error, CapacityTable.estimate):
+                assert repr(read(lower(snr), m, n)) == repr(read(full, m, n)), (snr, m, n)
+        assert lower(snr).to_json() == full.to_json()
+        assert repr(lower(snr).as_dict()) == repr(full.as_dict())
+        for D in (1, 2, 3):
+            params = NetworkParams(K, D, power=snr)
+            for pen in (0.0, 0.4):
+                # DP == brute force, on either table
+                want = repr(brute_force_min_cut(params, full, pen))
+                for find, t in itertools.product(
+                    (min_cut_dp, brute_force_min_cut), (lower(snr), full)
+                ):
+                    assert repr(find(params, t, pen)) == want, (snr, D, pen, find)
+                for counts in itertools.product(range(K + 1), repeat=D - 1):
+                    profile = CutProfile(counts)
+                    assert repr(cut_value(profile, params, lower(snr), pen)) == repr(
+                        cut_value(profile, params, full, pen)), (snr, D, pen, counts)
+            for q in (0.25, 1.0, 4.0):
+                for quantizes in (True, False):
+                    scheme = QuantizationScheme(q, quantizes)
+                    s = degraded_snr(params, scheme)
+                    for mode in ("per_cut_exact", "split_bound"):
+                        got = nnc_lower_bound(
+                            params, scheme, lower(s), mode, table_full=lower(snr))
+                        want = nnc_lower_bound(
+                            params, scheme, CapacityTable.from_pool(pool, s), mode,
+                            table_full=full)
+                        assert repr(got) == repr(want), (snr, D, q, quantizes, mode)
 
 
 def test_certified_min_cut_computes_the_entries_its_first_argmin_crosses():

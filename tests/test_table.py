@@ -416,9 +416,9 @@ def test_lower_computes_each_entry_once(no_full_table):
         mp.setattr(mimo, "_entry_stats", counting)
         table = cache.lower(4.0)
         assert cache.lower(4.0) is table and calls == [(2, 2, 4.0)]
-        assert cache.make_exact(4.0, [(2, 2), (0, 2), (2, 0)]) == 0
-        assert cache.make_exact(4.0, [(1, 2), (2, 1)]) == 1
-        assert cache.make_exact(4.0, [(2, 1)]) == 0
+        assert cache.lower(4.0).make_exact([(2, 2), (0, 2), (2, 0)]) == 0
+        assert cache.lower(4.0).make_exact([(1, 2), (2, 1)]) == 1
+        assert cache.lower(4.0).make_exact([(2, 1)]) == 0
         assert calls[1:] == [(2, 1, 4.0)]
     built = CapacityTable.from_pool(pool, 4.0)
     for dims in ((2, 2), (2, 1), (1, 2)):
@@ -452,8 +452,8 @@ def test_each_entry_is_decomposed_once(monkeypatch):
     cache.lower(1.0)
     cache.lower(2.0)
     assert calls == {(K, K): blocks}
-    cache.make_exact(1.0, [(2, 1)])
-    cache.make_exact(2.0, [(1, 2), (2, 2)])
+    cache.lower(1.0).make_exact([(2, 1)])
+    cache.lower(2.0).make_exact([(1, 2), (2, 2)])
     assert calls == {(2, 1): blocks, (1, 2): blocks, (2, 2): blocks, (K, K): blocks}
     cache.lower(4.0).entry_draws(1, 3)
     cache.at(1.0)
