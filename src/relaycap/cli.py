@@ -408,7 +408,10 @@ def run_verify(cfg: ExperimentConfig) -> int:
     def record(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    pool = mimo.SamplePool.build(cfg.max_dim, cfg.num_samples, cfg.seed, workers=cfg.workers)
+    # full tables at every snr: every entry decomposed in the pool's one pass
+    pool = mimo.SamplePool._build(
+        cfg.max_dim, cfg.num_samples, cfg.seed, workers=cfg.workers, every_entry=True
+    )
     tables = {}
     for snr in cfg.snr:
         table = mimo.CapacityTable.from_pool(pool, snr)

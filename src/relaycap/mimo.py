@@ -19,8 +19,10 @@ Estimates come from Gram spectra: with eigenvalues lambda_i of the Gram
 matrix of the smaller side, logdet(I + snr * H H^dagger) =
 sum_i log1p(snr * lambda_i).  The spectrum does not depend on snr, so a
 ``SamplePool`` decomposes the cyclic windows of a table entry once, when a
-table first reads the entry, and the entry at any snr is an elementwise
-pass over the stored eigenvalues.  ``gram_logdet`` (a Cholesky
+table first reads the entry, and the entry at any snr is one elementwise
+pass over the stored eigenvalues, block by block through reused buffers.
+Tables keep no per-draw values; a ``TableCache`` keeps at most three
+N-length columns for common-random-number errors.  ``gram_logdet`` (a Cholesky
 factorization of I + snr * Gram) is kept as the independent reference that
 the property checks and tests compare the spectral path against.
 """
@@ -213,12 +215,14 @@ def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
     return np.maximum(lam, 0.0, out=lam)
 
 
-def _column_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, column by column in order: a reduction over a
-    short last axis is far slower."""
-    total = x[..., 0]
-    for i in range(1, x.shape[-1]):
-        total = total + x[..., i]
+def _column_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum over the last axis, column by column in order, into ``out`` when
+    given: a reduction over a short last axis is far slower."""
+    if x.shape[-1] == 1:
+        return np.positive(x[..., 0], out=out)  # a copy, bit for bit
+    total = np.add(x[..., 0], x[..., 1], out=out)
+    for i in range(2, x.shape[-1]):
+        np.add(total, x[..., i], out=total)
     return total
 
 
@@ -272,22 +276,22 @@ def _block_bounds(block_index: int, num_samples: int) -> tuple[int, int]:
     return lo, min(lo + BLOCK_SIZE, num_samples)
 
 
-def _block_sums(values: np.ndarray) -> list[tuple[float, float]]:
-    """(sum, sum of squares) of each BLOCK_SIZE chunk of a per-draw column,
-    the last chunk possibly shorter; the package's only reduction.
+def _block_sums(pair: np.ndarray) -> list[tuple[float, float]]:
+    """(sum, sum of squares) of each BLOCK_SIZE chunk of the per-draw values
+    in ``pair[0]``, the last chunk possibly shorter; the package's only
+    reduction.  ``pair`` has shape (2, n); its row 1 is overwritten with
+    the squares.
 
-    Every chunk is summed by np.sum's pairwise summation, the full ones in
-    one reshaped call, so a chunk's sums do not depend on how many chunks
-    were reduced together: a column passed whole and the same column passed
-    block by block give the same list.
+    One np.add.reduce per chunk sums both rows, each by numpy's pairwise
+    summation along the row, so a column passed whole and the same column
+    passed block by block give the same list.
     """
-    full = len(values) - len(values) % BLOCK_SIZE
-    head, tail = values[:full].reshape(-1, BLOCK_SIZE), values[full:]
-    sums = list(zip(np.sum(head, axis=1).tolist(),
-                    np.sum(head * head, axis=1).tolist()))
-    if len(tail):
-        sums.append((float(np.sum(tail)), float(np.sum(tail * tail))))
-    return sums
+    values, squares = pair
+    np.multiply(values, values, out=squares)
+    return [
+        tuple(np.add.reduce(pair[:, lo : lo + BLOCK_SIZE], axis=1).tolist())
+        for lo in range(0, len(values), BLOCK_SIZE)
+    ]
 
 
 def _moments(sums: list[tuple[float, float]], n: int) -> tuple[float, float]:
@@ -307,7 +311,9 @@ def _moments(sums: list[tuple[float, float]], n: int) -> tuple[float, float]:
 
 def _stream_stats(values: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of a per-draw column."""
-    return _moments(_block_sums(values), len(values))
+    pair = np.empty((2, len(values)))
+    pair[0] = values
+    return _moments(_block_sums(pair), len(values))
 
 
 def _map_blocks(task, num_blocks: int, workers: int) -> list:
@@ -447,12 +453,29 @@ class SamplePool:
     ) -> "SamplePool":
         """The pool, with entry (max_dim, max_dim) decomposed: every table
         reads it first."""
-        max_dim = _positive_int("max_dim", max_dim)
+        return cls._build(max_dim, num_samples, seed, hop_index, workers, every_entry=False)
+
+    @classmethod
+    def _build(
+        cls,
+        max_dim: int,
+        num_samples: int,
+        seed: int,
+        hop_index: int = 0,
+        workers: int = 1,
+        *,
+        every_entry: bool,
+    ) -> "SamplePool":
+        """``build``; with ``every_entry``, every entry m >= n >= 1 is
+        decomposed in its one pass over the blocks: the pool of full tables,
+        which then sample each block once."""
+        K = _positive_int("max_dim", max_dim)
         num_samples = _positive_int("num_samples", num_samples)
         seed = _positive_int("seed", seed, minimum=0)
         hop_index = _positive_int("hop_index", hop_index, minimum=0)
-        pool = cls(max_dim, num_samples, seed, hop_index, _positive_int("workers", workers))
-        pool.decompose([(max_dim, max_dim)])
+        pool = cls(K, num_samples, seed, hop_index, _positive_int("workers", workers))
+        pool.decompose(itertools.combinations_with_replacement(range(K, 0, -1), 2)
+                       if every_entry else [(K, K)])
         return pool
 
     def decompose(self, entries: Iterable[tuple[int, int]]) -> None:
@@ -507,13 +530,17 @@ class SamplePool:
             self.spectra[(m, n)] = (eigenvalues[(m, n)], weights)
 
 
-def _window_values(
-    eigenvalues: np.ndarray, weights: np.ndarray | None, snr: float
-) -> np.ndarray:
-    """Per-draw capacity values of one table entry, symmetrized over windows.
+def _entry_stats(
+    pool: SamplePool, m: int, n: int, snr: float, out: np.ndarray | None = None
+) -> tuple[float, float]:
+    """Mean and standard error of entry (m, n), m >= n >= 1, at ``snr``: the
+    one computation of a table entry, one pass over the pool's spectrum of
+    the entry, block by block.  The pool decomposes the entry if it has not
+    yet.  Each block's per-draw values go to ``out[lo:hi]`` when an
+    N-length ``out`` is given, else to a reused block buffer, and are
+    reduced there, so without ``out`` no N-length array is formed.
 
-    ``eigenvalues`` and ``weights`` are what a SamplePool stores for an entry
-    (m, n).  For each pooled draw P the value is the weighted average of
+    For each pooled draw P the value is the weighted average of
     logdet(I + snr * W W^dagger) = sum log1p(snr * lambda) over every m x n
     and n x m cyclic window W of P (see ``_window_groups``).  Averaging over
     the window group makes the entries of a table share exact structural
@@ -524,32 +551,29 @@ def _window_values(
       * complementary row ranges of a column window partition it.
 
     These hold up to rounding; ``gram_logdet`` is the Cholesky reference that
-    tests and ``check_capacity_properties`` compare against.
+    tests and ``check_capacity_properties`` compare against.  The blocks are
+    those of the direct estimator, so statistics over them match it bitwise.
     """
-    if weights is None:
-        # single representative: the same kernel as the direct estimator, so
-        # the full-size entry is bitwise identical to it on the same draws
-        return _spectral_logdet(eigenvalues, snr)
-    return np.log1p(snr * eigenvalues) @ weights
-
-
-def _entry_chunks(pool: SamplePool, m: int, n: int, snr: float):
-    """Per-draw values of entry (m, n), m >= n >= 1, one block at a time:
-    the blocks of the direct estimator, so statistics over them match it
-    bitwise.  The pool decomposes the entry if it has not yet."""
     pool.decompose([(m, n)])
     eigenvalues, weights = pool.spectra[(m, n)]
     N = pool.num_samples
+    size = min(N, BLOCK_SIZE)
+    terms, pair = np.empty((size, eigenvalues.shape[1])), np.empty((2, size))
+    sums = []
     for b in range(_num_blocks(N)):
-        yield _window_values(eigenvalues[slice(*_block_bounds(b, N))], weights, snr)
-
-
-def _entry_stats(pool: SamplePool, m: int, n: int, snr: float) -> tuple[float, float]:
-    """Mean and standard error of entry (m, n), m >= n >= 1, at ``snr``:
-    each block reduced as ``_entry_chunks`` yields it, so no N-length
-    column is formed.  The one computation of a table entry."""
-    sums = [s for values in _entry_chunks(pool, m, n, snr) for s in _block_sums(values)]
-    return _moments(sums, pool.num_samples)
+        lo, hi = _block_bounds(b, N)
+        t, v = terms[: hi - lo], pair[0, : hi - lo]
+        np.log1p(np.multiply(eigenvalues[lo:hi], snr, out=t), out=t)
+        if weights is None:
+            # single representative: the direct estimator's kernel, so the
+            # full-size entry is bitwise identical to it on the same draws
+            _column_sum(t, out=v)
+        else:
+            np.matmul(t, weights, out=v)
+        if out is not None:
+            out[lo:hi] = v
+        sums += _block_sums(pair[:, : hi - lo])
+    return _moments(sums, N)
 
 
 @dataclass(eq=False)
@@ -557,15 +581,16 @@ class CapacityTable:
     """Ergodic capacities for every dimension pair (m, n) with m, n <= max_dim.
 
     Entries are estimated from the Gram spectra of one shared pool of draws
-    via cyclic-window symmetrization (see ``_window_values``), so on every
+    via cyclic-window symmetrization (see ``_entry_stats``), so on every
     single draw the table is symmetric, monotone in each dimension, and
     superadditive in the row split.  Index 0 rows and columns are exactly
     zero.  An entry costs one elementwise pass over its eigenvalues in the
     pool, which decomposes them when a table first reads the entry.
 
     Per-draw entry values, needed for common-random-number error bars, are
-    not stored: ``entry_draws`` derives them from the pool's spectrum when
-    first asked and keeps only the columns that were asked for.
+    not stored: a table holds no N-length array, and ``entry_draws``
+    derives a fresh column from the pool's spectrum on every call.  The
+    only per-draw columns kept are the at most three of a ``TableCache``.
 
     Attributes:
         means: (max_dim+1, max_dim+1) array of entry means in nats.  On a
@@ -584,9 +609,6 @@ class CapacityTable:
     std_errors: np.ndarray = field(repr=False)
     pool: SamplePool | None = field(default=None, repr=False)
     per_draw: None = field(default=None, init=False, repr=False)  # always None; tracer shim
-    _columns: dict[tuple[int, int], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False
-    )
 
     @classmethod
     def from_pool(
@@ -603,8 +625,9 @@ class CapacityTable:
     def entry_draws(self, m: int, n: int) -> np.ndarray:
         """Read-only per-draw values of entry (m, n) over the table's pool.
 
-        A column is computed from the pool's spectrum on first use and kept;
-        (m, n) and (n, m) share it.  Entries with a zero dimension are zeros.
+        The column is computed from the pool's spectrum on every call and
+        not kept; (m, n) and (n, m) give the same values.  Entries with a
+        zero dimension are zeros.
 
         Raises:
             ValueError: if the table has no pool (e.g. loaded from JSON).
@@ -612,15 +635,10 @@ class CapacityTable:
         self._check_entry(m, n)
         if self.pool is None:
             raise ValueError("per-draw values need a table built with shared draws")
-        key = (max(m, n), min(m, n))
-        column = self._columns.get(key)
-        if column is None:
-            if key[1] == 0:
-                column = np.zeros(self.num_samples)
-            else:
-                column = np.concatenate(list(_entry_chunks(self.pool, *key, self.snr)))
-                self._columns[key] = column
-            column.flags.writeable = False
+        column = np.zeros(self.num_samples)
+        if m and n:
+            _entry_stats(self.pool, max(m, n), min(m, n), self.snr, out=column)
+        column.flags.writeable = False
         return column
 
     def make_exact(self, dims: Iterable[tuple[int, int]]) -> int:
@@ -737,8 +755,9 @@ def build_capacity_table(
     hop_index: int = 0,
     workers: int = 1,
 ) -> CapacityTable:
-    """Build a pool of shared draws and the capacity table over it."""
-    pool = SamplePool.build(max_dim, num_samples, seed, hop_index, workers)
+    """Build a pool of shared draws, every entry decomposed in one pass, and
+    the full capacity table over it."""
+    pool = SamplePool._build(max_dim, num_samples, seed, hop_index, workers, every_entry=True)
     return CapacityTable.from_pool(pool, snr)
 
 
@@ -755,7 +774,8 @@ def _entry_floor(mn, K: int, kk):
 
 
 class TableCache:
-    """Capacity tables at several snr values over one shared pool.
+    """Capacity tables at several snr values over one shared pool, and the
+    per-draw columns that gap errors read.
 
     ``lower`` keeps, per snr, a table that computes only the entries asked
     for: (K, K) always, and others through ``CapacityTable.make_exact``;
@@ -764,11 +784,22 @@ class TableCache:
     every entry of that one table exact: the full table.  ``chord`` bounds
     the (K, K) mean at any snr from above on the ones ``lower`` has
     computed.
+
+    ``column`` gives an entry's per-draw values at an snr.  The cache is
+    the only holder of N-length columns and keeps at most ``_MAX_COLUMNS``:
+    the first it computed and the two most recently used; one it dropped is
+    computed again when read.  ``lower`` writes the (K, K) column in the
+    pass that reduces the entry.  A sweep's first column is C(K, K) at its
+    full snr, which every row reads; a row's degraded-snr column was
+    written when its q was scored.
     """
+
+    _MAX_COLUMNS = 3
 
     def __init__(self, pool: SamplePool):
         self.pool = pool
         self._lower: dict[float, CapacityTable] = {}
+        self._columns: dict[tuple[float, int, int], np.ndarray] = {}
 
     def at(self, snr: float) -> CapacityTable:
         """The full table at ``snr``: ``lower(snr)`` with every entry exact."""
@@ -784,14 +815,18 @@ class TableCache:
         the (K, K) mean and a NaN standard error, which marks it inexact;
         the table's readers make it exact first.  Entries with a zero
         dimension are exact zeros.  The table keeps the pool, so
-        ``entry_draws`` gives exact per-draw columns for any entry.
+        ``entry_draws`` gives exact per-draw columns for any entry.  The
+        pass that computes (K, K) also writes its column, which the cache
+        keeps (see ``column``).
         """
         key = float(snr)
         table = self._lower.get(key)
         if table is None:
             _check_snr(key)
             K = self.pool.max_dim
-            kk, kk_se = _entry_stats(self.pool, K, K, key)
+            column = np.empty(self.pool.num_samples)
+            kk, kk_se = _entry_stats(self.pool, K, K, key, out=column)
+            self._keep((key, K, K), column)
             dims = np.arange(K + 1)
             means = _entry_floor(np.outer(dims, dims), K, kk)
             ses = np.full((K + 1, K + 1), math.nan)
@@ -802,6 +837,31 @@ class TableCache:
                 K, key, pool.num_samples, pool.seed, pool.hop_index, means, ses, pool
             )
         return table
+
+    def column(self, snr: float, m: int, n: int) -> np.ndarray:
+        """Read-only per-draw values of entry (m, n), m, n >= 1, at ``snr``:
+        the floats of ``lower(snr).entry_draws(m, n)``, kept under the
+        cache's rule; (m, n) and (n, m) share a column."""
+        key = (float(snr), max(m, n), min(m, n))
+        column = self._columns.get(key)
+        if column is None:
+            self.lower(key[0])  # computes and keeps (K, K)'s on first use
+            column = self._columns.get(key)
+        if column is None:
+            column = np.empty(self.pool.num_samples)
+            _entry_stats(self.pool, key[1], key[2], key[0], out=column)
+        self._keep(key, column)
+        return column
+
+    def _keep(self, key: tuple[float, int, int], column: np.ndarray) -> None:
+        """Hold ``column`` as the most recently used; past ``_MAX_COLUMNS``,
+        drop the least recently used one after the first."""
+        column.flags.writeable = False
+        if key != next(iter(self._columns), key):
+            self._columns.pop(key, None)  # re-inserted last: most recent
+        self._columns[key] = column
+        if len(self._columns) > self._MAX_COLUMNS:
+            del self._columns[list(self._columns)[1]]
 
     def chord(self, snr: float) -> float:
         """An upper bound on the (K, K) mean at ``snr`` from the (K, K)

@@ -20,9 +20,12 @@ keyword-only ``last`` (None: the final hop reads ``table`` too), so their
 cost does not grow with the number of hops beyond one pass over the profile:
 a cut's per-draw values add each distinct crossing block once, weighted by
 its multiplicity, and the min-cut dynamic program reads a (K+1) x (K+1) edge
-matrix computed once per call.  Per-draw block values come from
-``CapacityTable.entry_draws``, which derives each column from the pool's
-Gram spectrum on first use; tables store no per-draw copy.
+matrix computed once per call.  A cut's distinct blocks are counted per run
+of equal relay counts, not per hop.  ``cut_profile_draws`` reads each
+block's column from ``CapacityTable.entry_draws``, which computes it from
+the pool's Gram spectrum on every call (tables store no per-draw copy), and
+adds the columns block by block in ``_cut_blocks``; ``rates`` streams its
+gap errors through the same helper from a ``TableCache``'s columns.
 """
 
 from __future__ import annotations
@@ -37,7 +40,10 @@ import numpy as np
 
 from .mimo import (
     _BASES,
+    BLOCK_SIZE,
     CapacityTable,
+    _block_bounds,
+    _num_blocks,
     _positive_int,
     _record_dict,
     _stream_stats,
@@ -188,11 +194,71 @@ def _block_dims(counts: tuple[int, ...], params: NetworkParams) -> list[tuple[in
     return [(K - bounds[i + 1], bounds[i]) for i in range(params.num_hops)]
 
 
-def _make_exact(body: CapacityTable, last: CapacityTable, dims: list[tuple[int, int]]) -> int:
-    """Make exact the entries hops ``dims`` read, hop D on ``last``; returns the count."""
+def _crossing_blocks(
+    counts: tuple[int, ...], params: NetworkParams
+) -> tuple[Counter, tuple[int, int]]:
+    """(the distinct blocks (m, n) that hops 1..D-1 cross, each with the
+    number of those hops that cross it, in order of first crossing; the
+    block hop D crosses).  Python work grows with the number of runs of
+    equal counts, not with D: a run of M_{i+1} = ... = M_j = v after
+    M_i = u crosses (K - v, u) once and (K - v, v) j - i - 1 times."""
+    K = params.relays_per_layer
+    body = Counter()
+    cur = K  # M_0
+    for nxt, run in itertools.groupby(counts):
+        body[K - nxt, cur] += 1
+        repeats = len(list(run)) - 1
+        if repeats:
+            body[K - nxt, nxt] += repeats
+        cur = nxt
+    return body, (K, cur)
+
+
+def _make_exact(
+    body: CapacityTable, last: CapacityTable, counts: tuple[int, ...], params: NetworkParams
+) -> int:
+    """Make exact the entries the cut ``counts`` crosses, hop D's on
+    ``last``; returns the count."""
+    blocks, final = _crossing_blocks(counts, params)
     if last is body:
-        return body.make_exact(dims)
-    return body.make_exact(dims[:-1]) + last.make_exact(dims[-1:])
+        return body.make_exact([*blocks, final])
+    return body.make_exact(blocks) + last.make_exact([final])
+
+
+def _cut_terms(
+    counts: tuple[int, ...], params: NetworkParams, body: CapacityTable, last: CapacityTable
+) -> list[tuple[CapacityTable, tuple[int, int], int]]:
+    """(table, block, multiplicity) of each distinct block with no zero
+    dimension that the cut ``counts`` crosses, in the order its per-draw
+    values are added: the body's blocks in order of first crossing, hop D's
+    among them when it reads ``body``, else last, on ``last``.  Blocks with
+    a zero dimension are exact zeros."""
+    blocks, final = _crossing_blocks(counts, params)
+    if last is body:
+        blocks[final] += 1
+    terms = [(body, (m, n), k) for (m, n), k in blocks.items() if m and n]
+    if last is not body and final[1]:
+        terms.append((last, final, 1))
+    return terms
+
+
+def _cut_blocks(columns: list[tuple[int, np.ndarray]], shift: float, num_samples: int):
+    """Per-draw cut values one block at a time, as (lo, hi, values): zeros
+    plus each (multiplicity, column) term's column times its multiplicity,
+    in order, minus ``shift``.  ``values`` is a reused buffer that the next
+    block overwrites; the caller may change it in place."""
+    size = min(num_samples, BLOCK_SIZE)
+    acc, scratch = np.empty(size), np.empty(size)
+    for b in range(_num_blocks(num_samples)):
+        lo, hi = _block_bounds(b, num_samples)
+        values = acc[: hi - lo]
+        values.fill(0.0)
+        for mult, column in columns:
+            chunk = column[lo:hi]
+            # 1 * x is x: only other multiplicities are multiplied
+            values += chunk if mult == 1 else np.multiply(chunk, mult, out=scratch[: hi - lo])
+        values -= shift
+        yield lo, hi, values
 
 
 def _cut_sum(
@@ -242,22 +308,23 @@ def cut_profile_draws(
 
     Each distinct nonzero crossing block of the body hops contributes its
     per-draw column once, times the number of hops it crosses; blocks with
-    a zero dimension are exact zeros and are skipped.
+    a zero dimension are exact zeros and are skipped.  The N-length result
+    is filled block by block by ``_cut_blocks``, whose arithmetic
+    ``rates._gap_std_error`` streams without forming it.
     """
     _check_profile(profile, params)
     body, last = _hop_tables(table, last, params, node_penalty)
     if not _shared_pool(body, last):
         raise ValueError("per-draw cut values need tables built over shared draws")
-    dims = _block_dims(profile.counts, params)
-    body_dims = dims if last is body else dims[:-1]
-    acc = np.zeros(body.num_samples)
-    for (m, n), mult in Counter(d for d in body_dims if d[0] and d[1]).items():
-        acc += mult * body.entry_draws(m, n)
-    if last is not body:
-        m, n = dims[-1]
-        if m and n:
-            acc += last.entry_draws(m, n)
-    return acc - node_penalty * sum(profile.counts)
+    columns = [
+        (mult, t.entry_draws(*dims))
+        for t, dims, mult in _cut_terms(profile.counts, params, body, last)
+    ]
+    out = np.empty(body.num_samples)
+    shift = node_penalty * sum(profile.counts)
+    for lo, hi, values in _cut_blocks(columns, shift, body.num_samples):
+        out[lo:hi] = values
+    return out
 
 
 def cut_value(
@@ -285,7 +352,7 @@ def cut_value(
     """
     _check_profile(profile, params)
     body, last = _hop_tables(table, last, params, node_penalty)
-    _make_exact(body, last, _block_dims(profile.counts, params))
+    _make_exact(body, last, profile.counts, params)
     total, per_block = _cut_sum(profile.counts, params, body, last, node_penalty)
     if _shared_pool(body, last):
         _, se = _stream_stats(cut_profile_draws(profile, params, body, last=last))
@@ -333,7 +400,7 @@ def min_cut_dp(
     body, last = _hop_tables(table, last, params, node_penalty)
     while True:
         value, profile = _dp_pass(params, body, last, node_penalty)
-        if _make_exact(body, last, _block_dims(profile.counts, params)) == 0:
+        if _make_exact(body, last, profile.counts, params) == 0:
             return value, profile
 
 

@@ -21,19 +21,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mimo import (
+    BLOCK_SIZE,
     CapacityEstimate,
     CapacityTable,
     SamplePool,
     TableCache,
+    _block_sums,
+    _moments,
     _positive_int,
     _record_dict,
-    _stream_stats,
     rate_scale,
 )
 from .network import (
     CutProfile,
     NetworkParams,
-    cut_profile_draws,
+    _cut_blocks,
+    _cut_terms,
     cut_value,
     min_cut_dp,
 )
@@ -266,20 +269,45 @@ class RateReport:
         return _record_dict(self, _REPORT_KEYS)
 
 
+def _gap_std_error(
+    params: NetworkParams, profile: CutProfile, pen: float, cache: TableCache,
+    table: CapacityTable, last: CapacityTable | None = None,
+) -> float:
+    """Standard error of C(K, K) at full snr minus the cut ``profile`` on
+    ``table`` (hop D on ``last`` if given), penalized by ``pen`` per relay,
+    over the pool of ``cache``, which made both tables.
+
+    It is reduced block by block from the cache's per-draw columns: per
+    block, the cut values of ``cut_profile_draws`` (its ``_cut_blocks``),
+    then C(K, K) minus them, then ``_block_sums``, all in reused block
+    buffers, so no N-length array is formed.  The floats are those of
+    ``_stream_stats(full.entry_draws(K, K) - cut_profile_draws(...))``.
+    """
+    K, N = params.relays_per_layer, cache.pool.num_samples
+    full = cache.column(params.snr, K, K)
+    terms = _cut_terms(profile.counts, params, table, table if last is None else last)
+    columns = [(mult, cache.column(t.snr, *dims)) for t, dims, mult in terms]
+    pair, sums = np.empty((2, min(N, BLOCK_SIZE))), []
+    for lo, hi, cut in _cut_blocks(columns, pen * sum(profile.counts), N):
+        np.subtract(full[lo:hi], cut, out=pair[0, : hi - lo])
+        sums += _block_sums(pair[:, : hi - lo])
+    return _moments(sums, N)[1]
+
+
 def _scheme_bounds(
     params: NetworkParams, scheme: QuantizationScheme, cache: TableCache, mode: str
 ) -> tuple[CapacityEstimate, float, float]:
     """(C(K, K) estimate at full snr, unclamped penalized min cut under
-    ``mode``, standard error of their difference) on the lower-bound tables
-    of the cache's one pool, so the error is a common-random-number error of
-    the gap.  Hop D reads the full-snr table when the destination does not quantize."""
+    ``mode``, ``_gap_std_error`` of their difference) on the lower-bound
+    tables of the cache's one pool, so the error is a common-random-number
+    error of the gap.  Hop D reads the full-snr table when the destination
+    does not quantize."""
     K = params.relays_per_layer
     table = cache.lower(degraded_snr(params, scheme))
     table_full = cache.lower(params.snr)
     last = None if scheme.destination_quantizes else table_full
     raw, profile, pen = _penalized_min_cut(params, scheme, table, mode, last=last)
-    cut_draws = cut_profile_draws(profile, params, table, node_penalty=pen, last=last)
-    _, se = _stream_stats(table_full.entry_draws(K, K) - cut_draws)
+    se = _gap_std_error(params, profile, pen, cache, table, last)
     return table_full.estimate(K, K), raw, se
 
 

@@ -254,6 +254,29 @@ def entry_column_per_block(pool, m: int, n: int, snr: float) -> np.ndarray:
     return column
 
 
+def entry_stats_per_block(pool, m: int, n: int, snr: float) -> tuple[float, float]:
+    """Mean and standard error of table entry (m, n), m, n >= 1, as the
+    table kernel computed them before it streamed blocks through reused
+    buffers: each block's values as in ``entry_column_per_block``, reduced
+    by np.sum (a full block as one reshaped row, a short last block whole),
+    and the block sums combined by math.fsum.  A bitwise reference."""
+    column = entry_column_per_block(pool, m, n, snr)
+    N = len(column)
+    sums = []
+    for b in range(_num_blocks(N)):
+        values = column[slice(*_block_bounds(b, N))]
+        if len(values) == BLOCK_SIZE:
+            head = values.reshape(1, BLOCK_SIZE)
+            sums.append((float(np.sum(head, axis=1)[0]), float(np.sum(head * head, axis=1)[0])))
+        else:
+            sums.append((float(np.sum(values)), float(np.sum(values * values))))
+    mean = math.fsum(s for s, _ in sums) / N
+    if N == 1:
+        return mean, 0.0
+    var = max(math.fsum(sq for _, sq in sums) - N * mean * mean, 0.0) / (N - 1)
+    return mean, math.sqrt(var / N)
+
+
 def stream_stats_per_chunk(values: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of a per-draw column, each BLOCK_SIZE chunk
     summed by its own np.sum and the partials combined with math.fsum: the

@@ -292,6 +292,26 @@ def test_verify_passes_on_defaults(tmp_path, capsys):
     assert "checks passed" in text
 
 
+def test_verify_decomposes_every_block_once(tmp_path, monkeypatch):
+    # the pool decomposes every entry verify's full tables read in one pass
+    # over the blocks; the property checks then read the raw draws, which
+    # the pool regenerates once per snr
+    calls = []
+    sample = mimo.sample_channel_block
+
+    def counting(*args, **kwargs):
+        calls.append(args[3])
+        return sample(*args, **kwargs)
+
+    monkeypatch.setattr(mimo, "sample_channel_block", counting)
+    rc, _ = run_cli(
+        tmp_path, ["verify", "--max-dim", "3", "--samples", "9000", "--snr", "1,10"]
+    )
+    assert rc == 0
+    blocks = mimo._num_blocks(9000)
+    assert sorted(calls) == sorted(list(range(blocks)) * (1 + 2))
+
+
 def test_verify_json_report(tmp_path):
     rc, out = run_cli(
         tmp_path,

@@ -2,6 +2,8 @@
 
 import itertools
 import math
+import random
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from relaycap import (
     min_cut_dp,
 )
 from relaycap.mimo import _stream_stats
-from relaycap.network import cut_profile_draws
+from relaycap.network import _block_dims, _crossing_blocks, cut_profile_draws
 
 
 def params_for(table, K, D):
@@ -262,6 +264,52 @@ def test_cut_draws_equal_per_hop_column_sum(table3_10, table3_1, last, penalty):
                 profile, params, table3_10, node_penalty=penalty, last=last_table
             )
             np.testing.assert_allclose(got, naive, rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("last", ["shared", "mixed"])
+def test_cut_draws_equal_the_whole_column_sum_bitwise(table3_10, table3_1, last):
+    # cut_profile_draws fills its result block by block; its floats are
+    # those of whole columns added from zero: each distinct nonzero body
+    # block in order of first crossing times its multiplicity (hop D among
+    # them when it reads the body table), then hop D's column on a distinct
+    # table, then minus the penalty
+    last_table = table3_10 if last == "shared" else table3_1
+    rng = random.Random(5)
+    for K, D in itertools.product((1, 2, 3), (1, 2, 3, 9, 40)):
+        params = params_for(table3_10, K, D)
+        for _ in range(4):
+            counts = tuple(rng.randrange(K + 1) for _ in range(D - 1))
+            dims = _block_dims(counts, params)
+            body_dims = dims if last_table is table3_10 else dims[:-1]
+            acc = np.zeros(table3_10.num_samples)
+            for (m, n), mult in Counter(d for d in body_dims if d[0] and d[1]).items():
+                acc += mult * table3_10.entry_draws(m, n)
+            if last_table is not table3_10 and dims[-1][1]:
+                acc += last_table.entry_draws(*dims[-1])
+            got = cut_profile_draws(
+                CutProfile(counts), params, table3_10, node_penalty=0.3, last=last_table
+            )
+            assert np.array_equal(got, acc - 0.3 * sum(counts)), (K, D, counts)
+
+
+def test_crossing_blocks_count_every_hop_in_order():
+    # the distinct blocks of hops 1..D-1 with their multiplicities, in order
+    # of first crossing, and hop D's block: Counter of the per-hop list
+    rng = random.Random(3)
+    for K, D in itertools.product((1, 2, 3, 4), (1, 2, 3, 7, 64, 474)):
+        params = NetworkParams(K, D)
+        profiles = [(K,) * (D - 1), (0,) * (D - 1)] + [
+            tuple(sorted(rng.randrange(K + 1) for _ in range(D - 1)))
+            for _ in range(3)
+        ] + [tuple(rng.randrange(K + 1) for _ in range(D - 1)) for _ in range(5)]
+        for counts in profiles:
+            dims = _block_dims(counts, params)
+            blocks, final = _crossing_blocks(counts, params)
+            assert list(blocks.items()) == list(Counter(dims[:-1]).items()), counts
+            assert final == dims[-1], counts
+    # the all-source-side profile crosses two distinct blocks
+    blocks, final = _crossing_blocks((2,) * 473, NetworkParams(2, 474))
+    assert list(blocks.items()) == [((0, 2), 473)] and final == (2, 2)
 
 
 def test_tables_over_pools_of_different_size_use_quadrature():

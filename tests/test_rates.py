@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import random
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from relaycap import (
     degraded_snr,
     depth_gap_bound,
     gap_trend,
+    mimo,
     nnc_lower_bound,
     optimize_quantization,
     penalty_bound,
@@ -32,9 +34,12 @@ from relaycap.network import (
     min_cut_dp,
 )
 from relaycap.rates import (
+    _MODES,
+    _gap_std_error,
     _optimize_on_cache,
     _penalized_min_cut,
     _raw_rate_bound,
+    _scheme_bounds,
     resolve_policy,
 )
 
@@ -828,3 +833,71 @@ def test_sweep_shape_builds_at_most_45_tables(monkeypatch):
     for policy in ("fixed_1", "depth_matched", "optimized"):
         gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, 5_000, 12345, cache=cache)
     assert len(full_snrs) <= 45
+
+
+# ------------------------------------------------ streamed gap error
+
+
+@pytest.mark.parametrize("N", [1, 4095, 4096, 4097, 50_000])
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_streamed_gap_error_equals_the_column_difference_bitwise(K, N):
+    # _gap_std_error reduces C(K, K) minus the penalized cut block by block
+    # from the cache's columns; its floats are those of the N-length
+    # difference of entry_draws and cut_profile_draws, for the argmin of
+    # either mode and for other profiles, with and without a final-hop table
+    snr = 10.0
+    cache = TableCache(SamplePool.build(K, N, seed=70 + K))
+    full = cache.lower(snr)
+    rng = random.Random(K * N)
+    # at K = 4 and 50 000 draws, other profiles cross few entries (memory)
+    counts = (K - 1, K) if (K, N) == (4, 50_000) else range(K + 1)
+    for D, pen, dq in itertools.product((1, 2, 5, 64), (0.0, 1e-3, 0.4, 3.0), (True, False)):
+        params = NetworkParams(K, D, power=snr)
+        scheme = QuantizationScheme(1.0 / math.expm1(pen) if pen else 3.0, dq)
+        table = cache.lower(degraded_snr(params, scheme))
+        last = None if dq else full
+        cuts = [((K,) * (D - 1), pen), ((0,) * (D - 1), pen),
+                (tuple(rng.choice(counts) for _ in range(D - 1)), pen)]
+        for mode in _MODES:
+            if pen or mode == "split_bound":
+                raw, profile, used = _penalized_min_cut(params, scheme, table, mode, last=last)
+                cuts.append((profile.counts, used))
+                _, got_raw, se = _scheme_bounds(params, scheme, cache, mode)
+                assert (got_raw, se.hex()) == (raw, _gap_se(
+                    params, table, full, profile, used, last).hex()), (D, pen, dq, mode)
+        for c, p in cuts:
+            profile = CutProfile(c)
+            expected = _gap_se(params, table, full, profile, p, last)
+            got = _gap_std_error(params, profile, p, cache, table, last)
+            assert got.hex() == expected.hex(), (D, pen, dq, c)
+
+
+def test_headline_sweep_makes_one_entry_pass_per_snr(monkeypatch):
+    # the sweep-optimized shape (K 2, depths 2..32, snr 10, 50 000 draws,
+    # three policies on one cache) at the pool seed of the benchmark's
+    # inputs for workload seed 0: each snr's C(K, K) is one log1p pass,
+    # which also writes the column the gap errors read; 24 passes in all,
+    # where recomputing the columns for the gap errors made 35
+    seed, N = 1440633922, 50_000
+    passes, held = [], []
+    entry_stats, keep = mimo._entry_stats, TableCache._keep
+
+    def counting(pool, m, n, snr, out=None):
+        passes.append((m, n, snr))
+        return entry_stats(pool, m, n, snr, out=out)
+
+    def keeping(self, key, column):
+        keep(self, key, column)
+        held.append(len(self._columns))
+
+    monkeypatch.setattr(mimo, "_entry_stats", counting)
+    monkeypatch.setattr(TableCache, "_keep", keeping)
+    cache = TableCache(SamplePool.build(2, N, seed=seed))
+    for policy in ("fixed_1", "depth_matched", "optimized"):
+        gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, N, seed, cache=cache)
+    assert len(passes) == len(set(passes)) == len(cache._lower) == 24
+    assert max(held) == len(cache._columns) == 3
+    for table in cache._lower.values():
+        assert not any(
+            isinstance(v, np.ndarray) and v.shape == (N,) for v in vars(table).values()
+        )

@@ -167,6 +167,27 @@ def test_build_capacity_table_convenience():
     assert t.mean(2, 2) > t.mean(1, 1) > 0
 
 
+def test_full_table_pool_samples_every_block_once(monkeypatch):
+    # build_capacity_table decomposes every entry in the pool's one pass, so
+    # no block is sampled again when the full table reads the other entries
+    K, N = 3, 20_000
+    calls = collections.Counter()
+    sample = mimo.sample_channel_block
+
+    def counting(m, n, seed, block_index, hop_index=0):
+        calls[block_index] += 1
+        return sample(m, n, seed, block_index, hop_index)
+
+    monkeypatch.setattr(mimo, "sample_channel_block", counting)
+    table = build_capacity_table(K, 10.0, N, seed=4)
+    assert calls == {b: 1 for b in range(mimo._num_blocks(N))}
+    assert table.pool.spectra.keys() == set(_entries(K))
+    monkeypatch.undo()
+    twice = CapacityTable.from_pool(SamplePool.build(K, N, seed=4), 10.0)
+    assert _bits(*table.means.ravel(), *table.std_errors.ravel()) == _bits(
+        *twice.means.ravel(), *twice.std_errors.ravel())
+
+
 def test_table_cache_reuses_tables(pool3):
     cache = TableCache(pool3)
     a = cache.at(2.0)
@@ -208,19 +229,62 @@ def test_entry_draws_reproduce_means_and_errors_bitwise(table3_1):
 
 
 def test_entry_draws_are_memoized_read_only_columns(pool3):
-    table = CapacityTable.from_pool(pool3, 3.0)
-    col = table.entry_draws(2, 3)
-    assert table.entry_draws(2, 3) is col
-    assert table.entry_draws(3, 2) is col  # mirrored entries share one column
+    # no table keeps a column: entry_draws computes a fresh read-only one;
+    # the TableCache memoizes the columns it hands out, at most three
+    cache = TableCache(pool3)
+    table = cache.lower(3.0)
+    col = cache.column(3.0, 2, 3)
+    assert cache.column(3.0, 2, 3) is col
+    assert cache.column(3.0, 3, 2) is col  # mirrored entries share one column
     assert not col.flags.writeable
     with pytest.raises(ValueError):
         col[0] = 0.0
+    fresh = table.entry_draws(3, 2)
+    assert fresh is not col and np.array_equal(fresh, col)
+    assert not fresh.flags.writeable
+    with pytest.raises(ValueError):
+        fresh[0] = 0.0
     assert not table.entry_draws(0, 2).flags.writeable
     for m in range(4):
         for n in range(4):
-            table.entry_draws(m, n)
-    # at most one column per entry with m >= n >= 1
-    assert len(table._columns) == 3 * 4 // 2
+            if m and n:
+                column = cache.column(3.0, m, n)
+                assert np.array_equal(column, table.entry_draws(m, n)), (m, n)
+    # the first column (lower's (3, 3)) and the two most recently used
+    assert list(cache._columns) == [(3.0, 3, 3), (3.0, 3, 1), (3.0, 3, 2)]
+    N = pool3.num_samples
+    assert not any(
+        isinstance(v, np.ndarray) and v.shape == (N,) for v in vars(table).values()
+    )
+
+
+def test_table_cache_keeps_the_first_and_the_two_most_recent_columns():
+    pool = SamplePool.build(2, 5_000, seed=9)
+    cache = TableCache(pool)
+    calls = []
+    entry_stats = mimo._entry_stats
+
+    def counting(pool, m, n, snr, out=None):
+        calls.append((m, n, snr))
+        return entry_stats(pool, m, n, snr, out=out)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mimo, "_entry_stats", counting)
+        for s in (1.0, 2.0, 3.0, 4.0):
+            cache.lower(s)  # one pass each, which writes its column
+        assert list(cache._columns) == [(1.0, 2, 2), (3.0, 2, 2), (4.0, 2, 2)]
+        assert len(calls) == 4
+        first, third = cache.column(1.0, 2, 2), cache.column(3.0, 2, 2)
+        assert len(calls) == 4  # both still held: no pass
+        again = cache.column(2.0, 2, 2)  # dropped: computed again
+        assert calls[4:] == [(2, 2, 2.0)]
+        assert list(cache._columns) == [(1.0, 2, 2), (3.0, 2, 2), (2.0, 2, 2)]
+        cache.column(2.0, 1, 1)  # an entry lower never computed
+        assert calls[5:] == [(1, 1, 2.0)]
+        assert list(cache._columns) == [(1.0, 2, 2), (2.0, 2, 2), (2.0, 1, 1)]
+    for (s, m, n), col in [((1.0, 2, 2), first), ((3.0, 2, 2), third), ((2.0, 2, 2), again)]:
+        assert np.array_equal(col, cache.lower(s).entry_draws(m, n)), s
+    assert math.isnan(cache.lower(2.0).std_errors[1, 1])  # columns leave the means alone
 
 
 # ------------------------------------------------- spectral table kernel
@@ -356,6 +420,29 @@ def test_one_pass_kernel_equals_per_block_column_bitwise(K, N):
             assert _bits(table.means[m, n], table.std_errors[m, n]) == _bits(*expected)
 
 
+@pytest.mark.parametrize(
+    "K, N",
+    [(K, N) for K in (1, 2, 3, 4) for N in (1, 4095, 4096, 4097, 50_000)
+     if (K, N) != (4, 50_000)],
+)
+def test_streamed_entry_kernel_equals_its_column_and_the_per_block_kernel_bitwise(K, N):
+    # _entry_stats streams each block through reused buffers, with or
+    # without writing the N-length column; its statistics are those of the
+    # column it writes and of the kernel that reduced each block as a new
+    # array, for single-window and weighted entries alike
+    pool = SamplePool.build(K, N, seed=50 + K)
+    pool.decompose(_entries(K))
+    for snr in (0.0, 1e-3, 10.0, 1e5):
+        for m, n in pool.spectra:
+            stats = mimo._entry_stats(pool, m, n, snr)
+            column = np.full(N, np.nan)
+            assert _bits(*mimo._entry_stats(pool, m, n, snr, out=column)) == _bits(*stats)
+            assert np.array_equal(column, oracles.entry_column_per_block(pool, m, n, snr))
+            assert _bits(*_stream_stats(column)) == _bits(*stats), (m, n, snr)
+            expected = oracles.entry_stats_per_block(pool, m, n, snr)
+            assert _bits(*stats) == _bits(*expected), (m, n, snr)
+
+
 UPPER_SNRS = [float(s) for s in np.geomspace(1e-3, 1e5, 9)]
 
 
@@ -408,14 +495,17 @@ def test_lower_computes_each_entry_once(no_full_table):
     calls = []
     entry_stats = mimo._entry_stats
 
-    def counting(pool, m, n, snr):
+    def counting(pool, m, n, snr, out=None):
         calls.append((m, n, snr))
-        return entry_stats(pool, m, n, snr)
+        return entry_stats(pool, m, n, snr, out=out)
 
     with no_full_table(), pytest.MonkeyPatch.context() as mp:
         mp.setattr(mimo, "_entry_stats", counting)
         table = cache.lower(4.0)
         assert cache.lower(4.0) is table and calls == [(2, 2, 4.0)]
+        # the one pass also wrote the (2, 2) column, which the cache keeps
+        kk = cache.column(4.0, 2, 2)
+        assert calls == [(2, 2, 4.0)]
         assert cache.lower(4.0).make_exact([(2, 2), (0, 2), (2, 0)]) == 0
         assert cache.lower(4.0).make_exact([(1, 2), (2, 1)]) == 1
         assert cache.lower(4.0).make_exact([(2, 1)]) == 0
@@ -428,6 +518,7 @@ def test_lower_computes_each_entry_once(no_full_table):
     assert not table.means[0].any() and not table.means[:, 0].any()
     # per-draw columns come from the pool whatever the table's means
     assert np.array_equal(table.entry_draws(1, 1), built.entry_draws(1, 1))
+    assert np.array_equal(kk, built.entry_draws(2, 2))
     with pytest.raises(ValueError, match="snr"):
         cache.lower(math.nan)
 
