@@ -10,10 +10,10 @@ with the expectation over H.  All rates in this module are in nats; report
 layers convert to bits on output.
 
 Draws come from counter-based Philox streams keyed by
-``(seed, hop_index, block_index)``.  Work is split into fixed-size blocks and
-per-block partial sums are combined in block order, so results are
-bit-identical for any worker count and for any consumer that replays the same
-blocks.
+``(seed, hop_index, block_index)``; pools and direct estimates read hop 0.
+Work is split into fixed-size blocks and per-block partial sums are combined
+in block order, so results are bit-identical for any worker count and for
+any consumer that replays the same blocks.
 
 Estimates come from Gram spectra: with eigenvalues lambda_i of the Gram
 matrix of the smaller side, logdet(I + snr * H H^dagger) =
@@ -30,7 +30,6 @@ the property checks and tests compare the spectral path against.
 from __future__ import annotations
 
 import itertools
-import json
 import logging
 import math
 from collections.abc import Iterable
@@ -330,7 +329,6 @@ def estimate_ergodic_capacity(
     snr: float,
     num_samples: int,
     seed: int,
-    hop_index: int = 0,
     workers: int = 1,
 ) -> CapacityEstimate:
     """Monte Carlo estimate of the ergodic capacity of an m x n channel.
@@ -340,8 +338,7 @@ def estimate_ergodic_capacity(
         n: Transmit dimension.
         snr: Finite, nonnegative signal-to-noise ratio.
         num_samples: Number of channel draws, must be positive.
-        seed: Stream seed.
-        hop_index: Stream selector.
+        seed: Stream seed; the draws are hop 0's stream.
         workers: Thread count.  Output is bit-identical for any value.
 
     Returns:
@@ -359,7 +356,7 @@ def estimate_ergodic_capacity(
 
     def task(b: int) -> np.ndarray:
         lo, hi = _block_bounds(b, num_samples)
-        draws = sample_channel_block(m, n, seed, b, hop_index)[: hi - lo]
+        draws = sample_channel_block(m, n, seed, b)[: hi - lo]
         return _spectral_logdet(_gram_spectrum(draws), snr)
 
     column = np.concatenate(_map_blocks(task, _num_blocks(num_samples), workers))
@@ -398,8 +395,9 @@ class SamplePool:
     differences of table entries are common-random-number differences and
     structural inequalities between entries hold draw by draw.
 
-    The draws themselves are not stored: they are a pure function of
-    ``key``, and ``draws`` regenerates them when asked.
+    The draws themselves are not stored: they are hop 0's stream of
+    ``seed``, a pure function of ``key``, and ``draws`` regenerates them
+    when asked.
 
     Attributes:
         spectra: The entries decomposed so far (see ``decompose``): for a
@@ -417,17 +415,16 @@ class SamplePool:
     max_dim: int
     num_samples: int
     seed: int
-    hop_index: int
     workers: int = field(default=1, compare=False)
     spectra: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = field(
         default_factory=dict, compare=False, repr=False
     )
 
     @property
-    def key(self) -> tuple[int, int, int, int]:
-        """(max_dim, num_samples, seed, hop_index): pools with equal keys
-        hold the same draws."""
-        return (self.max_dim, self.num_samples, self.seed, self.hop_index)
+    def key(self) -> tuple[int, int, int]:
+        """(max_dim, num_samples, seed): pools with equal keys hold the
+        same draws."""
+        return (self.max_dim, self.num_samples, self.seed)
 
     @property
     def draws(self) -> np.ndarray:
@@ -437,23 +434,18 @@ class SamplePool:
         draws = np.empty((N, K, K), dtype=complex)
         for b in range(_num_blocks(N)):
             lo, hi = _block_bounds(b, N)
-            block = sample_channel_block(K, K, self.seed, b, self.hop_index)
+            block = sample_channel_block(K, K, self.seed, b)
             draws[lo:hi] = block[: hi - lo]
         draws.flags.writeable = False
         return draws
 
     @classmethod
     def build(
-        cls,
-        max_dim: int,
-        num_samples: int,
-        seed: int,
-        hop_index: int = 0,
-        workers: int = 1,
+        cls, max_dim: int, num_samples: int, seed: int, workers: int = 1
     ) -> "SamplePool":
         """The pool, with entry (max_dim, max_dim) decomposed: every table
         reads it first."""
-        return cls._build(max_dim, num_samples, seed, hop_index, workers, every_entry=False)
+        return cls._build(max_dim, num_samples, seed, workers, every_entry=False)
 
     @classmethod
     def _build(
@@ -461,7 +453,6 @@ class SamplePool:
         max_dim: int,
         num_samples: int,
         seed: int,
-        hop_index: int = 0,
         workers: int = 1,
         *,
         every_entry: bool,
@@ -472,8 +463,7 @@ class SamplePool:
         K = _positive_int("max_dim", max_dim)
         num_samples = _positive_int("num_samples", num_samples)
         seed = _positive_int("seed", seed, minimum=0)
-        hop_index = _positive_int("hop_index", hop_index, minimum=0)
-        pool = cls(K, num_samples, seed, hop_index, _positive_int("workers", workers))
+        pool = cls(K, num_samples, seed, _positive_int("workers", workers))
         pool.decompose(itertools.combinations_with_replacement(range(K, 0, -1), 2)
                        if every_entry else [(K, K)])
         return pool
@@ -501,7 +491,7 @@ class SamplePool:
         def task(b: int) -> None:
             # each block writes only its own rows
             lo, hi = _block_bounds(b, N)
-            block = sample_channel_block(K, K, self.seed, b, self.hop_index)[: hi - lo]
+            block = sample_channel_block(K, K, self.seed, b)[: hi - lo]
             for (m, n), entry_groups in groups.items():
                 col = 0
                 for _, rows, cols in entry_groups:
@@ -597,14 +587,14 @@ class CapacityTable:
             ``TableCache.lower`` table an inexact entry keeps its floor here,
             for ``min_cut_dp``; each reader method makes what it reads exact.
         std_errors: matching standard errors, NaN where inexact.
-        pool: the SamplePool the table was built from, if retained.
+        pool: the SamplePool the table was built from, whose ``key`` says
+            which draws it read; None for a table built from its arrays
+            alone, which has no per-draw values.
     """
 
     max_dim: int
     snr: float
     num_samples: int
-    seed: int
-    hop_index: int
     means: np.ndarray = field(repr=False)
     std_errors: np.ndarray = field(repr=False)
     pool: SamplePool | None = field(default=None, repr=False)
@@ -630,7 +620,7 @@ class CapacityTable:
         zero dimension are zeros.
 
         Raises:
-            ValueError: if the table has no pool (e.g. loaded from JSON).
+            ValueError: if the table has no pool.
         """
         self._check_entry(m, n)
         if self.pool is None:
@@ -644,7 +634,7 @@ class CapacityTable:
     def make_exact(self, dims: Iterable[tuple[int, int]]) -> int:
         """Compute the entries ``dims`` that are not exact yet, each once
         (with its mirror), from one ``SamplePool.decompose``; returns how
-        many were computed.  On a full or loaded table it computes nothing."""
+        many were computed.  On a full table it computes nothing."""
         ses = self.std_errors
         todo = sorted({(max(m, n), min(m, n)) for m, n in set(dims) if math.isnan(ses[m, n])})
         if todo:
@@ -676,88 +666,17 @@ class CapacityTable:
             self.mean(m, n), self.std_error(m, n), self.num_samples, (m, n), self.snr
         )
 
-    def as_dict(self) -> dict:
-        self.make_exact(itertools.product(range(self.max_dim + 1), repeat=2))
-        entries = [
-            {
-                "dims": [m, n],
-                "mean": self.mean(m, n),
-                "std_error": self.std_error(m, n),
-            }
-            for m in range(self.max_dim + 1)
-            for n in range(self.max_dim + 1)
-        ]
-        return {
-            "schema": "relaycap/capacity-table/1",
-            "max_dim": self.max_dim,
-            "snr": self.snr,
-            "num_samples": self.num_samples,
-            "seed": self.seed,
-            "hop_index": self.hop_index,
-            "entries": entries,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "CapacityTable":
-        """Load a table written by ``as_dict``.
-
-        Raises:
-            ValueError: naming the field, and the entry where there is one,
-                unless max_dim and num_samples are positive integers, seed and
-                hop_index nonnegative ones, snr is finite and nonnegative, and
-                every entry (m, n) with 0 <= m, n <= max_dim appears exactly
-                once with a finite mean and a finite, nonnegative standard error.
-        """
-        K = _positive_int("max_dim", data["max_dim"])
-        num_samples = _positive_int("num_samples", data["num_samples"])
-        seed = _positive_int("seed", data["seed"], minimum=0)
-        hop_index = _positive_int("hop_index", data.get("hop_index", 0), minimum=0)
-        snr = data["snr"]
-        _check_snr(snr)
-        means = np.zeros((K + 1, K + 1))
-        ses = np.zeros((K + 1, K + 1))
-        seen = set()
-        for e in data["entries"]:
-            dims = tuple(e["dims"])
-            where = f"entry dims {list(dims)}"
-            in_range = all(isinstance(d, int) and 0 <= d <= K for d in dims)
-            if len(dims) != 2 or not in_range:
-                raise ValueError(f"{where}: dims must be two integers in 0..{K}")
-            if dims in seen:
-                raise ValueError(f"{where}: dims given twice")
-            seen.add(dims)
-            mean, se = e["mean"], e["std_error"]
-            if not math.isfinite(mean):
-                raise ValueError(f"{where}: mean must be finite, got {mean}")
-            if not (math.isfinite(se) and se >= 0):
-                raise ValueError(
-                    f"{where}: std_error must be finite and nonnegative, got {se}"
-                )
-            means[dims], ses[dims] = mean, se
-        for dims in itertools.product(range(K + 1), repeat=2):
-            if dims not in seen:
-                raise ValueError(f"entry dims {list(dims)}: missing")
-        return cls(K, snr, num_samples, seed, hop_index, means, ses)
-
-    @classmethod
-    def from_json(cls, text: str) -> "CapacityTable":
-        return cls.from_dict(json.loads(text))
-
 
 def build_capacity_table(
     max_dim: int,
     snr: float,
     num_samples: int,
     seed: int,
-    hop_index: int = 0,
     workers: int = 1,
 ) -> CapacityTable:
     """Build a pool of shared draws, every entry decomposed in one pass, and
     the full capacity table over it."""
-    pool = SamplePool._build(max_dim, num_samples, seed, hop_index, workers, every_entry=True)
+    pool = SamplePool._build(max_dim, num_samples, seed, workers, every_entry=True)
     return CapacityTable.from_pool(pool, snr)
 
 
@@ -832,9 +751,8 @@ class TableCache:
             ses = np.full((K + 1, K + 1), math.nan)
             means[0] = means[:, 0] = ses[0] = ses[:, 0] = 0.0
             means[K, K], ses[K, K] = kk, kk_se
-            pool = self.pool
             table = self._lower[key] = CapacityTable(
-                K, key, pool.num_samples, pool.seed, pool.hop_index, means, ses, pool
+                K, key, self.pool.num_samples, means, ses, self.pool
             )
         return table
 
@@ -879,15 +797,19 @@ class TableCache:
 
         and without s0, below C_s1.  At a known snr it is that mean.
         """
-        K = self.pool.max_dim
-        known = {s: float(t.means[K, K]) for s, t in self._lower.items()}
-        above = [s for s in known if s >= snr]
-        if not above:
+        s0 = s1 = None
+        for s in self._lower:
+            if s >= snr:
+                if s1 is None or s < s1:
+                    s1 = s
+            elif s > 0.0 and (s0 is None or s > s0):
+                s0 = s
+        if s1 is None:
             return math.inf
-        s1 = min(above)
-        below = [s for s in known if 0.0 < s < snr]
-        if s1 == snr or not below:
-            return known[s1]
-        s0 = max(below)
+        K = self.pool.max_dim
+        c1 = float(self._lower[s1].means[K, K])
+        if s1 == snr or s0 is None:
+            return c1
+        c0 = float(self._lower[s0].means[K, K])
         theta = (math.log(snr) - math.log(s0)) / (math.log(s1) - math.log(s0))
-        return (1.0 - theta) * known[s0] + theta * known[s1]
+        return (1.0 - theta) * c0 + theta * c1

@@ -99,11 +99,11 @@ class CutProfile:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(map(int, self.counts))
         if counts != tuple(self.counts):
             raise ValueError(f"profile counts must be integers, got {self.counts}")
         object.__setattr__(self, "counts", counts)
-        if any(c < 0 for c in counts):
+        if counts and min(counts) < 0:
             raise ValueError(f"profile counts must be nonnegative, got {counts}")
 
     def __len__(self) -> int:
@@ -131,8 +131,9 @@ class CutValue:
         value: Sum of crossing-block capacities minus penalties, nats.
         std_error: Standard error.  Computed from per-draw values, derived
             from the pool spectrum, when every hop table was built over one
-            pool (common random numbers); otherwise, as for tables loaded
-            from JSON, by adding per-block errors in quadrature.
+            pool (common random numbers); otherwise, as for tables over
+            pools with different keys or with no pool, by adding per-block
+            errors in quadrature.
         profile: The evaluated profile.
         per_block: ((m, n), capacity) for each hop's crossing block.
     """

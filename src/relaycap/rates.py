@@ -611,8 +611,8 @@ def gap_trend(
     C(K, K), and another entry only where a min cut's argmin crosses it.
 
     ``cache`` lets several calls share one pool and its tables; it replaces
-    the pool build, and its pool must have been built with
-    ``(relays_per_layer, num_samples, seed)`` at hop 0.
+    the pool build, and its pool's key must be
+    ``(relays_per_layer, num_samples, seed)``.
 
     Returns one TrendPoint per depth, in the given order.
 
@@ -629,10 +629,10 @@ def gap_trend(
     grid = None if q_grid is None else _candidate_grid(q_grid)
     if cache is None:
         cache = TableCache(SamplePool.build(K, num_samples, seed, workers=workers))
-    elif cache.pool.key != (K, num_samples, seed, 0):
+    elif cache.pool.key != (K, num_samples, seed):
         raise ValueError(
-            f"cache pool (K, num_samples, seed, hop_index) = {cache.pool.key} "
-            f"does not match the requested {(K, num_samples, seed, 0)}"
+            f"cache pool (K, num_samples, seed) = {cache.pool.key} "
+            f"does not match the requested {(K, num_samples, seed)}"
         )
     cache.lower(snr)  # refuses a non-finite snr, naming it, before any depth
     points = []

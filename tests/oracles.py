@@ -294,8 +294,7 @@ def stream_stats_per_chunk(values: np.ndarray) -> tuple[float, float]:
     return mean, math.sqrt(var / n)
 
 
-def pool_spectra_per_window(max_dim: int, num_samples: int, seed: int,
-                            hop_index: int = 0) -> dict:
+def pool_spectra_per_window(max_dim: int, num_samples: int, seed: int) -> dict:
     """Gram eigenvalues of every table entry's cyclic windows, one
     ``_gram_spectrum`` call per window and block: the pool build before it
     gathered a window shape's windows into one call.  A reference for
@@ -317,7 +316,7 @@ def pool_spectra_per_window(max_dim: int, num_samples: int, seed: int,
             spectra[(m, n)] = np.empty((N, n * len(windows)))
             for blk in range(_num_blocks(N)):
                 lo, hi = _block_bounds(blk, N)
-                block = sample_channel_block(K, K, seed, blk, hop_index)[: hi - lo]
+                block = sample_channel_block(K, K, seed, blk)[: hi - lo]
                 for j, (rows, cols) in enumerate(windows):
                     if len(rows) == K and len(cols) == K:
                         W = block
@@ -325,3 +324,22 @@ def pool_spectra_per_window(max_dim: int, num_samples: int, seed: int,
                         W = np.ascontiguousarray(block[:, rows[:, None], cols[None, :]])
                     spectra[(m, n)][lo:hi, j * n : (j + 1) * n] = _gram_spectrum(W)
     return spectra
+
+
+def chord_over_known_means(cache, snr: float) -> float:
+    """``TableCache.chord`` as it read the cache before it scanned the snr
+    keys once: a dict of every computed (K, K) mean, then the nearest known
+    snr at or above ``snr`` and the nearest strictly between 0 and ``snr``.
+    A bitwise reference."""
+    K = cache.pool.max_dim
+    known = {s: float(t.means[K, K]) for s, t in cache._lower.items()}
+    above = [s for s in known if s >= snr]
+    if not above:
+        return math.inf
+    s1 = min(above)
+    below = [s for s in known if 0.0 < s < snr]
+    if s1 == snr or not below:
+        return known[s1]
+    s0 = max(below)
+    theta = (math.log(snr) - math.log(s0)) / (math.log(s1) - math.log(s0))
+    return (1.0 - theta) * known[s0] + theta * known[s1]

@@ -80,6 +80,15 @@ def test_cut_profile_validation(table3_10):
     assert CutProfile((1.0, 2.0)).counts == (1, 2)
 
 
+def test_cut_profile_takes_an_empty_profile_and_numpy_integers():
+    # D = 1 has no relay layer: the one profile is empty
+    assert CutProfile(()).counts == () == CutProfile.all_source_side(1, 3).counts
+    for counts in (np.array([2, 0, 1]), (np.int64(2), np.uint8(0), np.int32(1))):
+        profile = CutProfile(counts)
+        assert profile.counts == (2, 0, 1)
+        assert all(type(c) is int for c in profile.counts)
+
+
 @pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf])
 def test_node_penalty_must_be_finite(table3_10, penalty):
     params = params_for(table3_10, 2, 3)
@@ -172,7 +181,9 @@ def test_per_hop_tables_change_the_final_hop(table3_10, table3_1):
 
 
 def test_cut_se_falls_back_without_shared_draws(table3_10):
-    stripped = CapacityTable.from_json(table3_10.to_json())
+    t = table3_10
+    t.make_exact(itertools.product(range(t.max_dim + 1), repeat=2))
+    stripped = CapacityTable(t.max_dim, t.snr, t.num_samples, t.means.copy(), t.std_errors.copy())
     params = params_for(table3_10, 3, 3)
     prof = CutProfile((1, 2))
     with_pool = cut_value(prof, params, table3_10)
@@ -363,7 +374,7 @@ def test_large_penalty_prefers_all_relays_in_cut(table3_10):
 def _uniform_table(K, value=1.0):
     means = np.zeros((K + 1, K + 1))
     means[1:, 1:] = value
-    return CapacityTable(K, 1.0, 10, 0, 0, means, np.zeros_like(means))
+    return CapacityTable(K, 1.0, 10, means, np.zeros_like(means))
 
 
 def test_ties_resolve_to_lexicographically_smallest_profile():
