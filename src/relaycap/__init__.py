@@ -14,7 +14,6 @@ from .mimo import (
     CapacityTable,
     SamplePool,
     TableCache,
-    build_capacity_table,
     estimate_ergodic_capacity,
     gram_logdet,
     rate_scale,
@@ -68,7 +67,6 @@ __all__ = [
     "TrendPoint",
     "alignment_gap_bound",
     "brute_force_min_cut",
-    "build_capacity_table",
     "check_capacity_properties",
     "cut_value",
     "default_q_grid",

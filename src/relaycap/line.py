@@ -60,12 +60,6 @@ class LineNetwork:
     def snr(self) -> float:
         return self.power / self.noise_var
 
-    @classmethod
-    def equal_gains(
-        cls, num_hops: int, gain: float = 1.0, power: float = 10.0, noise_var: float = 1.0
-    ) -> "LineNetwork":
-        return cls((gain,) * num_hops, power, noise_var)
-
 
 def line_capacity(line: LineNetwork) -> float:
     """Cutset capacity of the line: its weakest link, min_i log(1 + g_i snr)."""

@@ -634,9 +634,15 @@ class CapacityTable:
     def make_exact(self, dims: Iterable[tuple[int, int]]) -> int:
         """Compute the entries ``dims`` that are not exact yet, each once
         (with its mirror), from one ``SamplePool.decompose``; returns how
-        many were computed.  On a full table it computes nothing."""
+        many were computed.  On a full table it computes nothing.
+
+        Raises:
+            ValueError: if an entry is inexact and the table has no pool.
+        """
         ses = self.std_errors
         todo = sorted({(max(m, n), min(m, n)) for m, n in set(dims) if math.isnan(ses[m, n])})
+        if todo and self.pool is None:
+            raise ValueError("inexact entries need a table built with shared draws")
         if todo:
             self.pool.decompose(todo)
         for m, n in todo:
@@ -665,19 +671,6 @@ class CapacityTable:
         return CapacityEstimate(
             self.mean(m, n), self.std_error(m, n), self.num_samples, (m, n), self.snr
         )
-
-
-def build_capacity_table(
-    max_dim: int,
-    snr: float,
-    num_samples: int,
-    seed: int,
-    workers: int = 1,
-) -> CapacityTable:
-    """Build a pool of shared draws, every entry decomposed in one pass, and
-    the full capacity table over it."""
-    pool = SamplePool._build(max_dim, num_samples, seed, workers, every_entry=True)
-    return CapacityTable.from_pool(pool, snr)
 
 
 def _entry_floor(mn, K: int, kk):
@@ -709,8 +702,9 @@ class TableCache:
     the first it computed and the two most recently used; one it dropped is
     computed again when read.  ``lower`` writes the (K, K) column in the
     pass that reduces the entry.  A sweep's first column is C(K, K) at its
-    full snr, which every row reads; a row's degraded-snr column was
-    written when its q was scored.
+    first snr; each ``rates.gap_trend`` call reads its full-snr column once
+    and hands it to its rows, and a row's degraded-snr column was written
+    when its q was scored.
     """
 
     _MAX_COLUMNS = 3

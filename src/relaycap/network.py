@@ -18,14 +18,15 @@ A network has at most two distinct hop tables: a body table read by hops
 destination does not quantize.  Functions take the body ``table`` and a
 keyword-only ``last`` (None: the final hop reads ``table`` too), so their
 cost does not grow with the number of hops beyond one pass over the profile:
-a cut's per-draw values add each distinct crossing block once, weighted by
-its multiplicity, and the min-cut dynamic program reads a (K+1) x (K+1) edge
-matrix computed once per call.  A cut's distinct blocks are counted per run
-of equal relay counts, not per hop.  ``cut_profile_draws`` reads each
-block's column from ``CapacityTable.entry_draws``, which computes it from
-the pool's Gram spectrum on every call (tables store no per-draw copy), and
-adds the columns block by block in ``_cut_blocks``; ``rates`` streams its
-gap errors through the same helper from a ``TableCache``'s columns.
+the min-cut dynamic program reads a (K+1) x (K+1) edge matrix computed once
+per call, and every other reader of a cut's blocks reads one description of
+them, ``_cut_terms``: each distinct block crossed, with its table and the
+number of hops crossing it, found per run of equal relay counts, not per hop.
+Per-draw values add each block's column once, times that number, block by
+block in ``_cut_blocks``; ``cut_profile_draws`` reads the columns from
+``CapacityTable.entry_draws`` (computed from the pool's Gram spectrum on
+every call; tables store no per-draw copy), and ``rates`` streams its gap
+errors from a ``TableCache``'s columns through the same helpers.
 """
 
 from __future__ import annotations
@@ -112,16 +113,6 @@ class CutProfile:
     def __iter__(self):
         return iter(self.counts)
 
-    @classmethod
-    def all_source_side(cls, num_hops: int, relays_per_layer: int) -> "CutProfile":
-        """Every relay on the source side: only the last hop crosses."""
-        return cls((relays_per_layer,) * (num_hops - 1))
-
-    @classmethod
-    def all_destination_side(cls, num_hops: int) -> "CutProfile":
-        """Every relay on the destination side: only the first hop crosses."""
-        return cls((0,) * (num_hops - 1))
-
 
 @dataclass(frozen=True)
 class CutValue:
@@ -195,67 +186,58 @@ def _block_dims(counts: tuple[int, ...], params: NetworkParams) -> list[tuple[in
     return [(K - bounds[i + 1], bounds[i]) for i in range(params.num_hops)]
 
 
-def _crossing_blocks(
-    counts: tuple[int, ...], params: NetworkParams
-) -> tuple[Counter, tuple[int, int]]:
-    """(the distinct blocks (m, n) that hops 1..D-1 cross, each with the
-    number of those hops that cross it, in order of first crossing; the
-    block hop D crosses).  Python work grows with the number of runs of
-    equal counts, not with D: a run of M_{i+1} = ... = M_j = v after
-    M_i = u crosses (K - v, u) once and (K - v, v) j - i - 1 times."""
-    K = params.relays_per_layer
-    body = Counter()
-    cur = K  # M_0
-    for nxt, run in itertools.groupby(counts):
-        body[K - nxt, cur] += 1
-        repeats = len(list(run)) - 1
-        if repeats:
-            body[K - nxt, nxt] += repeats
-        cur = nxt
-    return body, (K, cur)
-
-
-def _make_exact(
-    body: CapacityTable, last: CapacityTable, counts: tuple[int, ...], params: NetworkParams
-) -> int:
-    """Make exact the entries the cut ``counts`` crosses, hop D's on
-    ``last``; returns the count."""
-    blocks, final = _crossing_blocks(counts, params)
-    if last is body:
-        return body.make_exact([*blocks, final])
-    return body.make_exact(blocks) + last.make_exact([final])
-
-
 def _cut_terms(
     counts: tuple[int, ...], params: NetworkParams, body: CapacityTable, last: CapacityTable
 ) -> list[tuple[CapacityTable, tuple[int, int], int]]:
-    """(table, block, multiplicity) of each distinct block with no zero
-    dimension that the cut ``counts`` crosses, in the order its per-draw
-    values are added: the body's blocks in order of first crossing, hop D's
-    among them when it reads ``body``, else last, on ``last``.  Blocks with
-    a zero dimension are exact zeros."""
-    blocks, final = _crossing_blocks(counts, params)
+    """(table, block, multiplicity) of every distinct block (m, n) that the
+    cut ``counts`` crosses, zero dimensions included (those blocks are exact
+    zeros): the blocks of hops 1..D-1 on ``body`` in order of first
+    crossing, each with the number of those hops that cross it, and hop D's
+    block, counted among them when ``last`` is ``body``, else last, on
+    ``last``.  Python work grows with the number of runs of equal counts,
+    not with D: a run of M_{i+1} = ... = M_j = v after M_i = u crosses
+    (K - v, u) once and (K - v, v) j - i - 1 times."""
+    K = params.relays_per_layer
+    blocks = Counter()
+    cur = K  # M_0
+    for nxt, run in itertools.groupby(counts):
+        blocks[K - nxt, cur] += 1
+        repeats = len(list(run)) - 1
+        if repeats:
+            blocks[K - nxt, nxt] += repeats
+        cur = nxt
     if last is body:
-        blocks[final] += 1
-    terms = [(body, (m, n), k) for (m, n), k in blocks.items() if m and n]
-    if last is not body and final[1]:
-        terms.append((last, final, 1))
+        blocks[K, cur] += 1
+    terms = [(body, dims, mult) for dims, mult in blocks.items()]
+    if last is not body:
+        terms.append((last, (K, cur), 1))
     return terms
 
 
-def _cut_blocks(columns: list[tuple[int, np.ndarray]], shift: float, num_samples: int):
+def _make_exact(terms: list[tuple[CapacityTable, tuple[int, int], int]]) -> int:
+    """Make exact the entries of the ``_cut_terms`` ``terms``, in one
+    ``make_exact`` call per table; returns the count."""
+    entries: dict[CapacityTable, list[tuple[int, int]]] = {}
+    for t, dims, _ in terms:
+        entries.setdefault(t, []).append(dims)
+    return sum(t.make_exact(dims) for t, dims in entries.items())
+
+
+def _cut_blocks(terms, column, shift: float, num_samples: int):
     """Per-draw cut values one block at a time, as (lo, hi, values): zeros
-    plus each (multiplicity, column) term's column times its multiplicity,
-    in order, minus ``shift``.  ``values`` is a reused buffer that the next
-    block overwrites; the caller may change it in place."""
+    plus, for each ``_cut_terms`` term with no zero dimension, in order,
+    ``column(table, block)`` times its multiplicity, minus ``shift``.
+    ``values`` is a reused buffer that the next block overwrites; the
+    caller may change it in place."""
+    columns = [(mult, column(t, dims)) for t, dims, mult in terms if dims[0] and dims[1]]
     size = min(num_samples, BLOCK_SIZE)
     acc, scratch = np.empty(size), np.empty(size)
     for b in range(_num_blocks(num_samples)):
         lo, hi = _block_bounds(b, num_samples)
         values = acc[: hi - lo]
         values.fill(0.0)
-        for mult, column in columns:
-            chunk = column[lo:hi]
+        for mult, col in columns:
+            chunk = col[lo:hi]
             # 1 * x is x: only other multiplicities are multiplied
             values += chunk if mult == 1 else np.multiply(chunk, mult, out=scratch[: hi - lo])
         values -= shift
@@ -317,13 +299,12 @@ def cut_profile_draws(
     body, last = _hop_tables(table, last, params, node_penalty)
     if not _shared_pool(body, last):
         raise ValueError("per-draw cut values need tables built over shared draws")
-    columns = [
-        (mult, t.entry_draws(*dims))
-        for t, dims, mult in _cut_terms(profile.counts, params, body, last)
-    ]
+    terms = _cut_terms(profile.counts, params, body, last)
     out = np.empty(body.num_samples)
     shift = node_penalty * sum(profile.counts)
-    for lo, hi, values in _cut_blocks(columns, shift, body.num_samples):
+    for lo, hi, values in _cut_blocks(
+        terms, lambda t, dims: t.entry_draws(*dims), shift, body.num_samples
+    ):
         out[lo:hi] = values
     return out
 
@@ -353,16 +334,13 @@ def cut_value(
     """
     _check_profile(profile, params)
     body, last = _hop_tables(table, last, params, node_penalty)
-    _make_exact(body, last, profile.counts, params)
+    terms = _cut_terms(profile.counts, params, body, last)
+    _make_exact(terms)
     total, per_block = _cut_sum(profile.counts, params, body, last, node_penalty)
     if _shared_pool(body, last):
         _, se = _stream_stats(cut_profile_draws(profile, params, body, last=last))
     else:
-        D = params.num_hops
-        se = math.sqrt(sum(
-            float((last if i == D - 1 else body).std_errors[dims]) ** 2
-            for i, (dims, _) in enumerate(per_block)
-        ))
+        se = math.sqrt(sum(mult * float(t.std_errors[dims]) ** 2 for t, dims, mult in terms))
     return CutValue(total, se, profile, per_block)
 
 
@@ -401,7 +379,7 @@ def min_cut_dp(
     body, last = _hop_tables(table, last, params, node_penalty)
     while True:
         value, profile = _dp_pass(params, body, last, node_penalty)
-        if _make_exact(body, last, profile.counts, params) == 0:
+        if _make_exact(_cut_terms(profile.counts, params, body, last)) == 0:
             return value, profile
 
 

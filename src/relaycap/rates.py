@@ -22,7 +22,6 @@ import numpy as np
 
 from .mimo import (
     BLOCK_SIZE,
-    CapacityEstimate,
     CapacityTable,
     SamplePool,
     TableCache,
@@ -270,45 +269,44 @@ class RateReport:
 
 
 def _gap_std_error(
-    params: NetworkParams, profile: CutProfile, pen: float, cache: TableCache,
-    table: CapacityTable, last: CapacityTable | None = None,
+    full: np.ndarray, params: NetworkParams, profile: CutProfile, pen: float,
+    cache: TableCache, table: CapacityTable, last: CapacityTable | None = None,
 ) -> float:
-    """Standard error of C(K, K) at full snr minus the cut ``profile`` on
-    ``table`` (hop D on ``last`` if given), penalized by ``pen`` per relay,
-    over the pool of ``cache``, which made both tables.
+    """Standard error of ``full``, the per-draw column of C(K, K) at full
+    snr, minus the cut ``profile`` on ``table`` (hop D on ``last`` if
+    given), penalized by ``pen`` per relay, over the pool of ``cache``,
+    which made both tables.
 
-    It is reduced block by block from the cache's per-draw columns: per
-    block, the cut values of ``cut_profile_draws`` (its ``_cut_blocks``),
-    then C(K, K) minus them, then ``_block_sums``, all in reused block
-    buffers, so no N-length array is formed.  The floats are those of
-    ``_stream_stats(full.entry_draws(K, K) - cut_profile_draws(...))``.
+    It is reduced block by block from ``full`` and the cache's per-draw
+    columns: per block, the cut values of ``cut_profile_draws`` (its
+    ``_cut_blocks``), then C(K, K) minus them, then ``_block_sums``, all in
+    reused block buffers, so no N-length array is formed.  The floats are
+    those of ``_stream_stats(full - cut_profile_draws(...))``.
     """
-    K, N = params.relays_per_layer, cache.pool.num_samples
-    full = cache.column(params.snr, K, K)
+    N = cache.pool.num_samples
     terms = _cut_terms(profile.counts, params, table, table if last is None else last)
-    columns = [(mult, cache.column(t.snr, *dims)) for t, dims, mult in terms]
     pair, sums = np.empty((2, min(N, BLOCK_SIZE))), []
-    for lo, hi, cut in _cut_blocks(columns, pen * sum(profile.counts), N):
+    for lo, hi, cut in _cut_blocks(
+        terms, lambda t, dims: cache.column(t.snr, *dims), pen * sum(profile.counts), N
+    ):
         np.subtract(full[lo:hi], cut, out=pair[0, : hi - lo])
         sums += _block_sums(pair[:, : hi - lo])
     return _moments(sums, N)[1]
 
 
 def _scheme_bounds(
-    params: NetworkParams, scheme: QuantizationScheme, cache: TableCache, mode: str
-) -> tuple[CapacityEstimate, float, float]:
-    """(C(K, K) estimate at full snr, unclamped penalized min cut under
-    ``mode``, ``_gap_std_error`` of their difference) on the lower-bound
-    tables of the cache's one pool, so the error is a common-random-number
-    error of the gap.  Hop D reads the full-snr table when the destination
-    does not quantize."""
-    K = params.relays_per_layer
+    params: NetworkParams, scheme: QuantizationScheme, cache: TableCache, mode: str,
+    full: np.ndarray,
+) -> tuple[float, float]:
+    """(unclamped penalized min cut under ``mode``, ``_gap_std_error`` of
+    C(K, K) at full snr, whose per-draw column is ``full``, minus it) on
+    the lower-bound tables of the cache's one pool, so the error is a
+    common-random-number error of the gap.  Hop D reads the full-snr table
+    when the destination does not quantize."""
     table = cache.lower(degraded_snr(params, scheme))
-    table_full = cache.lower(params.snr)
-    last = None if scheme.destination_quantizes else table_full
+    last = None if scheme.destination_quantizes else cache.lower(params.snr)
     raw, profile, pen = _penalized_min_cut(params, scheme, table, mode, last=last)
-    se = _gap_std_error(params, profile, pen, cache, table, last)
-    return table_full.estimate(K, K), raw, se
+    return raw, _gap_std_error(full, params, profile, pen, cache, table, last)
 
 
 def rate_report(
@@ -339,7 +337,8 @@ def rate_report(
         scheme = QuantizationScheme.depth_matched(params.num_hops)
     K, D = params.relays_per_layer, params.num_hops
     cache = TableCache(SamplePool.build(K, num_samples, seed, workers=workers))
-    upper, raw, se = _scheme_bounds(params, scheme, cache, mode)
+    upper = cache.lower(params.snr).estimate(K, K)
+    raw, se = _scheme_bounds(params, scheme, cache, mode, cache.column(params.snr, K, K))
     lower = _clamped_rate(raw, scheme)
     gap = upper.mean - lower
     if raw < 0.0:
@@ -609,6 +608,8 @@ def gap_trend(
     Every min cut is taken on lower-bound tables and certified there by
     ``min_cut_dp``, so no table is built: at each snr the sweep computes
     C(K, K), and another entry only where a min cut's argmin crosses it.
+    The full-snr C(K, K) mean and per-draw column are read once per call
+    and handed to every row.
 
     ``cache`` lets several calls share one pool and its tables; it replaces
     the pool build, and its pool's key must be
@@ -634,7 +635,8 @@ def gap_trend(
             f"cache pool (K, num_samples, seed) = {cache.pool.key} "
             f"does not match the requested {(K, num_samples, seed)}"
         )
-    cache.lower(snr)  # refuses a non-finite snr, naming it, before any depth
+    # refuses a non-finite snr, naming it, before any depth
+    upper, full = cache.lower(snr).mean(K, K), cache.column(snr, K, K)
     points = []
     for D in depths:
         params = NetworkParams(K, D, power=snr, noise_var=1.0)
@@ -647,14 +649,14 @@ def gap_trend(
                 params, cache, grid if grid is not None else default_q_grid(D),
                 mode, refine_rounds=3, prune=True,
             )
-        upper, raw, se = _scheme_bounds(params, QuantizationScheme(q), cache, mode)
+        raw, se = _scheme_bounds(params, QuantizationScheme(q), cache, mode, full)
         points.append(
             TrendPoint(
                 num_hops=D,
                 noise_ratio=q,
-                upper=upper.mean,
+                upper=upper,
                 lower=raw,
-                gap=upper.mean - raw,
+                gap=upper - raw,
                 std_error=se,
                 snr=snr,
                 relays_per_layer=K,

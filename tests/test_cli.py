@@ -444,6 +444,28 @@ def test_multi_policy_sweep_is_byte_identical_across_workers(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+def test_multi_snr_sweep_equals_single_snr_sweeps_in_fewer_passes(tmp_path, monkeypatch):
+    # each gap_trend call reads its full-snr C(K, K) column once and hands it
+    # to every row, so the rows of one snr do not push the other's column
+    # out of the cache: at most 38 log1p passes, where reading it per row
+    # made 46
+    args = ["sweep", "--K", "2", "--D", "2,4,8,16,32", "--samples", "20000", "--seed", "0",
+            "--q-policy", "fixed_1,depth_matched,optimized"]
+    singles = b"".join(
+        _data_rows(run_cli(tmp_path, [*args, "--snr", s], f"snr-{s}.csv")[1]) for s in ("3", "10")
+    )
+    passes, entry_stats = [], mimo._entry_stats
+
+    def counting(pool, m, n, snr, out=None):
+        passes.append((m, n, snr))
+        return entry_stats(pool, m, n, snr, out=out)
+
+    monkeypatch.setattr(mimo, "_entry_stats", counting)
+    _, joint = run_cli(tmp_path, [*args, "--snr", "3,10"], "joint.csv")
+    assert _data_rows(joint) == singles
+    assert len(passes) <= 38
+
+
 def test_sweep_q_grid_reaches_the_optimizer(tmp_path):
     grid = [0.5, 2.0, 30.0]
     args = ["sweep", "--K", "2", "--D", "8", "--samples", "2000", "--seed", "4",
@@ -618,7 +640,7 @@ RECORDS = {
     "RateReport": lambda: rate_report(NetworkParams(2, 3, power=10.0), num_samples=500),
     "TrendPoint": lambda: gap_trend(2, [3], num_samples=500)[0],
     "PropertyReport": lambda: check_capacity_properties(
-        mimo.build_capacity_table(2, 10.0, 500, seed=0)
+        mimo.CapacityTable.from_pool(mimo.SamplePool._build(2, 500, 0, every_entry=True), 10.0)
     ),
     "CapacityEstimate": lambda: mimo.estimate_ergodic_capacity(2, 1, 10.0, 500, seed=0),
 }
@@ -656,7 +678,7 @@ def test_config_echo_keys_are_the_compared_fields():
 
 
 def test_capacity_table_repr_prints_no_array():
-    table = mimo.build_capacity_table(2, 10.0, 500, seed=0)
+    table = mimo.CapacityTable.from_pool(mimo.SamplePool._build(2, 500, 0, every_entry=True), 10.0)
     table.entry_draws(2, 2)  # fill the column memo too
     text = repr(table)
     assert "array" not in text and "[" not in text

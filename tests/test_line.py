@@ -47,7 +47,7 @@ def test_capacity_is_weakest_link():
 
 def test_prefix_cut_values_by_hand():
     # equal gains, q = 2, snr = 10: term i is log(1 + 10/3) - i log(3/2)
-    line = LineNetwork.equal_gains(3, power=10.0)
+    line = LineNetwork((1.0,) * 3, power=10.0)
     base = math.log1p(10.0 / 3.0)
     pen = math.log(1.5)
     terms = [base - i * pen for i in range(3)]
@@ -56,7 +56,7 @@ def test_prefix_cut_values_by_hand():
 
 
 def test_unquantized_destination_spares_the_last_link():
-    line = LineNetwork.equal_gains(2, power=10.0)
+    line = LineNetwork((1.0,) * 2, power=10.0)
     quantized = line_nnc_rate(line, 1.0)
     clean_last = line_nnc_rate(line, 1.0, destination_quantizes=False)
     expected = min(math.log1p(5.0), math.log1p(10.0) - math.log(2.0))
@@ -103,7 +103,7 @@ def test_equal_gains_gap_closed_form():
     # q = D - 1: gap = log(1+g) - log(1+g/D) + (D-1) log(1 + 1/(D-1))
     for D in (2, 3, 4, 8, 16):
         for gamma in (0.5, 10.0, 1000.0):
-            line = LineNetwork.equal_gains(D, power=gamma, noise_var=1.0)
+            line = LineNetwork((1.0,) * D, power=gamma, noise_var=1.0)
             q = float(D - 1)
             gap = line_capacity(line) - line_nnc_rate(line, q)
             expected = (

@@ -21,7 +21,7 @@ from relaycap import (
     min_cut_dp,
 )
 from relaycap.mimo import _stream_stats
-from relaycap.network import _block_dims, _crossing_blocks, cut_profile_draws
+from relaycap.network import _block_dims, _cut_terms, cut_profile_draws
 
 
 def params_for(table, K, D):
@@ -82,7 +82,7 @@ def test_cut_profile_validation(table3_10):
 
 def test_cut_profile_takes_an_empty_profile_and_numpy_integers():
     # D = 1 has no relay layer: the one profile is empty
-    assert CutProfile(()).counts == () == CutProfile.all_source_side(1, 3).counts
+    assert CutProfile(()).counts == () == CutProfile((3,) * (1 - 1)).counts
     for counts in (np.array([2, 0, 1]), (np.int64(2), np.uint8(0), np.int32(1))):
         profile = CutProfile(counts)
         assert profile.counts == (2, 0, 1)
@@ -104,8 +104,8 @@ def test_node_penalty_must_be_finite(table3_10, penalty):
 
 
 def test_profile_helpers():
-    assert CutProfile.all_source_side(4, 2).counts == (2, 2, 2)
-    assert CutProfile.all_destination_side(4).counts == (0, 0, 0)
+    assert CutProfile((2,) * 3).counts == (2, 2, 2)
+    assert CutProfile((0,) * 3).counts == (0, 0, 0)
     assert len(CutProfile((1, 2))) == 2 and list(CutProfile((1, 2))) == [1, 2]
 
 
@@ -303,9 +303,11 @@ def test_cut_draws_equal_the_whole_column_sum_bitwise(table3_10, table3_1, last)
             assert np.array_equal(got, acc - 0.3 * sum(counts)), (K, D, counts)
 
 
-def test_crossing_blocks_count_every_hop_in_order():
+def test_cut_terms_count_every_hop_in_order():
     # the distinct blocks of hops 1..D-1 with their multiplicities, in order
-    # of first crossing, and hop D's block: Counter of the per-hop list
+    # of first crossing, and hop D's block: Counter of the per-hop list, hop
+    # D's block on its own table or counted among the body's
+    body, last = (CapacityTable(4, s, 1, np.zeros((5, 5)), np.zeros((5, 5))) for s in (1, 2))
     rng = random.Random(3)
     for K, D in itertools.product((1, 2, 3, 4), (1, 2, 3, 7, 64, 474)):
         params = NetworkParams(K, D)
@@ -315,12 +317,16 @@ def test_crossing_blocks_count_every_hop_in_order():
         ] + [tuple(rng.randrange(K + 1) for _ in range(D - 1)) for _ in range(5)]
         for counts in profiles:
             dims = _block_dims(counts, params)
-            blocks, final = _crossing_blocks(counts, params)
-            assert list(blocks.items()) == list(Counter(dims[:-1]).items()), counts
-            assert final == dims[-1], counts
+            *terms, final = _cut_terms(counts, params, body, last)
+            assert terms == [(body, b, k) for b, k in Counter(dims[:-1]).items()], counts
+            assert final == (last, dims[-1], 1), counts
+            assert _cut_terms(counts, params, body, body) == [
+                (body, b, k) for b, k in Counter(dims).items()], counts
     # the all-source-side profile crosses two distinct blocks
-    blocks, final = _crossing_blocks((2,) * 473, NetworkParams(2, 474))
-    assert list(blocks.items()) == [((0, 2), 473)] and final == (2, 2)
+    terms = _cut_terms((2,) * 473, NetworkParams(2, 474), body, last)
+    assert terms == [(body, (0, 2), 473), (last, (2, 2), 1)]
+    assert _cut_terms((2,) * 473, NetworkParams(2, 474), body, body) == [
+        (body, (0, 2), 473), (body, (2, 2), 1)]
 
 
 def test_tables_over_pools_of_different_size_use_quadrature():

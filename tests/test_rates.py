@@ -832,6 +832,22 @@ def test_headline_sweep_skips_builds_on_exact_entries(headline_cache):
     assert all(_exact(t) == {(2, 2)} for t in lower.values())
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
+def test_optimized_raw_rate_is_at_least_each_fixed_policy_in_deep_networks():
+    # on one shared cache the optimized row should never report a lower raw
+    # rate than the fixed policies; where every candidate clamps to 0 the
+    # scan keeps q_grid[0] (D = 32: -95.2 against -1.13 at depth_matched)
+    cache = TableCache(SamplePool.build(2, 50_000, seed=0))
+    depths = [32, 64, 128]
+    rows = {
+        policy: gap_trend(2, depths, 10.0, policy, 50_000, 0, cache=cache)
+        for policy in ("fixed_1", "depth_matched", "optimized")
+    }
+    for i, D in enumerate(depths):
+        fixed = max(rows["fixed_1"][i].lower, rows["depth_matched"][i].lower)
+        assert rows["optimized"][i].lower >= fixed, (D, rows["optimized"][i].lower, fixed)
+
+
 def test_sweep_shape_builds_at_most_45_tables(monkeypatch):
     # the sweep-optimized workload: K 2, depths 2..32, snr 10, three policies
     # on one cache; the unpruned scan builds 77 tables here
@@ -862,6 +878,7 @@ def test_streamed_gap_error_equals_the_column_difference_bitwise(K, N):
     snr = 10.0
     cache = TableCache(SamplePool.build(K, N, seed=70 + K))
     full = cache.lower(snr)
+    full_column = cache.column(snr, K, K)
     rng = random.Random(K * N)
     # at K = 4 and 50 000 draws, other profiles cross few entries (memory)
     counts = (K - 1, K) if (K, N) == (4, 50_000) else range(K + 1)
@@ -876,13 +893,13 @@ def test_streamed_gap_error_equals_the_column_difference_bitwise(K, N):
             if pen or mode == "split_bound":
                 raw, profile, used = _penalized_min_cut(params, scheme, table, mode, last=last)
                 cuts.append((profile.counts, used))
-                _, got_raw, se = _scheme_bounds(params, scheme, cache, mode)
+                got_raw, se = _scheme_bounds(params, scheme, cache, mode, full_column)
                 assert (got_raw, se.hex()) == (raw, _gap_se(
                     params, table, full, profile, used, last).hex()), (D, pen, dq, mode)
         for c, p in cuts:
             profile = CutProfile(c)
             expected = _gap_se(params, table, full, profile, p, last)
-            got = _gap_std_error(params, profile, p, cache, table, last)
+            got = _gap_std_error(full_column, params, profile, p, cache, table, last)
             assert got.hex() == expected.hex(), (D, pen, dq, c)
 
 

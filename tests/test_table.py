@@ -13,7 +13,6 @@ from relaycap import (
     CapacityTable,
     SamplePool,
     TableCache,
-    build_capacity_table,
     check_capacity_properties,
     default_q_grid,
     estimate_ergodic_capacity,
@@ -101,14 +100,23 @@ def test_loaded_table_has_no_draws_and_says_so(table3_10):
         loaded.entry_draws(1, 1)
 
 
-def test_build_capacity_table_convenience():
-    t = build_capacity_table(2, 5.0, 3_000, seed=1)
+def test_full_table_over_an_every_entry_pool():
+    t = CapacityTable.from_pool(SamplePool._build(2, 3_000, 1, every_entry=True), 5.0)
     assert t.max_dim == 2 and t.pool is not None
     assert t.mean(2, 2) > t.mean(1, 1) > 0
 
 
+def test_pool_less_table_refuses_to_compute_an_inexact_entry():
+    # a table built from its arrays alone has no draws to compute an inexact
+    # entry from: each reader refuses it by naming shared draws
+    table = CapacityTable(2, 1.0, 10, np.ones((3, 3)), np.full((3, 3), math.nan))
+    for read in (table.mean, table.std_error, table.estimate):
+        with pytest.raises(ValueError, match="shared draws"):
+            read(1, 1)
+
+
 def test_full_table_pool_samples_every_block_once(monkeypatch):
-    # build_capacity_table decomposes every entry in the pool's one pass, so
+    # a pool built with every_entry decomposes every entry in its one pass, so
     # no block is sampled again when the full table reads the other entries
     K, N = 3, 20_000
     calls = collections.Counter()
@@ -119,7 +127,7 @@ def test_full_table_pool_samples_every_block_once(monkeypatch):
         return sample(m, n, seed, block_index)
 
     monkeypatch.setattr(mimo, "sample_channel_block", counting)
-    table = build_capacity_table(K, 10.0, N, seed=4)
+    table = CapacityTable.from_pool(SamplePool._build(K, N, 4, every_entry=True), 10.0)
     assert calls == {b: 1 for b in range(mimo._num_blocks(N))}
     assert table.pool.spectra.keys() == set(_entries(K))
     monkeypatch.undo()
@@ -561,7 +569,7 @@ def test_pool_builders_refuse_bad_integers_before_any_work(monkeypatch, args, na
     with pytest.raises(ValueError, match=name):
         SamplePool.build(K, N, seed, workers=workers)
     with pytest.raises(ValueError, match=name):
-        build_capacity_table(K, 10.0, N, seed, workers=workers)
+        CapacityTable.from_pool(SamplePool._build(K, N, seed, workers, every_entry=True), 10.0)
 
 
 def test_pool_builders_take_numpy_integers():
