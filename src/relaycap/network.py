@@ -22,11 +22,11 @@ the min-cut dynamic program reads a (K+1) x (K+1) edge matrix computed once
 per call, and every other reader of a cut's blocks reads one description of
 them, ``_cut_terms``: each distinct block crossed, with its table and the
 number of hops crossing it, found per run of equal relay counts, not per hop.
-Per-draw values add each block's column once, times that number, block by
-block in ``_cut_blocks``; ``cut_profile_draws`` reads the columns from
+Per-draw values add each block's whole column once, times that number, in
+``_cut_column``; ``cut_profile_draws`` reads the columns from
 ``CapacityTable.entry_draws`` (computed from the pool's Gram spectrum on
-every call; tables store no per-draw copy), and ``rates`` streams its gap
-errors from a ``TableCache``'s columns through the same helpers.
+every call; tables store no per-draw copy), and ``rates`` reads its gap
+errors' columns from a ``TableCache`` through the same helpers.
 """
 
 from __future__ import annotations
@@ -41,10 +41,7 @@ import numpy as np
 
 from .mimo import (
     _BASES,
-    BLOCK_SIZE,
     CapacityTable,
-    _block_bounds,
-    _num_blocks,
     _positive_int,
     _record_dict,
     _stream_stats,
@@ -123,8 +120,9 @@ class CutValue:
         std_error: Standard error.  Computed from per-draw values, derived
             from the pool spectrum, when every hop table was built over one
             pool (common random numbers); otherwise, as for tables over
-            pools with different keys or with no pool, by adding per-block
-            errors in quadrature.
+            pools with different keys or with no pool, by adding distinct
+            estimates' errors in quadrature.  A block crossed k times, its
+            mirror included, is one estimate with k times its error.
         profile: The evaluated profile.
         per_block: ((m, n), capacity) for each hop's crossing block.
     """
@@ -223,25 +221,16 @@ def _make_exact(terms: list[tuple[CapacityTable, tuple[int, int], int]]) -> int:
     return sum(t.make_exact(dims) for t, dims in entries.items())
 
 
-def _cut_blocks(terms, column, shift: float, num_samples: int):
-    """Per-draw cut values one block at a time, as (lo, hi, values): zeros
-    plus, for each ``_cut_terms`` term with no zero dimension, in order,
-    ``column(table, block)`` times its multiplicity, minus ``shift``.
-    ``values`` is a reused buffer that the next block overwrites; the
-    caller may change it in place."""
-    columns = [(mult, column(t, dims)) for t, dims, mult in terms if dims[0] and dims[1]]
-    size = min(num_samples, BLOCK_SIZE)
-    acc, scratch = np.empty(size), np.empty(size)
-    for b in range(_num_blocks(num_samples)):
-        lo, hi = _block_bounds(b, num_samples)
-        values = acc[: hi - lo]
-        values.fill(0.0)
-        for mult, col in columns:
-            chunk = col[lo:hi]
-            # 1 * x is x: only other multiplicities are multiplied
-            values += chunk if mult == 1 else np.multiply(chunk, mult, out=scratch[: hi - lo])
-        values -= shift
-        yield lo, hi, values
+def _cut_column(terms, column, shift: float, num_samples: int) -> np.ndarray:
+    """Per-draw cut values: zeros plus, for each ``_cut_terms`` term with
+    no zero dimension, in order, ``column(table, block)`` times its
+    multiplicity, minus ``shift``."""
+    values = np.zeros(num_samples)
+    for t, dims, mult in terms:
+        if dims[0] and dims[1]:
+            values += mult * column(t, dims)
+    values -= shift
+    return values
 
 
 def _cut_sum(
@@ -291,22 +280,19 @@ def cut_profile_draws(
 
     Each distinct nonzero crossing block of the body hops contributes its
     per-draw column once, times the number of hops it crosses; blocks with
-    a zero dimension are exact zeros and are skipped.  The N-length result
-    is filled block by block by ``_cut_blocks``, whose arithmetic
-    ``rates._gap_std_error`` streams without forming it.
+    a zero dimension are exact zeros and are skipped.  ``_cut_column``
+    adds the columns; ``rates._gap_std_error`` calls it on the columns of a
+    ``TableCache``.
     """
     _check_profile(profile, params)
     body, last = _hop_tables(table, last, params, node_penalty)
     if not _shared_pool(body, last):
         raise ValueError("per-draw cut values need tables built over shared draws")
     terms = _cut_terms(profile.counts, params, body, last)
-    out = np.empty(body.num_samples)
-    shift = node_penalty * sum(profile.counts)
-    for lo, hi, values in _cut_blocks(
-        terms, lambda t, dims: t.entry_draws(*dims), shift, body.num_samples
-    ):
-        out[lo:hi] = values
-    return out
+    return _cut_column(
+        terms, lambda t, dims: t.entry_draws(*dims),
+        node_penalty * sum(profile.counts), body.num_samples,
+    )
 
 
 def cut_value(
@@ -340,7 +326,13 @@ def cut_value(
     if _shared_pool(body, last):
         _, se = _stream_stats(cut_profile_draws(profile, params, body, last=last))
     else:
-        se = math.sqrt(sum(mult * float(t.std_errors[dims]) ** 2 for t, dims, mult in terms))
+        # k crossings of a block or of its mirror read one estimate: k * se
+        crossings = Counter()
+        for t, (m, n), mult in terms:
+            crossings[t, max(m, n), min(m, n)] += mult
+        se = math.sqrt(sum(
+            (k * float(t.std_errors[m, n])) ** 2 for (t, m, n), k in crossings.items()
+        ))
     return CutValue(total, se, profile, per_block)
 
 

@@ -21,20 +21,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mimo import (
-    BLOCK_SIZE,
     CapacityTable,
     SamplePool,
     TableCache,
-    _block_sums,
-    _moments,
     _positive_int,
     _record_dict,
+    _stream_stats,
     rate_scale,
 )
 from .network import (
     CutProfile,
     NetworkParams,
-    _cut_blocks,
+    _cut_column,
     _cut_terms,
     cut_value,
     min_cut_dp,
@@ -277,21 +275,16 @@ def _gap_std_error(
     given), penalized by ``pen`` per relay, over the pool of ``cache``,
     which made both tables.
 
-    It is reduced block by block from ``full`` and the cache's per-draw
-    columns: per block, the cut values of ``cut_profile_draws`` (its
-    ``_cut_blocks``), then C(K, K) minus them, then ``_block_sums``, all in
-    reused block buffers, so no N-length array is formed.  The floats are
-    those of ``_stream_stats(full - cut_profile_draws(...))``.
+    The cut's column is ``cut_profile_draws``'s (its ``_cut_column``)
+    over the cache's per-draw columns; C(K, K) minus it is formed in
+    place and reduced by ``_stream_stats``.
     """
     N = cache.pool.num_samples
     terms = _cut_terms(profile.counts, params, table, table if last is None else last)
-    pair, sums = np.empty((2, min(N, BLOCK_SIZE))), []
-    for lo, hi, cut in _cut_blocks(
+    cut = _cut_column(
         terms, lambda t, dims: cache.column(t.snr, *dims), pen * sum(profile.counts), N
-    ):
-        np.subtract(full[lo:hi], cut, out=pair[0, : hi - lo])
-        sums += _block_sums(pair[:, : hi - lo])
-    return _moments(sums, N)[1]
+    )
+    return _stream_stats(np.subtract(full, cut, out=cut))[1]
 
 
 def _scheme_bounds(

@@ -1,5 +1,7 @@
-"""What importing the package costs: numpy only, no test-oracle dependencies."""
+"""What importing the package costs, numpy only and no test-oracle
+dependencies, and what its modules may name of each other."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -17,3 +19,26 @@ def test_import_does_not_load_scipy():
         "assert not loaded, loaded"
     )
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+#: How ``mimo`` splits draws into blocks and reduces them.
+BLOCK_NAMES = {"BLOCK_SIZE", "_block_bounds", "_num_blocks", "_block_sums", "_moments"}
+
+
+def test_only_mimo_names_the_block_partition():
+    # other modules pass whole per-draw columns; only the package's public
+    # re-export of BLOCK_SIZE names a block-level name outside mimo
+    allowed = {"__init__": {"BLOCK_SIZE"}}
+    for path in sorted((SRC / "relaycap").glob("*.py")):
+        if path.stem == "mimo":
+            continue
+        named = set()
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.alias):
+                named.add(node.name)
+        leaked = named & BLOCK_NAMES - allowed.get(path.stem, set())
+        assert not leaked, (path.name, sorted(leaked))

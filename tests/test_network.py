@@ -15,6 +15,7 @@ from relaycap import (
     CutProfile,
     NetworkParams,
     SamplePool,
+    TableCache,
     brute_force_min_cut,
     check_capacity_properties,
     cut_value,
@@ -189,12 +190,37 @@ def test_cut_se_falls_back_without_shared_draws(table3_10):
     with_pool = cut_value(prof, params, table3_10)
     without = cut_value(prof, params, stripped)
     assert with_pool.value == without.value
+    # hops 1 and 3 cross (2, 3) and its mirror (3, 2), one estimate, whose
+    # error counts twice; distinct estimates add in quadrature
+    assert [dims for dims, _ in without.per_block] == [(2, 3), (1, 1), (3, 2)]
     quad = math.sqrt(
-        sum(stripped.std_error(m, n) ** 2 for (m, n), _ in without.per_block)
+        (2 * stripped.std_error(3, 2)) ** 2 + stripped.std_error(1, 1) ** 2
     )
     assert without.std_error == pytest.approx(quad, rel=1e-12)
     # shared draws give the tighter (correlation-aware) error bar here
     assert with_pool.std_error != without.std_error
+
+
+@pytest.mark.parametrize("D", [4, 34])
+def test_quadrature_counts_a_repeated_block_once_per_crossing(D):
+    # (1, ..., 1) at K = 2 crosses (1, 2), then (1, 1) on D - 2 hops, then
+    # (2, 1): k crossings of one estimate are fully correlated and add k
+    # standard errors, not sqrt(k); (1, 2) and (2, 1) are one estimate
+    full = TableCache(SamplePool.build(2, 20_000, seed=0)).at(10.0)
+    bare = CapacityTable(
+        full.max_dim, full.snr, full.num_samples, full.means.copy(), full.std_errors.copy()
+    )
+    params = NetworkParams(2, D, power=10.0)
+    profile = CutProfile((1,) * (D - 1))
+    got = cut_value(profile, params, bare).std_error
+    expected = math.sqrt(
+        (2 * bare.std_error(2, 1)) ** 2 + ((D - 2) * bare.std_error(1, 1)) ** 2
+    )
+    assert got == pytest.approx(expected, rel=1e-12)
+    # deep enough, the repeated block dominates and the shared-draws error
+    # agrees to within 10%
+    if D == 34:
+        assert got == pytest.approx(cut_value(profile, params, full).std_error, rel=0.1)
 
 
 # ------------------------------------------------------------- minimization
@@ -279,11 +305,10 @@ def test_cut_draws_equal_per_hop_column_sum(table3_10, table3_1, last, penalty):
 
 @pytest.mark.parametrize("last", ["shared", "mixed"])
 def test_cut_draws_equal_the_whole_column_sum_bitwise(table3_10, table3_1, last):
-    # cut_profile_draws fills its result block by block; its floats are
-    # those of whole columns added from zero: each distinct nonzero body
-    # block in order of first crossing times its multiplicity (hop D among
-    # them when it reads the body table), then hop D's column on a distinct
-    # table, then minus the penalty
+    # cut_profile_draws adds whole columns from zero, bitwise as here: each
+    # distinct nonzero body block in order of first crossing times its
+    # multiplicity (hop D among them when it reads the body table), then
+    # hop D's column on a distinct table, then minus the penalty
     last_table = table3_10 if last == "shared" else table3_1
     rng = random.Random(5)
     for K, D in itertools.product((1, 2, 3), (1, 2, 3, 9, 40)):

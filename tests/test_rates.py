@@ -865,15 +865,15 @@ def test_sweep_shape_builds_at_most_45_tables(monkeypatch):
     assert len(full_snrs) <= 45
 
 
-# ------------------------------------------------ streamed gap error
+# ---------------------------------------------------------- gap error
 
 
 @pytest.mark.parametrize("N", [1, 4095, 4096, 4097, 50_000])
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_streamed_gap_error_equals_the_column_difference_bitwise(K, N):
-    # _gap_std_error reduces C(K, K) minus the penalized cut block by block
-    # from the cache's columns; its floats are those of the N-length
-    # difference of entry_draws and cut_profile_draws, for the argmin of
+    # _gap_std_error reduces C(K, K) minus the penalized cut, formed from
+    # the cache's columns; its floats are those of the N-length difference
+    # of entry_draws and cut_profile_draws, for the argmin of
     # either mode and for other profiles, with and without a final-hop table
     snr = 10.0
     cache = TableCache(SamplePool.build(K, N, seed=70 + K))
