@@ -15,16 +15,18 @@ Work is split into fixed-size blocks and per-block partial sums are combined
 in block order, so results are bit-identical for any worker count and for
 any consumer that replays the same blocks.
 
-Estimates come from Gram spectra: with eigenvalues lambda_i of the Gram
-matrix of the smaller side, logdet(I + snr * H H^dagger) =
-sum_i log1p(snr * lambda_i).  The spectrum does not depend on snr, so a
-``SamplePool`` decomposes the cyclic windows of a table entry once, when a
-table first reads the entry, and the entry at any snr is one elementwise
-pass over the stored eigenvalues, block by block through reused buffers.
+Estimates come from the coefficients of Gram determinants: for the Gram
+matrix G of a window's smaller side, det(I + snr * G) = 1 + sum_k e_k snr^k,
+where e_k, the k-th elementary symmetric function of G's eigenvalues, is
+the sum of the squared k x k minors of the window (Cauchy-Binet), a sum of
+nonnegative terms.  The coefficients do not depend on snr, so a
+``SamplePool`` computes those of the cyclic windows of a table entry once,
+when a table first reads the entry, and the entry at any snr is
+log1p(snr * (e_1 + snr * (e_2 + ...))): one log1p per window and draw.
 Tables keep no per-draw values; a ``TableCache`` keeps at most three
 N-length columns for common-random-number errors.  ``gram_logdet`` (a Cholesky
 factorization of I + snr * Gram) is kept as the independent reference that
-the property checks and tests compare the spectral path against.
+the property checks and tests compare the coefficient path against.
 """
 
 from __future__ import annotations
@@ -172,71 +174,95 @@ def gram_logdet(channels: np.ndarray, snr: float, side: str = "auto") -> np.ndar
     return 2.0 * np.sum(np.log(diag), axis=-1)
 
 
-def _gram_spectrum(channels: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the smaller-side Gram matrix for a batch of channels.
+def _gram_coefficients(channels: np.ndarray) -> np.ndarray:
+    """Coefficients of det(I + s * G) = 1 + sum_k e_k s^k for the
+    smaller-side Gram matrix G of each channel in a batch.
 
     Args:
         channels: Finite array of shape (..., m, n) with m, n >= 1.
 
     Returns:
-        Array of shape (..., min(m, n)) of nonnegative eigenvalues, ascending.
-        Gram sides of size 1 and 2 use closed forms; larger ones use
-        ``np.linalg.eigvalsh``.  Each route keeps the smallest eigenvalue
-        accurate to about eps * sqrt(lambda_min * lambda_max) on square
-        windows, where a plain eigensolver only reaches eps * lambda_max:
-        at high snr that error is multiplied by snr in the logdet.
+        Coefficient-major array of shape (min(m, n), ...): row k - 1 holds
+        e_k.  Gram sides of size 1 and 2 use the squared minors directly;
+        larger ones fold the spectrum of ``np.linalg.eigvalsh``, whose
+        smallest eigenvalue on square windows is corrected through the
+        determinant to about eps * sqrt(lambda_min * lambda_max), where a
+        plain eigensolver only reaches eps * lambda_max: at high snr that
+        error is multiplied by snr in the logdet.  Every e_k is a sum of
+        nonnegative terms, so nothing cancels.
     """
     H = np.asarray(channels)
     if H.shape[-2] > H.shape[-1]:
-        # H^T has the conjugate Gram matrix of H^dagger: same spectrum
+        # H^T has the conjugate Gram matrix of H^dagger: same determinant
         H = np.swapaxes(H, -1, -2)
     d, k = H.shape[-2:]
+    r0 = H[..., 0, :]
     if d == 1:
-        return _row_sum(H.real**2 + H.imag**2)
+        return _row_sum(r0.real**2 + r0.imag**2)[None]
     if d == 2:
-        r0, r1 = H[..., 0, :], H[..., 1, :]
-        a = _row_sum(r0.real**2 + r0.imag**2)
-        c = _row_sum(r1.real**2 + r1.imag**2)
-        b = np.abs(_row_sum(r0 * r1.conj()))
+        r1 = H[..., 1, :]
+        e = np.zeros((2, *H.shape[:-2]))
+        np.add(_row_sum(r0.real**2 + r0.imag**2), _row_sum(r1.real**2 + r1.imag**2), out=e[0])
         # Cauchy-Binet: det(Gram) is the sum of the squared 2 x 2 minors,
         # free of the cancellation in a * c - |b|^2
-        det = np.zeros(a.shape)
         for j, l in itertools.combinations(range(k), 2):
             minor = r0[..., j] * r1[..., l] - r0[..., l] * r1[..., j]
-            det += minor.real**2 + minor.imag**2
-        lam_max = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
-        return np.stack([det / lam_max, lam_max], axis=-1)
+            e[1] += minor.real**2 + minor.imag**2
+        return e
     G = H @ np.swapaxes(H.conj(), -1, -2)
     lam = np.linalg.eigvalsh(G)
     if d == k:
         lam[..., 0] = np.abs(np.linalg.det(H)) ** 2 / np.prod(lam[..., 1:], axis=-1)
     # a positive definite Gram can still round to a tiny negative eigenvalue
-    return np.maximum(lam, 0.0, out=lam)
-
-
-def _column_sum(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Sum over the last axis, column by column in order, into ``out`` when
-    given: a reduction over a short last axis is far slower."""
-    if x.shape[-1] == 1:
-        return np.positive(x[..., 0], out=out)  # a copy, bit for bit
-    total = np.add(x[..., 0], x[..., 1], out=out)
-    for i in range(2, x.shape[-1]):
-        np.add(total, x[..., i], out=total)
-    return total
+    np.maximum(lam, 0.0, out=lam)
+    # elementary symmetric functions, one eigenvalue at a time
+    e = np.zeros((d, *lam.shape[:-1]))
+    for i in range(d):
+        for j in range(i, 0, -1):
+            e[j] += lam[..., i] * e[j - 1]
+        e[0] += lam[..., i]
+    return e
 
 
 def _row_sum(x: np.ndarray) -> np.ndarray:
     """np.sum over the last axis, with its floats.  np.sum adds fewer than 8
-    real or 4 complex terms in order, so those rows are summed by
-    ``_column_sum``."""
-    if x.shape[-1] < (4 if np.iscomplexobj(x) else 8):
-        return _column_sum(x)
-    return np.sum(x, axis=-1)
+    real or 4 complex terms in order, and a reduction over a short last
+    axis is far slower, so those rows are summed column by column."""
+    if x.shape[-1] >= (4 if np.iscomplexobj(x) else 8):
+        return np.sum(x, axis=-1)
+    total = np.positive(x[..., 0])  # a copy, bit for bit
+    for i in range(1, x.shape[-1]):
+        np.add(total, x[..., i], out=total)
+    return total
 
 
-def _spectral_logdet(spectrum: np.ndarray, snr: float) -> np.ndarray:
-    """sum_i log1p(snr * lambda_i) over the last axis, in nats."""
-    return _column_sum(np.log1p(snr * spectrum))
+def _logdet_column(coefficients: np.ndarray, snr: float, out: np.ndarray) -> np.ndarray:
+    """Per-draw logdet(I + snr * G) averaged over windows, into ``out``.
+
+    ``coefficients`` has shape (d, w, N): e_1..e_d of w windows on N draws
+    (see ``_gram_coefficients``).  Each window's value is
+    log1p(snr * (e_1 + snr * (e_2 + ...))) by Horner's rule; the first is
+    evaluated in ``out``, each further one in a single N-length buffer and
+    added in window order, and the sum is divided by w.
+    """
+    w = coefficients.shape[1]
+    _window_logdet(coefficients[:, 0], snr, out)
+    if w > 1:
+        t = np.empty_like(out)
+        for j in range(1, w):
+            out += _window_logdet(coefficients[:, j], snr, t)
+        out /= w
+    return out
+
+
+def _window_logdet(e: np.ndarray, snr: float, out: np.ndarray) -> np.ndarray:
+    """log1p(snr * (e_1 + snr * (e_2 + ...))) of one window's (d, N)
+    coefficients, into ``out``."""
+    np.multiply(e[-1], snr, out=out)
+    for ek in e[-2::-1]:
+        out += ek
+        out *= snr
+    return np.log1p(out, out=out)
 
 
 def _record_dict(record, rename: dict[str, str] | None = None) -> dict:
@@ -275,44 +301,35 @@ def _block_bounds(block_index: int, num_samples: int) -> tuple[int, int]:
     return lo, min(lo + BLOCK_SIZE, num_samples)
 
 
-def _block_sums(pair: np.ndarray) -> list[tuple[float, float]]:
-    """(sum, sum of squares) of each BLOCK_SIZE chunk of the per-draw values
-    in ``pair[0]``, the last chunk possibly shorter; the package's only
-    reduction.  ``pair`` has shape (2, n); its row 1 is overwritten with
-    the squares.
+def _stream_stats(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a per-draw column; the package's only
+    reduction.
 
-    One np.add.reduce per chunk sums both rows, each by numpy's pairwise
-    summation along the row, so a column passed whole and the same column
-    passed block by block give the same list.
+    The column is summed in BLOCK_SIZE chunks, the last possibly shorter:
+    the full chunks in one np.add.reduce over a (chunks, BLOCK_SIZE) view,
+    each by numpy's pairwise summation along its row as a call on the chunk
+    alone would, and the tail in one more.  The chunk sums are combined
+    with math.fsum, so the result depends only on the values, and estimates
+    over shared draws agree bitwise.  The squares are taken about c, the
+    first chunk's mean, so a column whose mean is far larger than its
+    spread keeps its digits.
     """
-    values, squares = pair
-    np.multiply(values, values, out=squares)
-    return [
-        tuple(np.add.reduce(pair[:, lo : lo + BLOCK_SIZE], axis=1).tolist())
-        for lo in range(0, len(values), BLOCK_SIZE)
-    ]
+    n = len(values)
+    full = n - n % BLOCK_SIZE
 
+    def chunk_sums(x: np.ndarray) -> list[float]:
+        head = np.add.reduce(x[:full].reshape(-1, BLOCK_SIZE), axis=1).tolist()
+        return [*head, float(np.add.reduce(x[full:]))]
 
-def _moments(sums: list[tuple[float, float]], n: int) -> tuple[float, float]:
-    """Mean and standard error of n draws from their ``_block_sums``.
-
-    The chunk sums are combined with math.fsum, so the result depends only
-    on the values, never on how their blocks were scheduled, and estimates
-    over shared draws agree bitwise.
-    """
-    mean = math.fsum(s for s, _ in sums) / n
+    mean = math.fsum(chunk_sums(values)) / n
     if n == 1:
         return mean, 0.0
-    total_sq = math.fsum(sq for _, sq in sums)
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    c = float(np.add.reduce(values[:BLOCK_SIZE])) / min(n, BLOCK_SIZE)
+    squares = np.subtract(values, c)
+    np.multiply(squares, squares, out=squares)
+    shift = mean - c
+    var = max(math.fsum(chunk_sums(squares)) - n * shift * shift, 0.0) / (n - 1)
     return mean, math.sqrt(var / n)
-
-
-def _stream_stats(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of a per-draw column."""
-    pair = np.empty((2, len(values)))
-    pair[0] = values
-    return _moments(_block_sums(pair), len(values))
 
 
 def _map_blocks(task, num_blocks: int, workers: int) -> list:
@@ -356,34 +373,34 @@ def estimate_ergodic_capacity(
 
     def task(b: int) -> np.ndarray:
         lo, hi = _block_bounds(b, num_samples)
-        draws = sample_channel_block(m, n, seed, b)[: hi - lo]
-        return _spectral_logdet(_gram_spectrum(draws), snr)
+        return _gram_coefficients(sample_channel_block(m, n, seed, b)[: hi - lo])
 
-    column = np.concatenate(_map_blocks(task, _num_blocks(num_samples), workers))
+    blocks = _map_blocks(task, _num_blocks(num_samples), workers)
+    column = _logdet_column(np.concatenate(blocks, axis=-1)[:, None], snr, np.empty(num_samples))
     return CapacityEstimate(*_stream_stats(column), num_samples, (m, n), snr)
 
 
-def _window_groups(K: int, m: int, n: int) -> list[tuple[int, np.ndarray, np.ndarray]]:
-    """(weight, rows, cols) of each window shape averaged into entry (m, n).
+def _window_groups(K: int, m: int, n: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(rows, cols) of each window shape averaged into entry (m, n).
 
     The windows are every m x n and n x m cyclic window of a K x K draw (rows
     r..r+a-1, columns c..c+b-1, indices mod K), grouped by shape a x b:
     ``rows`` has shape (w, a) and ``cols`` shape (w, b) for the group's w
     windows, row start major.  Windows whose dimension equals K are all
-    equal up to a row or column rotation, which leaves the Gram spectrum
-    unchanged; only one representative per rotation class is kept, and each
-    window of a group weighs the size of its class.
+    equal up to a row or column rotation, which leaves the Gram determinant
+    unchanged; only one representative per rotation class is kept.  Every
+    class of both shapes holds K^(number of sides equal to K) windows, so
+    the entry is the plain mean over the representatives.
     """
     orientations = [(m, n)] if m == n else [(m, n), (n, m)]
     groups = []
     for a, b in orientations:
         row_starts = [0] if a == K else list(range(K))
         col_starts = [0] if b == K else list(range(K))
-        mult = (K // len(row_starts)) * (K // len(col_starts))
         starts = list(itertools.product(row_starts, col_starts))
         rows = np.array([(r + np.arange(a)) % K for r, _ in starts])
         cols = np.array([(c + np.arange(b)) % K for _, c in starts])
-        groups.append((mult, rows, cols))
+        groups.append((rows, cols))
     return groups
 
 
@@ -400,23 +417,23 @@ class SamplePool:
     when asked.
 
     Attributes:
-        spectra: The entries decomposed so far (see ``decompose``): for a
-            table entry (m, n) with m >= n, the pair (eigenvalues, weights).
-            ``eigenvalues`` has shape (num_samples, c): the smaller-side
-            Gram eigenvalues of each of the entry's cyclic windows (see
-            ``_window_groups``), side by side.  ``weights`` gives each
-            column its window's share of the average, or is None when the
-            entry has a single window.  Spectra do not depend on snr, so
-            tables at any number of snr values reuse them.
+        coefficients: The entries decomposed so far (see ``decompose``):
+            for a table entry (m, n) with m >= n, an array of shape
+            (n, w, num_samples) whose [k - 1, j] row holds e_k of the
+            smaller-side Gram determinant of the entry's j-th cyclic window
+            (see ``_gram_coefficients`` and ``_window_groups``) on each
+            draw.  The entry is the mean over its w windows.  Coefficients
+            do not depend on snr, so tables at any number of snr values
+            reuse them.
         workers: Threads that share the blocks of a decomposition; the
-            spectra are bit-identical for any worker count.
+            coefficients are bit-identical for any worker count.
     """
 
     max_dim: int
     num_samples: int
     seed: int
     workers: int = field(default=1, compare=False)
-    spectra: dict[tuple[int, int], tuple[np.ndarray, np.ndarray | None]] = field(
+    coefficients: dict[tuple[int, int], np.ndarray] = field(
         default_factory=dict, compare=False, repr=False
     )
 
@@ -469,8 +486,9 @@ class SamplePool:
         return pool
 
     def decompose(self, entries: Iterable[tuple[int, int]]) -> None:
-        """Decompose every cyclic window of each entry (m, n) not in
-        ``spectra`` yet, in one pass over the blocks.
+        """Compute the determinant coefficients of every cyclic window of
+        each entry (m, n) not in ``coefficients`` yet, in one pass over the
+        blocks.
 
         Raises:
             ValueError: unless max_dim >= m >= n >= 1 for every entry.
@@ -479,107 +497,82 @@ class SamplePool:
         entries = set(entries)
         if not all(K >= m >= n >= 1 for m, n in entries):
             raise ValueError(f"entries must have {K} >= m >= n >= 1, got {sorted(entries)}")
-        groups = {e: _window_groups(K, *e) for e in sorted(entries - self.spectra.keys())}
+        groups = {e: _window_groups(K, *e) for e in sorted(entries - self.coefficients.keys())}
         if not groups:
             return
-        # every window of entry (m, n) has n eigenvalues, one column each
-        eigenvalues = {
-            (m, n): np.empty((N, n * sum(len(rows) for _, rows, _ in g)))
+        # every window of entry (m, n) has n coefficients
+        store = {
+            (m, n): np.empty((n, sum(len(rows) for rows, _ in g), N))
             for (m, n), g in groups.items()
         }
 
         def task(b: int) -> None:
-            # each block writes only its own rows
+            # each block writes only its own draws
             lo, hi = _block_bounds(b, N)
             block = sample_channel_block(K, K, self.seed, b)[: hi - lo]
-            for (m, n), entry_groups in groups.items():
-                col = 0
-                for _, rows, cols in entry_groups:
+            for entry, entry_groups in groups.items():
+                w = 0
+                for rows, cols in entry_groups:
                     if rows.shape[1] == K and cols.shape[1] == K:
                         # the full window is the block itself, as in the
                         # direct estimator
-                        spectrum = _gram_spectrum(block)
+                        e = _gram_coefficients(block)[:, None]
                     else:
                         # all of the group's windows in one call; advanced
                         # indexing reorders memory (draw axis becomes
                         # fastest), so force C layout: the Gram matmul then
                         # sees the accumulation order of a sampled block
                         W = block[:, rows[:, :, None], cols[:, None, :]]
-                        spectrum = _gram_spectrum(np.ascontiguousarray(W)).reshape(hi - lo, -1)
-                    eigenvalues[(m, n)][lo:hi, col : col + spectrum.shape[1]] = spectrum
-                    col += spectrum.shape[1]
+                        e = _gram_coefficients(np.ascontiguousarray(W)).swapaxes(1, 2)
+                    store[entry][:, w : w + len(rows), lo:hi] = e
+                    w += len(rows)
 
         _map_blocks(task, _num_blocks(N), self.workers)
-        for (m, n), entry_groups in groups.items():
-            weights = None
-            if sum(len(rows) for _, rows, _ in entry_groups) > 1:
-                total = sum(w * len(rows) for w, rows, _ in entry_groups)
-                weights = np.concatenate(
-                    [np.full(n * len(rows), w / total) for w, rows, _ in entry_groups]
-                )
-            self.spectra[(m, n)] = (eigenvalues[(m, n)], weights)
+        self.coefficients.update(store)
 
 
 def _entry_stats(
     pool: SamplePool, m: int, n: int, snr: float, out: np.ndarray | None = None
 ) -> tuple[float, float]:
     """Mean and standard error of entry (m, n), m >= n >= 1, at ``snr``: the
-    one computation of a table entry, one pass over the pool's spectrum of
-    the entry, block by block.  The pool decomposes the entry if it has not
-    yet.  Each block's per-draw values go to ``out[lo:hi]`` when an
-    N-length ``out`` is given, else to a reused block buffer, and are
-    reduced there, so without ``out`` no N-length array is formed.
+    one computation of a table entry, one ``_logdet_column`` pass over the
+    pool's coefficients of the entry, evaluated in ``out`` when an N-length
+    ``out`` is given.  The pool decomposes the entry if it has not yet.
 
-    For each pooled draw P the value is the weighted average of
-    logdet(I + snr * W W^dagger) = sum log1p(snr * lambda) over every m x n
-    and n x m cyclic window W of P (see ``_window_groups``).  Averaging over
-    the window group makes the entries of a table share exact structural
-    relations on every draw:
+    For each pooled draw P the value is the mean of
+    logdet(I + snr * W W^dagger) over every m x n and n x m cyclic window W
+    of P (see ``_window_groups``).  Averaging over the window group makes
+    the entries of a table share exact structural relations on every draw:
 
       * (m, n) and (n, m) give the same value (the window sets are mirrors),
       * growing m or n can only add rows or columns to each window,
       * complementary row ranges of a column window partition it.
 
     These hold up to rounding; ``gram_logdet`` is the Cholesky reference that
-    tests and ``check_capacity_properties`` compare against.  The blocks are
-    those of the direct estimator, so statistics over them match it bitwise.
+    tests and ``check_capacity_properties`` compare against.  The full
+    entry's coefficients and kernel are those of the direct estimator, so
+    its statistics match it bitwise.
     """
     pool.decompose([(m, n)])
-    eigenvalues, weights = pool.spectra[(m, n)]
-    N = pool.num_samples
-    size = min(N, BLOCK_SIZE)
-    terms, pair = np.empty((size, eigenvalues.shape[1])), np.empty((2, size))
-    sums = []
-    for b in range(_num_blocks(N)):
-        lo, hi = _block_bounds(b, N)
-        t, v = terms[: hi - lo], pair[0, : hi - lo]
-        np.log1p(np.multiply(eigenvalues[lo:hi], snr, out=t), out=t)
-        if weights is None:
-            # single representative: the direct estimator's kernel, so the
-            # full-size entry is bitwise identical to it on the same draws
-            _column_sum(t, out=v)
-        else:
-            np.matmul(t, weights, out=v)
-        if out is not None:
-            out[lo:hi] = v
-        sums += _block_sums(pair[:, : hi - lo])
-    return _moments(sums, N)
+    column = np.empty(pool.num_samples) if out is None else out
+    return _stream_stats(_logdet_column(pool.coefficients[(m, n)], snr, column))
 
 
 @dataclass(eq=False)
 class CapacityTable:
     """Ergodic capacities for every dimension pair (m, n) with m, n <= max_dim.
 
-    Entries are estimated from the Gram spectra of one shared pool of draws
-    via cyclic-window symmetrization (see ``_entry_stats``), so on every
-    single draw the table is symmetric, monotone in each dimension, and
-    superadditive in the row split.  Index 0 rows and columns are exactly
-    zero.  An entry costs one elementwise pass over its eigenvalues in the
-    pool, which decomposes them when a table first reads the entry.
+    Entries are estimated from the Gram determinant coefficients of one
+    shared pool of draws via cyclic-window symmetrization (see
+    ``_entry_stats``), so on every single draw the table is symmetric,
+    monotone in each dimension, and superadditive in the row split.  Index 0
+    rows and columns are exactly zero.  An entry costs one log1p pass over
+    its windows' coefficients in the pool, which computes them when a table
+    first reads the entry.
 
     Per-draw entry values, needed for common-random-number error bars, are
     not stored: a table holds no N-length array, and ``entry_draws``
-    derives a fresh column from the pool's spectrum on every call.  The
+    derives a fresh column from the pool's coefficients on every call.  The
     only per-draw columns kept are the at most three of a ``TableCache``.
 
     Attributes:
@@ -607,7 +600,7 @@ class CapacityTable:
         """The table at ``snr`` over ``pool``, every entry exact:
         ``TableCache(pool).at(snr)``.
 
-        ``keep_per_draw`` is ignored; ROADMAP item 2 drops it with the
+        ``keep_per_draw`` is ignored; ROADMAP item 3 drops it with the
         benchmark's tracer.
         """
         return TableCache(pool).at(snr)
@@ -615,7 +608,7 @@ class CapacityTable:
     def entry_draws(self, m: int, n: int) -> np.ndarray:
         """Read-only per-draw values of entry (m, n) over the table's pool.
 
-        The column is computed from the pool's spectrum on every call and
+        The column is computed from the pool's coefficients on every call and
         not kept; (m, n) and (n, m) give the same values.  Entries with a
         zero dimension are zeros.
 
@@ -780,9 +773,9 @@ class TableCache:
         means ``lower`` has computed, or +inf when none is at an snr >=
         ``snr``.  Nothing is computed.
 
-        Each per-draw value is a nonnegative combination of f(t) =
-        log1p(e^t * lambda) at t = log(snr), which is nondecreasing and
-        convex in t (its slope, a logistic function of t, increases).  So
+        Each per-draw value is f(t) = log(1 + sum_k e_k e^(k t)) at t =
+        log(snr), with every e_k >= 0: a log-sum-exp of affine functions of
+        t, so nondecreasing and convex in t.  So
         with the nearest known snr values below (s0 > 0) and above (s1),
         the mean lies below the chord in log snr,
 

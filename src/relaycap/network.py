@@ -24,8 +24,8 @@ them, ``_cut_terms``: each distinct block crossed, with its table and the
 number of hops crossing it, found per run of equal relay counts, not per hop.
 Per-draw values add each block's whole column once, times that number, in
 ``_cut_column``; ``cut_profile_draws`` reads the columns from
-``CapacityTable.entry_draws`` (computed from the pool's Gram spectrum on
-every call; tables store no per-draw copy), and ``rates`` reads its gap
+``CapacityTable.entry_draws`` (computed from the pool's Gram coefficients
+on every call; tables store no per-draw copy), and ``rates`` reads its gap
 errors' columns from a ``TableCache`` through the same helpers.
 """
 
@@ -118,7 +118,7 @@ class CutValue:
     Attributes:
         value: Sum of crossing-block capacities minus penalties, nats.
         std_error: Standard error.  Computed from per-draw values, derived
-            from the pool spectrum, when every hop table was built over one
+            from the pool's coefficients, when every hop table was built over one
             pool (common random numbers); otherwise, as for tables over
             pools with different keys or with no pool, by adding distinct
             estimates' errors in quadrature.  A block crossed k times, its
@@ -489,7 +489,7 @@ def check_capacity_properties(
     Checks run on the raw pooled draws (corner submatrices, both Gram
     orderings computed independently) through the Cholesky reference
     ``gram_logdet``, not on the symmetrized table entries, which come from
-    the pool's Gram spectra.  Requires a table whose pool was retained.
+    the pool's Gram coefficients.  Requires a table whose pool was retained.
 
     Raises:
         ValueError: if the table lacks shared draws.

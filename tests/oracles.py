@@ -232,80 +232,104 @@ def node_cut_value_mc(
 
 def entry_column_per_block(pool, m: int, n: int, snr: float) -> np.ndarray:
     """Per-draw values of table entry (m, n), m, n >= 1, block by block
-    into one N-length column: the table kernel before it reduced blocks
-    without forming the column.  A bitwise reference, with the per-block
-    arithmetic written out: the windows' log1p terms summed column by
-    column for a single window, weighted by a matrix product otherwise."""
+    into one N-length column: the table kernel evaluated on each block as a
+    new array.  A bitwise reference, with the per-block arithmetic written
+    out: each window's determinant polynomial by Horner's rule from its
+    highest coefficient, its log1p, and the windows' values added in order
+    and divided by their number."""
     from relaycap.mimo import _block_bounds, _num_blocks
 
-    eigenvalues, weights = pool.spectra[(max(m, n), min(m, n))]
+    coefficients = pool.coefficients[(max(m, n), min(m, n))]
     N = pool.num_samples
     column = np.empty(N)
     for b in range(_num_blocks(N)):
         lo, hi = _block_bounds(b, N)
-        terms = np.log1p(snr * eigenvalues[lo:hi])
-        if weights is None:
-            values = terms[..., 0]
-            for i in range(1, terms.shape[-1]):
-                values = values + terms[..., i]
-        else:
-            values = terms @ weights
-        column[lo:hi] = values
+        e = coefficients[..., lo:hi]
+        t = e[-1] * snr
+        for k in range(len(e) - 2, -1, -1):
+            t = (t + e[k]) * snr
+        terms = np.log1p(t)
+        values = terms[0]
+        for j in range(1, len(terms)):
+            values = values + terms[j]
+        column[lo:hi] = values / len(terms) if len(terms) > 1 else values
     return column
-
-
-def entry_stats_per_block(pool, m: int, n: int, snr: float) -> tuple[float, float]:
-    """Mean and standard error of table entry (m, n), m, n >= 1, as the
-    table kernel computed them before it streamed blocks through reused
-    buffers: each block's values as in ``entry_column_per_block``, reduced
-    by np.sum (a full block as one reshaped row, a short last block whole),
-    and the block sums combined by math.fsum.  A bitwise reference."""
-    column = entry_column_per_block(pool, m, n, snr)
-    N = len(column)
-    sums = []
-    for b in range(_num_blocks(N)):
-        values = column[slice(*_block_bounds(b, N))]
-        if len(values) == BLOCK_SIZE:
-            head = values.reshape(1, BLOCK_SIZE)
-            sums.append((float(np.sum(head, axis=1)[0]), float(np.sum(head * head, axis=1)[0])))
-        else:
-            sums.append((float(np.sum(values)), float(np.sum(values * values))))
-    mean = math.fsum(s for s, _ in sums) / N
-    if N == 1:
-        return mean, 0.0
-    var = max(math.fsum(sq for _, sq in sums) - N * mean * mean, 0.0) / (N - 1)
-    return mean, math.sqrt(var / N)
 
 
 def stream_stats_per_chunk(values: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of a per-draw column, each BLOCK_SIZE chunk
-    summed by its own np.sum and the partials combined with math.fsum: the
-    reduction before it summed every full chunk in one reshaped call.  A
-    bitwise reference."""
+    summed by its own np.sum, the squares taken about the first chunk's
+    mean, and the partials combined with math.fsum: the reduction before it
+    summed every full chunk in one call.  A bitwise reference."""
     from relaycap.mimo import _block_bounds, _num_blocks
 
     n = len(values)
     chunks = [values[slice(*_block_bounds(b, n))] for b in range(_num_blocks(n))]
-    mean = math.fsum(float(np.sum(c)) for c in chunks) / n
+    c = float(np.sum(chunks[0])) / len(chunks[0])
+    mean = math.fsum(float(np.sum(ch)) for ch in chunks) / n
     if n == 1:
         return mean, 0.0
-    total_sq = math.fsum(float(np.sum(c * c)) for c in chunks)
-    var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
+    total_sq = math.fsum(float(np.sum((ch - c) * (ch - c))) for ch in chunks)
+    var = max(total_sq - n * (mean - c) * (mean - c), 0.0) / (n - 1)
     return mean, math.sqrt(var / n)
 
 
-def pool_spectra_per_window(max_dim: int, num_samples: int, seed: int) -> dict:
-    """Gram eigenvalues of every table entry's cyclic windows, one
-    ``_gram_spectrum`` call per window and block: the pool build before it
-    gathered a window shape's windows into one call.  A reference for
-    ``SamplePool.spectra``'s eigenvalue arrays, with the windows listed one
-    by one in the order of their columns."""
+def centred_std_error(values: np.ndarray) -> float:
+    """Standard error of a per-draw column from math.fsum over the values
+    and over their squared deviations from that mean: an accuracy
+    reference, free of any shift the column carries."""
+    n = len(values)
+    mean = math.fsum(values.tolist()) / n
+    deviations = values - mean
+    return math.sqrt(math.fsum((deviations * deviations).tolist()) / (n - 1) / n)
+
+
+def spectral_logdet(channels: np.ndarray, snr: float) -> np.ndarray:
+    """sum_i log1p(snr * lambda_i) over the eigenvalues of each channel's
+    smaller-side Gram matrix: the table kernel before it read determinant
+    coefficients.  Sides of 1 and 2 use closed forms (the larger eigenvalue
+    by hypot, the smaller as the determinant, a sum of squared minors, over
+    it); larger sides ``np.linalg.eigvalsh``, with the smallest eigenvalue
+    of a square window taken from the determinant.  A reference for the
+    coefficient kernel, which evaluates the same product."""
+    H = np.asarray(channels)
+    if H.shape[-2] > H.shape[-1]:
+        H = np.swapaxes(H, -1, -2)
+    d, k = H.shape[-2:]
+    if d == 1:
+        lam = np.sum(H.real**2 + H.imag**2, axis=-1)
+    elif d == 2:
+        r0, r1 = H[..., 0, :], H[..., 1, :]
+        a = np.sum(r0.real**2 + r0.imag**2, axis=-1)
+        c = np.sum(r1.real**2 + r1.imag**2, axis=-1)
+        b = np.abs(np.sum(r0 * r1.conj(), axis=-1))
+        det = np.zeros(a.shape)
+        for j in range(k):
+            for l in range(j + 1, k):
+                minor = r0[..., j] * r1[..., l] - r0[..., l] * r1[..., j]
+                det += minor.real**2 + minor.imag**2
+        lam_max = 0.5 * (a + c) + np.hypot(0.5 * (a - c), b)
+        lam = np.stack([det / lam_max, lam_max], axis=-1)
+    else:
+        lam = np.linalg.eigvalsh(H @ np.swapaxes(H.conj(), -1, -2))
+        if d == k:
+            lam[..., 0] = np.abs(np.linalg.det(H)) ** 2 / np.prod(lam[..., 1:], axis=-1)
+        lam = np.maximum(lam, 0.0)
+    return np.sum(np.log1p(snr * lam), axis=-1)
+
+
+def pool_coefficients_per_window(max_dim: int, num_samples: int, seed: int) -> dict:
+    """Gram determinant coefficients of every table entry's cyclic
+    windows, one ``_gram_coefficients`` call per window and block: the pool
+    build before it gathered a window shape's windows into one call.  A
+    reference for ``SamplePool.coefficients``, with the windows listed one
+    by one in the order of their rows."""
     from relaycap.mimo import (
-        _block_bounds, _gram_spectrum, _num_blocks, sample_channel_block,
+        _block_bounds, _gram_coefficients, _num_blocks, sample_channel_block,
     )
 
     K, N = max_dim, num_samples
-    spectra = {}
+    coefficients = {}
     for m in range(1, K + 1):
         for n in range(1, m + 1):
             windows = []
@@ -313,7 +337,7 @@ def pool_spectra_per_window(max_dim: int, num_samples: int, seed: int) -> dict:
                 for r in [0] if a == K else range(K):
                     for c in [0] if b == K else range(K):
                         windows.append(((r + np.arange(a)) % K, (c + np.arange(b)) % K))
-            spectra[(m, n)] = np.empty((N, n * len(windows)))
+            coefficients[(m, n)] = np.empty((n, len(windows), N))
             for blk in range(_num_blocks(N)):
                 lo, hi = _block_bounds(blk, N)
                 block = sample_channel_block(K, K, seed, blk)[: hi - lo]
@@ -322,8 +346,8 @@ def pool_spectra_per_window(max_dim: int, num_samples: int, seed: int) -> dict:
                         W = block
                     else:
                         W = np.ascontiguousarray(block[:, rows[:, None], cols[None, :]])
-                    spectra[(m, n)][lo:hi, j * n : (j + 1) * n] = _gram_spectrum(W)
-    return spectra
+                    coefficients[(m, n)][:, j, lo:hi] = _gram_coefficients(W)
+    return coefficients
 
 
 def chord_over_known_means(cache, snr: float) -> float:

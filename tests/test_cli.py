@@ -728,7 +728,7 @@ def test_mincut_certifies_on_lower_bound_tables(
 
     def recording(self, dims):
         dims = set(dims)
-        entries.update(dims - self.spectra.keys())
+        entries.update(dims - self.coefficients.keys())
         return decompose(self, dims)
 
     monkeypatch.setattr(mimo.SamplePool, "decompose", recording)

@@ -25,6 +25,7 @@ from relaycap import (
     penalty_bound,
     prior_cf_gap_bound,
     rate_report,
+    rates,
 )
 from relaycap.mimo import _stream_stats
 from relaycap.network import (
@@ -820,7 +821,7 @@ def test_certified_sweep_decomposes_only_the_full_entry(K):
     cache = TableCache(pool)
     for policy in ("fixed_1", "depth_matched", "optimized"):
         gap_trend(K, [2, 4, 8, 16, 32], 10.0, policy, 5_000, K, cache=cache)
-    assert pool.spectra.keys() == {(K, K)}
+    assert pool.coefficients.keys() == {(K, K)}
 
 
 def test_headline_sweep_skips_builds_on_exact_entries(headline_cache):
@@ -850,7 +851,8 @@ def test_optimized_raw_rate_is_at_least_each_fixed_policy_in_deep_networks():
 
 def test_sweep_shape_builds_at_most_45_tables(monkeypatch):
     # the sweep-optimized workload: K 2, depths 2..32, snr 10, three policies
-    # on one cache; the unpruned scan builds 77 tables here
+    # on one cache; the unpruned scan builds 77 tables here.  The sweep makes
+    # every table through TableCache.lower and none through at
     full_snrs = []
     at = TableCache.at
 
@@ -862,10 +864,32 @@ def test_sweep_shape_builds_at_most_45_tables(monkeypatch):
     cache = TableCache(SamplePool.build(2, 5_000, seed=12345))
     for policy in ("fixed_1", "depth_matched", "optimized"):
         gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, 5_000, 12345, cache=cache)
-    assert len(full_snrs) <= 45
+    assert 0 < len(cache._lower) <= 45
+    assert full_snrs == []
 
 
 # ---------------------------------------------------------- gap error
+
+
+def test_gap_error_under_a_large_penalty_shift_keeps_its_digits(monkeypatch):
+    # `relaycap sweep --K 2 --D 474 --snr 1000 --q-policy optimized
+    # --q-grid 0.01,0.02 --samples 50000`: the gap column carries a penalty
+    # shift of about 4366 nats over a spread of about 4e-4, where squares
+    # taken about zero lost 1.4% of the standard error
+    reduced = []
+    stream_stats = rates._stream_stats
+
+    def recording(values):
+        stats = stream_stats(values)
+        reduced.append((values.copy(), stats[1]))
+        return stats
+
+    monkeypatch.setattr(rates, "_stream_stats", recording)
+    (row,) = gap_trend(2, [474], 1000.0, "optimized", 50_000, 0, q_grid=[0.01, 0.02])
+    column = next(values for values, se in reduced if se == row.std_error)
+    assert abs(np.mean(column)) > 1e6 * np.std(column)
+    want = oracles.centred_std_error(column)
+    assert math.isclose(row.std_error, want, rel_tol=1e-6), (row.std_error, want)
 
 
 @pytest.mark.parametrize("N", [1, 4095, 4096, 4097, 50_000])

@@ -129,7 +129,7 @@ def test_full_table_pool_samples_every_block_once(monkeypatch):
     monkeypatch.setattr(mimo, "sample_channel_block", counting)
     table = CapacityTable.from_pool(SamplePool._build(K, N, 4, every_entry=True), 10.0)
     assert calls == {b: 1 for b in range(mimo._num_blocks(N))}
-    assert table.pool.spectra.keys() == set(_entries(K))
+    assert table.pool.coefficients.keys() == set(_entries(K))
     monkeypatch.undo()
     twice = CapacityTable.from_pool(SamplePool.build(K, N, seed=4), 10.0)
     assert _bits(*table.means.ravel(), *table.std_errors.ravel()) == _bits(
@@ -235,7 +235,7 @@ def test_table_cache_keeps_the_first_and_the_two_most_recent_columns():
     assert math.isnan(cache.lower(2.0).std_errors[1, 1])  # columns leave the means alone
 
 
-# ------------------------------------------------- spectral table kernel
+# ------------------------------------------------- coefficient table kernel
 
 
 def _cholesky_window_average(draws, m, n, snr):
@@ -262,6 +262,38 @@ def test_per_draw_values_match_cholesky_reference(K):
                 ref = _cholesky_window_average(pool.draws, m, n, snr)
                 err = np.max(np.abs(table.entry_draws(m, n) - ref))
                 assert err <= 1e-12, (m, n, snr, err)
+
+
+#: Largest per-draw difference between the eigenvalue route
+#: (``oracles.spectral_logdet``) and the Cholesky ``gram_logdet`` on the
+#: (K, K) window over 50 000 draws at snr 1e5: the Cholesky route's own
+#: rounding, which the coefficient kernel may not exceed.
+SPECTRAL_ERROR = {1: 2.9e-12, 2: 2.9e-12, 3: 1.3e-11, 4: 2.9e-11}
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+def test_coefficient_kernel_matches_cholesky_on_every_window(K):
+    # each window's log1p(snr * (e_1 + snr * (e_2 + ...))) against
+    # gram_logdet of the window itself, for every window shape of every
+    # entry, from snr 1e-3 to 1e5: no further from it than the eigenvalue
+    # route, from which it differs by at most 1.4e-15 relative, and on the
+    # (K, K) window within that route's largest difference
+    N = 4_097
+    pool = SamplePool._build(K, N, seed=60 + K, every_entry=True)
+    draws = pool.draws
+    for (m, n), coefficients in pool.coefficients.items():
+        windows = [w for rows, cols in mimo._window_groups(K, m, n) for w in zip(rows, cols)]
+        assert coefficients.shape == (n, len(windows), N)
+        for j, (rows, cols) in enumerate(windows):
+            W = np.ascontiguousarray(draws[:, rows[:, None], cols[None, :]])
+            for snr in np.geomspace(1e-3, 1e5, 9):
+                got = mimo._logdet_column(coefficients[:, j : j + 1], snr, np.empty(N))
+                spectral, cholesky = oracles.spectral_logdet(W, snr), gram_logdet(W, snr)
+                assert np.all(np.abs(got - spectral) <= 1.4e-15 * spectral), (m, n, j, snr)
+                err = np.max(np.abs(got - cholesky))
+                assert err <= np.max(np.abs(spectral - cholesky)) + 1.4e-15 * np.max(spectral)
+                if (m, n) == (K, K):
+                    assert err <= SPECTRAL_ERROR[K], (snr, err)
 
 
 def test_tables_reuse_the_pool_decomposition(monkeypatch):
@@ -294,12 +326,10 @@ def test_pool_is_identical_for_any_worker_count():
     assert np.array_equal(a.draws, b.draws)
     for pool in (a, b):
         CapacityTable.from_pool(pool, 1.0)
-    assert a.spectra.keys() == set(_entries(3))
-    assert a.spectra.keys() == b.spectra.keys()
-    for key, (eig_a, w_a) in a.spectra.items():
-        eig_b, w_b = b.spectra[key]
-        assert np.array_equal(eig_a, eig_b)
-        assert (w_a is None and w_b is None) or np.array_equal(w_a, w_b)
+    assert a.coefficients.keys() == set(_entries(3))
+    assert a.coefficients.keys() == b.coefficients.keys()
+    for key, coefficients in a.coefficients.items():
+        assert np.array_equal(coefficients, b.coefficients[key]), key
 
 
 def _monotonicity_snrs():
@@ -344,23 +374,23 @@ def _bits(*values) -> list[str]:
     return [float(v).hex() for v in values]
 
 
-# K = 4 stops at 4097 draws: its spectra at 50 000 draws take about 100 MB
+# K = 4 stops at 4097 draws: its coefficients at 50 000 draws take about 100 MB
 @pytest.mark.parametrize(
     "K, N",
     [(K, N) for K in (1, 2, 3, 4) for N in (1, 4095, 4096, 4097, 50_000)
      if (K, N) != (4, 50_000)],
 )
 def test_one_pass_kernel_equals_per_block_column_bitwise(K, N):
-    # from_pool reduces each block without forming the N-length column, and
-    # _stream_stats sums full blocks in one reshaped call; both must give the
+    # from_pool evaluates each entry over all N draws at once, and
+    # _stream_stats sums every full block in one call; both must give the
     # floats of the per-block column and the per-chunk reduction
     pool = SamplePool.build(K, N, seed=30 + K)
     pool.decompose(_entries(K))
-    kinds = {w is None for _, w in pool.spectra.values()}
-    assert kinds == ({True} if K == 1 else {True, False})  # single-window, weighted
+    kinds = {c.shape[1] == 1 for c in pool.coefficients.values()}
+    assert kinds == ({True} if K == 1 else {True, False})  # single-window, averaged
     for snr in (0.0, 1e-3, 10.0, 1e5):
         table = CapacityTable.from_pool(pool, snr)
-        for m, n in pool.spectra:
+        for m, n in pool.coefficients:
             column = oracles.entry_column_per_block(pool, m, n, snr)
             expected = oracles.stream_stats_per_chunk(column)
             assert np.array_equal(table.entry_draws(m, n), column), (m, n, snr)
@@ -374,21 +404,34 @@ def test_one_pass_kernel_equals_per_block_column_bitwise(K, N):
      if (K, N) != (4, 50_000)],
 )
 def test_streamed_entry_kernel_equals_its_column_and_the_per_block_kernel_bitwise(K, N):
-    # _entry_stats streams each block through reused buffers, with or
-    # without writing the N-length column; its statistics are those of the
-    # column it writes and of the kernel that reduced each block as a new
-    # array, for single-window and weighted entries alike
+    # _entry_stats evaluates the entry over all N draws, in the N-length
+    # column when one is given; its statistics are those of the column it
+    # writes and of the kernel evaluated on each block as a new array,
+    # reduced chunk by chunk, for single-window and averaged entries alike
     pool = SamplePool.build(K, N, seed=50 + K)
     pool.decompose(_entries(K))
     for snr in (0.0, 1e-3, 10.0, 1e5):
-        for m, n in pool.spectra:
+        for m, n in pool.coefficients:
             stats = mimo._entry_stats(pool, m, n, snr)
             column = np.full(N, np.nan)
             assert _bits(*mimo._entry_stats(pool, m, n, snr, out=column)) == _bits(*stats)
-            assert np.array_equal(column, oracles.entry_column_per_block(pool, m, n, snr))
+            expected_column = oracles.entry_column_per_block(pool, m, n, snr)
+            assert np.array_equal(column, expected_column)
             assert _bits(*_stream_stats(column)) == _bits(*stats), (m, n, snr)
-            expected = oracles.entry_stats_per_block(pool, m, n, snr)
+            expected = oracles.stream_stats_per_chunk(expected_column)
             assert _bits(*stats) == _bits(*expected), (m, n, snr)
+
+
+@pytest.mark.parametrize("N", [2, 4095, 4097, 50_000])
+def test_std_error_is_shift_invariant(N):
+    # squares are taken about the first block's mean, so a constant added
+    # to a column moves its standard error only by the rounding of the
+    # shifted values; squares about zero lost eps * (c / spread)^2
+    column = CapacityTable.from_pool(SamplePool.build(2, N, seed=80), 10.0).entry_draws(2, 2)
+    _, se = _stream_stats(column)
+    for c in (-1e5, -4366.0, -1.0, 1e-3, 1.0, 1e3, 1e5):
+        shifted = _stream_stats(column + c)[1]
+        assert abs(shifted - se) <= 1e-9 * se, (c, shifted, se)
 
 
 UPPER_SNRS = [float(s) for s in np.geomspace(1e-3, 1e5, 9)]
@@ -473,20 +516,20 @@ def test_lower_computes_each_entry_once(no_full_table):
 
 def test_each_entry_is_decomposed_once(monkeypatch):
     # a build decomposes (K, K) alone; every other entry is decomposed when
-    # a table first reads it, by one _gram_spectrum call per window shape
-    # and block, whichever reader comes first and however many follow
+    # a table first reads it, by one _gram_coefficients call per window
+    # shape and block, whichever reader comes first and however many follow
     K, N = 3, 5_000
     calls = collections.Counter()
-    gram_spectrum = mimo._gram_spectrum
+    gram_coefficients = mimo._gram_coefficients
 
     def counting(channels):
         calls[channels.shape[-2:]] += 1
-        return gram_spectrum(channels)
+        return gram_coefficients(channels)
 
-    monkeypatch.setattr(mimo, "_gram_spectrum", counting)
+    monkeypatch.setattr(mimo, "_gram_coefficients", counting)
     pool = SamplePool.build(K, N, seed=5)
     blocks = mimo._num_blocks(N)
-    assert calls == {(K, K): blocks} and pool.spectra.keys() == {(K, K)}
+    assert calls == {(K, K): blocks} and pool.coefficients.keys() == {(K, K)}
     cache = TableCache(pool)
     cache.lower(1.0)
     cache.lower(2.0)
@@ -499,26 +542,27 @@ def test_each_entry_is_decomposed_once(monkeypatch):
     cache.at(2.0).entry_draws(1, 1)
     CapacityTable.from_pool(pool, 3.0)
     assert calls == {shape: blocks for shape in itertools.product(range(1, K + 1), repeat=2)}
-    assert pool.spectra.keys() == set(_entries(K))
+    assert pool.coefficients.keys() == set(_entries(K))
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_pool_spectra_equal_the_per_window_loop(K):
-    # each window shape's windows go through one _gram_spectrum call; the
-    # closed form for two-row windows then rounds differently in a few
-    # eigenvalues, by at most 1e-15 relative, where a call stacks more than
+    # each window shape's windows go through one _gram_coefficients call;
+    # the minors of two-row windows then round differently in a few
+    # determinants, by at most 1e-15 relative, where a call stacks more than
     # 8191 of them (numpy's complex multiply changes route)
     N, seed = 9_000, 50 + K
     pool = SamplePool.build(K, N, seed, workers=2)
     pool.decompose(_entries(K))
-    reference = oracles.pool_spectra_per_window(K, N, seed)
-    assert pool.spectra.keys() == reference.keys()
-    for (m, n), (eigenvalues, _) in pool.spectra.items():
+    reference = oracles.pool_coefficients_per_window(K, N, seed)
+    assert pool.coefficients.keys() == reference.keys()
+    for (m, n), coefficients in pool.coefficients.items():
         expected = reference[(m, n)]
+        assert coefficients.shape == expected.shape, (m, n)
         if n != 2 or K <= 2:
-            assert np.array_equal(eigenvalues, expected), (m, n)
+            assert np.array_equal(coefficients, expected), (m, n)
         else:
-            assert np.all(np.abs(eigenvalues - expected) <= 1e-15 * expected), (m, n)
+            assert np.all(np.abs(coefficients - expected) <= 1e-15 * expected), (m, n)
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -576,4 +620,4 @@ def test_pool_builders_take_numpy_integers():
     a = SamplePool.build(np.int64(2), np.int32(300), np.uint8(3))
     b = SamplePool.build(2, 300, 3)
     assert a.key == b.key and all(type(v) is int for v in a.key)
-    assert all(np.array_equal(a.spectra[e][0], b.spectra[e][0]) for e in b.spectra)
+    assert all(np.array_equal(a.coefficients[e], b.coefficients[e]) for e in b.coefficients)
