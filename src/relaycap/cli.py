@@ -408,10 +408,8 @@ def run_verify(cfg: ExperimentConfig) -> int:
     def record(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    # full tables at every snr: every entry decomposed in the pool's one pass
-    pool = mimo.SamplePool._build(
-        cfg.max_dim, cfg.num_samples, cfg.seed, workers=cfg.workers, every_entry=True
-    )
+    # full tables at every snr: the first decomposes every entry in one pass
+    pool = mimo.SamplePool(cfg.max_dim, cfg.num_samples, cfg.seed, cfg.workers)
     tables = {}
     for snr in cfg.snr:
         table = mimo.CapacityTable.from_pool(pool, snr)

@@ -414,7 +414,9 @@ class SamplePool:
 
     The draws themselves are not stored: they are hop 0's stream of
     ``seed``, a pure function of ``key``, and ``draws`` regenerates them
-    when asked.
+    when asked.  A new pool has decomposed no entry; ``build`` decomposes
+    (max_dim, max_dim).  An invalid integer field is refused with a
+    ``ValueError`` naming it.
 
     Attributes:
         coefficients: The entries decomposed so far (see ``decompose``):
@@ -436,6 +438,10 @@ class SamplePool:
     coefficients: dict[tuple[int, int], np.ndarray] = field(
         default_factory=dict, compare=False, repr=False
     )
+
+    def __post_init__(self):
+        for name, minimum in (("max_dim", 1), ("num_samples", 1), ("seed", 0), ("workers", 1)):
+            object.__setattr__(self, name, _positive_int(name, getattr(self, name), minimum))
 
     @property
     def key(self) -> tuple[int, int, int]:
@@ -462,27 +468,8 @@ class SamplePool:
     ) -> "SamplePool":
         """The pool, with entry (max_dim, max_dim) decomposed: every table
         reads it first."""
-        return cls._build(max_dim, num_samples, seed, workers, every_entry=False)
-
-    @classmethod
-    def _build(
-        cls,
-        max_dim: int,
-        num_samples: int,
-        seed: int,
-        workers: int = 1,
-        *,
-        every_entry: bool,
-    ) -> "SamplePool":
-        """``build``; with ``every_entry``, every entry m >= n >= 1 is
-        decomposed in its one pass over the blocks: the pool of full tables,
-        which then sample each block once."""
-        K = _positive_int("max_dim", max_dim)
-        num_samples = _positive_int("num_samples", num_samples)
-        seed = _positive_int("seed", seed, minimum=0)
-        pool = cls(K, num_samples, seed, _positive_int("workers", workers))
-        pool.decompose(itertools.combinations_with_replacement(range(K, 0, -1), 2)
-                       if every_entry else [(K, K)])
+        pool = cls(max_dim, num_samples, seed, workers)
+        pool.decompose([(pool.max_dim, pool.max_dim)])
         return pool
 
     def decompose(self, entries: Iterable[tuple[int, int]]) -> None:
@@ -576,22 +563,28 @@ class CapacityTable:
     only per-draw columns kept are the at most three of a ``TableCache``.
 
     Attributes:
+        snr: the signal-to-noise ratio of every entry.
         means: (max_dim+1, max_dim+1) array of entry means in nats.  On a
             ``TableCache.lower`` table an inexact entry keeps its floor here,
             for ``min_cut_dp``; each reader method makes what it reads exact.
         std_errors: matching standard errors, NaN where inexact.
-        pool: the SamplePool the table was built from, whose ``key`` says
-            which draws it read; None for a table built from its arrays
-            alone, which has no per-draw values.
+        pool: the SamplePool whose draws every entry reads; its ``key``
+            names them, and ``max_dim`` and ``num_samples`` are its own.
     """
 
-    max_dim: int
     snr: float
-    num_samples: int
     means: np.ndarray = field(repr=False)
     std_errors: np.ndarray = field(repr=False)
-    pool: SamplePool | None = field(default=None, repr=False)
+    pool: SamplePool
     per_draw: None = field(default=None, init=False, repr=False)  # always None; tracer shim
+
+    @property
+    def max_dim(self) -> int:
+        return self.pool.max_dim
+
+    @property
+    def num_samples(self) -> int:
+        return self.pool.num_samples
 
     @classmethod
     def from_pool(
@@ -611,13 +604,8 @@ class CapacityTable:
         The column is computed from the pool's coefficients on every call and
         not kept; (m, n) and (n, m) give the same values.  Entries with a
         zero dimension are zeros.
-
-        Raises:
-            ValueError: if the table has no pool.
         """
-        self._check_entry(m, n)
-        if self.pool is None:
-            raise ValueError("per-draw values need a table built with shared draws")
+        m, n = self._check_entry(m, n)
         column = np.zeros(self.num_samples)
         if m and n:
             _entry_stats(self.pool, max(m, n), min(m, n), self.snr, out=column)
@@ -628,14 +616,9 @@ class CapacityTable:
         """Compute the entries ``dims`` that are not exact yet, each once
         (with its mirror), from one ``SamplePool.decompose``; returns how
         many were computed.  On a full table it computes nothing.
-
-        Raises:
-            ValueError: if an entry is inexact and the table has no pool.
         """
         ses = self.std_errors
         todo = sorted({(max(m, n), min(m, n)) for m, n in set(dims) if math.isnan(ses[m, n])})
-        if todo and self.pool is None:
-            raise ValueError("inexact entries need a table built with shared draws")
         if todo:
             self.pool.decompose(todo)
         for m, n in todo:
@@ -644,23 +627,26 @@ class CapacityTable:
             )
         return len(todo)
 
-    def _check_entry(self, m: int, n: int) -> None:
+    def _check_entry(self, m: int, n: int) -> tuple[int, int]:
+        """(m, n) as ints, refused unless both are integers in 0..max_dim."""
         if not (0 <= m <= self.max_dim and 0 <= n <= self.max_dim):
             raise ValueError(
                 f"entry ({m}, {n}) outside table range 0..{self.max_dim}"
             )
+        return _positive_int("m", m, minimum=0), _positive_int("n", n, minimum=0)
 
     def mean(self, m: int, n: int) -> float:
-        self._check_entry(m, n)
+        m, n = self._check_entry(m, n)
         self.make_exact([(m, n)])
         return float(self.means[m, n])
 
     def std_error(self, m: int, n: int) -> float:
-        self._check_entry(m, n)
+        m, n = self._check_entry(m, n)
         self.make_exact([(m, n)])
         return float(self.std_errors[m, n])
 
     def estimate(self, m: int, n: int) -> CapacityEstimate:
+        m, n = self._check_entry(m, n)
         return CapacityEstimate(
             self.mean(m, n), self.std_error(m, n), self.num_samples, (m, n), self.snr
         )
@@ -708,9 +694,12 @@ class TableCache:
         self._columns: dict[tuple[float, int, int], np.ndarray] = {}
 
     def at(self, snr: float) -> CapacityTable:
-        """The full table at ``snr``: ``lower(snr)`` with every entry exact."""
+        """The full table at ``snr``: ``lower(snr)`` with every entry exact,
+        after one ``decompose`` of every entry the pool lacks."""
+        K = self.pool.max_dim
+        self.pool.decompose(itertools.combinations_with_replacement(range(K, 0, -1), 2))
         table = self.lower(snr)
-        table.make_exact(itertools.product(range(1, self.pool.max_dim + 1), repeat=2))
+        table.make_exact(itertools.product(range(1, K + 1), repeat=2))
         return table
 
     def lower(self, snr: float) -> CapacityTable:
@@ -738,9 +727,7 @@ class TableCache:
             ses = np.full((K + 1, K + 1), math.nan)
             means[0] = means[:, 0] = ses[0] = ses[:, 0] = 0.0
             means[K, K], ses[K, K] = kk, kk_se
-            table = self._lower[key] = CapacityTable(
-                K, key, self.pool.num_samples, means, ses, self.pool
-            )
+            table = self._lower[key] = CapacityTable(key, means, ses, self.pool)
         return table
 
     def column(self, snr: float, m: int, n: int) -> np.ndarray:

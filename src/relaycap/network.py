@@ -15,18 +15,21 @@ table's values, and ``min_cut_dp`` computes only the entries it needs.
 
 A network has at most two distinct hop tables: a body table read by hops
 1..D-1 (quantizing relays) and a last-hop table, which differs only when the
-destination does not quantize.  Functions take the body ``table`` and a
-keyword-only ``last`` (None: the final hop reads ``table`` too), so their
-cost does not grow with the number of hops beyond one pass over the profile:
-the min-cut dynamic program reads a (K+1) x (K+1) edge matrix computed once
-per call, and every other reader of a cut's blocks reads one description of
-them, ``_cut_terms``: each distinct block crossed, with its table and the
-number of hops crossing it, found per run of equal relay counts, not per hop.
-Per-draw values add each block's whole column once, times that number, in
-``_cut_column``; ``cut_profile_draws`` reads the columns from
-``CapacityTable.entry_draws`` (computed from the pool's Gram coefficients
-on every call; tables store no per-draw copy), and ``rates`` reads its gap
-errors' columns from a ``TableCache`` through the same helpers.
+destination does not quantize.  Both read one pool: ``_hop_tables`` refuses
+a ``last`` whose ``SamplePool.key`` differs from the body's, so every cut's
+standard error comes from its per-draw values.  Functions take the body
+``table`` and a keyword-only ``last`` (None: the final hop reads ``table``
+too), so their cost does not grow with the number of hops beyond one pass
+over the profile: the min-cut dynamic program reads a (K+1) x (K+1) edge
+matrix computed once per call, and every other reader of a cut's blocks
+reads one description of them, ``_cut_terms``: each distinct block crossed,
+with its table and the number of hops crossing it, found per run of equal
+relay counts, not per hop.  Per-draw values add each block's whole column
+once, times that number, in ``_cut_column``; ``cut_profile_draws`` reads the
+columns from ``CapacityTable.entry_draws`` (computed from the pool's Gram
+coefficients on every call; tables store no per-draw copy), and ``rates``
+reads its gap errors' columns from a ``TableCache`` through the same
+helpers.
 """
 
 from __future__ import annotations
@@ -117,12 +120,9 @@ class CutValue:
 
     Attributes:
         value: Sum of crossing-block capacities minus penalties, nats.
-        std_error: Standard error.  Computed from per-draw values, derived
-            from the pool's coefficients, when every hop table was built over one
-            pool (common random numbers); otherwise, as for tables over
-            pools with different keys or with no pool, by adding distinct
-            estimates' errors in quadrature.  A block crossed k times, its
-            mirror included, is one estimate with k times its error.
+        std_error: Standard error of the per-draw cut values, derived from
+            the coefficients of the one pool every hop table reads (common
+            random numbers).
         profile: The evaluated profile.
         per_block: ((m, n), capacity) for each hop's crossing block.
     """
@@ -147,7 +147,7 @@ def _hop_tables(
     table: CapacityTable, last: CapacityTable | None, params: NetworkParams, node_penalty: float
 ) -> tuple[CapacityTable, CapacityTable]:
     """Resolve (body, last) hop tables, with the checks every cut function
-    shares; hop D reads ``last``."""
+    shares; hop D reads ``last``, which must share the body's pool key."""
     if not math.isfinite(node_penalty):
         raise ValueError(f"node_penalty must be finite, got {node_penalty}")
     if isinstance(table, (list, tuple)):
@@ -156,12 +156,16 @@ def _hop_tables(
             "not a per-hop list"
         )
     last = table if last is None else last
-    for t in (table, last):
-        if t.max_dim < params.relays_per_layer:
-            raise ValueError(
-                f"table max_dim {t.max_dim} is smaller than relays_per_layer "
-                f"{params.relays_per_layer}"
-            )
+    if last.pool.key != table.pool.key:
+        raise ValueError(
+            f"the final-hop table's pool key {last.pool.key} differs from the body "
+            f"table's {table.pool.key}: a network's tables must share one pool"
+        )
+    if table.max_dim < params.relays_per_layer:
+        raise ValueError(
+            f"table max_dim {table.max_dim} is smaller than relays_per_layer "
+            f"{params.relays_per_layer}"
+        )
     return table, last
 
 
@@ -259,15 +263,6 @@ def _cut_sum(
     return total, per_block
 
 
-def _shared_pool(body: CapacityTable, last: CapacityTable) -> bool:
-    """True when both tables were built over the same pool of draws."""
-    return (
-        body.pool is not None
-        and last.pool is not None
-        and body.pool.key == last.pool.key
-    )
-
-
 def cut_profile_draws(
     profile: CutProfile,
     params: NetworkParams,
@@ -276,7 +271,7 @@ def cut_profile_draws(
     *,
     last: CapacityTable | None = None,
 ) -> np.ndarray:
-    """Per-draw cut values across shared draws (tables must keep their pool).
+    """Per-draw cut values over the tables' shared pool of draws.
 
     Each distinct nonzero crossing block of the body hops contributes its
     per-draw column once, times the number of hops it crosses; blocks with
@@ -286,8 +281,6 @@ def cut_profile_draws(
     """
     _check_profile(profile, params)
     body, last = _hop_tables(table, last, params, node_penalty)
-    if not _shared_pool(body, last):
-        raise ValueError("per-draw cut values need tables built over shared draws")
     terms = _cut_terms(profile.counts, params, body, last)
     return _cut_column(
         terms, lambda t, dims: t.entry_draws(*dims),
@@ -312,7 +305,7 @@ def cut_value(
             ``last`` is given.
         node_penalty: Rate subtracted per counted relay, nats.
         last: Table of the final hop when it differs from the body, as for
-            an unquantized destination.
+            an unquantized destination; over a pool with the body's key.
 
     Returns:
         CutValue.  Its value is the ``_cut_sum`` that brute force minimizes,
@@ -323,16 +316,7 @@ def cut_value(
     terms = _cut_terms(profile.counts, params, body, last)
     _make_exact(terms)
     total, per_block = _cut_sum(profile.counts, params, body, last, node_penalty)
-    if _shared_pool(body, last):
-        _, se = _stream_stats(cut_profile_draws(profile, params, body, last=last))
-    else:
-        # k crossings of a block or of its mirror read one estimate: k * se
-        crossings = Counter()
-        for t, (m, n), mult in terms:
-            crossings[t, max(m, n), min(m, n)] += mult
-        se = math.sqrt(sum(
-            (k * float(t.std_errors[m, n])) ** 2 for (t, m, n), k in crossings.items()
-        ))
+    _, se = _stream_stats(cut_profile_draws(profile, params, body, last=last))
     return CutValue(total, se, profile, per_block)
 
 
@@ -489,13 +473,11 @@ def check_capacity_properties(
     Checks run on the raw pooled draws (corner submatrices, both Gram
     orderings computed independently) through the Cholesky reference
     ``gram_logdet``, not on the symmetrized table entries, which come from
-    the pool's Gram coefficients.  Requires a table whose pool was retained.
+    the pool's Gram coefficients.
 
     Raises:
-        ValueError: if the table lacks shared draws.
+        ValueError: unless 1 <= max_dim <= the pool's max_dim.
     """
-    if table.pool is None:
-        raise ValueError("property checks need a table built with shared draws")
     K = table.pool.max_dim if max_dim is None else max_dim
     if not (1 <= K <= table.pool.max_dim):
         raise ValueError(f"max_dim must be in 1..{table.pool.max_dim}, got {max_dim}")

@@ -179,7 +179,8 @@ def nnc_lower_bound(
             penalty; "split_bound" subtracts the depth-worst penalty from
             the unpenalized min cut.  split_bound <= per_cut_exact always.
         table_full: Table at the undegraded snr; required only when the
-            destination does not quantize.
+            destination does not quantize, and over ``table_degraded``'s
+            pool (equal ``SamplePool.key``).
 
     Returns:
         NncBound.  A negative penalized min cut is clamped to zero in

@@ -640,7 +640,7 @@ RECORDS = {
     "RateReport": lambda: rate_report(NetworkParams(2, 3, power=10.0), num_samples=500),
     "TrendPoint": lambda: gap_trend(2, [3], num_samples=500)[0],
     "PropertyReport": lambda: check_capacity_properties(
-        mimo.CapacityTable.from_pool(mimo.SamplePool._build(2, 500, 0, every_entry=True), 10.0)
+        mimo.CapacityTable.from_pool(mimo.SamplePool(2, 500, 0), 10.0)
     ),
     "CapacityEstimate": lambda: mimo.estimate_ergodic_capacity(2, 1, 10.0, 500, seed=0),
 }
@@ -678,11 +678,11 @@ def test_config_echo_keys_are_the_compared_fields():
 
 
 def test_capacity_table_repr_prints_no_array():
-    table = mimo.CapacityTable.from_pool(mimo.SamplePool._build(2, 500, 0, every_entry=True), 10.0)
+    table = mimo.CapacityTable.from_pool(mimo.SamplePool(2, 500, 0), 10.0)
     table.entry_draws(2, 2)  # fill the column memo too
     text = repr(table)
     assert "array" not in text and "[" not in text
-    assert text.startswith("CapacityTable(max_dim=2, snr=10.0,")
+    assert text.startswith("CapacityTable(snr=10.0, pool=SamplePool(max_dim=2, num_samples=500,")
     # tables stay equal and hashed by identity only
     twin = mimo.CapacityTable.from_pool(table.pool, 10.0)
     assert table == table and table != twin and len({table, twin}) == 2

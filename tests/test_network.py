@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 from collections import Counter
 
 import numpy as np
@@ -14,12 +15,13 @@ from relaycap import (
     CapacityTable,
     CutProfile,
     NetworkParams,
+    QuantizationScheme,
     SamplePool,
-    TableCache,
     brute_force_min_cut,
     check_capacity_properties,
     cut_value,
     min_cut_dp,
+    nnc_lower_bound,
 )
 from relaycap.mimo import _stream_stats
 from relaycap.network import _block_dims, _cut_terms, cut_profile_draws
@@ -181,48 +183,6 @@ def test_per_hop_tables_change_the_final_hop(table3_10, table3_1):
     assert mixed.value == expected
 
 
-def test_cut_se_falls_back_without_shared_draws(table3_10):
-    t = table3_10
-    t.make_exact(itertools.product(range(t.max_dim + 1), repeat=2))
-    stripped = CapacityTable(t.max_dim, t.snr, t.num_samples, t.means.copy(), t.std_errors.copy())
-    params = params_for(table3_10, 3, 3)
-    prof = CutProfile((1, 2))
-    with_pool = cut_value(prof, params, table3_10)
-    without = cut_value(prof, params, stripped)
-    assert with_pool.value == without.value
-    # hops 1 and 3 cross (2, 3) and its mirror (3, 2), one estimate, whose
-    # error counts twice; distinct estimates add in quadrature
-    assert [dims for dims, _ in without.per_block] == [(2, 3), (1, 1), (3, 2)]
-    quad = math.sqrt(
-        (2 * stripped.std_error(3, 2)) ** 2 + stripped.std_error(1, 1) ** 2
-    )
-    assert without.std_error == pytest.approx(quad, rel=1e-12)
-    # shared draws give the tighter (correlation-aware) error bar here
-    assert with_pool.std_error != without.std_error
-
-
-@pytest.mark.parametrize("D", [4, 34])
-def test_quadrature_counts_a_repeated_block_once_per_crossing(D):
-    # (1, ..., 1) at K = 2 crosses (1, 2), then (1, 1) on D - 2 hops, then
-    # (2, 1): k crossings of one estimate are fully correlated and add k
-    # standard errors, not sqrt(k); (1, 2) and (2, 1) are one estimate
-    full = TableCache(SamplePool.build(2, 20_000, seed=0)).at(10.0)
-    bare = CapacityTable(
-        full.max_dim, full.snr, full.num_samples, full.means.copy(), full.std_errors.copy()
-    )
-    params = NetworkParams(2, D, power=10.0)
-    profile = CutProfile((1,) * (D - 1))
-    got = cut_value(profile, params, bare).std_error
-    expected = math.sqrt(
-        (2 * bare.std_error(2, 1)) ** 2 + ((D - 2) * bare.std_error(1, 1)) ** 2
-    )
-    assert got == pytest.approx(expected, rel=1e-12)
-    # deep enough, the repeated block dominates and the shared-draws error
-    # agrees to within 10%
-    if D == 34:
-        assert got == pytest.approx(cut_value(profile, params, full).std_error, rel=0.1)
-
-
 # ------------------------------------------------------------- minimization
 
 
@@ -332,7 +292,9 @@ def test_cut_terms_count_every_hop_in_order():
     # the distinct blocks of hops 1..D-1 with their multiplicities, in order
     # of first crossing, and hop D's block: Counter of the per-hop list, hop
     # D's block on its own table or counted among the body's
-    body, last = (CapacityTable(4, s, 1, np.zeros((5, 5)), np.zeros((5, 5))) for s in (1, 2))
+    body, last = (
+        CapacityTable(s, np.zeros((5, 5)), np.zeros((5, 5)), SamplePool(4, 10, 0)) for s in (1, 2)
+    )
     rng = random.Random(3)
     for K, D in itertools.product((1, 2, 3, 4), (1, 2, 3, 7, 64, 474)):
         params = NetworkParams(K, D)
@@ -354,17 +316,29 @@ def test_cut_terms_count_every_hop_in_order():
         (body, (0, 2), 473), (body, (2, 2), 1)]
 
 
-def test_tables_over_pools_of_different_size_use_quadrature():
-    # same seed, different K: the draws differ, so no common-random-number error
+def test_tables_over_different_pools_are_refused():
+    # a network's tables share one pool of draws, so every cut error is a
+    # common-random-number error; a final-hop table over a pool whose key
+    # differs in K, sample count or seed is refused, naming both keys
     t2 = CapacityTable.from_pool(SamplePool.build(2, 3_000, seed=8), 10.0)
-    t3 = CapacityTable.from_pool(SamplePool.build(3, 3_000, seed=8), 10.0)
     params = NetworkParams(2, 2, power=10.0)
     profile = CutProfile((1,))
-    cut = cut_value(profile, params, t2, last=t3)
-    quadrature = math.sqrt(t2.std_error(1, 2) ** 2 + t3.std_error(2, 1) ** 2)
-    assert cut.std_error == quadrature
-    with pytest.raises(ValueError, match="shared draws"):
-        cut_profile_draws(profile, params, t2, last=t3)
+    for other in (SamplePool.build(3, 3_000, seed=8), SamplePool.build(2, 2_000, seed=8),
+                  SamplePool.build(2, 3_000, seed=9)):
+        t3 = CapacityTable.from_pool(other, 10.0)
+        keys = rf"{re.escape(str(other.key))}.*{re.escape(str(t2.pool.key))}"
+        for call in (
+            lambda: cut_value(profile, params, t2, last=t3),
+            lambda: cut_profile_draws(profile, params, t2, last=t3),
+            lambda: min_cut_dp(params, t2, last=t3),
+            lambda: brute_force_min_cut(params, t2, last=t3),
+            lambda: nnc_lower_bound(
+                params, QuantizationScheme(1.0, destination_quantizes=False), t2,
+                table_full=t3,
+            ),
+        ):
+            with pytest.raises(ValueError, match=keys):
+                call()
 
 
 def test_tables_over_equal_pools_use_shared_draws():
@@ -405,7 +379,7 @@ def test_large_penalty_prefers_all_relays_in_cut(table3_10):
 def _uniform_table(K, value=1.0):
     means = np.zeros((K + 1, K + 1))
     means[1:, 1:] = value
-    return CapacityTable(K, 1.0, 10, means, np.zeros_like(means))
+    return CapacityTable(1.0, means, np.zeros_like(means), SamplePool(K, 10, 0))
 
 
 def test_ties_resolve_to_lexicographically_smallest_profile():

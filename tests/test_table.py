@@ -13,7 +13,6 @@ from relaycap import (
     CapacityTable,
     SamplePool,
     TableCache,
-    check_capacity_properties,
     default_q_grid,
     estimate_ergodic_capacity,
     gram_logdet,
@@ -88,36 +87,39 @@ def test_entry_bounds_checked(table3_10):
         table3_10.entry_draws(4, 1)
 
 
-def test_loaded_table_has_no_draws_and_says_so(table3_10):
-    # a table built from its arrays alone carries no pool
-    t = table3_10
-    t.make_exact(itertools.product(range(t.max_dim + 1), repeat=2))
-    loaded = CapacityTable(t.max_dim, t.snr, t.num_samples, t.means.copy(), t.std_errors.copy())
-    assert loaded.pool is None and loaded.per_draw is None
-    with pytest.raises(ValueError, match="shared draws"):
-        check_capacity_properties(loaded)
-    with pytest.raises(ValueError, match="shared draws"):
-        loaded.entry_draws(1, 1)
-
-
 def test_full_table_over_an_every_entry_pool():
-    t = CapacityTable.from_pool(SamplePool._build(2, 3_000, 1, every_entry=True), 5.0)
+    t = CapacityTable.from_pool(SamplePool(2, 3_000, 1), 5.0)
     assert t.max_dim == 2 and t.pool is not None
     assert t.mean(2, 2) > t.mean(1, 1) > 0
 
 
-def test_pool_less_table_refuses_to_compute_an_inexact_entry():
-    # a table built from its arrays alone has no draws to compute an inexact
-    # entry from: each reader refuses it by naming shared draws
-    table = CapacityTable(2, 1.0, 10, np.ones((3, 3)), np.full((3, 3), math.nan))
-    for read in (table.mean, table.std_error, table.estimate):
-        with pytest.raises(ValueError, match="shared draws"):
-            read(1, 1)
+def test_table_is_an_snr_over_its_pool():
+    # the constructor takes (snr, means, std_errors, pool); the shape is the
+    # pool's, read through properties that cannot disagree with it
+    assert [f.name for f in dataclasses.fields(CapacityTable) if f.init] == [
+        "snr", "means", "std_errors", "pool"]
+    pool = SamplePool(3, 10, 0)
+    table = CapacityTable(1.0, np.zeros((4, 4)), np.zeros((4, 4)), pool)
+    assert (table.max_dim, table.num_samples) == (3, 10) and table.per_draw is None
+    with pytest.raises(TypeError):
+        CapacityTable(1.0, np.zeros((4, 4)), np.zeros((4, 4)))
+
+
+@pytest.mark.parametrize("read", ["mean", "std_error", "estimate", "entry_draws"])
+@pytest.mark.parametrize("m, n, name", [(1.5, 1, "m"), (True, 1, "m"), (1, 2.0, "n"), (1, False, "n")])
+def test_entry_readers_refuse_non_integer_dimensions(table3_10, read, m, n, name):
+    with pytest.raises(ValueError, match=f"{name} must be an integer"):
+        getattr(table3_10, read)(m, n)
+    # numpy integers are read as the ints they hold
+    got, want = getattr(table3_10, read)(np.int64(2), np.uint8(1)), getattr(table3_10, read)(2, 1)
+    assert np.array_equal(got, want) if read == "entry_draws" else got == want
+    if read == "estimate":
+        assert [type(d) for d in got.dims] == [int, int]
 
 
 def test_full_table_pool_samples_every_block_once(monkeypatch):
-    # a pool built with every_entry decomposes every entry in its one pass, so
-    # no block is sampled again when the full table reads the other entries
+    # the full table of a fresh pool decomposes every entry in one pass, so
+    # no block is sampled again when it reads the other entries
     K, N = 3, 20_000
     calls = collections.Counter()
     sample = mimo.sample_channel_block
@@ -127,7 +129,7 @@ def test_full_table_pool_samples_every_block_once(monkeypatch):
         return sample(m, n, seed, block_index)
 
     monkeypatch.setattr(mimo, "sample_channel_block", counting)
-    table = CapacityTable.from_pool(SamplePool._build(K, N, 4, every_entry=True), 10.0)
+    table = CapacityTable.from_pool(SamplePool(K, N, 4), 10.0)
     assert calls == {b: 1 for b in range(mimo._num_blocks(N))}
     assert table.pool.coefficients.keys() == set(_entries(K))
     monkeypatch.undo()
@@ -279,7 +281,8 @@ def test_coefficient_kernel_matches_cholesky_on_every_window(K):
     # route, from which it differs by at most 1.4e-15 relative, and on the
     # (K, K) window within that route's largest difference
     N = 4_097
-    pool = SamplePool._build(K, N, seed=60 + K, every_entry=True)
+    pool = SamplePool(K, N, seed=60 + K)
+    pool.decompose(itertools.combinations_with_replacement(range(K, 0, -1), 2))
     draws = pool.draws
     for (m, n), coefficients in pool.coefficients.items():
         windows = [w for rows, cols in mimo._window_groups(K, m, n) for w in zip(rows, cols)]
@@ -612,8 +615,10 @@ def test_pool_builders_refuse_bad_integers_before_any_work(monkeypatch, args, na
     K, N, seed, workers = args
     with pytest.raises(ValueError, match=name):
         SamplePool.build(K, N, seed, workers=workers)
+    # so is a pool constructed directly, before a table reads a draw (a zero
+    # sample count would divide by zero in the reduction)
     with pytest.raises(ValueError, match=name):
-        CapacityTable.from_pool(SamplePool._build(K, N, seed, workers, every_entry=True), 10.0)
+        TableCache(SamplePool(K, N, seed, workers)).lower(10.0)
 
 
 def test_pool_builders_take_numpy_integers():
