@@ -1,11 +1,12 @@
 """Command line interface.
 
-Subcommands: capacity, mincut, rate, sweep, verify, line.  Every run is
-driven by a fully resolved ExperimentConfig; precedence is package defaults,
-then a --config JSON file, then explicit flags.  A subcommand refuses a
-non-default value of any key it does not read.  Outputs embed the resolved
-config, and identical configs produce byte-identical output for any worker
-count.
+Subcommands: capacity, mincut, rate, sweep, verify, line.  One parser reads
+the command line, so a flag may come before or after the subcommand and
+means the same either way.  Every run is driven by a fully resolved
+ExperimentConfig; precedence is package defaults, then a --config JSON
+file, then explicit flags.  A subcommand refuses a non-default value of any
+key it does not read.  Outputs embed the resolved config, and identical
+configs produce byte-identical output for any worker count.
 """
 
 from __future__ import annotations
@@ -470,10 +471,29 @@ _RUNNERS = {
 }
 
 
-def _common_flags() -> argparse.ArgumentParser:
-    """The flags the top-level parser and every subcommand share, declared
-    once; parsers take them as ``parents``."""
-    p = argparse.ArgumentParser(add_help=False)
+#: One-line description of each subcommand, listed by --help.
+_HELPS = {
+    "capacity": "ergodic MIMO capacity of one dimension pair",
+    "mincut": "minimum penalized cut of a layered network",
+    "rate": "upper/lower bounds and gap guarantees for one network",
+    "sweep": "gap versus depth under quantization policies",
+    "verify": "internal consistency checks (draw-level properties, DP vs brute force)",
+    "line": "closed-form rates of a single-antenna relay chain",
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The one parser.  The subcommand is an optional positional, so each
+    flag is declared once and parses alike before or after it."""
+    p = argparse.ArgumentParser(
+        prog="relaycap",
+        description="Capacity bounds for layered relay networks under relay quantization.",
+        epilog="subcommands:\n"
+        + "\n".join(f"  {name:<9} {text}" for name, text in _HELPS.items()),
+        formatter_class=argparse.RawDescriptionHelpFormatter,
+    )
+    p.add_argument("subcommand", nargs="?", choices=SUBCOMMANDS, metavar="subcommand",
+                   help="one of the subcommands below (default: the config's, else rate)")
     p.add_argument("--config", help="JSON config file; flags override its values")
     p.add_argument("--K", help="antennas per terminal and relays per layer")
     p.add_argument("--D", help="number of hops; comma list for sweeps")
@@ -498,27 +518,6 @@ def _common_flags() -> argparse.ArgumentParser:
                    action="store_false", default=None,
                    help="final hop runs at full snr")
     return p
-
-
-def build_parser() -> argparse.ArgumentParser:
-    common = _common_flags()
-    parser = argparse.ArgumentParser(
-        prog="relaycap",
-        description="Capacity bounds for layered relay networks under relay quantization.",
-        parents=[common],
-    )
-    sub = parser.add_subparsers(dest="subcommand")
-    helps = {
-        "capacity": "ergodic MIMO capacity of one dimension pair",
-        "mincut": "minimum penalized cut of a layered network",
-        "rate": "upper/lower bounds and gap guarantees for one network",
-        "sweep": "gap versus depth under quantization policies",
-        "verify": "internal consistency checks (draw-level properties, DP vs brute force)",
-        "line": "closed-form rates of a single-antenna relay chain",
-    }
-    for name in SUBCOMMANDS:
-        sub.add_parser(name, help=helps[name], parents=[common])
-    return parser
 
 
 def _merge_args(args: argparse.Namespace) -> tuple[dict, str | None]:

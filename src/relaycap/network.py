@@ -24,12 +24,13 @@ over the profile: the min-cut dynamic program reads a (K+1) x (K+1) edge
 matrix computed once per call, and every other reader of a cut's blocks
 reads one description of them, ``_cut_terms``: each distinct block crossed,
 with its table and the number of hops crossing it, found per run of equal
-relay counts, not per hop.  Per-draw values add each block's whole column
-once, times that number, in ``_cut_column``; ``cut_profile_draws`` reads the
-columns from ``CapacityTable.entry_draws`` (computed from the pool's Gram
-coefficients on every call; tables store no per-draw copy), and ``rates``
-reads its gap errors' columns from a ``TableCache`` through the same
-helpers.
+relay counts, not per hop.  A cut's per-draw column is its blocks' whole
+columns, each added once times that number, in ``_cut_column``; the
+penalty, a constant of the cut, lives only in its value (``_cut_sum``,
+``min_cut_dp``).  ``cut_value`` reads the columns from
+``CapacityTable.entry_draws`` (computed from the pool's Gram coefficients
+on every call; tables store no per-draw copy), and ``rates`` reads its gap
+errors' columns from a ``TableCache`` through the same helpers.
 """
 
 from __future__ import annotations
@@ -120,9 +121,9 @@ class CutValue:
 
     Attributes:
         value: Sum of crossing-block capacities minus penalties, nats.
-        std_error: Standard error of the per-draw cut values, derived from
-            the coefficients of the one pool every hop table reads (common
-            random numbers).
+        std_error: Standard error of the cut's per-draw column, its blocks'
+            columns summed without the penalty, over the one pool every hop
+            table reads (common random numbers).
         profile: The evaluated profile.
         per_block: ((m, n), capacity) for each hop's crossing block.
     """
@@ -225,15 +226,14 @@ def _make_exact(terms: list[tuple[CapacityTable, tuple[int, int], int]]) -> int:
     return sum(t.make_exact(dims) for t, dims in entries.items())
 
 
-def _cut_column(terms, column, shift: float, num_samples: int) -> np.ndarray:
-    """Per-draw cut values: zeros plus, for each ``_cut_terms`` term with
-    no zero dimension, in order, ``column(table, block)`` times its
-    multiplicity, minus ``shift``."""
+def _cut_column(terms, column, num_samples: int) -> np.ndarray:
+    """Per-draw column of a cut's blocks, without its penalty: zeros plus,
+    for each ``_cut_terms`` term with no zero dimension, in order,
+    ``column(table, block)`` times its multiplicity."""
     values = np.zeros(num_samples)
     for t, dims, mult in terms:
         if dims[0] and dims[1]:
             values += mult * column(t, dims)
-    values -= shift
     return values
 
 
@@ -276,16 +276,15 @@ def cut_profile_draws(
     Each distinct nonzero crossing block of the body hops contributes its
     per-draw column once, times the number of hops it crosses; blocks with
     a zero dimension are exact zeros and are skipped.  ``_cut_column``
-    adds the columns; ``rates._gap_std_error`` calls it on the columns of a
-    ``TableCache``.
+    adds the columns, then node_penalty per counted relay is subtracted;
+    ``rates._gap_std_error`` calls it on the columns of a ``TableCache``.
     """
     _check_profile(profile, params)
     body, last = _hop_tables(table, last, params, node_penalty)
     terms = _cut_terms(profile.counts, params, body, last)
-    return _cut_column(
-        terms, lambda t, dims: t.entry_draws(*dims),
-        node_penalty * sum(profile.counts), body.num_samples,
-    )
+    values = _cut_column(terms, lambda t, dims: t.entry_draws(*dims), body.num_samples)
+    values -= node_penalty * sum(profile.counts)
+    return values
 
 
 def cut_value(
@@ -316,8 +315,8 @@ def cut_value(
     terms = _cut_terms(profile.counts, params, body, last)
     _make_exact(terms)
     total, per_block = _cut_sum(profile.counts, params, body, last, node_penalty)
-    _, se = _stream_stats(cut_profile_draws(profile, params, body, last=last))
-    return CutValue(total, se, profile, per_block)
+    column = _cut_column(terms, lambda t, dims: t.entry_draws(*dims), body.num_samples)
+    return CutValue(total, _stream_stats(column)[1], profile, per_block)
 
 
 def min_cut_dp(

@@ -136,20 +136,17 @@ def _penalized_min_cut(
     mode: str,
     *,
     last: CapacityTable | None = None,
-) -> tuple[float, CutProfile, float]:
-    """Unclamped achievable rate under ``mode``; hop D reads ``last`` if given.
-
-    Returns:
-        (raw rate in nats, minimizing profile, per-relay penalty charged
-        inside the minimization: penalty_per_relay for "per_cut_exact", 0
-        for "split_bound", which subtracts the worst-case penalty instead).
-    """
+) -> tuple[float, CutProfile]:
+    """(unclamped achievable rate under ``mode``, minimizing profile); hop D
+    reads ``last`` if given.  The penalty enters the rate only:
+    "per_cut_exact" charges it per cut inside the minimization, and
+    "split_bound" subtracts ``penalty_bound`` from the unpenalized min cut."""
     if mode not in _MODES:
         raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
-    per_cut = mode == "per_cut_exact"
-    pen = scheme.penalty_per_relay if per_cut else 0.0
-    min_cut, profile = min_cut_dp(params, table, node_penalty=pen, last=last)
-    return (min_cut if per_cut else min_cut - penalty_bound(params, scheme)), profile, pen
+    if mode == "per_cut_exact":
+        return min_cut_dp(params, table, node_penalty=scheme.penalty_per_relay, last=last)
+    min_cut, profile = min_cut_dp(params, table, last=last)
+    return min_cut - penalty_bound(params, scheme), profile
 
 
 def _clamped_rate(raw: float, scheme: QuantizationScheme) -> float:
@@ -192,12 +189,8 @@ def nnc_lower_bound(
             "destination_quantizes=False needs table_full for the final hop"
         )
     last = None if scheme.destination_quantizes else table_full
-    raw, profile, pen = _penalized_min_cut(
-        params, scheme, table_degraded, mode, last=last
-    )
-    se = cut_value(
-        profile, params, table_degraded, node_penalty=pen, last=last
-    ).std_error
+    raw, profile = _penalized_min_cut(params, scheme, table_degraded, mode, last=last)
+    se = cut_value(profile, params, table_degraded, last=last).std_error
     return NncBound(
         value=_clamped_rate(raw, scheme),
         raw_value=raw,
@@ -268,22 +261,20 @@ class RateReport:
 
 
 def _gap_std_error(
-    full: np.ndarray, params: NetworkParams, profile: CutProfile, pen: float,
+    full: np.ndarray, params: NetworkParams, profile: CutProfile,
     cache: TableCache, table: CapacityTable, last: CapacityTable | None = None,
 ) -> float:
     """Standard error of ``full``, the per-draw column of C(K, K) at full
-    snr, minus the cut ``profile`` on ``table`` (hop D on ``last`` if
-    given), penalized by ``pen`` per relay, over the pool of ``cache``,
-    which made both tables.
+    snr, minus the blocks of the cut ``profile`` on ``table`` (hop D on
+    ``last`` if given), over the pool of ``cache``, which made both tables.
 
-    The cut's column is ``cut_profile_draws``'s (its ``_cut_column``)
-    over the cache's per-draw columns; C(K, K) minus it is formed in
-    place and reduced by ``_stream_stats``.
+    The cut's column is ``_cut_column`` over the cache's per-draw columns,
+    without the penalty, a constant that cannot move the error; C(K, K)
+    minus it is formed in place and reduced by ``_stream_stats``.
     """
-    N = cache.pool.num_samples
     terms = _cut_terms(profile.counts, params, table, table if last is None else last)
     cut = _cut_column(
-        terms, lambda t, dims: cache.column(t.snr, *dims), pen * sum(profile.counts), N
+        terms, lambda t, dims: cache.column(t.snr, *dims), cache.pool.num_samples
     )
     return _stream_stats(np.subtract(full, cut, out=cut))[1]
 
@@ -293,14 +284,14 @@ def _scheme_bounds(
     full: np.ndarray,
 ) -> tuple[float, float]:
     """(unclamped penalized min cut under ``mode``, ``_gap_std_error`` of
-    C(K, K) at full snr, whose per-draw column is ``full``, minus it) on
-    the lower-bound tables of the cache's one pool, so the error is a
-    common-random-number error of the gap.  Hop D reads the full-snr table
-    when the destination does not quantize."""
+    C(K, K) at full snr, whose per-draw column is ``full``, minus the
+    argmin's blocks) on the lower-bound tables of the cache's one pool, so
+    the error is a common-random-number error of the gap.  Hop D reads the
+    full-snr table when the destination does not quantize."""
     table = cache.lower(degraded_snr(params, scheme))
     last = None if scheme.destination_quantizes else cache.lower(params.snr)
-    raw, profile, pen = _penalized_min_cut(params, scheme, table, mode, last=last)
-    return raw, _gap_std_error(full, params, profile, pen, cache, table, last)
+    raw, profile = _penalized_min_cut(params, scheme, table, mode, last=last)
+    return raw, _gap_std_error(full, params, profile, cache, table, last)
 
 
 def rate_report(
@@ -469,7 +460,7 @@ def _optimize_on_cache(
             return None
         else:
             table = cache.lower(degraded_snr(params, scheme))
-            raw, _, _ = _penalized_min_cut(params, scheme, table, mode)
+            raw, _ = _penalized_min_cut(params, scheme, table, mode)
             scores[q] = _clamped_rate(raw, scheme)
         return scores[q]
 

@@ -619,7 +619,8 @@ def test_common_flags_are_declared_once_and_parse_alike(monkeypatch):
     parser = build_parser()
     monkeypatch.undo()
     flags = [a for a in parser._actions if a.option_strings and a.dest != "help"]
-    declared = [args for args in calls if args[0] != "-h"]  # each parser adds its -h
+    # option flags only: argparse adds -h, and the subcommand is a positional
+    declared = [args for args in calls if args[0].startswith("--")]
     assert len(declared) == len(flags) == len(_DEFAULTS) + 1  # every key, and --config
     argv = []
     for a in flags:
@@ -628,6 +629,27 @@ def test_common_flags_are_declared_once_and_parse_alike(monkeypatch):
     assert vars(parser.parse_args(argv)) == {**expected, "subcommand": None}
     for sub in SUBCOMMANDS:
         assert vars(parser.parse_args([sub, *argv])) == {**expected, "subcommand": sub}
+        assert vars(parser.parse_args([*argv, sub])) == {**expected, "subcommand": sub}
+
+
+@pytest.mark.parametrize("argv", [
+    ["rate", "--K", "3", "--D", "2", "--samples", "500"],
+    ["capacity", "--samples", "300", "--snr", "1,10"],
+    ["sweep", "--D", "2,3", "--samples", "500", "--q-policy", "fixed_1,optimized"],
+    ["mincut", "--K", "3", "--D", "3", "--penalty", "0.4", "--samples", "500", "--format", "json"],
+])
+def test_flags_mean_the_same_before_and_after_the_subcommand(tmp_path, argv):
+    # a flag before the subcommand is read, not dropped for its default:
+    # the run, its echoed config included, is the same wherever flags stand
+    sub, flags = argv[0], argv[1:]
+    outputs = []
+    for i, order in enumerate(
+        ([sub, *flags], [*flags, sub], [*flags[:2], sub, *flags[2:]])
+    ):
+        rc, out = run_cli(tmp_path, order, f"out{i}.txt")
+        assert rc == 0, order
+        outputs.append(out.read_bytes())
+    assert outputs[1] == outputs[2] == outputs[0]
 
 
 # ---------------------------------------------------------- output records

@@ -22,7 +22,7 @@ def test_import_does_not_load_scipy():
 
 
 #: How ``mimo`` splits draws into blocks and reduces them.
-BLOCK_NAMES = {"BLOCK_SIZE", "_block_bounds", "_num_blocks", "_block_sums", "_moments"}
+BLOCK_NAMES = {"BLOCK_SIZE", "_block_bounds", "_num_blocks"}
 
 
 def test_only_mimo_names_the_block_partition():

@@ -48,11 +48,12 @@ from relaycap.rates import (
 LN2 = math.log(2.0)
 
 
-def _gap_se(params, table, full, profile, pen, last=None):
-    """Standard error of C(K, K) at full snr minus the penalized cut,
-    over the draws both tables share."""
+def _gap_se(params, table, full, profile, last=None):
+    """Standard error of C(K, K) at full snr minus the cut's blocks, over
+    the draws both tables share; the penalty, a constant of the cut, is
+    left out."""
     K = params.relays_per_layer
-    cut = cut_profile_draws(profile, params, table, node_penalty=pen, last=last)
+    cut = cut_profile_draws(profile, params, table, node_penalty=0.0, last=last)
     return _stream_stats(full.entry_draws(K, K) - cut)[1]
 
 
@@ -260,8 +261,7 @@ def _rate_report_via_nnc(params, scheme, num_samples, seed, mode):
     if bound.was_clamped:
         se = full.std_error(K, K)
     else:
-        pen = scheme.penalty_per_relay if mode == "per_cut_exact" else 0.0
-        se = _gap_se(params, deg, full, bound.profile, pen, last=table_full)
+        se = _gap_se(params, deg, full, bound.profile, last=table_full)
     return bound.value, bound.raw_value, bound.was_clamped, se
 
 
@@ -471,8 +471,8 @@ def test_quantizing_destination_reads_one_table(cache2):
         one = _penalized_min_cut(params, scheme, table, mode)
         same_last = _penalized_min_cut(params, scheme, table, mode, last=table)
         assert one == same_last
-        assert _gap_se(params, table, full, one[1], one[2]) == _gap_se(
-            params, table, full, one[1], one[2], last=table
+        assert _gap_se(params, table, full, one[1]) == _gap_se(
+            params, table, full, one[1], last=table
         )
 
 
@@ -542,10 +542,10 @@ def test_certified_min_cut_equals_the_full_table_dp_bitwise(K, no_full_table):
                     table = full.at(degraded_snr(params, scheme))
                     for mode, cache in caches.items():
                         with no_full_table():
-                            raw, profile, pen = _certified_min_cut(
+                            raw, profile = _certified_min_cut(
                                 params, scheme, cache, mode)
                         want = _penalized_min_cut(params, scheme, table, mode, last=last)
-                        assert (raw.hex(), profile, pen) == (want[0].hex(), *want[1:]), (
+                        assert (raw.hex(), profile) == (want[0].hex(), want[1]), (
                             snr, D, q, quantizes, mode)
         for mode, cache in caches.items():
             _assert_exact_entries_match_built_tables(cache, mode)
@@ -603,7 +603,7 @@ def test_certified_min_cut_computes_the_entries_its_first_argmin_crosses():
     params = NetworkParams(2, 2, power=10.0)
     scheme = QuantizationScheme(1.0)
     cache = TableCache(pool)
-    raw, profile, _ = _certified_min_cut(params, scheme, cache, "split_bound")
+    raw, profile = _certified_min_cut(params, scheme, cache, "split_bound")
     want = _penalized_min_cut(
         params, scheme, CapacityTable.from_pool(pool, 5.0), "split_bound")
     assert (raw.hex(), profile) == (want[0].hex(), want[1])
@@ -612,7 +612,7 @@ def test_certified_min_cut_computes_the_entries_its_first_argmin_crosses():
     assert _exact(cache.lower(5.0)) == {(2, 2), (2, 1)}
     # per_cut_exact's penalty makes the all-source-side cut win at once
     cache = TableCache(pool)
-    _, profile, _ = _certified_min_cut(params, scheme, cache, "per_cut_exact")
+    _, profile = _certified_min_cut(params, scheme, cache, "per_cut_exact")
     assert profile.counts == (2,) and _exact(cache.lower(5.0)) == {(2, 2)}
     # at snr 1e-12 every floor is about -1e-9, below the exact entries, so
     # with an unquantized destination the first argmin crosses inexact
@@ -620,7 +620,7 @@ def test_certified_min_cut_computes_the_entries_its_first_argmin_crosses():
     params = NetworkParams(2, 2, power=1e-12)
     scheme = QuantizationScheme(1.0, destination_quantizes=False)
     cache = TableCache(pool)
-    raw, profile, _ = _certified_min_cut(params, scheme, cache, "split_bound")
+    raw, profile = _certified_min_cut(params, scheme, cache, "split_bound")
     want = _penalized_min_cut(
         params, scheme, CapacityTable.from_pool(pool, 5e-13), "split_bound",
         last=CapacityTable.from_pool(pool, 1e-12))
@@ -873,9 +873,10 @@ def test_sweep_shape_builds_at_most_45_tables(monkeypatch):
 
 def test_gap_error_under_a_large_penalty_shift_keeps_its_digits(monkeypatch):
     # `relaycap sweep --K 2 --D 474 --snr 1000 --q-policy optimized
-    # --q-grid 0.01,0.02 --samples 50000`: the gap column carries a penalty
-    # shift of about 4366 nats over a spread of about 4e-4, where squares
-    # taken about zero lost 1.4% of the standard error
+    # --q-grid 0.01,0.02 --samples 50000`: the cut's penalty, about 4366
+    # nats over a spread of about 4e-4, must not reach the error, which
+    # squares taken about zero would miss by 1.4%; a shifted column's
+    # digits are test_table.py::test_std_error_is_shift_invariant
     reduced = []
     stream_stats = rates._stream_stats
 
@@ -887,18 +888,28 @@ def test_gap_error_under_a_large_penalty_shift_keeps_its_digits(monkeypatch):
     monkeypatch.setattr(rates, "_stream_stats", recording)
     (row,) = gap_trend(2, [474], 1000.0, "optimized", 50_000, 0, q_grid=[0.01, 0.02])
     column = next(values for values, se in reduced if se == row.std_error)
-    assert abs(np.mean(column)) > 1e6 * np.std(column)
     want = oracles.centred_std_error(column)
     assert math.isclose(row.std_error, want, rel_tol=1e-6), (row.std_error, want)
+
+
+@pytest.mark.parametrize("policy", ["fixed_1", "depth_matched", "optimized"])
+def test_constant_gap_has_an_exact_zero_error(policy):
+    # at snr 0 every entry column is zero, so C(K, K) minus the cut's blocks
+    # is the zero column and its error exactly 0.0: the penalty, a constant
+    # of the cut, must not enter the column, where it leaves rounding noise
+    for mode in _MODES:
+        for p in gap_trend(2, [2, 3, 8], 0.0, policy, 2_000, 0, mode=mode):
+            assert p.std_error == 0.0, (mode, p)
 
 
 @pytest.mark.parametrize("N", [1, 4095, 4096, 4097, 50_000])
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_streamed_gap_error_equals_the_column_difference_bitwise(K, N):
-    # _gap_std_error reduces C(K, K) minus the penalized cut, formed from
+    # _gap_std_error reduces C(K, K) minus the cut's blocks, formed from
     # the cache's columns; its floats are those of the N-length difference
-    # of entry_draws and cut_profile_draws, for the argmin of
-    # either mode and for other profiles, with and without a final-hop table
+    # of entry_draws and the unpenalized cut_profile_draws, for the argmin
+    # of either mode and for other profiles, with and without a final-hop
+    # table, at every penalty
     snr = 10.0
     cache = TableCache(SamplePool.build(K, N, seed=70 + K))
     full = cache.lower(snr)
@@ -911,19 +922,19 @@ def test_streamed_gap_error_equals_the_column_difference_bitwise(K, N):
         scheme = QuantizationScheme(1.0 / math.expm1(pen) if pen else 3.0, dq)
         table = cache.lower(degraded_snr(params, scheme))
         last = None if dq else full
-        cuts = [((K,) * (D - 1), pen), ((0,) * (D - 1), pen),
-                (tuple(rng.choice(counts) for _ in range(D - 1)), pen)]
+        cuts = [(K,) * (D - 1), (0,) * (D - 1),
+                tuple(rng.choice(counts) for _ in range(D - 1))]
         for mode in _MODES:
             if pen or mode == "split_bound":
-                raw, profile, used = _penalized_min_cut(params, scheme, table, mode, last=last)
-                cuts.append((profile.counts, used))
+                raw, profile = _penalized_min_cut(params, scheme, table, mode, last=last)
+                cuts.append(profile.counts)
                 got_raw, se = _scheme_bounds(params, scheme, cache, mode, full_column)
                 assert (got_raw, se.hex()) == (raw, _gap_se(
-                    params, table, full, profile, used, last).hex()), (D, pen, dq, mode)
-        for c, p in cuts:
+                    params, table, full, profile, last).hex()), (D, pen, dq, mode)
+        for c in cuts:
             profile = CutProfile(c)
-            expected = _gap_se(params, table, full, profile, p, last)
-            got = _gap_std_error(full_column, params, profile, p, cache, table, last)
+            expected = _gap_se(params, table, full, profile, last)
+            got = _gap_std_error(full_column, params, profile, cache, table, last)
             assert got.hex() == expected.hex(), (D, pen, dq, c)
 
 
