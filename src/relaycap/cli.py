@@ -285,6 +285,21 @@ def _scheme_for(cfg: ExperimentConfig, num_hops: int) -> rates.QuantizationSchem
     return rates.QuantizationScheme.depth_matched(num_hops, cfg.destination_quantizes)
 
 
+def _rate_row(record, cfg: ExperimentConfig) -> dict:
+    """The ``rate`` or ``sweep`` result of a record (a ``RateReport`` or a
+    ``TrendPoint``, in nats): its rates in the output base, with the three
+    gap guarantees and ``log_base`` set."""
+    d = record.as_dict()
+    scale = mimo.rate_scale(cfg.log_base)
+    for key in d.keys() & {"upper", "lower", "gap", "std_error", "raw_lower"}:
+        d[key] *= scale
+    d.update(thm_bound=rates.depth_gap_bound(cfg.K, d["D"], cfg.log_base),
+             prior_cf_bound=rates.prior_cf_gap_bound(cfg.K, d["D"]),
+             alignment_bound=rates.alignment_gap_bound(cfg.K, cfg.log_base),
+             log_base=cfg.log_base)
+    return d
+
+
 def run_capacity(cfg: ExperimentConfig) -> int:
     m = cfg.K if cfg.m is None else cfg.m
     n = cfg.K if cfg.n is None else cfg.n
@@ -316,7 +331,7 @@ def run_mincut(cfg: ExperimentConfig) -> int:
     cache = mimo.TableCache(pool)
     results = []
     for snr in cfg.snr:
-        params = network.NetworkParams(cfg.K, D, power=snr, noise_var=1.0, log_base=cfg.log_base)
+        params = network.NetworkParams(cfg.K, D, power=snr, noise_var=1.0)
         table = cache.lower(snr)
         _, profile = network.min_cut_dp(params, table, node_penalty=cfg.penalty)
         cut = network.cut_value(profile, params, table, node_penalty=cfg.penalty)
@@ -336,18 +351,17 @@ def run_rate(cfg: ExperimentConfig) -> int:
     D = cfg.single_depth()
     results = []
     for snr in cfg.snr:
-        params = network.NetworkParams(cfg.K, D, power=snr, noise_var=1.0, log_base=cfg.log_base)
+        params = network.NetworkParams(cfg.K, D, power=snr, noise_var=1.0)
         report = rates.rate_report(
             params, _scheme_for(cfg, D), cfg.num_samples, cfg.seed,
             mode=cfg.mode, workers=cfg.workers,
         )
-        results.append(report.as_dict())
+        results.append(_rate_row(report, cfg))
     _emit_results(cfg, "relaycap/rate/1", RATE_HEADER, results)
     return 0
 
 
 def run_sweep(cfg: ExperimentConfig) -> int:
-    scale = mimo.rate_scale(cfg.log_base)
     # one pool and one table cache serve every snr and policy of the sweep
     pool = mimo.SamplePool.build(cfg.K, cfg.num_samples, cfg.seed, workers=cfg.workers)
     cache = mimo.TableCache(pool)
@@ -357,20 +371,10 @@ def run_sweep(cfg: ExperimentConfig) -> int:
         for policy in cfg.q_policy:
             points = rates.gap_trend(
                 cfg.K, list(cfg.D), snr, policy, cfg.num_samples, cfg.seed,
-                mode=cfg.mode, workers=cfg.workers, cache=cache,
+                mode=cfg.mode, cache=cache,
                 q_grid=q_grid if policy == "optimized" else None,
             )
-            for p in points:
-                d = p.as_dict()
-                d.update(
-                    {"upper": p.upper * scale, "lower": p.lower * scale,
-                     "gap": p.gap * scale, "std_error": p.std_error * scale,
-                     "thm_bound": rates.depth_gap_bound(cfg.K, p.num_hops, cfg.log_base),
-                     "prior_cf_bound": rates.prior_cf_gap_bound(cfg.K, p.num_hops),
-                     "alignment_bound": rates.alignment_gap_bound(cfg.K, cfg.log_base),
-                     "log_base": cfg.log_base}
-                )
-                results.append(d)
+            results.extend(_rate_row(p, cfg) for p in points)
     _emit_results(cfg, "relaycap/sweep/1", RATE_HEADER, results)
     return 0
 

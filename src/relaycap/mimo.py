@@ -6,8 +6,8 @@ capacity of an m x n channel at signal-to-noise ratio ``snr`` is
 
     E[ logdet(I + snr * H H^dagger) ]
 
-with the expectation over H.  All rates in this module are in nats; report
-layers convert to bits on output.
+with the expectation over H.  All rates in this module are in nats; the CLI
+converts to bits on output.
 
 Draws come from counter-based Philox streams keyed by
 ``(seed, hop_index, block_index)``; pools and direct estimates read hop 0.
@@ -34,6 +34,7 @@ from __future__ import annotations
 import itertools
 import logging
 import math
+import numbers
 from collections.abc import Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -75,6 +76,14 @@ def _positive_int(name: str, v, minimum: int = 1) -> int:
         kind = "positive" if minimum == 1 else f"at least {minimum}"
         raise ValueError(f"{name} must be {kind}, got {iv}")
     return iv
+
+
+def _real(name: str, v) -> float:
+    """``v`` as a finite Python float, so that records serialize; real types
+    only (numpy ones too), no bools, else a ValueError naming ``name``."""
+    if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
+        raise ValueError(f"{name} must be a finite real number, got {v!r}")
+    return float(v)
 
 
 def _check_snr(snr: float) -> None:
@@ -367,6 +376,7 @@ def estimate_ergodic_capacity(
     num_samples = _positive_int("num_samples", num_samples)
     seed = _positive_int("seed", seed, minimum=0)
     workers = _positive_int("workers", workers)
+    snr = _real("snr", snr)
     _check_snr(snr)
     if m == 0 or n == 0 or snr == 0.0:
         return CapacityEstimate(0.0, 0.0, num_samples, (m, n), snr)

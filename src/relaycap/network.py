@@ -44,9 +44,9 @@ from operator import add
 import numpy as np
 
 from .mimo import (
-    _BASES,
     CapacityTable,
     _positive_int,
+    _real,
     _record_dict,
     _stream_stats,
     gram_logdet,
@@ -54,6 +54,9 @@ from .mimo import (
 
 #: Cap on the brute-force cut enumeration, (K+1)**(D-1) profiles.
 BRUTE_FORCE_LIMIT = 10**6
+
+#: Largest worst case a draw-level property check passes with.
+_PROPERTY_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -65,29 +68,26 @@ class NetworkParams:
             each intermediate layer.
         num_hops: D, number of hops from source to destination; D - 1 relay
             layers.
-        power: Per-node transmit power.
-        noise_var: Receiver noise variance.
-        log_base: Base used by report layers, "nats" or "bits".  Internal
-            computations are always in nats.
+        power: Per-node transmit power, stored as a float.
+        noise_var: Receiver noise variance, stored as a float.
+
+    Every rate computed from a network is in nats; only the CLI converts.
     """
 
     relays_per_layer: int
     num_hops: int
     power: float = 10.0
     noise_var: float = 1.0
-    log_base: str = "nats"
 
     def __post_init__(self):
         for name in ("relays_per_layer", "num_hops"):
             object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
-        if not (math.isfinite(self.power) and self.power >= 0):
-            raise ValueError(f"power must be finite and nonnegative, got {self.power}")
-        if not (math.isfinite(self.noise_var) and self.noise_var > 0):
-            raise ValueError(
-                f"noise_var must be finite and positive, got {self.noise_var}"
-            )
-        if self.log_base not in _BASES:
-            raise ValueError(f"log_base must be one of {_BASES}, got {self.log_base!r}")
+        for name in ("power", "noise_var"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if self.power < 0:
+            raise ValueError(f"power must be nonnegative, got {self.power}")
+        if not self.noise_var > 0:
+            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
 
     @property
     def snr(self) -> float:
@@ -436,7 +436,7 @@ class PropertyReport:
     """Draw-level structural checks of a capacity table.
 
     All quantities are worst cases over every draw of the table's pool and
-    every admissible dimension triple up to ``max_dim``:
+    every admissible dimension triple up to ``max_dim``, the pool's:
 
       * symmetry_error: |logdet via receive-side Gram of W - same of
         W^dagger| for x by y corners W of the pooled draws,
@@ -446,7 +446,7 @@ class PropertyReport:
         for complementary row blocks (the split must not beat the whole).
 
     Negative violations are reported as observed (no clamping); the table
-    passes when every worst case is at most ``tolerance``.
+    passes when every worst case is at most ``tolerance``, a constant.
     """
 
     symmetry_error: float
@@ -462,24 +462,15 @@ class PropertyReport:
         return _record_dict(self)
 
 
-def check_capacity_properties(
-    table: CapacityTable,
-    max_dim: int | None = None,
-    tolerance: float = 1e-9,
-) -> PropertyReport:
+def check_capacity_properties(table: CapacityTable) -> PropertyReport:
     """Verify symmetry, monotonicity and split superadditivity per draw.
 
     Checks run on the raw pooled draws (corner submatrices, both Gram
     orderings computed independently) through the Cholesky reference
     ``gram_logdet``, not on the symmetrized table entries, which come from
     the pool's Gram coefficients.
-
-    Raises:
-        ValueError: unless 1 <= max_dim <= the pool's max_dim.
     """
-    K = table.pool.max_dim if max_dim is None else max_dim
-    if not (1 <= K <= table.pool.max_dim):
-        raise ValueError(f"max_dim must be in 1..{table.pool.max_dim}, got {max_dim}")
+    K = table.pool.max_dim
     P = table.pool.draws
     snr = table.snr
 
@@ -509,10 +500,7 @@ def check_capacity_properties(
             bottom = gram_logdet(P[:, x:, :y], snr)
             split = max(split, float(np.max(whole - tops[(x, y)] - bottom)))
 
-    passed = (
-        sym_err <= tolerance and mono <= tolerance and split <= tolerance
-    )
-    return PropertyReport(
-        sym_err, mono, split, table.pool.num_samples, K, snr, tolerance, passed
-    )
+    tol = _PROPERTY_TOLERANCE
+    passed = sym_err <= tol and mono <= tol and split <= tol
+    return PropertyReport(sym_err, mono, split, table.pool.num_samples, K, snr, tol, passed)
 

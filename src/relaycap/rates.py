@@ -9,7 +9,8 @@ depth) keeps the total penalty bounded while barely degrading the hops,
 which is what turns the gap to the cutset bound from linear in depth into
 logarithmic.
 
-All internal rates are nats; report fields honor the configured log base.
+Every rate here, report fields included, is in nats; the CLI is the one
+place that converts to another base.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .mimo import (
     SamplePool,
     TableCache,
     _positive_int,
+    _real,
     _record_dict,
     _stream_stats,
     rate_scale,
@@ -47,15 +49,18 @@ _POLICY_ALIASES = {"d_minus_1": "depth_matched"}
 #: Output keys of the report fields not named by their field.
 _REPORT_KEYS = {"relays_per_layer": "K", "num_hops": "D", "noise_ratio": "q"}
 
+#: Local step-halving rounds of the quantization search.
+_REFINE_ROUNDS = 3
+
 
 @dataclass(frozen=True)
 class QuantizationScheme:
     """Relay quantization at noise ratio q (quantization over thermal noise).
 
     Attributes:
-        noise_ratio: q > 0.  Small q means fine quantization (high penalty
-            per relay), large q coarse quantization (low penalty, degraded
-            snr).
+        noise_ratio: q > 0, a float.  Small q means fine quantization (high
+            penalty per relay), large q coarse quantization (low penalty,
+            degraded snr).
         destination_quantizes: Whether the destination front end is also
             quantized.  When False the final hop runs at full snr and needs
             its own capacity table.
@@ -65,10 +70,9 @@ class QuantizationScheme:
     destination_quantizes: bool = True
 
     def __post_init__(self):
-        if not (self.noise_ratio > 0) or not math.isfinite(self.noise_ratio):
-            raise ValueError(
-                f"noise_ratio must be positive and finite, got {self.noise_ratio}"
-            )
+        object.__setattr__(self, "noise_ratio", _real("noise_ratio", self.noise_ratio))
+        if not self.noise_ratio > 0:
+            raise ValueError(f"noise_ratio must be positive, got {self.noise_ratio}")
 
     @property
     def penalty_per_relay(self) -> float:
@@ -233,7 +237,7 @@ def alignment_gap_bound(relays_per_layer: int, log_base: str = "nats") -> float:
 class RateReport:
     """Upper and lower capacity bounds and gap guarantees for one network.
 
-    Rates are in ``log_base``.  ``lower`` is the clamped achievable rate and
+    Rates and gap guarantees are in nats.  ``lower`` is the clamped rate and
     ``gap = upper - lower``; ``raw_lower`` keeps the unclamped value.
     ``std_error`` is the common-random-number standard error of the gap.
     """
@@ -242,7 +246,6 @@ class RateReport:
     num_hops: int
     snr: float
     noise_ratio: float
-    log_base: str
     upper: float
     lower: float
     gap: float
@@ -302,7 +305,7 @@ def rate_report(
     mode: str = "per_cut_exact",
     workers: int = 1,
 ) -> RateReport:
-    """Estimate upper bound, achievable rate, gap and gap guarantees.
+    """Estimate upper bound, achievable rate, gap and gap guarantees, in nats.
 
     The cutset upper bound C(K, K) at full snr and the achievable rate at
     degraded snr are evaluated over one shared pool of draws, so the
@@ -310,7 +313,7 @@ def rate_report(
     error.
 
     Args:
-        params: Network shape; ``params.log_base`` fixes the output base.
+        params: Network shape and operating point.
         scheme: Quantization scheme; defaults to depth-matched coarseness
             (q = num_hops - 1).
         num_samples: Draws in the shared pool.
@@ -325,26 +328,22 @@ def rate_report(
     upper = cache.lower(params.snr).estimate(K, K)
     raw, se = _scheme_bounds(params, scheme, cache, mode, cache.column(params.snr, K, K))
     lower = _clamped_rate(raw, scheme)
-    gap = upper.mean - lower
     if raw < 0.0:
         # the reported rate is the constant 0: only the upper bound varies
         se = upper.std_error
-
-    s = rate_scale(params.log_base)
     return RateReport(
         relays_per_layer=K,
         num_hops=D,
         snr=params.snr,
         noise_ratio=scheme.noise_ratio,
-        log_base=params.log_base,
-        upper=upper.mean * s,
-        lower=lower * s,
-        gap=gap * s,
-        thm_bound=depth_gap_bound(K, D, params.log_base),
+        upper=upper.mean,
+        lower=lower,
+        gap=upper.mean - lower,
+        thm_bound=depth_gap_bound(K, D),
         prior_cf_bound=prior_cf_gap_bound(K, D),
-        alignment_bound=alignment_gap_bound(K, params.log_base),
-        std_error=se * s,
-        raw_lower=raw * s,
+        alignment_bound=alignment_gap_bound(K),
+        std_error=se,
+        raw_lower=raw,
         was_clamped=raw < 0.0,
         mode=mode,
         num_samples=num_samples,
@@ -400,7 +399,6 @@ def _optimize_on_cache(
     cache: TableCache,
     q_grid: list[float],
     mode: str,
-    refine_rounds: int,
     prune: bool = False,
 ) -> tuple[float, float, list[tuple[float, float]]]:
     """Grid scan and refinement of ``optimize_quantization`` on ``cache``.
@@ -478,7 +476,7 @@ def _optimize_on_cache(
     if i < len(q_grid) - 1:
         gaps.append(q_grid[i + 1] - q_grid[i])
     step = (max(gaps) if gaps else best[0]) / 2.0
-    for _ in range(refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         for cand in (best[0] - step, best[0] + step):
             s = score(cand, best) if cand > 0 else None
             if s is not None and s > best[1]:
@@ -493,13 +491,12 @@ def optimize_quantization(
     num_samples: int = 10**4,
     seed: int = 0,
     mode: str = "per_cut_exact",
-    refine_rounds: int = 3,
     workers: int = 1,
 ) -> OptimizeResult:
-    """Pick the quantization ratio maximizing the achievable rate.
+    """Pick the quantization ratio maximizing the achievable rate (nats).
 
-    Scans the grid in ascending order, then runs ``refine_rounds`` rounds of
-    step halving around the incumbent (initial step: half the larger grid
+    Scans the grid in ascending order, then runs ``_REFINE_ROUNDS`` rounds
+    of step halving around the incumbent (initial step: half the larger grid
     gap at the incumbent).  Ties prefer the smaller ratio.  Every candidate
     is scored on the same pool of draws, so the returned rate is by
     construction at least the rate at every grid point, including q = 1 and
@@ -512,15 +509,15 @@ def optimize_quantization(
         num_samples: Draws in the shared pool.
         seed: Pool seed.
         mode: Bound mode to optimize.
-        refine_rounds: Rounds of local step halving.
-        workers: Threads for pool generation.
+        workers: Threads for this call's pool generation; output
+            independent of it.
     """
     grid = _candidate_grid(
         q_grid if q_grid is not None else default_q_grid(params.num_hops)
     )
     pool = SamplePool.build(params.relays_per_layer, num_samples, seed, workers=workers)
     cache = TableCache(pool)
-    best_q, best, evals = _optimize_on_cache(params, cache, grid, mode, refine_rounds)
+    best_q, best, evals = _optimize_on_cache(params, cache, grid, mode)
     return OptimizeResult(best_q, best, tuple(evals), num_samples, seed, mode)
 
 
@@ -566,11 +563,10 @@ def gap_trend(
     num_samples: int = 10**4,
     seed: int = 0,
     mode: str = "per_cut_exact",
-    workers: int = 1,
     q_grid: list[float] | None = None,
     cache: TableCache | None = None,
 ) -> list[TrendPoint]:
-    """Gap to the cutset bound as a function of depth under a q policy.
+    """Gap to the cutset bound (nats) as a function of depth under a q policy.
 
     One pool of draws is shared across every depth and policy evaluation, so
     trend points are directly comparable (common random numbers).  Policies:
@@ -598,29 +594,30 @@ def gap_trend(
 
     ``cache`` lets several calls share one pool and its tables; it replaces
     the pool build, and its pool's key must be
-    ``(relays_per_layer, num_samples, seed)``.
+    ``(relays_per_layer, num_samples, seed)``.  Threads come from the cache's
+    pool (``SamplePool.build(..., workers=)``); without a cache, one thread.
 
     Returns one TrendPoint per depth, in the given order.
 
     Raises:
         ValueError: before any pool is built, if ``relays_per_layer`` or a
-            depth is not a positive integer, or if ``q_grid`` is given to a
-            policy other than optimized, which would ignore it.
+            depth is not a positive integer, ``snr`` is not a finite real,
+            or ``q_grid`` is given to a policy that would ignore it.
     """
     K = _positive_int("relays_per_layer", relays_per_layer)
     depths = [_positive_int("depths", d) for d in depths]
+    snr = _real("snr", snr)
     policy = resolve_policy(q_policy)
     if q_grid is not None and policy != "optimized":
         raise ValueError(f"q_grid is read only by the optimized q policy, not {policy}")
     grid = None if q_grid is None else _candidate_grid(q_grid)
     if cache is None:
-        cache = TableCache(SamplePool.build(K, num_samples, seed, workers=workers))
+        cache = TableCache(SamplePool.build(K, num_samples, seed))
     elif cache.pool.key != (K, num_samples, seed):
         raise ValueError(
             f"cache pool (K, num_samples, seed) = {cache.pool.key} "
             f"does not match the requested {(K, num_samples, seed)}"
         )
-    # refuses a non-finite snr, naming it, before any depth
     upper, full = cache.lower(snr).mean(K, K), cache.column(snr, K, K)
     points = []
     for D in depths:
@@ -632,7 +629,7 @@ def gap_trend(
         else:
             q, _, _ = _optimize_on_cache(
                 params, cache, grid if grid is not None else default_q_grid(D),
-                mode, refine_rounds=3, prune=True,
+                mode, prune=True,
             )
         raw, se = _scheme_bounds(params, QuantizationScheme(q), cache, mode, full)
         points.append(

@@ -281,6 +281,34 @@ def test_bits_base_scales_rate_outputs(tmp_path):
     # upper bound converts by 1/log 2; the prior linear bound stays put
     assert float(bits_row[4]) == pytest.approx(float(nats_row[4]) / math.log(2), rel=1e-12)
     assert float(bits_row[8]) == float(nats_row[8])
+    # the library returns nats; the CLI converts every rate of rate and
+    # sweep results, the clamped rate and the raw rate included
+    for name, sub in (
+        ("rate", ["rate", "--K", "1", "--D", "2"]),
+        ("clamped", ["rate", "--K", "1", "--D", "16", "--snr", "0.2", "--q", "0.02"]),
+        ("sweep", ["sweep", "--K", "1", "--D", "2,4,8",
+                   "--q-policy", "fixed_1,depth_matched,optimized"]),
+    ):
+        docs = {}
+        for base in ("nats", "bits"):
+            argv = [*sub, "--samples", "2000", "--format", "json", "--base", base]
+            _, out = run_cli(tmp_path, argv, f"{name}-{base}.json")
+            docs[base] = json.loads(out.read_text())["results"]
+        assert len(docs["bits"]) == len(docs["nats"]) > 0
+        for nats, bits in zip(docs["nats"], docs["bits"]):
+            keys = {"upper", "lower", "gap", "std_error", "thm_bound"} | (
+                {"raw_lower"} if name != "sweep" else set()
+            )
+            assert keys <= set(bits)
+            for key in keys:
+                assert bits[key] == pytest.approx(
+                    nats[key] / math.log(2), rel=1e-12, abs=1e-300
+                ), (name, key)
+            assert bits["prior_cf_bound"] == nats["prior_cf_bound"]
+            assert bits["alignment_bound"] == nats["alignment_bound"] == 7.0
+            assert (nats["log_base"], bits["log_base"]) == ("nats", "bits")
+        if name == "clamped":
+            assert bits["was_clamped"] and bits["lower"] == 0.0 and bits["raw_lower"] < 0
 
 
 def test_verify_passes_on_defaults(tmp_path, capsys):

@@ -17,6 +17,7 @@ from relaycap import (
     NetworkParams,
     QuantizationScheme,
     SamplePool,
+    TableCache,
     brute_force_min_cut,
     check_capacity_properties,
     cut_value,
@@ -24,7 +25,7 @@ from relaycap import (
     nnc_lower_bound,
 )
 from relaycap.mimo import _stream_stats
-from relaycap.network import _block_dims, _cut_terms, cut_profile_draws
+from relaycap.network import _block_dims, _cut_sum, _cut_terms, cut_profile_draws
 
 
 def params_for(table, K, D):
@@ -40,7 +41,7 @@ def test_network_params_validation():
         dict(relays_per_layer=2, num_hops=0),
         dict(relays_per_layer=2, num_hops=2, power=-1.0),
         dict(relays_per_layer=2, num_hops=2, noise_var=0.0),
-        dict(relays_per_layer=2, num_hops=2, log_base="ban"),
+        dict(relays_per_layer=2, num_hops=2, power=True),
         dict(relays_per_layer=2.0, num_hops=2),
         dict(relays_per_layer=2, num_hops=3.5),
         dict(relays_per_layer=True, num_hops=2),
@@ -48,6 +49,9 @@ def test_network_params_validation():
         with pytest.raises(ValueError):
             NetworkParams(**bad)
     assert NetworkParams(2, 3, power=5.0, noise_var=2.0).snr == 2.5
+    # rates are nats throughout the library: no output base to set
+    with pytest.raises(TypeError):
+        NetworkParams(2, 2, log_base="bits")
     # a non-integral or bool count is refused at construction, naming the field
     for args, field in (((2.0, 3), "relays_per_layer"), ((2, 3.5), "num_hops"),
                         ((True, 3), "relays_per_layer"), ((2, False), "num_hops")):
@@ -214,6 +218,40 @@ def test_dp_equals_brute_force_bitwise_with_distinct_last_hop(
     assert p_dp == p_bf
     cut = cut_value(p_dp, params, table3_10, node_penalty=penalty, last=table3_1)
     assert cut.value == v_dp
+
+
+def test_all_source_side_profile_is_the_penalized_argmin():
+    # Han's inequality makes (K, ..., K) the unique argmin of a penalized
+    # pool-built cut once the penalty clears the rounding margin; the DP
+    # finds it on a lower-bound table without computing any entry but
+    # C(K, K), and its value is that profile's _cut_sum bit for bit
+    penalties = (1e-3, 1e-2, 0.1, 0.5, 1.0, 3.0)
+    for K in (1, 2, 3, 4):
+        cache = TableCache(SamplePool.build(K, 2_000, seed=K))
+        for snr in (0.1, 10.0, 1e3):
+            lower = cache.lower(snr)
+            margin = 1e-9 * max(1.0, abs(lower.means[K, K]))
+            cases = [(D, pen) for D in (1, 2, 3, 5, 8, 16, 33, 64) for pen in penalties
+                     if pen > 4 * (D + 2) * margin]
+            assert cases
+            want = {}
+            for D, pen in cases:
+                params = NetworkParams(K, D, power=snr)
+                value, profile = min_cut_dp(params, lower, node_penalty=pen)
+                assert profile.counts == (K,) * (D - 1), (K, snr, D, pen)
+                counts = profile.counts
+                assert value.hex() == _cut_sum(counts, params, lower, lower, pen)[0].hex()
+                want[D, pen] = value
+            exact = {(m, n) for m in range(1, K + 1) for n in range(1, K + 1)
+                     if not math.isnan(lower.std_errors[m, n])}
+            assert exact == {(K, K)}, (K, snr)
+            full = cache.at(snr)
+            for D, pen in cases:
+                value, profile = min_cut_dp(
+                    NetworkParams(K, D, power=snr), full, node_penalty=pen
+                )
+                assert profile.counts == (K,) * (D - 1), (K, snr, D, pen)
+                assert value.hex() == want[D, pen].hex(), (K, snr, D, pen)
 
 
 def _assert_list_refused(params, tables):
@@ -411,13 +449,6 @@ def test_property_report_passes_on_fresh_tables(table3_10, table3_1):
         assert rep.split_violation <= 1e-9
         assert rep.num_draws == 20_000 and rep.max_dim == 3
         assert set(rep.as_dict()) >= {"symmetry_error", "passed", "tolerance"}
-
-
-def test_property_report_max_dim_argument(table3_10):
-    rep = check_capacity_properties(table3_10, max_dim=2)
-    assert rep.max_dim == 2 and rep.passed
-    with pytest.raises(ValueError, match="max_dim"):
-        check_capacity_properties(table3_10, max_dim=9)
 
 
 # ----------------------------------------------------------- node-level cuts

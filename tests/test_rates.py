@@ -1,6 +1,7 @@
 """Quantization schemes, achievable-rate bounds, optimizer, trend."""
 
 import itertools
+import json
 import math
 import random
 
@@ -60,7 +61,7 @@ def _gap_se(params, table, full, profile, last=None):
 # ------------------------------------------------------------ scheme basics
 
 
-@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan])
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, math.nan, True])
 def test_noise_ratio_must_be_positive_finite(bad):
     with pytest.raises(ValueError, match="noise_ratio"):
         QuantizationScheme(bad)
@@ -229,17 +230,31 @@ def test_rate_report_consistency():
     assert d["K"] == 2 and d["D"] == 4 and d["q"] == 3.0
 
 
+def test_rate_report_records_hold_python_floats():
+    # a numpy real input is stored as a Python float, so the record serializes
+    rep = rate_report(NetworkParams(2, 4, power=np.float32(10)), num_samples=500)
+    point = gap_trend(2, [3], snr=np.float32(10), num_samples=500)[0]
+    est = mimo.estimate_ergodic_capacity(2, 2, np.float32(10), 500, seed=0)
+    for record in (rep, point, est):
+        d = json.loads(json.dumps(record.as_dict()))
+        assert type(record.snr) is float and d["snr"] == 10.0
+    scheme = QuantizationScheme(np.float64(3))
+    assert type(scheme.noise_ratio) is float and scheme.noise_ratio == 3.0
+
+
 def test_rate_report_bits_scaling():
-    nats = rate_report(NetworkParams(1, 2, power=10.0), num_samples=4_000, seed=2)
-    bits = rate_report(
-        NetworkParams(1, 2, power=10.0, log_base="bits"), num_samples=4_000, seed=2
-    )
+    # rate_report returns nats; the rate row written for a bits run divides
+    # every rate by log 2 and leaves the linear and constant bounds put
+    from relaycap.cli import ExperimentConfig, _rate_row
+
+    rep = rate_report(NetworkParams(1, 2, power=10.0), num_samples=4_000, seed=2)
+    nats = _rate_row(rep, ExperimentConfig("rate", K=1, D=(2,), log_base="nats"))
+    bits = _rate_row(rep, ExperimentConfig("rate", K=1, D=(2,), log_base="bits"))
     for field in ("upper", "lower", "gap", "std_error", "raw_lower", "thm_bound"):
-        assert getattr(bits, field) == pytest.approx(
-            getattr(nats, field) / LN2, rel=1e-12, abs=1e-300
-        )
-    assert bits.prior_cf_bound == nats.prior_cf_bound
-    assert bits.alignment_bound == 7.0
+        assert nats[field] == getattr(rep, field)
+        assert bits[field] == pytest.approx(nats[field] / LN2, rel=1e-12, abs=1e-300)
+    assert bits["prior_cf_bound"] == nats["prior_cf_bound"]
+    assert bits["alignment_bound"] == 7.0
 
 
 def test_rate_report_clamped_network():
@@ -426,7 +441,7 @@ def test_optimizer_rates_equal_nnc_lower_bound_bitwise(mode):
         res = optimize_quantization(params, num_samples=3_000, seed=5, mode=mode)
         pool = SamplePool.build(K, 3_000, seed=5)
         pruned = _optimize_on_cache(
-            params, TableCache(pool), default_q_grid(6), mode, 3, prune=True)[2]
+            params, TableCache(pool), default_q_grid(6), mode, prune=True)[2]
         cache = TableCache(pool)
         assert len(res.evaluations) > len(default_q_grid(6))  # refinement ran
         for q, rate in [*res.evaluations, *pruned]:
@@ -664,8 +679,8 @@ def test_pruned_scan_equals_unpruned_scan_bitwise(K, mode):
         for D in PRUNE_DEPTHS:
             params = NetworkParams(K, D, power=snr)
             for grid in (default_q_grid(D), CUSTOM_GRID):
-                full = _optimize_on_cache(params, TableCache(pool), grid, mode, 3)
-                pruned = _optimize_on_cache(params, pruned_cache, grid, mode, 3,
+                full = _optimize_on_cache(params, TableCache(pool), grid, mode)
+                pruned = _optimize_on_cache(params, pruned_cache, grid, mode,
                                             prune=True)
                 assert pruned[:2] == full[:2], (snr, D, grid)
                 # every score the pruned scan records is the exact score
@@ -685,8 +700,8 @@ def test_pruned_scan_on_an_empty_cache_equals_unpruned_scan_bitwise(K, mode):
         for D in PRUNE_DEPTHS:
             params = NetworkParams(K, D, power=snr)
             for grid in (default_q_grid(D), CUSTOM_GRID):
-                full = _optimize_on_cache(params, TableCache(pool), grid, mode, 3)
-                pruned = _optimize_on_cache(params, TableCache(pool), grid, mode, 3,
+                full = _optimize_on_cache(params, TableCache(pool), grid, mode)
+                pruned = _optimize_on_cache(params, TableCache(pool), grid, mode,
                                             prune=True)
                 assert [v.hex() for v in pruned[:2]] == [v.hex() for v in full[:2]], (
                     snr, D, grid)
@@ -731,8 +746,8 @@ def test_candidates_bounded_below_zero_score_zero_without_a_build(mode, no_full_
     cache = TableCache(pool)
     with no_full_table():
         cache.lower(params.snr)
-        best_q, best, evals = _optimize_on_cache(params, cache, grid, mode, 3, prune=True)
-    full = _optimize_on_cache(params, TableCache(pool), grid, mode, 3)
+        best_q, best, evals = _optimize_on_cache(params, cache, grid, mode, prune=True)
+    full = _optimize_on_cache(params, TableCache(pool), grid, mode)
     assert (best_q, best) == full[:2] == (grid[0], 0.0)
     assert cache._lower.keys() == {params.snr}
     assert set(grid) <= set(dict(evals)) and set(dict(evals).values()) == {0.0}
@@ -758,9 +773,9 @@ def test_pruned_scan_on_a_sweep_filled_cache_equals_unpruned_scan_bitwise(
         for D in depths:
             params = NetworkParams(K, D, power=snr)
             for grid in (default_q_grid(D), CUSTOM_GRID):
-                full = _optimize_on_cache(params, TableCache(pool), grid, mode, 3)
+                full = _optimize_on_cache(params, TableCache(pool), grid, mode)
                 with no_full_table():
-                    pruned = _optimize_on_cache(params, cache, grid, mode, 3, prune=True)
+                    pruned = _optimize_on_cache(params, cache, grid, mode, prune=True)
                 assert [v.hex() for v in pruned[:2]] == [v.hex() for v in full[:2]], (
                     snr, D, grid)
                 assert set(pruned[2]) <= set(full[2])
