@@ -285,36 +285,39 @@ def _scheme_for(cfg: ExperimentConfig, num_hops: int) -> rates.QuantizationSchem
     return rates.QuantizationScheme.depth_matched(num_hops, cfg.destination_quantizes)
 
 
+def _in_base(d: dict, cfg: ExperimentConfig, keys) -> dict:
+    """``d``, a result in nats, with its rates ``keys`` and every
+    ``per_block`` capacity in the output base, and ``log_base`` set."""
+    scale = mimo.rate_scale(cfg.log_base)
+    for key in keys:
+        d[key] *= scale
+    for block in d.get("per_block", ()):
+        block["capacity"] *= scale
+    d["log_base"] = cfg.log_base
+    return d
+
+
 def _rate_row(record, cfg: ExperimentConfig) -> dict:
     """The ``rate`` or ``sweep`` result of a record (a ``RateReport`` or a
-    ``TrendPoint``, in nats): its rates in the output base, with the three
-    gap guarantees and ``log_base`` set."""
+    ``TrendPoint``): ``_in_base``, with the three gap guarantees set."""
     d = record.as_dict()
-    scale = mimo.rate_scale(cfg.log_base)
-    for key in d.keys() & {"upper", "lower", "gap", "std_error", "raw_lower"}:
-        d[key] *= scale
-    d.update(thm_bound=rates.depth_gap_bound(cfg.K, d["D"], cfg.log_base),
+    d.update(thm_bound=rates.depth_gap_bound(cfg.K, d["D"]),
              prior_cf_bound=rates.prior_cf_gap_bound(cfg.K, d["D"]),
-             alignment_bound=rates.alignment_gap_bound(cfg.K, cfg.log_base),
-             log_base=cfg.log_base)
-    return d
+             alignment_bound=rates.alignment_gap_bound(cfg.K, cfg.log_base))
+    rate_keys = {"upper", "lower", "gap", "std_error", "raw_lower", "thm_bound"}
+    return _in_base(d, cfg, d.keys() & rate_keys)
 
 
 def run_capacity(cfg: ExperimentConfig) -> int:
     m = cfg.K if cfg.m is None else cfg.m
     n = cfg.K if cfg.n is None else cfg.n
-    scale = mimo.rate_scale(cfg.log_base)
     rows, results = [], []
     for snr in cfg.snr:
         est = mimo.estimate_ergodic_capacity(
             m, n, snr, cfg.num_samples, cfg.seed, workers=cfg.workers
         )
-        rows.append([m, n, snr, est.mean * scale, est.std_error * scale, est.num_samples, cfg.seed])
-        d = est.as_dict()
-        d["mean"] *= scale
-        d["std_error"] *= scale
-        d["seed"] = cfg.seed
-        d["log_base"] = cfg.log_base
+        d = _in_base({**est.as_dict(), "seed": cfg.seed}, cfg, ("mean", "std_error"))
+        rows.append([m, n, snr, d["mean"], d["std_error"], est.num_samples, cfg.seed])
         results.append(d)
     _emit_results(
         cfg, "relaycap/capacity/1", "m,n,snr,mean,std_error,num_samples,seed",
@@ -325,7 +328,6 @@ def run_capacity(cfg: ExperimentConfig) -> int:
 
 def run_mincut(cfg: ExperimentConfig) -> int:
     D = cfg.single_depth()
-    scale = mimo.rate_scale(cfg.log_base)
     # one pool serves every snr, as in run_sweep
     pool = mimo.SamplePool.build(cfg.K, cfg.num_samples, cfg.seed, workers=cfg.workers)
     cache = mimo.TableCache(pool)
@@ -335,14 +337,8 @@ def run_mincut(cfg: ExperimentConfig) -> int:
         table = cache.lower(snr)
         _, profile = network.min_cut_dp(params, table, node_penalty=cfg.penalty)
         cut = network.cut_value(profile, params, table, node_penalty=cfg.penalty)
-        d = cut.as_dict()
-        d["value"] *= scale
-        d["std_error"] *= scale
-        d["per_block"] = [
-            {"dims": b["dims"], "capacity": b["capacity"] * scale} for b in d["per_block"]
-        ]
-        d.update({"K": cfg.K, "D": D, "snr": snr, "penalty": cfg.penalty, "log_base": cfg.log_base})
-        results.append(d)
+        d = {**cut.as_dict(), "K": cfg.K, "D": D, "snr": snr, "penalty": cfg.penalty}
+        results.append(_in_base(d, cfg, ("value", "std_error")))
     _emit_results(cfg, "relaycap/mincut/1", "K,D,snr,penalty,value,std_error,profile", results)
     return 0
 
@@ -382,7 +378,6 @@ def run_sweep(cfg: ExperimentConfig) -> int:
 def run_line(cfg: ExperimentConfig) -> int:
     D = cfg.single_depth()
     gains = (1.0,) * D if cfg.gains is None else cfg.gains
-    scale = mimo.rate_scale(cfg.log_base)
     q = _scheme_for(cfg, D).noise_ratio
     results = []
     for snr in cfg.snr:
@@ -394,12 +389,12 @@ def run_line(cfg: ExperimentConfig) -> int:
         full = line_mod.line_nnc_rate(
             net, q, mode="all_cuts", destination_quantizes=cfg.destination_quantizes
         )
-        results.append(
-            {"D": D, "snr": snr, "q": q, "gains": list(gains),
-             "capacity": cap * scale, "rate": simple * scale,
-             "all_cuts_rate": full * scale, "gap": (cap - simple) * scale,
-             "depth_bound": rates.depth_gap_bound(1, D, cfg.log_base), "log_base": cfg.log_base,
+        d = {"D": D, "snr": snr, "q": q, "gains": list(gains), "capacity": cap, "rate": simple,
+             "all_cuts_rate": full, "gap": cap - simple,
+             "depth_bound": rates.depth_gap_bound(1, D),
              "destination_quantizes": cfg.destination_quantizes}
+        results.append(
+            _in_base(d, cfg, ("capacity", "rate", "all_cuts_rate", "gap", "depth_bound"))
         )
     _emit_results(
         cfg, "relaycap/line/1", "D,snr,q,capacity,rate,all_cuts_rate,gap,depth_bound", results

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mimo import _real
 from .rates import QuantizationScheme
 
 _MODES = ("simple_cuts", "all_cuts")
@@ -41,16 +42,18 @@ class LineNetwork:
         if np.iscomplexobj(raw):
             powers = np.abs(raw) ** 2
         else:
-            powers = raw.astype(float)
-            if np.any(powers < 0):
+            powers = [_real("gains", g) for g in self.gains]
+            if min(powers) < 0:
                 raise ValueError("real gains are squared magnitudes, must be >= 0")
         if not np.all(np.isfinite(powers)):
             raise ValueError("link gains must be finite")
         object.__setattr__(self, "gains", tuple(float(p) for p in powers))
-        if not (math.isfinite(self.power) and self.power >= 0):
-            raise ValueError(f"power must be finite and nonnegative, got {self.power}")
-        if not (math.isfinite(self.noise_var) and self.noise_var > 0):
-            raise ValueError(f"noise_var must be finite and positive, got {self.noise_var}")
+        for name in ("power", "noise_var"):
+            object.__setattr__(self, name, _real(name, getattr(self, name)))
+        if self.power < 0:
+            raise ValueError(f"power must be nonnegative, got {self.power}")
+        if not self.noise_var > 0:
+            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
 
     @property
     def num_hops(self) -> int:

@@ -9,8 +9,9 @@ capacity of an m x n channel at signal-to-noise ratio ``snr`` is
 with the expectation over H.  All rates in this module are in nats; the CLI
 converts to bits on output.
 
-Draws come from counter-based Philox streams keyed by
-``(seed, hop_index, block_index)``; pools and direct estimates read hop 0.
+Draws come from one counter-based Philox stream per seed, a block at a
+time: block b is keyed by ``(seed, b)``, so pools and direct estimates
+with one seed read the same draws.
 Work is split into fixed-size blocks and per-block partial sums are combined
 in block order, so results are bit-identical for any worker count and for
 any consumer that replays the same blocks.
@@ -91,30 +92,28 @@ def _check_snr(snr: float) -> None:
         raise ValueError(f"snr must be finite and nonnegative, got {snr}")
 
 
-def _block_rng(seed: int, hop_index: int, block_index: int) -> np.random.Generator:
-    # spawn_key makes streams for distinct (hop, block) pairs independent
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(hop_index, block_index))
+def _block_rng(seed: int, block_index: int) -> np.random.Generator:
+    # spawn_key (0, block_index): distinct blocks are independent; the
+    # leading 0 is part of the key, and every published output depends on it
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(0, block_index))
     return np.random.Generator(np.random.Philox(ss))
 
 
-def sample_channel_block(
-    m: int, n: int, seed: int, block_index: int, hop_index: int = 0
-) -> np.ndarray:
+def sample_channel_block(m: int, n: int, seed: int, block_index: int) -> np.ndarray:
     """Generate one full block of i.i.d. channel draws.
 
     Args:
         m: Receive dimension.
         n: Transmit dimension.
-        seed: Base seed shared by every stream of the experiment.
+        seed: Seed of the stream.
         block_index: Which block of the stream to generate.
-        hop_index: Stream selector; draws for distinct hops are independent.
 
     Returns:
         Complex array of shape (BLOCK_SIZE, m, n) with unit-variance entries.
     """
     m, n = _positive_int("m", m, minimum=0), _positive_int("n", n, minimum=0)
     seed = _positive_int("seed", seed, minimum=0)
-    g = _block_rng(seed, hop_index, block_index)
+    g = _block_rng(seed, block_index)
     z = g.standard_normal((BLOCK_SIZE, m, n, 2))
     # scaled in place, (re, im) pairs viewed as complex: the floats of
     # (z[..., 0] + 1j * z[..., 1]) * sqrt(0.5) without its three temporaries
@@ -512,7 +511,11 @@ class SamplePool:
                 for rows, cols in entry_groups:
                     if rows.shape[1] == K and cols.shape[1] == K:
                         # the full window is the block itself, as in the
-                        # direct estimator
+                        # direct estimator; the gather below gives the same
+                        # coefficients bitwise, but costs 152 us per K = 2
+                        # block against 108 us (medians of 200 calls, 2 vCPU
+                        # x86-64): about 0.6 ms per 50 000-draw pool, 2.7% of
+                        # a sweep-optimized pass
                         e = _gram_coefficients(block)[:, None]
                     else:
                         # all of the group's windows in one call; advanced

@@ -146,11 +146,11 @@ class CutValue:
 
 def _hop_tables(
     table: CapacityTable, last: CapacityTable | None, params: NetworkParams, node_penalty: float
-) -> tuple[CapacityTable, CapacityTable]:
-    """Resolve (body, last) hop tables, with the checks every cut function
-    shares; hop D reads ``last``, which must share the body's pool key."""
-    if not math.isfinite(node_penalty):
-        raise ValueError(f"node_penalty must be finite, got {node_penalty}")
+) -> tuple[CapacityTable, CapacityTable, float]:
+    """Resolve (body, last) hop tables and ``node_penalty`` as a float, with
+    the checks every cut function shares; hop D reads ``last``, which must
+    share the body's pool key."""
+    node_penalty = _real("node_penalty", node_penalty)
     if isinstance(table, (list, tuple)):
         raise TypeError(
             "pass one body table; give a distinct final-hop table as last=, "
@@ -167,7 +167,7 @@ def _hop_tables(
             f"table max_dim {table.max_dim} is smaller than relays_per_layer "
             f"{params.relays_per_layer}"
         )
-    return table, last
+    return table, last, node_penalty
 
 
 def _check_profile(profile: CutProfile, params: NetworkParams) -> None:
@@ -280,7 +280,7 @@ def cut_profile_draws(
     ``rates._gap_std_error`` calls it on the columns of a ``TableCache``.
     """
     _check_profile(profile, params)
-    body, last = _hop_tables(table, last, params, node_penalty)
+    body, last, node_penalty = _hop_tables(table, last, params, node_penalty)
     terms = _cut_terms(profile.counts, params, body, last)
     values = _cut_column(terms, lambda t, dims: t.entry_draws(*dims), body.num_samples)
     values -= node_penalty * sum(profile.counts)
@@ -311,7 +311,7 @@ def cut_value(
         so it equals both min-cut routines' value at their argmin bitwise.
     """
     _check_profile(profile, params)
-    body, last = _hop_tables(table, last, params, node_penalty)
+    body, last, node_penalty = _hop_tables(table, last, params, node_penalty)
     terms = _cut_terms(profile.counts, params, body, last)
     _make_exact(terms)
     total, per_block = _cut_sum(profile.counts, params, body, last, node_penalty)
@@ -351,7 +351,7 @@ def min_cut_dp(
     Returns:
         (minimum value in nats, argmin profile).
     """
-    body, last = _hop_tables(table, last, params, node_penalty)
+    body, last, node_penalty = _hop_tables(table, last, params, node_penalty)
     while True:
         value, profile = _dp_pass(params, body, last, node_penalty)
         if _make_exact(_cut_terms(profile.counts, params, body, last)) == 0:
@@ -421,7 +421,7 @@ def brute_force_min_cut(
             f"brute force would enumerate {count} profiles "
             f"(limit {BRUTE_FORCE_LIMIT}); use min_cut_dp"
         )
-    body, last = _hop_tables(table, last, params, node_penalty)
+    body, last, node_penalty = _hop_tables(table, last, params, node_penalty)
     for t in (body, last):
         t.make_exact(itertools.product(range(K + 1), repeat=2))
     best, counts = min(

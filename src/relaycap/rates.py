@@ -399,28 +399,25 @@ def _optimize_on_cache(
     cache: TableCache,
     q_grid: list[float],
     mode: str,
-    prune: bool = False,
 ) -> tuple[float, float, list[tuple[float, float]]]:
     """Grid scan and refinement of ``optimize_quantization`` on ``cache``.
 
     A candidate q scores ``_clamped_rate`` of its penalized min cut at
-    snr / (1 + q).  The incumbent starts at (q_grid[0], 0): scores are >= 0
-    and the grid ascends.  The grid scan keeps the maximum score, ties going
-    to the smaller ratio; the refinement then moves only on a strictly
-    higher score.
+    snr / (1 + q), taken on a lower-bound table (``cache.lower``, see
+    ``min_cut_dp``).  The incumbent starts at (q_grid[0], 0): scores are
+    >= 0 and the grid ascends.  The grid scan keeps the maximum score, ties
+    going to the smaller ratio; the refinement then moves only on a
+    strictly higher score.
 
-    The grid is scanned best-first, in descending order of an upper bound
-    UB on each candidate's raw rate, computed before the scan, ties in
-    ascending q.  Without ``prune`` every UB is +inf, so the scan runs in
-    ascending q.  Either way min cuts are taken on lower-bound tables
-    (``cache.lower``, see ``min_cut_dp``).  With ``prune``, C(K, K) at full
-    snr is computed first, and UB is one scalar, the bound on the
-    all-source-side cut of ``_raw_rate_bound``:
+    C(K, K) at full snr is computed first, so every degraded snr has a
+    chord bound.  Each candidate's raw rate is then bounded from above by
+    the all-source-side cut of ``_raw_rate_bound``:
 
-        UB = chord(snr / (1 + q)) - K (D - 1) log(1 + 1/q).
+        UB = chord(snr / (1 + q)) - K (D - 1) log(1 + 1/q),
 
-    With tol = 1e-9 * max(1, incumbent), a candidate's UB, taken again when
-    it is scored, decides:
+    and the grid is scanned best-first, in descending order of UB, ties in
+    ascending q.  With tol = 1e-9 * max(1, incumbent), a candidate's UB,
+    taken again when it is scored, decides:
 
       * UB < -tol: the score is exactly 0, known without a min cut;
       * UB < incumbent - tol: the candidate cannot beat the incumbent and is
@@ -429,20 +426,16 @@ def _optimize_on_cache(
       * otherwise the candidate is scored.
 
     Refinement candidates are decided the same way.  The bound cannot change
-    the chosen ratio or its score, so pruning leaves the result bitwise
-    equal to the unpruned scan.
+    the chosen ratio or its score: they are bitwise those of scoring every
+    candidate in ascending order.
 
     Returns:
-        (best ratio, its score, [(q, score)] in evaluation order); candidates
+        (best ratio, its score, [(q, score)] in scan order) for the
+        candidates scored, by a min cut or by a negative bound; candidates
         that cannot beat the incumbent are not listed.
     """
-    scores: dict[float, float] = {}  # insertion order is evaluation order
-    if prune:
-        cache.lower(params.snr)  # every degraded snr now has a chord bound
-
-    def bound(q: float) -> float:
-        """q's upper bound UB; +inf without pruning."""
-        return _raw_rate_bound(params, QuantizationScheme(q), cache) if prune else math.inf
+    scores: dict[float, float] = {}  # insertion order is scan order
+    cache.lower(params.snr)  # every degraded snr now has a chord bound
 
     def score(q: float, best: tuple[float, float]) -> float | None:
         """q's score, or None when its bound shows that it cannot beat
@@ -450,7 +443,7 @@ def _optimize_on_cache(
         if q in scores:
             return scores[q]
         scheme = QuantizationScheme(q)
-        ub = bound(q)
+        ub = _raw_rate_bound(params, scheme, cache)
         tol = 1e-9 * max(1.0, best[1])
         if ub < -tol:
             scores[q] = 0.0  # raw <= UB < 0: it clamps
@@ -463,7 +456,7 @@ def _optimize_on_cache(
         return scores[q]
 
     best = (q_grid[0], 0.0)
-    bounds = {q: bound(q) for q in q_grid}
+    bounds = {q: _raw_rate_bound(params, QuantizationScheme(q), cache) for q in q_grid}
     for q in sorted(q_grid, key=lambda q: (-bounds[q], q)):
         s = score(q, best)
         if s is not None and (s, -q) > (best[1], -best[0]):
@@ -495,12 +488,15 @@ def optimize_quantization(
 ) -> OptimizeResult:
     """Pick the quantization ratio maximizing the achievable rate (nats).
 
-    Scans the grid in ascending order, then runs ``_REFINE_ROUNDS`` rounds
-    of step halving around the incumbent (initial step: half the larger grid
-    gap at the incumbent).  Ties prefer the smaller ratio.  Every candidate
-    is scored on the same pool of draws, so the returned rate is by
-    construction at least the rate at every grid point, including q = 1 and
-    the depth-matched ratio.
+    Scans the grid best-first on an upper bound of each candidate's rate,
+    then runs ``_REFINE_ROUNDS`` rounds of step halving around the
+    incumbent (initial step: half the larger grid gap at the incumbent);
+    see ``_optimize_on_cache``.  Ties prefer the smaller ratio.  Every
+    candidate is scored on the same pool of draws, so the returned rate is
+    by construction at least the rate at every grid point, including q = 1
+    and the depth-matched ratio.  ``evaluations`` lists the candidates the
+    scan scored, by a min cut or by a negative bound, in scan order; a
+    candidate whose bound shows that it cannot win is not listed.
 
     Args:
         params: Network shape.
@@ -575,16 +571,15 @@ def gap_trend(
         depth.
       * depth_matched: q = D - 1 (q = 1 at D = 1); the gap grows only
         logarithmically in depth.
-      * optimized: q from optimize_quantization on ``q_grid``, or on
-        ``default_q_grid(D)`` when it is None.  The scan here is pruned
-        and best-first (see ``_optimize_on_cache``): each candidate is
-        bounded from above by the all-source-side cut, C(K, K) at its snr,
-        itself bounded by the chord in log snr between the (K, K) means
-        already computed nearest below and above it, minus the
-        K (D - 1) penalties.  A bound below zero scores a candidate 0, and
-        a bound below the incumbent skips it, both without a min cut.  The
-        grid is scored highest bound first.  The chosen q, and so every
-        output byte, is the same as without pruning.
+      * optimized: q from optimize_quantization's scan on ``q_grid``, or
+        on ``default_q_grid(D)`` when it is None, over this call's cache
+        (see ``_optimize_on_cache``): each candidate is bounded from above
+        by the all-source-side cut, C(K, K) at its snr, itself bounded by
+        the chord in log snr between the (K, K) means already computed
+        nearest below and above it, minus the K (D - 1) penalties.  A
+        bound below zero scores a candidate 0, and a bound below the
+        incumbent skips it, both without a min cut.  The grid is scored
+        highest bound first.
 
     Every min cut is taken on lower-bound tables and certified there by
     ``min_cut_dp``, so no table is built: at each snr the sweep computes
@@ -628,8 +623,7 @@ def gap_trend(
             q = QuantizationScheme.depth_matched(D).noise_ratio
         else:
             q, _, _ = _optimize_on_cache(
-                params, cache, grid if grid is not None else default_q_grid(D),
-                mode, prune=True,
+                params, cache, grid if grid is not None else default_q_grid(D), mode
             )
         raw, se = _scheme_bounds(params, QuantizationScheme(q), cache, mode, full)
         points.append(

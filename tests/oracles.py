@@ -19,12 +19,13 @@ import numpy as np
 from scipy import integrate, linalg, special
 
 from relaycap import BLOCK_SIZE, CapacityEstimate, NetworkParams, gram_logdet, rate_scale
-from relaycap.mimo import (
-    _block_bounds,
-    _num_blocks,
-    _positive_int,
-    _stream_stats,
-    sample_channel_block,
+from relaycap.mimo import _block_bounds, _num_blocks, _positive_int, _stream_stats
+from relaycap.rates import (
+    _REFINE_ROUNDS,
+    QuantizationScheme,
+    _clamped_rate,
+    _penalized_min_cut,
+    degraded_snr,
 )
 
 logger = logging.getLogger(__name__)
@@ -156,6 +157,20 @@ class ChannelSample:
         return self.entries.shape
 
 
+def hop_channel_block(
+    m: int, n: int, seed: int, block_index: int, hop_index: int = 0
+) -> np.ndarray:
+    """Block ``block_index`` of hop ``hop_index``'s stream: Philox keyed by
+    the SeedSequence spawn key (hop_index, block_index), its normal pairs
+    taken as (re + 1j im) sqrt(1/2).  Distinct hops are independent, and
+    hop 0 is the package's one stream, ``sample_channel_block``."""
+    m, n = _positive_int("m", m, minimum=0), _positive_int("n", n, minimum=0)
+    seed = _positive_int("seed", seed, minimum=0)
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=(hop_index, block_index))
+    z = np.random.Generator(np.random.Philox(ss)).standard_normal((BLOCK_SIZE, m, n, 2))
+    return (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
+
+
 def sample_channel(
     m: int, n: int, seed: int, draw_index: int = 0, hop_index: int = 0
 ) -> ChannelSample:
@@ -168,7 +183,7 @@ def sample_channel(
     if draw_index < 0:
         raise ValueError(f"draw_index must be nonnegative, got {draw_index}")
     block, offset = divmod(draw_index, BLOCK_SIZE)
-    entries = sample_channel_block(m, n, seed, block, hop_index)[offset]
+    entries = hop_channel_block(m, n, seed, block, hop_index)[offset]
     return ChannelSample(entries=entries, hop_index=hop_index, draw_index=draw_index)
 
 
@@ -223,7 +238,7 @@ def node_cut_value_mc(
         for hop in range(D):
             if not rows[hop] or not cols[hop]:
                 continue
-            draws = sample_channel_block(K, K, seed, b, hop_index=hop)[: hi - lo]
+            draws = hop_channel_block(K, K, seed, b, hop)[: hi - lo]
             W = draws[:, np.asarray(rows[hop])[:, None], np.asarray(cols[hop])[None, :]]
             column[lo:hi] += gram_logdet(W, params.snr)
     dims = (sum(len(r) for r in rows), sum(len(c) for c in cols))
@@ -367,3 +382,40 @@ def chord_over_known_means(cache, snr: float) -> float:
     s0 = max(below)
     theta = (math.log(snr) - math.log(s0)) / (math.log(s1) - math.log(s0))
     return (1.0 - theta) * known[s0] + theta * known[s1]
+
+
+def reference_scan(params, cache, q_grid: list[float], mode: str):
+    """``rates._optimize_on_cache`` as it scored every candidate, without
+    bounds: the ascending grid ``q_grid``, then the same refinement.  Each
+    candidate scores ``_clamped_rate`` of its penalized min cut on the
+    lower-bound table at its snr; the incumbent starts at (q_grid[0], 0),
+    the grid keeps the maximum score, ties on the smaller ratio, and the
+    refinement moves only on a strictly higher score.  A bitwise reference
+    for the bounded scan's (ratio, score).
+
+    Returns:
+        (best ratio, its score, [(q, score)] for every candidate scored, in
+        scan order).
+    """
+    scores: dict[float, float] = {}
+
+    def score(q: float) -> float:
+        if q not in scores:
+            scheme = QuantizationScheme(q)
+            table = cache.lower(degraded_snr(params, scheme))
+            scores[q] = _clamped_rate(_penalized_min_cut(params, scheme, table, mode)[0], scheme)
+        return scores[q]
+
+    best = (q_grid[0], 0.0)
+    for q in q_grid:
+        if score(q) > best[1]:
+            best = (q, scores[q])
+    i = q_grid.index(best[0])
+    gaps = [q_grid[j + 1] - q_grid[j] for j in (i - 1, i) if 0 <= j < len(q_grid) - 1]
+    step = (max(gaps) if gaps else best[0]) / 2.0
+    for _ in range(_REFINE_ROUNDS):
+        for cand in (best[0] - step, best[0] + step):
+            if cand > 0 and score(cand) > best[1]:
+                best = (cand, scores[cand])
+        step /= 2.0
+    return best[0], best[1], list(scores.items())

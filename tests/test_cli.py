@@ -281,31 +281,43 @@ def test_bits_base_scales_rate_outputs(tmp_path):
     # upper bound converts by 1/log 2; the prior linear bound stays put
     assert float(bits_row[4]) == pytest.approx(float(nats_row[4]) / math.log(2), rel=1e-12)
     assert float(bits_row[8]) == float(nats_row[8])
-    # the library returns nats; the CLI converts every rate of rate and
-    # sweep results, the clamped rate and the raw rate included
-    for name, sub in (
-        ("rate", ["rate", "--K", "1", "--D", "2"]),
-        ("clamped", ["rate", "--K", "1", "--D", "16", "--snr", "0.2", "--q", "0.02"]),
+    # the library returns nats; the CLI converts every rate of every
+    # subcommand's results, the clamped rate and the raw rate included
+    rate_keys = {"upper", "lower", "gap", "std_error", "thm_bound"}
+    for name, sub, keys in (
+        ("rate", ["rate", "--K", "1", "--D", "2"], rate_keys | {"raw_lower"}),
+        ("clamped", ["rate", "--K", "1", "--D", "16", "--snr", "0.2", "--q", "0.02"],
+         rate_keys | {"raw_lower"}),
         ("sweep", ["sweep", "--K", "1", "--D", "2,4,8",
-                   "--q-policy", "fixed_1,depth_matched,optimized"]),
+                   "--q-policy", "fixed_1,depth_matched,optimized"], rate_keys),
+        ("capacity", ["capacity", "--K", "2", "--snr", "1,10"], {"mean", "std_error"}),
+        ("mincut", ["mincut", "--K", "2", "--D", "4", "--penalty", "0.3"],
+         {"value", "std_error"}),
+        ("line", ["line", "--D", "3", "--snr", "1,10", "--q", "2"],
+         {"capacity", "rate", "all_cuts_rate", "gap", "depth_bound"}),
     ):
         docs = {}
         for base in ("nats", "bits"):
-            argv = [*sub, "--samples", "2000", "--format", "json", "--base", base]
+            argv = [*sub, "--format", "json", "--base", base]
+            if name != "line":
+                argv += ["--samples", "2000"]
             _, out = run_cli(tmp_path, argv, f"{name}-{base}.json")
             docs[base] = json.loads(out.read_text())["results"]
         assert len(docs["bits"]) == len(docs["nats"]) > 0
         for nats, bits in zip(docs["nats"], docs["bits"]):
-            keys = {"upper", "lower", "gap", "std_error", "thm_bound"} | (
-                {"raw_lower"} if name != "sweep" else set()
-            )
             assert keys <= set(bits)
-            for key in keys:
-                assert bits[key] == pytest.approx(
-                    nats[key] / math.log(2), rel=1e-12, abs=1e-300
+            pairs = [(bits[key], nats[key], key) for key in keys]
+            if name == "mincut":
+                assert len(bits["per_block"]) == 4
+                pairs += [(b["capacity"], n["capacity"], "per_block")
+                          for b, n in zip(bits["per_block"], nats["per_block"])]
+            for got, want, key in pairs:
+                assert got == pytest.approx(
+                    want / math.log(2), rel=1e-12, abs=1e-300
                 ), (name, key)
-            assert bits["prior_cf_bound"] == nats["prior_cf_bound"]
-            assert bits["alignment_bound"] == nats["alignment_bound"] == 7.0
+            if keys >= rate_keys:
+                assert bits["prior_cf_bound"] == nats["prior_cf_bound"]
+                assert bits["alignment_bound"] == nats["alignment_bound"] == 7.0
             assert (nats["log_base"], bits["log_base"]) == ("nats", "bits")
         if name == "clamped":
             assert bits["was_clamped"] and bits["lower"] == 0.0 and bits["raw_lower"] < 0

@@ -3,6 +3,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,6 +35,19 @@ def test_validation():
             LineNetwork((1.0,), power=bad)
         with pytest.raises(ValueError, match="noise_var"):
             LineNetwork((1.0,), noise_var=bad)
+    # reals are finite Python floats, not bools or strings, as in NetworkParams
+    for gains, kw, key in (
+        ((np.float32(1.0), True), {}, "gains"),
+        (("2",), {}, "gains"),
+        ((1.0,), {"power": True}, "power"),
+        ((1.0,), {"power": "3"}, "power"),
+        ((1.0,), {"noise_var": True}, "noise_var"),
+    ):
+        with pytest.raises(ValueError, match=key):
+            LineNetwork(gains, **kw)
+    line = LineNetwork((np.float32(2.0), 1), power=np.float32(10), noise_var=np.int64(2))
+    assert line == LineNetwork((2.0, 1.0), power=10.0, noise_var=2.0)
+    assert all(type(v) is float for v in (*line.gains, line.power, line.noise_var))
     with pytest.raises(ValueError, match="noise_ratio"):
         line_nnc_rate(LineNetwork((1.0,)), 0.0)
     with pytest.raises(ValueError, match="mode"):
@@ -116,8 +130,6 @@ def test_equal_gains_gap_closed_form():
 
 
 def test_gap_bound_exact_for_random_instances():
-    import numpy as np
-
     rng = np.random.default_rng(20240817)
     for D in (2, 4, 8, 16, 32, 64):
         for _ in range(25):

@@ -1,6 +1,7 @@
 """Layered-network cuts: values, minimization, draw-level properties."""
 
 import itertools
+import json
 import math
 import random
 import re
@@ -96,7 +97,7 @@ def test_cut_profile_takes_an_empty_profile_and_numpy_integers():
         assert all(type(c) is int for c in profile.counts)
 
 
-@pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("penalty", [math.nan, math.inf, -math.inf, True])
 def test_node_penalty_must_be_finite(table3_10, penalty):
     params = params_for(table3_10, 2, 3)
     profile = CutProfile((1, 1))
@@ -108,6 +109,25 @@ def test_node_penalty_must_be_finite(table3_10, penalty):
     ):
         with pytest.raises(ValueError, match="node_penalty"):
             call()
+
+
+def test_numpy_penalty_gives_python_floats(table3_10):
+    # a float32 penalty is read as the float it holds: every cut function
+    # returns the Python float's result bitwise, not float32 arithmetic
+    params = params_for(table3_10, 2, 4)
+    profile = CutProfile((1, 2, 0))
+    pen = np.float32(0.5)
+    for call in (
+        lambda p: cut_value(profile, params, table3_10, node_penalty=p).value,
+        lambda p: min_cut_dp(params, table3_10, node_penalty=p)[0],
+        lambda p: brute_force_min_cut(params, table3_10, node_penalty=p)[0],
+    ):
+        got, want = call(pen), call(float(pen))
+        assert type(got) is float and got.hex() == want.hex()
+    draws = cut_profile_draws(profile, params, table3_10, node_penalty=pen)
+    assert np.array_equal(
+        draws, cut_profile_draws(profile, params, table3_10, node_penalty=float(pen)))
+    json.dumps(cut_value(profile, params, table3_10, node_penalty=pen).as_dict())
 
 
 def test_profile_helpers():

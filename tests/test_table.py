@@ -571,9 +571,9 @@ def test_pool_spectra_equal_the_per_window_loop(K):
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_sample_channel_block_scales_the_normals_in_place(K):
     for m, n, block in ((K, K, 0), (K, 1, 1), (1, K, 2)):
-        z = mimo._block_rng(3, 1, block).standard_normal((mimo.BLOCK_SIZE, m, n, 2))
+        z = mimo._block_rng(3, block).standard_normal((mimo.BLOCK_SIZE, m, n, 2))
         expected = (z[..., 0] + 1j * z[..., 1]) * np.sqrt(0.5)
-        got = sample_channel_block(m, n, 3, block, hop_index=1)
+        got = sample_channel_block(m, n, 3, block)
         assert got.shape == expected.shape and got.dtype == expected.dtype
         assert np.array_equal(got.view(float), expected.view(float))
 
