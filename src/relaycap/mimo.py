@@ -24,8 +24,8 @@ nonnegative terms.  The coefficients do not depend on snr, so a
 ``SamplePool`` computes those of the cyclic windows of a table entry once,
 when a table first reads the entry, and the entry at any snr is
 log1p(snr * (e_1 + snr * (e_2 + ...))): one log1p per window and draw.
-Tables keep no per-draw values; a ``TableCache`` keeps at most three
-N-length columns for common-random-number errors.  ``gram_logdet`` (a Cholesky
+Tables keep no per-draw values; the pool keeps at most three N-length
+columns for common-random-number errors.  ``gram_logdet`` (a Cholesky
 factorization of I + snr * Gram) is kept as the independent reference that
 the property checks and tests compare the coefficient path against.
 """
@@ -244,17 +244,18 @@ def _row_sum(x: np.ndarray) -> np.ndarray:
     return total
 
 
-def _logdet_column(coefficients: np.ndarray, snr: float, out: np.ndarray) -> np.ndarray:
-    """Per-draw logdet(I + snr * G) averaged over windows, into ``out``.
+def _logdet_column(coefficients: np.ndarray, snr: float) -> np.ndarray:
+    """Per-draw logdet(I + snr * G) averaged over windows, a new N-length
+    column.
 
     ``coefficients`` has shape (d, w, N): e_1..e_d of w windows on N draws
     (see ``_gram_coefficients``).  Each window's value is
     log1p(snr * (e_1 + snr * (e_2 + ...))) by Horner's rule; the first is
-    evaluated in ``out``, each further one in a single N-length buffer and
-    added in window order, and the sum is divided by w.
+    evaluated in the column, each further one in a single N-length buffer
+    and added in window order, and the sum is divided by w.
     """
     w = coefficients.shape[1]
-    _window_logdet(coefficients[:, 0], snr, out)
+    out = _window_logdet(coefficients[:, 0], snr, np.empty(coefficients.shape[-1]))
     if w > 1:
         t = np.empty_like(out)
         for j in range(1, w):
@@ -363,7 +364,7 @@ def estimate_ergodic_capacity(
         n: Transmit dimension.
         snr: Finite, nonnegative signal-to-noise ratio.
         num_samples: Number of channel draws, must be positive.
-        seed: Stream seed; the draws are hop 0's stream.
+        seed: Stream seed; a ``SamplePool`` with it reads the same draws.
         workers: Thread count.  Output is bit-identical for any value.
 
     Returns:
@@ -385,7 +386,7 @@ def estimate_ergodic_capacity(
         return _gram_coefficients(sample_channel_block(m, n, seed, b)[: hi - lo])
 
     blocks = _map_blocks(task, _num_blocks(num_samples), workers)
-    column = _logdet_column(np.concatenate(blocks, axis=-1)[:, None], snr, np.empty(num_samples))
+    column = _logdet_column(np.concatenate(blocks, axis=-1)[:, None], snr)
     return CapacityEstimate(*_stream_stats(column), num_samples, (m, n), snr)
 
 
@@ -421,11 +422,12 @@ class SamplePool:
     differences of table entries are common-random-number differences and
     structural inequalities between entries hold draw by draw.
 
-    The draws themselves are not stored: they are hop 0's stream of
-    ``seed``, a pure function of ``key``, and ``draws`` regenerates them
-    when asked.  A new pool has decomposed no entry; ``build`` decomposes
-    (max_dim, max_dim).  An invalid integer field is refused with a
-    ``ValueError`` naming it.
+    The draws themselves are not stored: they are the stream of ``seed``,
+    a pure function of ``key``, and ``draws`` regenerates them when asked.
+    A new pool has decomposed no entry; ``build`` decomposes (max_dim,
+    max_dim).  An invalid integer field is refused with a ``ValueError``
+    naming it.  The pool is also the one holder of per-draw entry columns
+    (see ``column``).
 
     Attributes:
         coefficients: The entries decomposed so far (see ``decompose``):
@@ -446,6 +448,9 @@ class SamplePool:
     workers: int = field(default=1, compare=False)
     coefficients: dict[tuple[int, int], np.ndarray] = field(
         default_factory=dict, compare=False, repr=False
+    )
+    _columns: dict[tuple[float, int, int], np.ndarray] = field(
+        default_factory=dict, init=False, compare=False, repr=False
     )
 
     def __post_init__(self):
@@ -530,32 +535,42 @@ class SamplePool:
         _map_blocks(task, _num_blocks(N), self.workers)
         self.coefficients.update(store)
 
+    def column(self, snr: float, m: int, n: int) -> np.ndarray:
+        """Read-only per-draw values of entry (m, n), m, n >= 1, at ``snr``:
+        one ``_logdet_column`` pass over the entry's coefficients, which the
+        pool decomposes first if it has not yet.  (m, n) and (n, m) share a
+        column.  The pool keeps at most three: the first it computed and
+        the two most recently used; one it dropped is computed again when
+        read.
 
-def _entry_stats(
-    pool: SamplePool, m: int, n: int, snr: float, out: np.ndarray | None = None
-) -> tuple[float, float]:
-    """Mean and standard error of entry (m, n), m >= n >= 1, at ``snr``: the
-    one computation of a table entry, one ``_logdet_column`` pass over the
-    pool's coefficients of the entry, evaluated in ``out`` when an N-length
-    ``out`` is given.  The pool decomposes the entry if it has not yet.
+        For each pooled draw P the value is the mean of
+        logdet(I + snr * W W^dagger) over every m x n and n x m cyclic window W
+        of P (see ``_window_groups``).  Averaging over the window group makes
+        the entries of a table share exact structural relations on every draw:
 
-    For each pooled draw P the value is the mean of
-    logdet(I + snr * W W^dagger) over every m x n and n x m cyclic window W
-    of P (see ``_window_groups``).  Averaging over the window group makes
-    the entries of a table share exact structural relations on every draw:
+          * (m, n) and (n, m) give the same value (the window sets are mirrors),
+          * growing m or n can only add rows or columns to each window,
+          * complementary row ranges of a column window partition it.
 
-      * (m, n) and (n, m) give the same value (the window sets are mirrors),
-      * growing m or n can only add rows or columns to each window,
-      * complementary row ranges of a column window partition it.
-
-    These hold up to rounding; ``gram_logdet`` is the Cholesky reference that
-    tests and ``check_capacity_properties`` compare against.  The full
-    entry's coefficients and kernel are those of the direct estimator, so
-    its statistics match it bitwise.
-    """
-    pool.decompose([(m, n)])
-    column = np.empty(pool.num_samples) if out is None else out
-    return _stream_stats(_logdet_column(pool.coefficients[(m, n)], snr, column))
+        These hold up to rounding; ``gram_logdet`` is the Cholesky reference
+        that tests and ``check_capacity_properties`` compare against.  The
+        full entry's coefficients and kernel are those of the direct
+        estimator, so its statistics match it bitwise.
+        """
+        key = (float(snr), max(m, n), min(m, n))
+        columns = self._columns
+        column = columns.get(key)
+        if column is None:
+            _check_snr(key[0])
+            self.decompose([key[1:]])
+            column = _logdet_column(self.coefficients[key[1:]], key[0])
+            column.flags.writeable = False
+        if key != next(iter(columns), key):
+            columns.pop(key, None)  # re-inserted last: most recent
+        columns[key] = column
+        if len(columns) > 3:
+            del columns[list(columns)[1]]
+        return column
 
 
 @dataclass(eq=False)
@@ -564,16 +579,15 @@ class CapacityTable:
 
     Entries are estimated from the Gram determinant coefficients of one
     shared pool of draws via cyclic-window symmetrization (see
-    ``_entry_stats``), so on every single draw the table is symmetric,
+    ``SamplePool.column``), so on every single draw the table is symmetric,
     monotone in each dimension, and superadditive in the row split.  Index 0
     rows and columns are exactly zero.  An entry costs one log1p pass over
     its windows' coefficients in the pool, which computes them when a table
     first reads the entry.
 
     Per-draw entry values, needed for common-random-number error bars, are
-    not stored: a table holds no N-length array, and ``entry_draws``
-    derives a fresh column from the pool's coefficients on every call.  The
-    only per-draw columns kept are the at most three of a ``TableCache``.
+    not stored: a table holds no N-length array, and ``entry_draws`` reads
+    the pool's column, the one copy.
 
     Attributes:
         snr: the signal-to-noise ratio of every entry.
@@ -612,16 +626,14 @@ class CapacityTable:
         return TableCache(pool).at(snr)
 
     def entry_draws(self, m: int, n: int) -> np.ndarray:
-        """Read-only per-draw values of entry (m, n) over the table's pool.
-
-        The column is computed from the pool's coefficients on every call and
-        not kept; (m, n) and (n, m) give the same values.  Entries with a
-        zero dimension are zeros.
+        """Read-only per-draw values of entry (m, n) over the table's pool:
+        ``pool.column(snr, m, n)``.  Entries with a zero dimension are
+        zeros.
         """
         m, n = self._check_entry(m, n)
-        column = np.zeros(self.num_samples)
         if m and n:
-            _entry_stats(self.pool, max(m, n), min(m, n), self.snr, out=column)
+            return self.pool.column(self.snr, m, n)
+        column = np.zeros(self.num_samples)
         column.flags.writeable = False
         return column
 
@@ -635,8 +647,8 @@ class CapacityTable:
         if todo:
             self.pool.decompose(todo)
         for m, n in todo:
-            self.means[m, n], ses[m, n] = self.means[n, m], ses[n, m] = _entry_stats(
-                self.pool, m, n, self.snr
+            self.means[m, n], ses[m, n] = self.means[n, m], ses[n, m] = _stream_stats(
+                self.pool.column(self.snr, m, n)
             )
         return len(todo)
 
@@ -678,8 +690,7 @@ def _entry_floor(mn, K: int, kk):
 
 
 class TableCache:
-    """Capacity tables at several snr values over one shared pool, and the
-    per-draw columns that gap errors read.
+    """Capacity tables at several snr values over one shared pool.
 
     ``lower`` keeps, per snr, a table that computes only the entries asked
     for: (K, K) always, and others through ``CapacityTable.make_exact``;
@@ -689,22 +700,16 @@ class TableCache:
     the (K, K) mean at any snr from above on the ones ``lower`` has
     computed.
 
-    ``column`` gives an entry's per-draw values at an snr.  The cache is
-    the only holder of N-length columns and keeps at most ``_MAX_COLUMNS``:
-    the first it computed and the two most recently used; one it dropped is
-    computed again when read.  ``lower`` writes the (K, K) column in the
-    pass that reduces the entry.  A sweep's first column is C(K, K) at its
-    first snr; each ``rates.gap_trend`` call reads its full-snr column once
-    and hands it to its rows, and a row's degraded-snr column was written
-    when its q was scored.
+    Every entry reduces the pool's column (``SamplePool.column``), which
+    the pool keeps under its rule.  A sweep's first column is C(K, K) at
+    its first snr; each ``rates.gap_trend`` call reads its full-snr column
+    once and hands it to its rows, and a row's degraded-snr column was
+    computed when its q was scored.
     """
-
-    _MAX_COLUMNS = 3
 
     def __init__(self, pool: SamplePool):
         self.pool = pool
         self._lower: dict[float, CapacityTable] = {}
-        self._columns: dict[tuple[float, int, int], np.ndarray] = {}
 
     def at(self, snr: float) -> CapacityTable:
         """The full table at ``snr``: ``lower(snr)`` with every entry exact,
@@ -723,18 +728,14 @@ class TableCache:
         the (K, K) mean and a NaN standard error, which marks it inexact;
         the table's readers make it exact first.  Entries with a zero
         dimension are exact zeros.  The table keeps the pool, so
-        ``entry_draws`` gives exact per-draw columns for any entry.  The
-        pass that computes (K, K) also writes its column, which the cache
-        keeps (see ``column``).
+        ``entry_draws`` gives exact per-draw columns for any entry.
         """
         key = float(snr)
         table = self._lower.get(key)
         if table is None:
             _check_snr(key)
             K = self.pool.max_dim
-            column = np.empty(self.pool.num_samples)
-            kk, kk_se = _entry_stats(self.pool, K, K, key, out=column)
-            self._keep((key, K, K), column)
+            kk, kk_se = _stream_stats(self.pool.column(key, K, K))
             dims = np.arange(K + 1)
             means = _entry_floor(np.outer(dims, dims), K, kk)
             ses = np.full((K + 1, K + 1), math.nan)
@@ -742,31 +743,6 @@ class TableCache:
             means[K, K], ses[K, K] = kk, kk_se
             table = self._lower[key] = CapacityTable(key, means, ses, self.pool)
         return table
-
-    def column(self, snr: float, m: int, n: int) -> np.ndarray:
-        """Read-only per-draw values of entry (m, n), m, n >= 1, at ``snr``:
-        the floats of ``lower(snr).entry_draws(m, n)``, kept under the
-        cache's rule; (m, n) and (n, m) share a column."""
-        key = (float(snr), max(m, n), min(m, n))
-        column = self._columns.get(key)
-        if column is None:
-            self.lower(key[0])  # computes and keeps (K, K)'s on first use
-            column = self._columns.get(key)
-        if column is None:
-            column = np.empty(self.pool.num_samples)
-            _entry_stats(self.pool, key[1], key[2], key[0], out=column)
-        self._keep(key, column)
-        return column
-
-    def _keep(self, key: tuple[float, int, int], column: np.ndarray) -> None:
-        """Hold ``column`` as the most recently used; past ``_MAX_COLUMNS``,
-        drop the least recently used one after the first."""
-        column.flags.writeable = False
-        if key != next(iter(self._columns), key):
-            self._columns.pop(key, None)  # re-inserted last: most recent
-        self._columns[key] = column
-        if len(self._columns) > self._MAX_COLUMNS:
-            del self._columns[list(self._columns)[1]]
 
     def chord(self, snr: float) -> float:
         """An upper bound on the (K, K) mean at ``snr`` from the (K, K)

@@ -27,10 +27,9 @@ with its table and the number of hops crossing it, found per run of equal
 relay counts, not per hop.  A cut's per-draw column is its blocks' whole
 columns, each added once times that number, in ``_cut_column``; the
 penalty, a constant of the cut, lives only in its value (``_cut_sum``,
-``min_cut_dp``).  ``cut_value`` reads the columns from
-``CapacityTable.entry_draws`` (computed from the pool's Gram coefficients
-on every call; tables store no per-draw copy), and ``rates`` reads its gap
-errors' columns from a ``TableCache`` through the same helpers.
+``min_cut_dp``).  Every column is ``CapacityTable.entry_draws``, the
+pool's own (``SamplePool.column``; tables store no per-draw copy), for
+``cut_value`` and for ``rates``' gap errors alike.
 """
 
 from __future__ import annotations
@@ -226,14 +225,14 @@ def _make_exact(terms: list[tuple[CapacityTable, tuple[int, int], int]]) -> int:
     return sum(t.make_exact(dims) for t, dims in entries.items())
 
 
-def _cut_column(terms, column, num_samples: int) -> np.ndarray:
+def _cut_column(terms: list[tuple[CapacityTable, tuple[int, int], int]]) -> np.ndarray:
     """Per-draw column of a cut's blocks, without its penalty: zeros plus,
-    for each ``_cut_terms`` term with no zero dimension, in order,
-    ``column(table, block)`` times its multiplicity."""
-    values = np.zeros(num_samples)
+    for each ``_cut_terms`` term with no zero dimension, in order, its
+    table's ``entry_draws`` of the block times its multiplicity."""
+    values = np.zeros(terms[0][0].num_samples)
     for t, dims, mult in terms:
         if dims[0] and dims[1]:
-            values += mult * column(t, dims)
+            values += mult * t.entry_draws(*dims)
     return values
 
 
@@ -276,13 +275,12 @@ def cut_profile_draws(
     Each distinct nonzero crossing block of the body hops contributes its
     per-draw column once, times the number of hops it crosses; blocks with
     a zero dimension are exact zeros and are skipped.  ``_cut_column``
-    adds the columns, then node_penalty per counted relay is subtracted;
-    ``rates._gap_std_error`` calls it on the columns of a ``TableCache``.
+    adds the columns, then node_penalty per counted relay is subtracted.
     """
     _check_profile(profile, params)
     body, last, node_penalty = _hop_tables(table, last, params, node_penalty)
     terms = _cut_terms(profile.counts, params, body, last)
-    values = _cut_column(terms, lambda t, dims: t.entry_draws(*dims), body.num_samples)
+    values = _cut_column(terms)
     values -= node_penalty * sum(profile.counts)
     return values
 
@@ -315,7 +313,7 @@ def cut_value(
     terms = _cut_terms(profile.counts, params, body, last)
     _make_exact(terms)
     total, per_block = _cut_sum(profile.counts, params, body, last, node_penalty)
-    column = _cut_column(terms, lambda t, dims: t.entry_draws(*dims), body.num_samples)
+    column = _cut_column(terms)
     return CutValue(total, _stream_stats(column)[1], profile, per_block)
 
 

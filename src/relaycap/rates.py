@@ -207,17 +207,11 @@ def nnc_lower_bound(
     )
 
 
-def depth_gap_bound(
-    relays_per_layer: int, num_hops: int, log_base: str = "nats"
-) -> float:
-    """Guaranteed gap to the cutset bound at depth-matched quantization.
-
-    K log(D) + K log(e) in the configured base (K * (log D + 1) nats); the
-    logarithmic-in-depth guarantee.
-    """
+def depth_gap_bound(relays_per_layer: int, num_hops: int) -> float:
+    """Guaranteed gap to the cutset bound at depth-matched quantization,
+    K (log D + 1) nats: the logarithmic-in-depth guarantee."""
     K, D = relays_per_layer, num_hops
-    nats = K * math.log(D) + K
-    return nats * rate_scale(log_base)
+    return K * math.log(D) + K
 
 
 def prior_cf_gap_bound(relays_per_layer: int, num_hops: int) -> float:
@@ -228,7 +222,9 @@ def prior_cf_gap_bound(relays_per_layer: int, num_hops: int) -> float:
 
 def alignment_gap_bound(relays_per_layer: int, log_base: str = "nats") -> float:
     """Depth-independent gap guarantee of interference-alignment schemes,
-    7 K^3 + 5 K log K with the log in the configured base."""
+    7 K^3 + 5 K log K with the log in the configured base.  It keeps its
+    ``log_base``, unlike the other bounds, because only its log term
+    converts: a caller cannot scale the whole value."""
     K = relays_per_layer
     return 7.0 * K**3 + 5.0 * K * math.log(K) * rate_scale(log_base)
 
@@ -265,20 +261,18 @@ class RateReport:
 
 def _gap_std_error(
     full: np.ndarray, params: NetworkParams, profile: CutProfile,
-    cache: TableCache, table: CapacityTable, last: CapacityTable | None = None,
+    table: CapacityTable, last: CapacityTable | None = None,
 ) -> float:
     """Standard error of ``full``, the per-draw column of C(K, K) at full
     snr, minus the blocks of the cut ``profile`` on ``table`` (hop D on
-    ``last`` if given), over the pool of ``cache``, which made both tables.
+    ``last`` if given), over the one pool of both tables.
 
-    The cut's column is ``_cut_column`` over the cache's per-draw columns,
+    The cut's column is ``_cut_column`` over the pool's per-draw columns,
     without the penalty, a constant that cannot move the error; C(K, K)
     minus it is formed in place and reduced by ``_stream_stats``.
     """
     terms = _cut_terms(profile.counts, params, table, table if last is None else last)
-    cut = _cut_column(
-        terms, lambda t, dims: cache.column(t.snr, *dims), cache.pool.num_samples
-    )
+    cut = _cut_column(terms)
     return _stream_stats(np.subtract(full, cut, out=cut))[1]
 
 
@@ -294,7 +288,7 @@ def _scheme_bounds(
     table = cache.lower(degraded_snr(params, scheme))
     last = None if scheme.destination_quantizes else cache.lower(params.snr)
     raw, profile = _penalized_min_cut(params, scheme, table, mode, last=last)
-    return raw, _gap_std_error(full, params, profile, cache, table, last)
+    return raw, _gap_std_error(full, params, profile, table, last)
 
 
 def rate_report(
@@ -326,7 +320,7 @@ def rate_report(
     K, D = params.relays_per_layer, params.num_hops
     cache = TableCache(SamplePool.build(K, num_samples, seed, workers=workers))
     upper = cache.lower(params.snr).estimate(K, K)
-    raw, se = _scheme_bounds(params, scheme, cache, mode, cache.column(params.snr, K, K))
+    raw, se = _scheme_bounds(params, scheme, cache, mode, cache.pool.column(params.snr, K, K))
     lower = _clamped_rate(raw, scheme)
     if raw < 0.0:
         # the reported rate is the constant 0: only the upper bound varies
@@ -613,7 +607,7 @@ def gap_trend(
             f"cache pool (K, num_samples, seed) = {cache.pool.key} "
             f"does not match the requested {(K, num_samples, seed)}"
         )
-    upper, full = cache.lower(snr).mean(K, K), cache.column(snr, K, K)
+    upper, full = cache.lower(snr).mean(K, K), cache.pool.column(snr, K, K)
     points = []
     for D in depths:
         params = NetworkParams(K, D, power=snr, noise_var=1.0)

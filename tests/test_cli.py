@@ -487,20 +487,20 @@ def test_multi_policy_sweep_is_byte_identical_across_workers(tmp_path):
 def test_multi_snr_sweep_equals_single_snr_sweeps_in_fewer_passes(tmp_path, monkeypatch):
     # each gap_trend call reads its full-snr C(K, K) column once and hands it
     # to every row, so the rows of one snr do not push the other's column
-    # out of the cache: at most 38 log1p passes, where reading it per row
+    # out of the pool: at most 38 log1p passes, where reading it per row
     # made 46
     args = ["sweep", "--K", "2", "--D", "2,4,8,16,32", "--samples", "20000", "--seed", "0",
             "--q-policy", "fixed_1,depth_matched,optimized"]
     singles = b"".join(
         _data_rows(run_cli(tmp_path, [*args, "--snr", s], f"snr-{s}.csv")[1]) for s in ("3", "10")
     )
-    passes, entry_stats = [], mimo._entry_stats
+    passes, logdet_column = [], mimo._logdet_column
 
-    def counting(pool, m, n, snr, out=None):
-        passes.append((m, n, snr))
-        return entry_stats(pool, m, n, snr, out=out)
+    def counting(coefficients, snr):
+        passes.append(snr)
+        return logdet_column(coefficients, snr)
 
-    monkeypatch.setattr(mimo, "_entry_stats", counting)
+    monkeypatch.setattr(mimo, "_logdet_column", counting)
     _, joint = run_cli(tmp_path, [*args, "--snr", "3,10"], "joint.csv")
     assert _data_rows(joint) == singles
     assert len(passes) <= 38

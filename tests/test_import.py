@@ -24,15 +24,18 @@ def test_import_does_not_load_scipy():
 #: How ``mimo`` splits draws into blocks and reduces them.
 BLOCK_NAMES = {"BLOCK_SIZE", "_block_bounds", "_num_blocks"}
 
+#: How ``mimo`` computes per-draw columns and where the pool keeps them.
+COLUMN_NAMES = {"_logdet_column", "_columns"}
 
-def test_only_mimo_names_the_block_partition():
-    # other modules pass whole per-draw columns; only the package's public
-    # re-export of BLOCK_SIZE names a block-level name outside mimo
-    allowed = {"__init__": {"BLOCK_SIZE"}}
+
+def _names_outside_mimo() -> dict[str, set[str]]:
+    """Every name, attribute and imported alias in each package module but
+    ``mimo``, by module."""
+    names = {}
     for path in sorted((SRC / "relaycap").glob("*.py")):
         if path.stem == "mimo":
             continue
-        named = set()
+        named = names[path.stem] = set()
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Name):
                 named.add(node.id)
@@ -40,5 +43,20 @@ def test_only_mimo_names_the_block_partition():
                 named.add(node.attr)
             elif isinstance(node, ast.alias):
                 named.add(node.name)
-        leaked = named & BLOCK_NAMES - allowed.get(path.stem, set())
-        assert not leaked, (path.name, sorted(leaked))
+    return names
+
+
+def test_only_mimo_names_the_block_partition():
+    # other modules pass whole per-draw columns; only the package's public
+    # re-export of BLOCK_SIZE names a block-level name outside mimo
+    allowed = {"__init__": {"BLOCK_SIZE"}}
+    for stem, named in _names_outside_mimo().items():
+        leaked = named & BLOCK_NAMES - allowed.get(stem, set())
+        assert not leaked, (stem, sorted(leaked))
+
+
+def test_only_mimo_names_the_column_store():
+    # the pool is the one holder of per-draw columns: other modules read
+    # them through SamplePool.column or CapacityTable.entry_draws
+    for stem, named in _names_outside_mimo().items():
+        assert not named & COLUMN_NAMES, (stem, sorted(named & COLUMN_NAMES))

@@ -26,6 +26,7 @@ from relaycap import (
     penalty_bound,
     prior_cf_gap_bound,
     rate_report,
+    rate_scale,
     rates,
 )
 from relaycap.mimo import _stream_stats
@@ -111,13 +112,10 @@ def test_depth_matched_penalty_never_exceeds_relay_count():
 
 def test_depth_gap_bound_values():
     assert depth_gap_bound(2, 4) == pytest.approx(2 * math.log(4) + 2, rel=1e-15)
-    # bits conversion divides the whole nats expression by log 2
-    assert depth_gap_bound(2, 4, "bits") == pytest.approx(
-        (2 * math.log(4) + 2) / LN2, rel=1e-15
-    )
-    assert depth_gap_bound(2, 4, "bits") == pytest.approx(
-        2 * math.log2(4) + 2 / LN2, rel=1e-15
-    )
+    # the bound is in nats; bits divide the whole nats expression by log 2
+    bits = depth_gap_bound(2, 4) * rate_scale("bits")
+    assert bits == pytest.approx((2 * math.log(4) + 2) / LN2, rel=1e-15)
+    assert bits == pytest.approx(2 * math.log2(4) + 2 / LN2, rel=1e-15)
     assert depth_gap_bound(1, 1) == 1.0  # log 1 vanishes, K log e remains
 
 
@@ -927,14 +925,14 @@ def test_constant_gap_has_an_exact_zero_error(policy):
 @pytest.mark.parametrize("K", [1, 2, 3, 4])
 def test_streamed_gap_error_equals_the_column_difference_bitwise(K, N):
     # _gap_std_error reduces C(K, K) minus the cut's blocks, formed from
-    # the cache's columns; its floats are those of the N-length difference
+    # the pool's columns; its floats are those of the N-length difference
     # of entry_draws and the unpenalized cut_profile_draws, for the argmin
     # of either mode and for other profiles, with and without a final-hop
     # table, at every penalty
     snr = 10.0
     cache = TableCache(SamplePool.build(K, N, seed=70 + K))
     full = cache.lower(snr)
-    full_column = cache.column(snr, K, K)
+    full_column = cache.pool.column(snr, K, K)
     rng = random.Random(K * N)
     # at K = 4 and 50 000 draws, other profiles cross few entries (memory)
     counts = (K - 1, K) if (K, N) == (4, 50_000) else range(K + 1)
@@ -955,7 +953,7 @@ def test_streamed_gap_error_equals_the_column_difference_bitwise(K, N):
         for c in cuts:
             profile = CutProfile(c)
             expected = _gap_se(params, table, full, profile, last)
-            got = _gap_std_error(full_column, params, profile, cache, table, last)
+            got = _gap_std_error(full_column, params, profile, table, last)
             assert got.hex() == expected.hex(), (D, pen, dq, c)
 
 
@@ -963,27 +961,29 @@ def test_headline_sweep_makes_one_entry_pass_per_snr(monkeypatch):
     # the sweep-optimized shape (K 2, depths 2..32, snr 10, 50 000 draws,
     # three policies on one cache) at the pool seed of the benchmark's
     # inputs for workload seed 0: each snr's C(K, K) is one log1p pass,
-    # which also writes the column the gap errors read; 24 passes in all,
+    # whose column the pool keeps for the gap errors; 24 passes in all,
     # where recomputing the columns for the gap errors made 35
     seed, N = 1440633922, 50_000
     passes, held = [], []
-    entry_stats, keep = mimo._entry_stats, TableCache._keep
+    pool = SamplePool.build(2, N, seed=seed)
+    logdet_column, column = mimo._logdet_column, SamplePool.column
 
-    def counting(pool, m, n, snr, out=None):
-        passes.append((m, n, snr))
-        return entry_stats(pool, m, n, snr, out=out)
+    def counting(coefficients, snr):
+        passes.append((next(e for e, c in pool.coefficients.items() if c is coefficients), snr))
+        return logdet_column(coefficients, snr)
 
-    def keeping(self, key, column):
-        keep(self, key, column)
+    def holding(self, snr, m, n):
+        values = column(self, snr, m, n)
         held.append(len(self._columns))
+        return values
 
-    monkeypatch.setattr(mimo, "_entry_stats", counting)
-    monkeypatch.setattr(TableCache, "_keep", keeping)
-    cache = TableCache(SamplePool.build(2, N, seed=seed))
+    monkeypatch.setattr(mimo, "_logdet_column", counting)
+    monkeypatch.setattr(SamplePool, "column", holding)
+    cache = TableCache(pool)
     for policy in ("fixed_1", "depth_matched", "optimized"):
         gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, N, seed, cache=cache)
     assert len(passes) == len(set(passes)) == len(cache._lower) == 24
-    assert max(held) == len(cache._columns) == 3
+    assert max(held) == len(pool._columns) == 3
     for table in cache._lower.values():
         assert not any(
             isinstance(v, np.ndarray) and v.shape == (N,) for v in vars(table).values()

@@ -178,19 +178,21 @@ def test_entry_draws_reproduce_means_and_errors_bitwise(table3_1):
             assert (mean, se) == (table3_1.means[m, n], table3_1.std_errors[m, n])
 
 
-def test_entry_draws_are_memoized_read_only_columns(pool3):
-    # no table keeps a column: entry_draws computes a fresh read-only one;
-    # the TableCache memoizes the columns it hands out, at most three
-    cache = TableCache(pool3)
+def test_entry_draws_are_memoized_read_only_columns():
+    # no table keeps a column: entry_draws hands out the pool's read-only
+    # one, and the pool memoizes the columns it computes, at most three; the
+    # pool is this test's own, since tables over one pool share its columns
+    pool = SamplePool.build(3, 20_000, seed=11)
+    cache = TableCache(pool)
     table = cache.lower(3.0)
-    col = cache.column(3.0, 2, 3)
-    assert cache.column(3.0, 2, 3) is col
-    assert cache.column(3.0, 3, 2) is col  # mirrored entries share one column
+    col = pool.column(3.0, 2, 3)
+    assert pool.column(3.0, 2, 3) is col
+    assert pool.column(3.0, 3, 2) is col  # mirrored entries share one column
     assert not col.flags.writeable
     with pytest.raises(ValueError):
         col[0] = 0.0
     fresh = table.entry_draws(3, 2)
-    assert fresh is not col and np.array_equal(fresh, col)
+    assert fresh is col and np.array_equal(fresh, col)
     assert not fresh.flags.writeable
     with pytest.raises(ValueError):
         fresh[0] = 0.0
@@ -198,40 +200,48 @@ def test_entry_draws_are_memoized_read_only_columns(pool3):
     for m in range(4):
         for n in range(4):
             if m and n:
-                column = cache.column(3.0, m, n)
+                column = pool.column(3.0, m, n)
                 assert np.array_equal(column, table.entry_draws(m, n)), (m, n)
     # the first column (lower's (3, 3)) and the two most recently used
-    assert list(cache._columns) == [(3.0, 3, 3), (3.0, 3, 1), (3.0, 3, 2)]
-    N = pool3.num_samples
+    assert list(pool._columns) == [(3.0, 3, 3), (3.0, 3, 1), (3.0, 3, 2)]
+    N = pool.num_samples
     assert not any(
         isinstance(v, np.ndarray) and v.shape == (N,) for v in vars(table).values()
     )
 
 
+def _count_passes(mp, pool, calls):
+    """Record in ``calls`` the (m, n, snr) of every log1p pass over an entry
+    of ``pool``: every ``mimo._logdet_column`` call."""
+    logdet_column = mimo._logdet_column
+
+    def counting(coefficients, snr):
+        calls.append((*next(e for e, c in pool.coefficients.items() if c is coefficients), snr))
+        return logdet_column(coefficients, snr)
+
+    mp.setattr(mimo, "_logdet_column", counting)
+
+
 def test_table_cache_keeps_the_first_and_the_two_most_recent_columns():
+    # the pool holds the columns of every table over it, the cache's too
     pool = SamplePool.build(2, 5_000, seed=9)
     cache = TableCache(pool)
     calls = []
-    entry_stats = mimo._entry_stats
-
-    def counting(pool, m, n, snr, out=None):
-        calls.append((m, n, snr))
-        return entry_stats(pool, m, n, snr, out=out)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mimo, "_entry_stats", counting)
+        _count_passes(mp, pool, calls)
         for s in (1.0, 2.0, 3.0, 4.0):
-            cache.lower(s)  # one pass each, which writes its column
-        assert list(cache._columns) == [(1.0, 2, 2), (3.0, 2, 2), (4.0, 2, 2)]
+            cache.lower(s)  # one pass each, which the pool keeps as a column
+        assert list(pool._columns) == [(1.0, 2, 2), (3.0, 2, 2), (4.0, 2, 2)]
         assert len(calls) == 4
-        first, third = cache.column(1.0, 2, 2), cache.column(3.0, 2, 2)
+        first, third = pool.column(1.0, 2, 2), pool.column(3.0, 2, 2)
         assert len(calls) == 4  # both still held: no pass
-        again = cache.column(2.0, 2, 2)  # dropped: computed again
+        again = pool.column(2.0, 2, 2)  # dropped: computed again
         assert calls[4:] == [(2, 2, 2.0)]
-        assert list(cache._columns) == [(1.0, 2, 2), (3.0, 2, 2), (2.0, 2, 2)]
-        cache.column(2.0, 1, 1)  # an entry lower never computed
+        assert list(pool._columns) == [(1.0, 2, 2), (3.0, 2, 2), (2.0, 2, 2)]
+        pool.column(2.0, 1, 1)  # an entry lower never computed
         assert calls[5:] == [(1, 1, 2.0)]
-        assert list(cache._columns) == [(1.0, 2, 2), (2.0, 2, 2), (2.0, 1, 1)]
+        assert list(pool._columns) == [(1.0, 2, 2), (2.0, 2, 2), (2.0, 1, 1)]
     for (s, m, n), col in [((1.0, 2, 2), first), ((3.0, 2, 2), third), ((2.0, 2, 2), again)]:
         assert np.array_equal(col, cache.lower(s).entry_draws(m, n)), s
     assert math.isnan(cache.lower(2.0).std_errors[1, 1])  # columns leave the means alone
@@ -290,13 +300,32 @@ def test_coefficient_kernel_matches_cholesky_on_every_window(K):
         for j, (rows, cols) in enumerate(windows):
             W = np.ascontiguousarray(draws[:, rows[:, None], cols[None, :]])
             for snr in np.geomspace(1e-3, 1e5, 9):
-                got = mimo._logdet_column(coefficients[:, j : j + 1], snr, np.empty(N))
+                got = mimo._logdet_column(coefficients[:, j : j + 1], snr)
                 spectral, cholesky = oracles.spectral_logdet(W, snr), gram_logdet(W, snr)
                 assert np.all(np.abs(got - spectral) <= 1.4e-15 * spectral), (m, n, j, snr)
                 err = np.max(np.abs(got - cholesky))
                 assert err <= np.max(np.abs(spectral - cholesky)) + 1.4e-15 * np.max(spectral)
                 if (m, n) == (K, K):
                     assert err <= SPECTRAL_ERROR[K], (snr, err)
+
+
+@pytest.mark.parametrize("shape", [(1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4), (4, 4)])
+def test_gram_coefficients_do_not_depend_on_the_batch_length(shape):
+    # a draw's coefficients are the same floats whatever else shares its
+    # call: batches of 1 to 9000 draws, taken at the start and at the end
+    # of one 20 000-draw call (across the 8192-row mark where numpy's
+    # complex multiply changes route), and draws spread over it one by one
+    N = 20_000
+    z = np.random.default_rng(sum(shape)).standard_normal((N, *shape, 2))
+    draws = z.view(complex)[..., 0] * np.sqrt(0.5)
+    whole = mimo._gram_coefficients(draws)
+    for size in (1, 7, 4096, 8191, 8192, 9000):
+        for lo in (0, N - size):
+            part = mimo._gram_coefficients(draws[lo : lo + size])
+            assert np.array_equal(part, whole[:, lo : lo + size]), (shape, size, lo)
+    for i in range(0, N, 97):
+        one = mimo._gram_coefficients(draws[i : i + 1])
+        assert np.array_equal(one, whole[:, i : i + 1]), (shape, i)
 
 
 def test_tables_reuse_the_pool_decomposition(monkeypatch):
@@ -407,17 +436,20 @@ def test_one_pass_kernel_equals_per_block_column_bitwise(K, N):
      if (K, N) != (4, 50_000)],
 )
 def test_streamed_entry_kernel_equals_its_column_and_the_per_block_kernel_bitwise(K, N):
-    # _entry_stats evaluates the entry over all N draws, in the N-length
-    # column when one is given; its statistics are those of the column it
-    # writes and of the kernel evaluated on each block as a new array,
-    # reduced chunk by chunk, for single-window and averaged entries alike
+    # SamplePool.column evaluates the entry over all N draws, and an entry's
+    # statistics reduce that column; they are those of the kernel evaluated
+    # on each block as a new array, reduced chunk by chunk, for
+    # single-window and averaged entries alike
     pool = SamplePool.build(K, N, seed=50 + K)
     pool.decompose(_entries(K))
+    cache = TableCache(pool)
     for snr in (0.0, 1e-3, 10.0, 1e5):
+        table = cache.lower(snr)
         for m, n in pool.coefficients:
-            stats = mimo._entry_stats(pool, m, n, snr)
-            column = np.full(N, np.nan)
-            assert _bits(*mimo._entry_stats(pool, m, n, snr, out=column)) == _bits(*stats)
+            table.make_exact([(m, n)])
+            stats = table.means[m, n], table.std_errors[m, n]
+            column = pool.column(snr, m, n)
+            assert table.entry_draws(m, n) is column  # the one the stats reduced
             expected_column = oracles.entry_column_per_block(pool, m, n, snr)
             assert np.array_equal(column, expected_column)
             assert _bits(*_stream_stats(column)) == _bits(*stats), (m, n, snr)
@@ -487,18 +519,13 @@ def test_lower_computes_each_entry_once(no_full_table):
     pool = SamplePool.build(2, 3_000, seed=7)
     cache = TableCache(pool)
     calls = []
-    entry_stats = mimo._entry_stats
-
-    def counting(pool, m, n, snr, out=None):
-        calls.append((m, n, snr))
-        return entry_stats(pool, m, n, snr, out=out)
 
     with no_full_table(), pytest.MonkeyPatch.context() as mp:
-        mp.setattr(mimo, "_entry_stats", counting)
+        _count_passes(mp, pool, calls)
         table = cache.lower(4.0)
         assert cache.lower(4.0) is table and calls == [(2, 2, 4.0)]
-        # the one pass also wrote the (2, 2) column, which the cache keeps
-        kk = cache.column(4.0, 2, 2)
+        # the one pass is the (2, 2) column, which the pool keeps
+        kk = pool.column(4.0, 2, 2)
         assert calls == [(2, 2, 4.0)]
         assert cache.lower(4.0).make_exact([(2, 2), (0, 2), (2, 0)]) == 0
         assert cache.lower(4.0).make_exact([(1, 2), (2, 1)]) == 1
