@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import sys
@@ -539,9 +540,15 @@ def _merge_args(args: argparse.Namespace) -> tuple[dict, str | None]:
     return data, args.subcommand
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """``build_parser()``, built once per process: parsing leaves a parser
+    as it was, so every ``main`` call can reuse it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         data, subcommand = _merge_args(args)
         cfg = validate_config(data, subcommand)

@@ -36,8 +36,8 @@ import itertools
 import logging
 import math
 import numbers
+import threading
 from collections.abc import Iterable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from operator import index
 
@@ -113,8 +113,14 @@ def sample_channel_block(m: int, n: int, seed: int, block_index: int) -> np.ndar
     """
     m, n = _positive_int("m", m, minimum=0), _positive_int("n", n, minimum=0)
     seed = _positive_int("seed", seed, minimum=0)
-    g = _block_rng(seed, block_index)
-    z = g.standard_normal((BLOCK_SIZE, m, n, 2))
+    return _draw_rows(m, n, seed, block_index, BLOCK_SIZE)
+
+
+def _draw_rows(m: int, n: int, seed: int, block_index: int, rows: int) -> np.ndarray:
+    """The first ``rows`` draws of block ``block_index``.  The generator
+    fills the normals in C order, so they are bitwise that prefix of the
+    full block, and a short last block draws only the rows it keeps."""
+    z = _block_rng(seed, block_index).standard_normal((rows, m, n, 2))
     # scaled in place, (re, im) pairs viewed as complex: the floats of
     # (z[..., 0] + 1j * z[..., 1]) * sqrt(0.5) without its three temporaries
     z *= np.sqrt(0.5)
@@ -310,43 +316,74 @@ def _block_bounds(block_index: int, num_samples: int) -> tuple[int, int]:
     return lo, min(lo + BLOCK_SIZE, num_samples)
 
 
-def _stream_stats(values: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of a per-draw column; the package's only
-    reduction.
-
-    The column is summed in BLOCK_SIZE chunks, the last possibly shorter:
+def _chunk_sums(x: np.ndarray) -> list[float]:
+    """Sums of the BLOCK_SIZE chunks of a column, the last possibly shorter:
     the full chunks in one np.add.reduce over a (chunks, BLOCK_SIZE) view,
     each by numpy's pairwise summation along its row as a call on the chunk
-    alone would, and the tail in one more.  The chunk sums are combined
-    with math.fsum, so the result depends only on the values, and estimates
-    over shared draws agree bitwise.  The squares are taken about c, the
-    first chunk's mean, so a column whose mean is far larger than its
-    spread keeps its digits.
-    """
+    alone would, and the tail in one more."""
+    full = len(x) - len(x) % BLOCK_SIZE
+    head = np.add.reduce(x[:full].reshape(-1, BLOCK_SIZE), axis=1).tolist()
+    return [*head, float(np.add.reduce(x[full:]))]
+
+
+def _stream_mean(values: np.ndarray) -> float:
+    """Mean of a per-draw column: ``_chunk_sums`` combined with math.fsum,
+    so it depends only on the values, and estimates over shared draws agree
+    bitwise.  A table entry costs this and its column's log1p pass; the
+    standard error is ``_stream_error``'s, reduced when it is read."""
+    return math.fsum(_chunk_sums(values)) / len(values)
+
+
+def _stream_error(values: np.ndarray, mean: float) -> float:
+    """Standard error of a per-draw column whose ``_stream_mean`` is
+    ``mean``.  The squares are taken about c, the first chunk's mean, so a
+    column whose mean is far larger than its spread keeps its digits."""
     n = len(values)
-    full = n - n % BLOCK_SIZE
-
-    def chunk_sums(x: np.ndarray) -> list[float]:
-        head = np.add.reduce(x[:full].reshape(-1, BLOCK_SIZE), axis=1).tolist()
-        return [*head, float(np.add.reduce(x[full:]))]
-
-    mean = math.fsum(chunk_sums(values)) / n
     if n == 1:
-        return mean, 0.0
+        return 0.0
     c = float(np.add.reduce(values[:BLOCK_SIZE])) / min(n, BLOCK_SIZE)
     squares = np.subtract(values, c)
     np.multiply(squares, squares, out=squares)
     shift = mean - c
-    var = max(math.fsum(chunk_sums(squares)) - n * shift * shift, 0.0) / (n - 1)
-    return mean, math.sqrt(var / n)
+    var = max(math.fsum(_chunk_sums(squares)) - n * shift * shift, 0.0) / (n - 1)
+    return math.sqrt(var / n)
+
+
+def _stream_stats(values: np.ndarray) -> tuple[float, float]:
+    """Mean and standard error of a per-draw column; the package's only
+    reduction, in two halves: ``_stream_mean`` and ``_stream_error``."""
+    mean = _stream_mean(values)
+    return mean, _stream_error(values, mean)
 
 
 def _map_blocks(task, num_blocks: int, workers: int) -> list:
-    """Run ``task(block_index)`` for every block, results in block order."""
-    if workers <= 1:
-        return [task(b) for b in range(num_blocks)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(task, range(num_blocks)))
+    """Run ``task(block_index)`` for every block, results in block order.
+
+    With more than one worker, the calling thread runs every workers-th
+    block from block 0 and workers - 1 helper threads the others, each in
+    ascending order.  A share stops at its first exception; once every
+    share is done, the exception of the lowest failing block is raised.
+    """
+    results = [None] * num_blocks
+    errors = {}
+
+    def run(first: int) -> None:
+        for b in range(first, num_blocks, workers):
+            try:
+                results[b] = task(b)
+            except Exception as e:
+                errors[b] = e
+                return
+
+    helpers = [threading.Thread(target=run, args=(i,)) for i in range(1, min(workers, num_blocks))]
+    for t in helpers:
+        t.start()
+    run(0)
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def estimate_ergodic_capacity(
@@ -383,7 +420,7 @@ def estimate_ergodic_capacity(
 
     def task(b: int) -> np.ndarray:
         lo, hi = _block_bounds(b, num_samples)
-        return _gram_coefficients(sample_channel_block(m, n, seed, b)[: hi - lo])
+        return _gram_coefficients(_draw_rows(m, n, seed, b, hi - lo))
 
     blocks = _map_blocks(task, _num_blocks(num_samples), workers)
     column = _logdet_column(np.concatenate(blocks, axis=-1)[:, None], snr)
@@ -471,8 +508,7 @@ class SamplePool:
         draws = np.empty((N, K, K), dtype=complex)
         for b in range(_num_blocks(N)):
             lo, hi = _block_bounds(b, N)
-            block = sample_channel_block(K, K, self.seed, b)
-            draws[lo:hi] = block[: hi - lo]
+            draws[lo:hi] = _draw_rows(K, K, self.seed, b, hi - lo)
         draws.flags.writeable = False
         return draws
 
@@ -510,7 +546,7 @@ class SamplePool:
         def task(b: int) -> None:
             # each block writes only its own draws
             lo, hi = _block_bounds(b, N)
-            block = sample_channel_block(K, K, self.seed, b)[: hi - lo]
+            block = _draw_rows(K, K, self.seed, b, hi - lo)
             for entry, entry_groups in groups.items():
                 w = 0
                 for rows, cols in entry_groups:
@@ -541,7 +577,8 @@ class SamplePool:
         pool decomposes first if it has not yet.  (m, n) and (n, m) share a
         column.  The pool keeps at most three: the first it computed and
         the two most recently used; one it dropped is computed again when
-        read.
+        read.  ``CapacityTable.make_exact`` and standard-error reads take
+        ``_read_column`` instead, which keeps none, so they evict nothing.
 
         For each pooled draw P the value is the mean of
         logdet(I + snr * W W^dagger) over every m x n and n x m cyclic window W
@@ -558,18 +595,25 @@ class SamplePool:
         estimator, so its statistics match it bitwise.
         """
         key = (float(snr), max(m, n), min(m, n))
+        column = self._read_column(*key)
         columns = self._columns
-        column = columns.get(key)
-        if column is None:
-            _check_snr(key[0])
-            self.decompose([key[1:]])
-            column = _logdet_column(self.coefficients[key[1:]], key[0])
-            column.flags.writeable = False
         if key != next(iter(columns), key):
             columns.pop(key, None)  # re-inserted last: most recent
         columns[key] = column
         if len(columns) > 3:
             del columns[list(columns)[1]]
+        return column
+
+    def _read_column(self, snr: float, m: int, n: int) -> np.ndarray:
+        """Entry (m, n)'s column at ``snr``, m >= n, as ``column`` gives it,
+        but leaving the kept ones and their order alone: the kept column,
+        else a new one that the pool does not keep."""
+        column = self._columns.get((snr, m, n))
+        if column is None:
+            _check_snr(snr)
+            self.decompose([(m, n)])
+            column = _logdet_column(self.coefficients[m, n], snr)
+            column.flags.writeable = False
         return column
 
 
@@ -594,16 +638,22 @@ class CapacityTable:
         means: (max_dim+1, max_dim+1) array of entry means in nats.  On a
             ``TableCache.lower`` table an inexact entry keeps its floor here,
             for ``min_cut_dp``; each reader method makes what it reads exact.
-        std_errors: matching standard errors, NaN where inexact.
+        std_errors: matching standard errors, NaN exactly where inexact.
+            An exact entry's error may be reduced only when it is read (see
+            ``_unreduced``); it is bitwise the error reduced with its mean.
         pool: the SamplePool whose draws every entry reads; its ``key``
             names them, and ``max_dim`` and ``num_samples`` are its own.
     """
 
     snr: float
     means: np.ndarray = field(repr=False)
-    std_errors: np.ndarray = field(repr=False)
+    std_errors: np.ndarray = field(repr=False)  # made a property below the class
     pool: SamplePool
     per_draw: None = field(default=None, init=False, repr=False)  # always None; tracer shim
+    #: exact entries (m, n), m >= n, whose standard error is not reduced
+    #: yet: NaN in the stored errors, made finite from the pool's column on
+    #: the first read of ``std_errors``
+    _unreduced: set[tuple[int, int]] = field(default_factory=set, init=False, repr=False)
 
     @property
     def max_dim(self) -> int:
@@ -640,17 +690,35 @@ class CapacityTable:
     def make_exact(self, dims: Iterable[tuple[int, int]]) -> int:
         """Compute the entries ``dims`` that are not exact yet, each once
         (with its mirror), from one ``SamplePool.decompose``; returns how
-        many were computed.  On a full table it computes nothing.
+        many were computed.  On a full table it computes nothing.  Each
+        entry's mean and standard error are reduced together from
+        ``SamplePool._read_column``, so the columns the pool keeps stay.
         """
-        ses = self.std_errors
-        todo = sorted({(max(m, n), min(m, n)) for m, n in set(dims) if math.isnan(ses[m, n])})
+        ses = self._errors
+        todo = sorted(
+            {(max(m, n), min(m, n)) for m, n in set(dims) if math.isnan(ses[m, n])}
+            - self._unreduced
+        )
         if todo:
             self.pool.decompose(todo)
         for m, n in todo:
             self.means[m, n], ses[m, n] = self.means[n, m], ses[n, m] = _stream_stats(
-                self.pool.column(self.snr, m, n)
+                self.pool._read_column(self.snr, m, n)
             )
         return len(todo)
+
+    def _reduced_errors(self) -> np.ndarray:
+        """``std_errors``: the stored errors, after reducing those of the
+        ``_unreduced`` entries from the pool's columns."""
+        ses = self._errors
+        while self._unreduced:
+            m, n = self._unreduced.pop()
+            column = self.pool._read_column(self.snr, m, n)
+            ses[m, n] = ses[n, m] = _stream_error(column, float(self.means[m, n]))
+        return ses
+
+    def _store_errors(self, std_errors: np.ndarray) -> None:
+        self._errors = std_errors
 
     def _check_entry(self, m: int, n: int) -> tuple[int, int]:
         """(m, n) as ints, refused unless both are integers in 0..max_dim."""
@@ -677,6 +745,10 @@ class CapacityTable:
         )
 
 
+# after the dataclass is made, so that std_errors stays a constructor field
+CapacityTable.std_errors = property(CapacityTable._reduced_errors, CapacityTable._store_errors)
+
+
 def _entry_floor(mn, K: int, kk):
     """(mn / K^2) * kk - 1e-9 * max(1, kk), elementwise: a lower bound on
     entry (m, n), mn = m * n >= 1, of a table over a pool of K x K draws
@@ -700,11 +772,12 @@ class TableCache:
     the (K, K) mean at any snr from above on the ones ``lower`` has
     computed.
 
-    Every entry reduces the pool's column (``SamplePool.column``), which
-    the pool keeps under its rule.  A sweep's first column is C(K, K) at
-    its first snr; each ``rates.gap_trend`` call reads its full-snr column
-    once and hands it to its rows, and a row's degraded-snr column was
-    computed when its q was scored.
+    ``lower`` reads each snr's (K, K) column through ``SamplePool.column``,
+    which the pool keeps under its rule.  A sweep's first column is C(K, K)
+    at its first snr; each ``rates.gap_trend`` call reads its full-snr
+    column once and hands it to its rows, and a row's degraded-snr column
+    was computed when its q was scored.  No table entry's standard error is
+    reduced unless it is read, so a sweep reduces only its rows' gap errors.
     """
 
     def __init__(self, pool: SamplePool):
@@ -712,12 +785,14 @@ class TableCache:
         self._lower: dict[float, CapacityTable] = {}
 
     def at(self, snr: float) -> CapacityTable:
-        """The full table at ``snr``: ``lower(snr)`` with every entry exact,
-        after one ``decompose`` of every entry the pool lacks."""
+        """The full table at ``snr``: ``lower(snr)`` with every entry exact
+        and every standard error reduced, after one ``decompose`` of every
+        entry the pool lacks."""
         K = self.pool.max_dim
         self.pool.decompose(itertools.combinations_with_replacement(range(K, 0, -1), 2))
         table = self.lower(snr)
         table.make_exact(itertools.product(range(1, K + 1), repeat=2))
+        table._reduced_errors()  # (K, K)'s, while the pool keeps its column
         return table
 
     def lower(self, snr: float) -> CapacityTable:
@@ -729,19 +804,24 @@ class TableCache:
         the table's readers make it exact first.  Entries with a zero
         dimension are exact zeros.  The table keeps the pool, so
         ``entry_draws`` gives exact per-draw columns for any entry.
+
+        Making the table costs one log1p pass, the (K, K) column that the
+        pool keeps, and one ``_stream_mean``; (K, K)'s standard error is
+        reduced from that column when ``std_errors`` is first read.
         """
         key = float(snr)
         table = self._lower.get(key)
         if table is None:
             _check_snr(key)
             K = self.pool.max_dim
-            kk, kk_se = _stream_stats(self.pool.column(key, K, K))
+            kk = _stream_mean(self.pool.column(key, K, K))
             dims = np.arange(K + 1)
             means = _entry_floor(np.outer(dims, dims), K, kk)
             ses = np.full((K + 1, K + 1), math.nan)
             means[0] = means[:, 0] = ses[0] = ses[:, 0] = 0.0
-            means[K, K], ses[K, K] = kk, kk_se
+            means[K, K] = kk
             table = self._lower[key] = CapacityTable(key, means, ses, self.pool)
+            table._unreduced.add((K, K))
         return table
 
     def chord(self, snr: float) -> float:

@@ -311,9 +311,11 @@ def cut_value(
     _check_profile(profile, params)
     body, last, node_penalty = _hop_tables(table, last, params, node_penalty)
     terms = _cut_terms(profile.counts, params, body, last)
+    # the blocks' columns first: the pool keeps them, and make_exact then
+    # reduces the entries it computes from those columns
+    column = _cut_column(terms)
     _make_exact(terms)
     total, per_block = _cut_sum(profile.counts, params, body, last, node_penalty)
-    column = _cut_column(terms)
     return CutValue(total, _stream_stats(column)[1], profile, per_block)
 
 

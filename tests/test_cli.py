@@ -3,9 +3,11 @@
 import dataclasses
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +16,7 @@ from relaycap import (
     NetworkParams,
     QuantizationScheme,
     check_capacity_properties,
+    cli,
     cut_value,
     gap_trend,
     mimo,
@@ -337,13 +340,13 @@ def test_verify_decomposes_every_block_once(tmp_path, monkeypatch):
     # over the blocks; the property checks then read the raw draws, which
     # the pool regenerates once per snr
     calls = []
-    sample = mimo.sample_channel_block
+    sample = mimo._draw_rows
 
     def counting(*args, **kwargs):
         calls.append(args[3])
         return sample(*args, **kwargs)
 
-    monkeypatch.setattr(mimo, "sample_channel_block", counting)
+    monkeypatch.setattr(mimo, "_draw_rows", counting)
     rc, _ = run_cli(
         tmp_path, ["verify", "--max-dim", "3", "--samples", "9000", "--snr", "1,10"]
     )
@@ -690,6 +693,23 @@ def test_flags_mean_the_same_before_and_after_the_subcommand(tmp_path, argv):
         assert rc == 0, order
         outputs.append(out.read_bytes())
     assert outputs[1] == outputs[2] == outputs[0]
+
+
+def test_main_reuses_one_parser_and_reads_each_call_alone(tmp_path):
+    # main parses every call of a process with one parser; no flag of one
+    # call carries into the next, which writes what a fresh process prints
+    first = ["--K", "3", "--samples", "2000", "rate", "--D", "4"]
+    second = ["rate", "--D", "4", "--samples", "2000"]
+    outs = [run_cli(tmp_path, argv, f"call{i}.csv")[1].read_bytes()
+            for i, argv in enumerate((first, second))]
+    assert cli._parser() is cli._parser()
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    fresh = [subprocess.run([sys.executable, "-m", "relaycap.cli", *argv], env=env,
+                            capture_output=True, check=True, timeout=120).stdout
+             for argv in (first, second)]
+    assert outs == fresh
 
 
 # ---------------------------------------------------------- output records

@@ -1,6 +1,8 @@
 """Ergodic capacity estimates against quadrature oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -91,6 +93,46 @@ def test_worker_count_never_changes_the_answer():
     assert e1.std_error == e4.std_error
 
 
+@pytest.mark.parametrize("workers", [1, 2, 3, 8])
+def test_map_blocks_keeps_block_order_on_the_caller_and_helper_threads(workers):
+    # the calling thread runs every workers-th block from block 0, and at
+    # most workers - 1 helper threads the rest; a short switch interval
+    # interleaves them often, and every block's result must land in place
+    threads = {}
+
+    def task(b):
+        threads.setdefault(threading.current_thread(), []).append(b)
+        return [b] * 3
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = mimo._map_blocks(task, 200, workers)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[b] * 3 for b in range(200)]
+    assert threads[threading.current_thread()] == list(range(0, 200, workers))
+    assert len(threads) == min(workers, 200)
+    assert sorted(b for bs in threads.values() for b in bs) == list(range(200))
+    assert mimo._map_blocks(task, 1, workers) == [[0] * 3]
+    assert mimo._map_blocks(task, 0, workers) == []
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_blocks_raises_the_lowest_failing_blocks_exception(workers):
+    # whichever thread runs it, the exception of the lowest failing block
+    # reaches the caller once every share has stopped
+    def task(b):
+        if b in (5, 6, 11):
+            raise ValueError(f"block {b}")
+        return b
+
+    running = threading.active_count()
+    with pytest.raises(ValueError, match="^block 5$"):
+        mimo._map_blocks(task, 13, workers)
+    assert threading.active_count() == running  # every helper was joined
+
+
 def test_doubling_draws_stays_consistent():
     # the first half of the draws is shared, so the two estimates must agree
     # statistically; 6 combined standard errors over 20 seeds is conservative
@@ -133,7 +175,7 @@ def test_estimator_refuses_bad_integers_before_any_work(monkeypatch, args, name)
     def no_sampling(*a, **kw):
         raise AssertionError("sampled before the arguments were checked")
 
-    monkeypatch.setattr(mimo, "sample_channel_block", no_sampling)
+    monkeypatch.setattr(mimo, "_draw_rows", no_sampling)
     m, n, N, seed, workers = args
     with pytest.raises(ValueError, match=f"^{name} "):
         estimate_ergodic_capacity(m, n, 1.0, N, seed, workers=workers)

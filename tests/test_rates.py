@@ -643,6 +643,26 @@ def test_certified_min_cut_computes_the_entries_its_first_argmin_crosses():
         5e-13: {(2, 2), (2, 1)}, 1e-12: {(2, 2), (2, 1)}}
 
 
+def test_certification_keeps_the_columns_the_gap_error_reads(monkeypatch):
+    # K = 3, split_bound, an unquantized destination: the certification
+    # computes (3, 1) and (3, 2) at the degraded snr 2.0 from columns the
+    # pool does not keep, so the (3, 3) column there stays for the gap
+    # error; four log1p passes, each (entry, snr) once, where pushing those
+    # columns into the pool evicted it and made five
+    passes, logdet_column = [], mimo._logdet_column
+
+    def counting(coefficients, snr):
+        passes.append((coefficients.shape[0], snr))
+        return logdet_column(coefficients, snr)
+
+    monkeypatch.setattr(mimo, "_logdet_column", counting)
+    params = NetworkParams(3, 5, power=10.0)
+    scheme = QuantizationScheme.depth_matched(5, destination_quantizes=False)
+    rate_report(params, scheme, 5_000, 0, mode="split_bound")
+    # (smaller dimension, snr): (3, 1), (3, 2) and (3, 3) at 2.0, (3, 3) at 10
+    assert sorted(passes) == [(1, 2.0), (2, 2.0), (3, 2.0), (3, 10.0)]
+
+
 # ------------------------------------------------- pruned optimizer scan
 
 PRUNE_DEPTHS = [1, 2, 3, 8, 32, 64]
@@ -962,15 +982,22 @@ def test_headline_sweep_makes_one_entry_pass_per_snr(monkeypatch):
     # three policies on one cache) at the pool seed of the benchmark's
     # inputs for workload seed 0: each snr's C(K, K) is one log1p pass,
     # whose column the pool keeps for the gap errors; 24 passes in all,
-    # where recomputing the columns for the gap errors made 35
+    # where recomputing the columns for the gap errors made 35.  Each of the
+    # 15 rows reduces one standard error, its gap's, and no table reduces
+    # one: a table entry costs its pass and one sum
     seed, N = 1440633922, 50_000
-    passes, held = [], []
+    passes, held, errors = [], [], []
     pool = SamplePool.build(2, N, seed=seed)
     logdet_column, column = mimo._logdet_column, SamplePool.column
+    stream_error = mimo._stream_error
 
     def counting(coefficients, snr):
         passes.append((next(e for e, c in pool.coefficients.items() if c is coefficients), snr))
         return logdet_column(coefficients, snr)
+
+    def counting_errors(values, mean):
+        errors.append(len(values))
+        return stream_error(values, mean)
 
     def holding(self, snr, m, n):
         values = column(self, snr, m, n)
@@ -979,10 +1006,14 @@ def test_headline_sweep_makes_one_entry_pass_per_snr(monkeypatch):
 
     monkeypatch.setattr(mimo, "_logdet_column", counting)
     monkeypatch.setattr(SamplePool, "column", holding)
+    monkeypatch.setattr(mimo, "_stream_error", counting_errors)
     cache = TableCache(pool)
+    rows = []
     for policy in ("fixed_1", "depth_matched", "optimized"):
-        gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, N, seed, cache=cache)
+        rows += gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, N, seed, cache=cache)
     assert len(passes) == len(set(passes)) == len(cache._lower) == 24
+    assert errors == [N] * len(rows) == [N] * 15
+    assert all(t._unreduced == {(2, 2)} for t in cache._lower.values())
     assert max(held) == len(pool._columns) == 3
     for table in cache._lower.values():
         assert not any(

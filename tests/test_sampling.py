@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import hop_channel_block, sample_channel
-from relaycap import BLOCK_SIZE, SamplePool, sample_channel_block
+from relaycap import BLOCK_SIZE, SamplePool, mimo, sample_channel_block
 
 
 def test_block_shape_and_dtype():
@@ -32,6 +32,16 @@ def test_distinct_streams_differ(kw):
     if base["hop_index"] == 0:
         assert np.array_equal(b, sample_channel_block(2, 2, base["seed"], base["block_index"]))
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("rows", [1, 848, BLOCK_SIZE - 1, BLOCK_SIZE])
+def test_a_short_block_is_the_prefix_of_the_full_block(rows):
+    # pools, direct estimates and draws sample only the rows a block keeps
+    # (848 is the last block of 50 000 draws); the generator fills the
+    # normals in C order, so those rows are bitwise the full block's
+    for m, n, seed, block in ((2, 2, 0, 12), (3, 1, 7, 0), (1, 4, 1440633922, 3)):
+        full = sample_channel_block(m, n, seed, block)
+        assert mimo._draw_rows(m, n, seed, block, rows).tobytes() == full[:rows].tobytes()
 
 
 def test_entry_moments():

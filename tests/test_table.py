@@ -122,13 +122,13 @@ def test_full_table_pool_samples_every_block_once(monkeypatch):
     # no block is sampled again when it reads the other entries
     K, N = 3, 20_000
     calls = collections.Counter()
-    sample = mimo.sample_channel_block
+    sample = mimo._draw_rows
 
-    def counting(m, n, seed, block_index):
+    def counting(m, n, seed, block_index, rows):
         calls[block_index] += 1
-        return sample(m, n, seed, block_index)
+        return sample(m, n, seed, block_index, rows)
 
-    monkeypatch.setattr(mimo, "sample_channel_block", counting)
+    monkeypatch.setattr(mimo, "_draw_rows", counting)
     table = CapacityTable.from_pool(SamplePool(K, N, 4), 10.0)
     assert calls == {b: 1 for b in range(mimo._num_blocks(N))}
     assert table.pool.coefficients.keys() == set(_entries(K))
@@ -544,6 +544,41 @@ def test_lower_computes_each_entry_once(no_full_table):
         cache.lower(math.nan)
 
 
+@pytest.mark.parametrize("K", [1, 2, 3, 4])
+@pytest.mark.parametrize("read", ["std_error", "estimate", "at", "std_errors"])
+def test_a_lazily_reduced_kk_error_is_the_eager_one_bitwise(K, read):
+    # lower reduces only C(K, K)'s mean; its standard error is reduced on
+    # the first read, from the column the pool keeps or, for the snr whose
+    # column it dropped (10), from a new one that it does not keep, and is
+    # bitwise the direct estimator's, which reduces both from one column
+    N, seed, snrs = 5_000, 70 + K, (0.1, 10.0, 1e3, 1e5)
+    pool = SamplePool.build(K, N, seed)
+    cache = TableCache(pool)
+    tables = {s: cache.lower(s) for s in snrs}
+    kept = list(pool._columns)
+    assert kept == [(s, K, K) for s in (0.1, 1e3, 1e5)]
+    for s, table in tables.items():
+        assert table._unreduced == {(K, K)}, s
+        if read == "at":
+            assert cache.at(s) is table and not table._unreduced
+            got = table.means[K, K], table._errors[K, K]
+        elif read == "std_errors":
+            got = table.means[K, K], table.std_errors[K, K]
+        elif read == "estimate":
+            est = table.estimate(K, K)
+            got = est.mean, est.std_error
+        else:
+            got = table.mean(K, K), table.std_error(K, K)
+        want = estimate_ergodic_capacity(K, K, s, N, seed)
+        assert _bits(*got) == _bits(want.mean, want.std_error), (s, read)
+        assert _bits(*got) == _bits(*_stream_stats(pool._read_column(s, K, K)))
+        if read == "at":
+            for m, n in _entries(K):
+                stats = _stream_stats(pool._read_column(s, m, n))
+                assert _bits(table.means[m, n], table.std_errors[m, n]) == _bits(*stats)
+    assert list(pool._columns) == kept  # reading an error keeps no column
+
+
 def test_each_entry_is_decomposed_once(monkeypatch):
     # a build decomposes (K, K) alone; every other entry is decomposed when
     # a table first reads it, by one _gram_coefficients call per window
@@ -638,7 +673,7 @@ def test_pool_builders_refuse_bad_integers_before_any_work(monkeypatch, args, na
     def no_sampling(*a, **kw):
         raise AssertionError("sampled before the arguments were checked")
 
-    monkeypatch.setattr(mimo, "sample_channel_block", no_sampling)
+    monkeypatch.setattr(mimo, "_draw_rows", no_sampling)
     K, N, seed, workers = args
     with pytest.raises(ValueError, match=name):
         SamplePool.build(K, N, seed, workers=workers)
