@@ -467,7 +467,7 @@ class SamplePool:
     (see ``column``).
 
     Attributes:
-        coefficients: The entries decomposed so far (see ``decompose``):
+        coefficients: The entries decomposed so far, by ``decompose`` alone:
             for a table entry (m, n) with m >= n, an array of shape
             (n, w, num_samples) whose [k - 1, j] row holds e_k of the
             smaller-side Gram determinant of the entry's j-th cyclic window
@@ -484,7 +484,7 @@ class SamplePool:
     seed: int
     workers: int = field(default=1, compare=False)
     coefficients: dict[tuple[int, int], np.ndarray] = field(
-        default_factory=dict, compare=False, repr=False
+        default_factory=dict, init=False, compare=False, repr=False
     )
     _columns: dict[tuple[float, int, int], np.ndarray] = field(
         default_factory=dict, init=False, compare=False, repr=False
@@ -635,25 +635,27 @@ class CapacityTable:
 
     Attributes:
         snr: the signal-to-noise ratio of every entry.
-        means: (max_dim+1, max_dim+1) array of entry means in nats.  On a
-            ``TableCache.lower`` table an inexact entry keeps its floor here,
+        means: (max_dim+1, max_dim+1) array of entry means in nats, all
+            exact on a constructed table.  A ``TableCache.lower`` table keeps
+            a floor here for each entry its ``_exact`` mask marks inexact,
             for ``min_cut_dp``; each reader method makes what it reads exact.
-        std_errors: matching standard errors, NaN exactly where inexact.
-            An exact entry's error may be reduced only when it is read (see
-            ``_unreduced``); it is bitwise the error reduced with its mean.
         pool: the SamplePool whose draws every entry reads; its ``key``
             names them, and ``max_dim`` and ``num_samples`` are its own.
     """
 
     snr: float
     means: np.ndarray = field(repr=False)
-    std_errors: np.ndarray = field(repr=False)  # made a property below the class
     pool: SamplePool
     per_draw: None = field(default=None, init=False, repr=False)  # always None; tracer shim
-    #: exact entries (m, n), m >= n, whose standard error is not reduced
-    #: yet: NaN in the stored errors, made finite from the pool's column on
-    #: the first read of ``std_errors``
-    _unreduced: set[tuple[int, int]] = field(default_factory=set, init=False, repr=False)
+    #: False where ``means`` holds a floor
+    _exact: np.ndarray = field(init=False, repr=False)
+    #: errors reduced so far, NaN elsewhere and 0.0 on the zero row and column
+    _errors: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._exact = np.ones(self.means.shape, dtype=bool)
+        self._errors = np.full(self.means.shape, math.nan)
+        self._errors[0] = self._errors[:, 0] = 0.0
 
     @property
     def max_dim(self) -> int:
@@ -662,6 +664,18 @@ class CapacityTable:
     @property
     def num_samples(self) -> int:
         return self.pool.num_samples
+
+    @property
+    def std_errors(self) -> np.ndarray:
+        """Standard errors matching ``means``, NaN exactly where inexact.
+        An exact entry's is reduced on the first read from
+        ``SamplePool._read_column`` and the stored mean, bitwise the error
+        reduced with the mean."""
+        ses = self._errors
+        for m, n in np.argwhere(np.tril(self._exact & np.isnan(ses))).tolist():
+            column = self.pool._read_column(self.snr, m, n)
+            ses[m, n] = ses[n, m] = _stream_error(column, float(self.means[m, n]))
+        return ses
 
     @classmethod
     def from_pool(
@@ -688,37 +702,22 @@ class CapacityTable:
         return column
 
     def make_exact(self, dims: Iterable[tuple[int, int]]) -> int:
-        """Compute the entries ``dims`` that are not exact yet, each once
-        (with its mirror), from one ``SamplePool.decompose``; returns how
-        many were computed.  On a full table it computes nothing.  Each
-        entry's mean and standard error are reduced together from
+        """Compute the entries ``dims`` that ``_exact`` marks inexact, each
+        once (with its mirror), from one ``SamplePool.decompose``; returns
+        how many were computed.  On a constructed table it computes nothing.
+        Each entry's mean and standard error are reduced together from
         ``SamplePool._read_column``, so the columns the pool keeps stay.
         """
-        ses = self._errors
-        todo = sorted(
-            {(max(m, n), min(m, n)) for m, n in set(dims) if math.isnan(ses[m, n])}
-            - self._unreduced
-        )
+        exact, ses = self._exact, self._errors
+        todo = sorted({(max(m, n), min(m, n)) for m, n in set(dims) if not exact[m, n]})
         if todo:
             self.pool.decompose(todo)
         for m, n in todo:
             self.means[m, n], ses[m, n] = self.means[n, m], ses[n, m] = _stream_stats(
                 self.pool._read_column(self.snr, m, n)
             )
+            exact[m, n] = exact[n, m] = True
         return len(todo)
-
-    def _reduced_errors(self) -> np.ndarray:
-        """``std_errors``: the stored errors, after reducing those of the
-        ``_unreduced`` entries from the pool's columns."""
-        ses = self._errors
-        while self._unreduced:
-            m, n = self._unreduced.pop()
-            column = self.pool._read_column(self.snr, m, n)
-            ses[m, n] = ses[n, m] = _stream_error(column, float(self.means[m, n]))
-        return ses
-
-    def _store_errors(self, std_errors: np.ndarray) -> None:
-        self._errors = std_errors
 
     def _check_entry(self, m: int, n: int) -> tuple[int, int]:
         """(m, n) as ints, refused unless both are integers in 0..max_dim."""
@@ -743,10 +742,6 @@ class CapacityTable:
         return CapacityEstimate(
             self.mean(m, n), self.std_error(m, n), self.num_samples, (m, n), self.snr
         )
-
-
-# after the dataclass is made, so that std_errors stays a constructor field
-CapacityTable.std_errors = property(CapacityTable._reduced_errors, CapacityTable._store_errors)
 
 
 def _entry_floor(mn, K: int, kk):
@@ -792,17 +787,17 @@ class TableCache:
         self.pool.decompose(itertools.combinations_with_replacement(range(K, 0, -1), 2))
         table = self.lower(snr)
         table.make_exact(itertools.product(range(1, K + 1), repeat=2))
-        table._reduced_errors()  # (K, K)'s, while the pool keeps its column
+        table.std_errors  # reduces (K, K)'s error while the pool keeps its column
         return table
 
     def lower(self, snr: float) -> CapacityTable:
         """The lower-bound table at ``snr``, made on first use from entry (K, K).
 
         Exact entries ((K, K) and those ``make_exact`` computed) hold their
-        mean and standard error; every other entry holds ``_entry_floor`` of
-        the (K, K) mean and a NaN standard error, which marks it inexact;
-        the table's readers make it exact first.  Entries with a zero
-        dimension are exact zeros.  The table keeps the pool, so
+        mean; every other entry holds ``_entry_floor`` of the (K, K) mean,
+        and the table's ``_exact`` mask marks it inexact (NaN in
+        ``std_errors``); the table's readers make it exact first.  Entries
+        with a zero dimension are exact zeros.  The table keeps the pool, so
         ``entry_draws`` gives exact per-draw columns for any entry.
 
         Making the table costs one log1p pass, the (K, K) column that the
@@ -817,11 +812,11 @@ class TableCache:
             kk = _stream_mean(self.pool.column(key, K, K))
             dims = np.arange(K + 1)
             means = _entry_floor(np.outer(dims, dims), K, kk)
-            ses = np.full((K + 1, K + 1), math.nan)
-            means[0] = means[:, 0] = ses[0] = ses[:, 0] = 0.0
+            means[0] = means[:, 0] = 0.0
             means[K, K] = kk
-            table = self._lower[key] = CapacityTable(key, means, ses, self.pool)
-            table._unreduced.add((K, K))
+            table = self._lower[key] = CapacityTable(key, means, self.pool)
+            table._exact[1:, 1:] = False
+            table._exact[K, K] = True
         return table
 
     def chord(self, snr: float) -> float:

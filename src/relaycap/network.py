@@ -226,13 +226,15 @@ def _make_exact(terms: list[tuple[CapacityTable, tuple[int, int], int]]) -> int:
 
 
 def _cut_column(terms: list[tuple[CapacityTable, tuple[int, int], int]]) -> np.ndarray:
-    """Per-draw column of a cut's blocks, without its penalty: zeros plus,
-    for each ``_cut_terms`` term with no zero dimension, in order, its
-    table's ``entry_draws`` of the block times its multiplicity."""
-    values = np.zeros(terms[0][0].num_samples)
-    for t, dims, mult in terms:
-        if dims[0] and dims[1]:
-            values += mult * t.entry_draws(*dims)
+    """Per-draw column of a cut's blocks, without its penalty, a new array:
+    ``entry_draws`` times multiplicity of each ``_cut_terms`` term with no
+    zero dimension, summed in order from the first (a cut always has one).
+    Columns are >= 0, so that is the sum from zeros bitwise, but for the
+    -0.0 values of columns at snr -0.0, which keep their sign."""
+    columns = (mult * t.entry_draws(*dims) for t, dims, mult in terms if dims[0] and dims[1])
+    values = next(columns)
+    for term in columns:
+        values += term
     return values
 
 
@@ -333,11 +335,13 @@ def min_cut_dp(
     (K+1)^2 edge weights C(K - nxt, cur) - node_penalty * nxt are computed
     once per call; hop D reads ``last`` (default ``table``) without
     penalty.  The backward pass and the reconstruction then take
-    O(D * (K+1)^2) float operations on that matrix.  Among minimizing
-    profiles the lexicographically smallest is returned; every edge weight
-    is the float ``_cut_sum`` adds for that hop and sums are associated
-    exactly as there, so the result matches brute-force enumeration on the
-    full tables bitwise, though no code is shared with it.
+    O(D * (K+1)^2) float operations on that matrix.  Every edge weight is
+    the float ``_cut_sum`` adds for that hop and sums are associated
+    exactly as there, so the value is brute force's on the full tables
+    bitwise (float addition is monotone), though no code is shared with it.
+    The profile follows suffix minima, smallest next state first: the
+    lexicographically smallest argmin, unless rounding ties profiles whose
+    exact sums differ; brute force may then return another.
 
     On any table the result is the full table's.  A lower-bound table's
     inexact entries hold floors, so every cut is worth at least as much on
@@ -380,8 +384,8 @@ def _dp_pass(
         nxt_g = g[layer + 1]
         g[layer] = [min(map(add, row, nxt_g)) for row in edges]
 
-    # forward reconstruction; picking the smallest next state at each layer
-    # yields the lexicographically smallest argmin
+    # forward reconstruction: the smallest next state whose suffix attains
+    # the minimum, at each layer
     profile = []
     cur = K
     for layer in range(D - 1):
@@ -407,9 +411,9 @@ def brute_force_min_cut(
 
     Each profile is valued by ``_cut_sum``, the sum ``cut_value`` reports,
     on tables whose entries are all made exact first: the full-table
-    reference.  Ties keep the lexicographically smallest profile.  The
-    dynamic program associates its sums the same way, so the two agree
-    bitwise.
+    reference.  Float ties keep the lexicographically smallest profile.
+    The dynamic program associates its sums the same way, so the two
+    values agree bitwise (the profiles can differ; see ``min_cut_dp``).
 
     Guard: raises ValueError when the enumeration would exceed
     BRUTE_FORCE_LIMIT profiles.

@@ -27,6 +27,9 @@ BLOCK_NAMES = {"BLOCK_SIZE", "_block_bounds", "_num_blocks"}
 #: How ``mimo`` computes per-draw columns and where the pool keeps them.
 COLUMN_NAMES = {"_logdet_column", "_columns"}
 
+#: How a table marks its exact entries and reduces their standard errors.
+TABLE_STATE_NAMES = {"_exact", "_errors", "_read_column"}
+
 
 def _names_outside_mimo() -> dict[str, set[str]]:
     """Every name, attribute and imported alias in each package module but
@@ -60,3 +63,10 @@ def test_only_mimo_names_the_column_store():
     # them through SamplePool.column or CapacityTable.entry_draws
     for stem, named in _names_outside_mimo().items():
         assert not named & COLUMN_NAMES, (stem, sorted(named & COLUMN_NAMES))
+
+
+def test_only_mimo_names_a_tables_exactness():
+    # other modules ask a table to make entries exact (make_exact) and read
+    # its errors through std_errors; the mask and the error store are mimo's
+    for stem, named in _names_outside_mimo().items():
+        assert not named & TABLE_STATE_NAMES, (stem, sorted(named & TABLE_STATE_NAMES))

@@ -6,9 +6,12 @@ import math
 import random
 import re
 from collections import Counter
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from oracles import node_cut_value_mc
@@ -26,7 +29,7 @@ from relaycap import (
     nnc_lower_bound,
 )
 from relaycap.mimo import _stream_stats
-from relaycap.network import _block_dims, _cut_sum, _cut_terms, cut_profile_draws
+from relaycap.network import _block_dims, _cut_column, _cut_sum, _cut_terms, cut_profile_draws
 
 
 def params_for(table, K, D):
@@ -331,8 +334,9 @@ def test_cut_draws_equal_the_whole_column_sum_bitwise(table3_10, table3_1, last)
     rng = random.Random(5)
     for K, D in itertools.product((1, 2, 3), (1, 2, 3, 9, 40)):
         params = params_for(table3_10, K, D)
-        for _ in range(4):
-            counts = tuple(rng.randrange(K + 1) for _ in range(D - 1))
+        # all relays on the source side: hop D's block alone, the one-term cut
+        randoms = [tuple(rng.randrange(K + 1) for _ in range(D - 1)) for _ in range(4)]
+        for counts in [(K,) * (D - 1), *randoms]:
             dims = _block_dims(counts, params)
             body_dims = dims if last_table is table3_10 else dims[:-1]
             acc = np.zeros(table3_10.num_samples)
@@ -340,6 +344,12 @@ def test_cut_draws_equal_the_whole_column_sum_bitwise(table3_10, table3_1, last)
                 acc += mult * table3_10.entry_draws(m, n)
             if last_table is not table3_10 and dims[-1][1]:
                 acc += last_table.entry_draws(*dims[-1])
+            # _cut_column starts from its first term, bitwise as from zeros,
+            # and returns a new writable array, never a pool column
+            terms = _cut_terms(counts, params, table3_10, last_table)
+            column = _cut_column(terms)
+            assert column.tobytes() == acc.tobytes() and column.flags.writeable
+            assert not any(np.shares_memory(column, t.entry_draws(*d)) for t, d, _ in terms)
             got = cut_profile_draws(
                 CutProfile(counts), params, table3_10, node_penalty=0.3, last=last_table
             )
@@ -351,7 +361,7 @@ def test_cut_terms_count_every_hop_in_order():
     # of first crossing, and hop D's block: Counter of the per-hop list, hop
     # D's block on its own table or counted among the body's
     body, last = (
-        CapacityTable(s, np.zeros((5, 5)), np.zeros((5, 5)), SamplePool(4, 10, 0)) for s in (1, 2)
+        CapacityTable(s, np.zeros((5, 5)), SamplePool(4, 10, 0)) for s in (1, 2)
     )
     rng = random.Random(3)
     for K, D in itertools.product((1, 2, 3, 4), (1, 2, 3, 7, 64, 474)):
@@ -434,14 +444,16 @@ def test_large_penalty_prefers_all_relays_in_cut(table3_10):
     assert profile.counts == (2, 2, 2)
 
 
-def _uniform_table(K, value=1.0):
+def _synthetic_table(K, entries=1.0):
+    """A table over an undecomposed pool whose nonzero entries are
+    ``entries`` (a number or K x K rows), every one exact."""
     means = np.zeros((K + 1, K + 1))
-    means[1:, 1:] = value
-    return CapacityTable(1.0, means, np.zeros_like(means), SamplePool(K, 10, 0))
+    means[1:, 1:] = entries
+    return CapacityTable(1.0, means, SamplePool(K, 10, 0))
 
 
 def test_ties_resolve_to_lexicographically_smallest_profile():
-    table = _uniform_table(1)
+    table = _synthetic_table(1)
     params = NetworkParams(1, 3, power=1.0)
     v_dp, p_dp = min_cut_dp(params, table)
     v_bf, p_bf = brute_force_min_cut(params, table)
@@ -450,8 +462,60 @@ def test_ties_resolve_to_lexicographically_smallest_profile():
     assert p_dp.counts == p_bf.counts == (0, 0)
 
 
+def test_dp_and_brute_force_tie_in_float_on_different_profiles():
+    # (3, 3) is worth exactly -3 and (3, 0) -3 + 8.823e-163, which rounds
+    # to -3.0: the DP follows suffix minima to the exact minimizer, brute
+    # force takes the smaller of the profiles tied in float, and the values
+    # agree bitwise
+    K, D, pen = 3, 3, 1.0
+    body = _synthetic_table(K, [[0, 0, 0.1], [0, -0.0, 3.0], [0.1, 3.0, 8.823e-163]])
+    last = _synthetic_table(K, [[9.006, 0.1, 0.5], [0.1, 3.0, 3.935], [0.5, 3.935, 3.0]])
+    params = NetworkParams(K, D)
+    v_dp, p_dp = min_cut_dp(params, body, pen, last=last)
+    v_bf, p_bf = brute_force_min_cut(params, body, pen, last=last)
+    assert v_dp.hex() == v_bf.hex() == (-3.0).hex()
+    assert (p_dp.counts, p_bf.counts) == ((3, 3), (3, 0))
+    exact = {}
+    for counts in itertools.product(range(K + 1), repeat=D - 1):
+        blocks = _block_dims(counts, params)
+        exact[counts] = sum(
+            Fraction((last if i == D - 1 else body).means[dims]) for i, dims in enumerate(blocks)
+        ) - Fraction(pen) * sum(counts)
+    first, second = sorted(exact.values())[:2]
+    assert exact[3, 3] == first == -3 and second > first
+
+
+_ENTRY = st.floats(0.0, 1e16)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(data=st.data())
+def test_dp_value_is_brute_force_value_bitwise(data):
+    # synthetic tables, with and without a distinct final-hop table; the
+    # profiles must agree where one profile alone attains the float minimum
+    K, D = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 4))
+
+    def table():
+        entries = data.draw(st.lists(_ENTRY, min_size=K * K, max_size=K * K))
+        return _synthetic_table(K, np.reshape(entries, (K, K)))
+
+    body = table()
+    last = table() if data.draw(st.booleans()) else body
+    pen = data.draw(st.floats(0.0, 10.0))
+    params = NetworkParams(K, D)
+    v_dp, p_dp = min_cut_dp(params, body, pen, last=last)
+    v_bf, p_bf = brute_force_min_cut(params, body, pen, last=last)
+    assert v_dp.hex() == v_bf.hex()
+    values = [
+        _cut_sum(counts, params, body, last, pen)[0]
+        for counts in itertools.product(range(K + 1), repeat=D - 1)
+    ]
+    if values.count(v_bf) == 1:
+        assert p_dp == p_bf
+
+
 def test_brute_force_guard():
-    table = _uniform_table(3)
+    table = _synthetic_table(3)
     params = NetworkParams(3, 14, power=1.0)
     with pytest.raises(ValueError, match="limit"):
         brute_force_min_cut(params, table)

@@ -1013,7 +1013,10 @@ def test_headline_sweep_makes_one_entry_pass_per_snr(monkeypatch):
         rows += gap_trend(2, [2, 4, 8, 16, 32], 10.0, policy, N, seed, cache=cache)
     assert len(passes) == len(set(passes)) == len(cache._lower) == 24
     assert errors == [N] * len(rows) == [N] * 15
-    assert all(t._unreduced == {(2, 2)} for t in cache._lower.values())
+    assert all(
+        np.argwhere(t._exact & np.isnan(t._errors)).tolist() == [[2, 2]]
+        for t in cache._lower.values()
+    )
     assert max(held) == len(pool._columns) == 3
     for table in cache._lower.values():
         assert not any(

@@ -94,15 +94,18 @@ def test_full_table_over_an_every_entry_pool():
 
 
 def test_table_is_an_snr_over_its_pool():
-    # the constructor takes (snr, means, std_errors, pool); the shape is the
+    # the constructor takes (snr, means, pool); the shape is the
     # pool's, read through properties that cannot disagree with it
     assert [f.name for f in dataclasses.fields(CapacityTable) if f.init] == [
-        "snr", "means", "std_errors", "pool"]
+        "snr", "means", "pool"]
+    # a pool's coefficients are filled by decompose alone
+    assert [f.name for f in dataclasses.fields(SamplePool) if f.init] == [
+        "max_dim", "num_samples", "seed", "workers"]
     pool = SamplePool(3, 10, 0)
-    table = CapacityTable(1.0, np.zeros((4, 4)), np.zeros((4, 4)), pool)
+    table = CapacityTable(1.0, np.zeros((4, 4)), pool)
     assert (table.max_dim, table.num_samples) == (3, 10) and table.per_draw is None
     with pytest.raises(TypeError):
-        CapacityTable(1.0, np.zeros((4, 4)), np.zeros((4, 4)))
+        CapacityTable(1.0, np.zeros((4, 4)))
 
 
 @pytest.mark.parametrize("read", ["mean", "std_error", "estimate", "entry_draws"])
@@ -558,9 +561,9 @@ def test_a_lazily_reduced_kk_error_is_the_eager_one_bitwise(K, read):
     kept = list(pool._columns)
     assert kept == [(s, K, K) for s in (0.1, 1e3, 1e5)]
     for s, table in tables.items():
-        assert table._unreduced == {(K, K)}, s
+        assert np.argwhere(table._exact & np.isnan(table._errors)).tolist() == [[K, K]], s
         if read == "at":
-            assert cache.at(s) is table and not table._unreduced
+            assert cache.at(s) is table and not np.isnan(table._errors).any()
             got = table.means[K, K], table._errors[K, K]
         elif read == "std_errors":
             got = table.means[K, K], table.std_errors[K, K]
