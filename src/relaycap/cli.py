@@ -119,6 +119,8 @@ def _as_int(key: str, v, minimum: int | None = None) -> int:
 def _as_float(key: str, v, positive: bool = False, nonnegative: bool = False) -> float:
     try:
         fv = float(v)
+    except OverflowError:  # an int beyond the floats
+        raise ConfigError(key, f"must be finite, got {v!r}") from None
     except (TypeError, ValueError):
         raise ConfigError(key, f"expected a number, got {v!r}") from None
     if not math.isfinite(fv):
@@ -409,13 +411,14 @@ def run_verify(cfg: ExperimentConfig) -> int:
     def record(name: str, passed: bool, detail: str) -> None:
         checks.append({"name": name, "passed": bool(passed), "detail": detail})
 
-    # full tables at every snr: the first decomposes every entry in one pass
+    # the property checks read raw draws, the DP a certified lower table: one
+    # pass decomposes its (K, K), for the floors, and every entry up to k_max
     pool = mimo.SamplePool(cfg.max_dim, cfg.num_samples, cfg.seed, cfg.workers)
-    tables = {}
+    k_max = min(3, cfg.max_dim)
+    pool.decompose([(cfg.max_dim, cfg.max_dim),
+                    *((m, n) for m in range(1, k_max + 1) for n in range(1, m + 1))])
     for snr in cfg.snr:
-        table = mimo.CapacityTable.from_pool(pool, snr)
-        tables[snr] = table
-        rep = network.check_capacity_properties(table)
+        rep = network.check_capacity_properties(pool, snr)
         record(
             f"draw_properties_snr_{snr:g}",
             rep.passed,
@@ -424,8 +427,8 @@ def run_verify(cfg: ExperimentConfig) -> int:
         )
 
     mid_snr = cfg.snr[len(cfg.snr) // 2]
-    table = tables[mid_snr]
-    for K in range(1, min(3, cfg.max_dim) + 1):
+    table = mimo.TableCache(pool).lower(mid_snr)
+    for K in range(1, k_max + 1):
         for D in (2, 3, 4):
             for pen in (0.0, math.log(1.5)):
                 params = network.NetworkParams(K, D, power=mid_snr, noise_var=1.0)

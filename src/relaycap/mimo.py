@@ -26,8 +26,8 @@ when a table first reads the entry, and the entry at any snr is
 log1p(snr * (e_1 + snr * (e_2 + ...))): one log1p per window and draw.
 Tables keep no per-draw values; the pool keeps at most three N-length
 columns for common-random-number errors.  ``gram_logdet`` (a Cholesky
-factorization of I + snr * Gram) is kept as the independent reference that
-the property checks and tests compare the coefficient path against.
+factorization of I + snr * Gram) is the independent reference: the property
+checks run it on the raw draws, and tests compare the coefficient path to it.
 """
 
 from __future__ import annotations
@@ -589,10 +589,10 @@ class SamplePool:
           * growing m or n can only add rows or columns to each window,
           * complementary row ranges of a column window partition it.
 
-        These hold up to rounding; ``gram_logdet`` is the Cholesky reference
-        that tests and ``check_capacity_properties`` compare against.  The
-        full entry's coefficients and kernel are those of the direct
-        estimator, so its statistics match it bitwise.
+        These hold up to rounding; ``check_capacity_properties`` checks them
+        on raw draws with the Cholesky reference ``gram_logdet``, which tests
+        compare columns against.  The full entry's coefficients and kernel are
+        those of the direct estimator, so its statistics match it bitwise.
         """
         key = (float(snr), max(m, n), min(m, n))
         column = self._read_column(*key)
@@ -607,12 +607,13 @@ class SamplePool:
     def _read_column(self, snr: float, m: int, n: int) -> np.ndarray:
         """Entry (m, n)'s column at ``snr``, m >= n, as ``column`` gives it,
         but leaving the kept ones and their order alone: the kept column,
-        else a new one that the pool does not keep."""
+        else a new one that the pool does not keep.  Every column is >= +0.0:
+        snr -0.0 computes the +0.0 column."""
         column = self._columns.get((snr, m, n))
         if column is None:
             _check_snr(snr)
             self.decompose([(m, n)])
-            column = _logdet_column(self.coefficients[m, n], snr)
+            column = _logdet_column(self.coefficients[m, n], snr + 0.0)
             column.flags.writeable = False
         return column
 
@@ -804,7 +805,7 @@ class TableCache:
         pool keeps, and one ``_stream_mean``; (K, K)'s standard error is
         reduced from that column when ``std_errors`` is first read.
         """
-        key = float(snr)
+        key = float(snr) + 0.0  # snr -0.0 is the +0.0 table
         table = self._lower.get(key)
         if table is None:
             _check_snr(key)

@@ -44,6 +44,8 @@ import numpy as np
 
 from .mimo import (
     CapacityTable,
+    SamplePool,
+    _check_snr,
     _positive_int,
     _real,
     _record_dict,
@@ -229,8 +231,8 @@ def _cut_column(terms: list[tuple[CapacityTable, tuple[int, int], int]]) -> np.n
     """Per-draw column of a cut's blocks, without its penalty, a new array:
     ``entry_draws`` times multiplicity of each ``_cut_terms`` term with no
     zero dimension, summed in order from the first (a cut always has one).
-    Columns are >= 0, so that is the sum from zeros bitwise, but for the
-    -0.0 values of columns at snr -0.0, which keep their sign."""
+    Columns are >= +0.0, also at snr -0.0, so that is the sum from zeros
+    bitwise."""
     columns = (mult * t.entry_draws(*dims) for t, dims, mult in terms if dims[0] and dims[1])
     values = next(columns)
     for term in columns:
@@ -437,10 +439,10 @@ def brute_force_min_cut(
 
 @dataclass(frozen=True)
 class PropertyReport:
-    """Draw-level structural checks of a capacity table.
+    """Draw-level structural checks of a pool's draws at one snr.
 
-    All quantities are worst cases over every draw of the table's pool and
-    every admissible dimension triple up to ``max_dim``, the pool's:
+    All quantities are worst cases over every draw of the pool and every
+    admissible dimension triple up to ``max_dim``, the pool's:
 
       * symmetry_error: |logdet via receive-side Gram of W - same of
         W^dagger| for x by y corners W of the pooled draws,
@@ -449,7 +451,7 @@ class PropertyReport:
       * split_violation: max of C_draw(K, y) - C_draw(x, y) - C_draw(rest, y)
         for complementary row blocks (the split must not beat the whole).
 
-    Negative violations are reported as observed (no clamping); the table
+    Negative violations are reported as observed (no clamping); the pool
     passes when every worst case is at most ``tolerance``, a constant.
     """
 
@@ -466,17 +468,17 @@ class PropertyReport:
         return _record_dict(self)
 
 
-def check_capacity_properties(table: CapacityTable) -> PropertyReport:
+def check_capacity_properties(pool: SamplePool, snr: float) -> PropertyReport:
     """Verify symmetry, monotonicity and split superadditivity per draw.
 
-    Checks run on the raw pooled draws (corner submatrices, both Gram
-    orderings computed independently) through the Cholesky reference
-    ``gram_logdet``, not on the symmetrized table entries, which come from
-    the pool's Gram coefficients.
+    Checks run on the pool's raw draws at ``snr``: each corner submatrix
+    through the Cholesky reference ``gram_logdet`` on the Gram side it picks
+    (rows when x <= y) and, for symmetry, on the other.  No table is built.
     """
-    K = table.pool.max_dim
-    P = table.pool.draws
-    snr = table.snr
+    snr = _real("snr", snr)
+    _check_snr(snr)
+    K = pool.max_dim
+    P = pool.draws
 
     tops = {}
     for x in range(K + 1):
@@ -486,10 +488,8 @@ def check_capacity_properties(table: CapacityTable) -> PropertyReport:
     sym_err = 0.0
     for x in range(1, K + 1):
         for y in range(1, K + 1):
-            W = P[:, :x, :y]
-            via_rows = gram_logdet(W, snr, side="rows")
-            via_cols = gram_logdet(W, snr, side="cols")
-            sym_err = max(sym_err, float(np.max(np.abs(via_rows - via_cols))))
+            other = gram_logdet(P[:, :x, :y], snr, side="cols" if x <= y else "rows")
+            sym_err = max(sym_err, float(np.max(np.abs(tops[(x, y)] - other))))
 
     mono = -math.inf
     for y in range(1, K + 1):
@@ -506,5 +506,4 @@ def check_capacity_properties(table: CapacityTable) -> PropertyReport:
 
     tol = _PROPERTY_TOLERANCE
     passed = sym_err <= tol and mono <= tol and split <= tol
-    return PropertyReport(sym_err, mono, split, table.pool.num_samples, K, snr, tol, passed)
-
+    return PropertyReport(sym_err, mono, split, pool.num_samples, K, snr, tol, passed)

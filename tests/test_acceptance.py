@@ -141,11 +141,11 @@ def test_criterion_4_line_gap_never_exceeds_log_depth_bound():
 
 def test_criterion_5_per_draw_matrix_properties():
     t0 = time.perf_counter()
-    pool = SamplePool.build(6, 10_000, seed=5)
+    pool = SamplePool(6, 10_000, seed=5)
     worst = 0.0
     all_passed = True
     for snr in (0.1, 1.0, 10.0):
-        rep = check_capacity_properties(CapacityTable.from_pool(pool, snr))
+        rep = check_capacity_properties(pool, snr)
         all_passed = all_passed and rep.passed
         worst = max(
             worst, rep.symmetry_error, rep.monotonicity_violation, rep.split_violation

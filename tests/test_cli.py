@@ -11,6 +11,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from relaycap import (
     NetworkParams,
@@ -103,6 +105,34 @@ def test_line_depth_inferred_from_gains():
 def test_bool_field_type_checked():
     with pytest.raises(ConfigError, match="destination_quantizes"):
         validate_config({"destination_quantizes": "yes"})
+
+
+#: Raw config values of every kind a JSON file or a caller may give, an
+#: integer too large for a float among them.
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 10**6), st.just(10**400), st.floats(),
+    st.text(max_size=4),
+    st.lists(st.sampled_from(["1", "2.5", "-1", "x", "", "nan", "inf", "fixed_1"]),
+             max_size=3).map(",".join),
+)
+_VALUES = st.one_of(
+    _SCALARS, st.lists(_SCALARS, max_size=3),
+    st.dictionaries(st.text(max_size=2), _SCALARS, max_size=2),
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    data=st.dictionaries(st.sampled_from([*_DEFAULTS, "subcommand", "snrr"]), _VALUES,
+                         max_size=5),
+    subcommand=st.sampled_from([*SUBCOMMANDS, None]),
+)
+def test_validate_config_returns_a_config_or_raises_config_error(data, subcommand):
+    try:
+        cfg = validate_config(data, subcommand)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
 
 
 # ------------------------------------------------------------- CSV output
@@ -335,24 +365,37 @@ def test_verify_passes_on_defaults(tmp_path, capsys):
     assert "checks passed" in text
 
 
-def test_verify_decomposes_every_block_once(tmp_path, monkeypatch):
-    # the pool decomposes every entry verify's full tables read in one pass
-    # over the blocks; the property checks then read the raw draws, which
+def test_verify_decomposes_every_block_once(tmp_path, monkeypatch, no_full_table):
+    # the pool decomposes, in one pass over the blocks, exactly the entries
+    # the min-cut checks read on their lower-bound table: (max_dim, max_dim)
+    # and every entry up to 3; the property checks read the raw draws, which
     # the pool regenerates once per snr
-    calls = []
-    sample = mimo._draw_rows
+    calls, decomposed = [], []
+    sample, decompose = mimo._draw_rows, mimo.SamplePool.decompose
 
     def counting(*args, **kwargs):
         calls.append(args[3])
         return sample(*args, **kwargs)
 
+    def recording(self, entries):
+        entries = set(entries)
+        if entries - self.coefficients.keys():
+            decomposed.append(entries - self.coefficients.keys())
+        return decompose(self, entries)
+
     monkeypatch.setattr(mimo, "_draw_rows", counting)
-    rc, _ = run_cli(
-        tmp_path, ["verify", "--max-dim", "3", "--samples", "9000", "--snr", "1,10"]
-    )
-    assert rc == 0
-    blocks = mimo._num_blocks(9000)
-    assert sorted(calls) == sorted(list(range(blocks)) * (1 + 2))
+    monkeypatch.setattr(mimo.SamplePool, "decompose", recording)
+    small = {(m, n) for m in range(1, 4) for n in range(1, m + 1)}
+    for max_dim, samples in ((3, 9000), (5, 4097)):
+        calls.clear()
+        decomposed.clear()
+        with no_full_table():
+            rc, _ = run_cli(tmp_path, ["verify", "--max-dim", str(max_dim), "--samples",
+                                       str(samples), "--snr", "1,10"])
+        assert rc == 0
+        blocks = mimo._num_blocks(samples)
+        assert sorted(calls) == sorted(list(range(blocks)) * (1 + 2))
+        assert decomposed == [{(max_dim, max_dim)} | small]
 
 
 def test_verify_json_report(tmp_path):
@@ -413,11 +456,12 @@ def test_choice_keys_accept_the_library_choice_sets(monkeypatch):
         ({"snr": []}, "snr"),
         ({"q_policy": []}, "q_policy"),
         (["verify", "--snr", ","], "snr"),
+        ({"snr": 10**400}, "snr"),
     ],
     ids=["fractional-K", "word-snr", "nan-snr", "negative-penalty", "unknown-format",
          "empty-q-grid", "empty-gains", "numeric-out", "unknown-policy-flag",
          "unknown-policy-file", "sweep-empty-D", "empty-snr-flag", "empty-snr-file",
-         "empty-policy-file", "verify-empty-snr"],
+         "empty-policy-file", "verify-empty-snr", "float-overflowing-snr-file"],
 )
 def test_invalid_value_exits_2_naming_the_key(tmp_path, capsys, flags, key):
     if isinstance(flags, dict):
@@ -721,9 +765,7 @@ RENAMED = {"relays_per_layer": "K", "num_hops": "D", "noise_ratio": "q"}
 RECORDS = {
     "RateReport": lambda: rate_report(NetworkParams(2, 3, power=10.0), num_samples=500),
     "TrendPoint": lambda: gap_trend(2, [3], num_samples=500)[0],
-    "PropertyReport": lambda: check_capacity_properties(
-        mimo.CapacityTable.from_pool(mimo.SamplePool(2, 500, 0), 10.0)
-    ),
+    "PropertyReport": lambda: check_capacity_properties(mimo.SamplePool(2, 500, 0), 10.0),
     "CapacityEstimate": lambda: mimo.estimate_ergodic_capacity(2, 1, 10.0, 500, seed=0),
 }
 

@@ -25,10 +25,11 @@ from relaycap import (
     brute_force_min_cut,
     check_capacity_properties,
     cut_value,
+    mimo,
     min_cut_dp,
     nnc_lower_bound,
 )
-from relaycap.mimo import _stream_stats
+from relaycap.mimo import _stream_stats, gram_logdet
 from relaycap.network import _block_dims, _cut_column, _cut_sum, _cut_terms, cut_profile_draws
 
 
@@ -208,6 +209,29 @@ def test_per_hop_tables_change_the_final_hop(table3_10, table3_1):
         table3_10.mean(1, 2) + (table3_10.mean(0, 1) + (table3_1.mean(2, 2) + 0.0))
     )
     assert mixed.value == expected
+
+
+def test_snr_negative_zero_reads_the_positive_zero_columns():
+    # snr -0.0 passes _check_snr; every column it reaches, entries and cuts
+    # alike, is bitwise the +0.0 one, with no sign bit set
+    for K in (1, 2):
+        pools = [SamplePool(K, 100, seed=3) for _ in range(2)]
+        neg, pos = (CapacityTable(s, np.zeros((K + 1, K + 1)), pool)
+                    for s, pool in zip((-0.0, 0.0), pools))
+        for m, n in itertools.product(range(K + 1), repeat=2):
+            got = neg.entry_draws(m, n)
+            assert got.tobytes() == pos.entry_draws(m, n).tobytes()
+            assert not np.signbit(got).any(), (K, m, n)
+        params = NetworkParams(K, 3, power=0.0)
+        profile = CutProfile((K, K - 1))
+        got = cut_profile_draws(profile, params, neg)
+        assert got.tobytes() == cut_profile_draws(profile, params, pos).tobytes()
+        assert not np.signbit(got).any()
+        # the cache keys and stores its table at +0.0
+        cache = TableCache(pools[0])
+        table = cache.lower(-0.0)
+        assert cache.lower(0.0) is table and not math.copysign(1.0, table.snr) < 0
+        assert not np.signbit(table.entry_draws(K, K)).any()
 
 
 # ------------------------------------------------------------- minimization
@@ -524,15 +548,40 @@ def test_brute_force_guard():
 # -------------------------------------------------------- property checking
 
 
-def test_property_report_passes_on_fresh_tables(table3_10, table3_1):
-    for table in (table3_10, table3_1):
-        rep = check_capacity_properties(table)
+def test_property_report_passes_on_fresh_tables(pool3):
+    for snr in (10.0, 1.0):
+        rep = check_capacity_properties(pool3, snr)
         assert rep.passed
         assert rep.symmetry_error <= 1e-9
         assert rep.monotonicity_violation <= 1e-9
         assert rep.split_violation <= 1e-9
         assert rep.num_draws == 20_000 and rep.max_dim == 3
         assert set(rep.as_dict()) >= {"symmetry_error", "passed", "tolerance"}
+
+
+def test_property_report_reads_only_the_pool_draws(monkeypatch):
+    # the symmetry check computes the other Gram side of each corner against
+    # the one gram_logdet picks: the worst case of both sides computed anew;
+    # nothing is decomposed
+    pool = SamplePool(3, 300, seed=2)
+    rep = check_capacity_properties(pool, 2.0)
+    P = pool.draws
+    want = max(
+        float(np.max(np.abs(gram_logdet(P[:, :x, :y], 2.0, side="rows")
+                            - gram_logdet(P[:, :x, :y], 2.0, side="cols"))))
+        for x, y in itertools.product(range(1, 4), repeat=2)
+    )
+    assert rep.symmetry_error.hex() == want.hex()
+    assert rep.passed and rep.snr == 2.0 and type(rep.snr) is float
+    assert pool.coefficients == {}
+    # snr is refused before any draw is made
+    def refuse(*args):
+        raise AssertionError("draws were made")
+
+    monkeypatch.setattr(mimo, "_draw_rows", refuse)
+    for bad in (-1.0, math.nan, math.inf, True, "1"):
+        with pytest.raises(ValueError, match="snr"):
+            check_capacity_properties(pool, bad)
 
 
 # ----------------------------------------------------------- node-level cuts
