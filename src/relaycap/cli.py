@@ -13,16 +13,27 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cache, partial
+
+import numpy as np
 
 from . import line as line_mod
 from . import mimo, network, rates
 
-SUBCOMMANDS = ("capacity", "mincut", "rate", "sweep", "verify", "line")
+#: One-line description of each subcommand, listed by --help.
+_HELPS = {
+    "capacity": "ergodic MIMO capacity of one dimension pair",
+    "mincut": "minimum penalized cut of a layered network",
+    "rate": "upper/lower bounds and gap guarantees for one network",
+    "sweep": "gap versus depth under quantization policies",
+    "verify": "internal consistency checks (draw-level properties, DP vs brute force)",
+    "line": "closed-form rates of a single-antenna relay chain",
+}
+SUBCOMMANDS = tuple(_HELPS)
 
 #: Mandated sweep / rate row layout.
 RATE_HEADER = "K,D,snr,q,upper,lower,gap,thm_bound,prior_cf_bound,alignment_bound,std_error"
@@ -30,7 +41,9 @@ RATE_HEADER = "K,D,snr,q,upper,lower,gap,thm_bound,prior_cf_bound,alignment_boun
 # verify exercises small dimensions across a spread of snrs by default
 _VERIFY_DEFAULTS = {"snr": (0.1, 1.0, 10.0), "num_samples": 10000}
 
-_FORMATS = ("csv", "json")
+#: Readers of a key that every subcommand reads, and of the Monte Carlo keys.
+_EVERY = " ".join(SUBCOMMANDS)
+_SAMPLING = "capacity mincut rate sweep verify"
 
 
 class ConfigError(ValueError):
@@ -41,69 +54,7 @@ class ConfigError(ValueError):
         self.key = key
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    """Resolved settings for one CLI run.
-
-    The field defaults are the package defaults of the config keys, the one
-    place they are written.  ``D``, ``snr``, ``q_policy`` and list-like
-    fields are tuples; single values are singleton tuples.  Fields declared
-    ``compare=False`` (``workers``, ``out``) are excluded from equality and
-    the echoed config: they control how results are produced, never what.
-    """
-
-    subcommand: str
-    K: int = 2
-    D: tuple[int, ...] = (4,)
-    snr: tuple[float, ...] = (10.0,)
-    q: float | None = None
-    q_policy: tuple[str, ...] = ("fixed_1", "depth_matched")
-    q_grid: tuple[float, ...] | None = None
-    num_samples: int = 100000
-    seed: int = 0
-    log_base: str = "nats"
-    out: str | None = field(default=None, compare=False)
-    format: str = "csv"
-    workers: int = field(default=1, compare=False)
-    penalty: float = 0.0
-    m: int | None = None
-    n: int | None = None
-    gains: tuple[float, ...] | None = None
-    max_dim: int = 4
-    mode: str = "per_cut_exact"
-    destination_quantizes: bool = True
-
-    def as_dict(self) -> dict:
-        return mimo._record_dict(self)
-
-    def single_depth(self) -> int:
-        if len(self.D) != 1:
-            raise ConfigError("D", f"this subcommand needs a single depth, got {list(self.D)}")
-        return self.D[0]
-
-
-#: Config keys in field order, each with its package default.
-_DEFAULTS = {
-    f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name != "subcommand"
-}
-
-#: The keys each subcommand reads (README's flag table).  Every other key
-#: must keep its default, or the run would silently ignore it.
-_READS = {
-    sub: frozenset(keys.split())
-    for sub, keys in {
-        "capacity": "K snr num_samples seed log_base out format workers m n",
-        "mincut": "K D snr num_samples seed log_base out format workers penalty",
-        "rate": "K D snr q num_samples seed log_base out format workers mode"
-        " destination_quantizes",
-        "sweep": "K D snr q_policy q_grid num_samples seed log_base out format workers mode",
-        "verify": "snr num_samples seed out format workers max_dim",
-        "line": "D snr q log_base out format gains destination_quantizes",
-    }.items()
-}
-
-
-def _as_int(key: str, v, minimum: int | None = None) -> int:
+def _as_int(key: str, v, minimum: int = 1) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         try:
             iv = int(str(v))
@@ -111,12 +62,15 @@ def _as_int(key: str, v, minimum: int | None = None) -> int:
             raise ConfigError(key, f"expected an integer, got {v!r}") from None
     else:
         iv = v
-    if minimum is not None and iv < minimum:
+    if iv < minimum:
         raise ConfigError(key, f"must be >= {minimum}, got {iv}")
     return iv
 
 
-def _as_float(key: str, v, positive: bool = False, nonnegative: bool = False) -> float:
+def _as_float(key: str, v, positive: bool = False) -> float:
+    """``v`` as a finite float, >= 0, or > 0 when ``positive``."""
+    if isinstance(v, bool):
+        raise ConfigError(key, f"expected a number, got {v!r}")
     try:
         fv = float(v)
     except OverflowError:  # an int beyond the floats
@@ -127,26 +81,32 @@ def _as_float(key: str, v, positive: bool = False, nonnegative: bool = False) ->
         raise ConfigError(key, f"must be finite, got {fv}")
     if positive and not fv > 0:
         raise ConfigError(key, f"must satisfy the constraint > 0, got {fv}")
-    if nonnegative and fv < 0:
+    if fv < 0:
         raise ConfigError(key, f"must be >= 0, got {fv}")
     return fv
 
 
-def _as_tuple(v) -> tuple:
-    if isinstance(v, (list, tuple)):
-        return tuple(v)
-    if isinstance(v, str) and "," in v:
-        return tuple(t for t in v.split(",") if t != "")
-    return (v,)
+def _as_bool(key: str, v) -> bool:
+    if not isinstance(v, bool):
+        raise ConfigError(key, f"expected true or false, got {v!r}")
+    return v
+
+
+def _as_path(key: str, v) -> str:
+    if not isinstance(v, str):
+        raise ConfigError(key, f"expected a path string, got {v!r}")
+    return v
 
 
 def _as_list(key: str, v, convert) -> tuple:
-    """``v`` as a nonempty tuple of ``convert(item)``; a string splits at commas."""
-    items = _as_tuple(v)
+    """``v`` as a nonempty tuple of ``convert(key, item)``; a string splits at commas."""
+    if isinstance(v, str) and "," in v:
+        v = [t for t in v.split(",") if t != ""]
+    items = tuple(v) if isinstance(v, (list, tuple)) else (v,)
     if not items:
         raise ConfigError(key, "must be a nonempty list")
     try:
-        return tuple(convert(item) for item in items)
+        return tuple(convert(key, item) for item in items)
     except ConfigError:
         raise
     except ValueError as e:
@@ -159,15 +119,100 @@ def _as_choice(key: str, v, choices: tuple[str, ...]) -> str:
     return v
 
 
+def _each(convert):
+    return partial(_as_list, convert=convert)
+
+
+def _key(default, reads: str, help: str, convert, flag: str | None = None, **field_kw):
+    """A config key's field; its metadata holds the subcommands that read it,
+    its help, ``convert(key, raw value)`` and its flag if not ``--<name>``."""
+    meta = {"reads": frozenset(reads.split()), "help": help, "convert": convert, "flag": flag}
+    return field(default=default, metadata=meta, **field_kw)
+
+
+@dataclass(frozen=True)
+class ExperimentConfig:
+    """Resolved settings for one CLI run.
+
+    Each config key is one field, declared through ``_key``: its default is
+    the key's package default, and the parser, ``validate_config``,
+    ``_DEFAULTS`` and ``_READS`` (README's flag table) read its metadata.
+    ``D``, ``snr``, ``q_policy`` and list-like fields are tuples; single
+    values are singleton tuples.  Fields declared ``compare=False``
+    (``workers``, ``out``) are excluded from equality and the echoed config:
+    they control how results are produced, never what.
+    """
+
+    subcommand: str
+    K: int = _key(2, "capacity mincut rate sweep", "antennas per terminal and relays per layer",
+                  _as_int)
+    D: tuple[int, ...] = _key((4,), "mincut rate sweep line",
+                              "number of hops; comma list for sweeps", _each(_as_int))
+    snr: tuple[float, ...] = _key((10.0,), _EVERY, "signal-to-noise ratio; comma list allowed",
+                                  _each(_as_float))
+    q: float | None = _key(None, "rate line", "quantization noise ratio (default: depth matched)",
+                           partial(_as_float, positive=True))
+    q_policy: tuple[str, ...] = _key(
+        ("fixed_1", "depth_matched"), "sweep",
+        "sweep policies: fixed_1, depth_matched (alias d_minus_1), optimized",
+        _each(lambda key, p: rates.resolve_policy(str(p))),
+    )
+    q_grid: tuple[float, ...] | None = _key(None, "sweep", "comma list of candidate ratios",
+                                            _each(partial(_as_float, positive=True)))
+    # one draw has no spread: its standard error would read 0.0
+    num_samples: int = _key(100000, _SAMPLING, "Monte Carlo draws", partial(_as_int, minimum=2),
+                            flag="--samples")
+    seed: int = _key(0, _SAMPLING, "base RNG seed", partial(_as_int, minimum=0))
+    # the library's choice sets are read at call time
+    log_base: str = _key("nats", "capacity mincut rate sweep line",
+                         "output rate unit: nats or bits",
+                         lambda key, v: _as_choice(key, v, mimo._BASES), flag="--base")
+    out: str | None = _key(None, _EVERY, "output path (default stdout)", _as_path, compare=False)
+    format: str = _key("csv", _EVERY, "output format: csv or json",
+                       partial(_as_choice, choices=("csv", "json")))
+    workers: int = _key(1, _SAMPLING, "threads; never changes output bytes", _as_int, compare=False)
+    penalty: float = _key(0.0, "mincut", "per-relay rate penalty for mincut", _as_float)
+    m: int | None = _key(None, "capacity", "receive dimension (capacity)",
+                         partial(_as_int, minimum=0))
+    n: int | None = _key(None, "capacity", "transmit dimension (capacity)",
+                         partial(_as_int, minimum=0))
+    gains: tuple[float, ...] | None = _key(None, "line", "comma list of line link gains |h|^2",
+                                           _each(_as_float))
+    max_dim: int = _key(4, "verify", "largest dimension verify checks", _as_int)
+    mode: str = _key("per_cut_exact", "rate sweep", "bound mode: per_cut_exact or split_bound",
+                     lambda key, v: _as_choice(key, v, rates._MODES))
+    destination_quantizes: bool = _key(True, "rate line", "final hop runs at full snr", _as_bool,
+                                       flag="--no-destination-quantization")
+
+    def as_dict(self) -> dict:
+        return mimo._record_dict(self)
+
+    def single_depth(self) -> int:
+        if len(self.D) != 1:
+            raise ConfigError("D", f"this subcommand needs a single depth, got {list(self.D)}")
+        return self.D[0]
+
+
+#: The config keys in field order, each key's package default, and the keys
+#: each subcommand reads.  Every other key must keep its default, or the run
+#: would silently ignore it.
+_KEYS = tuple(f for f in dataclasses.fields(ExperimentConfig) if f.name != "subcommand")
+_DEFAULTS = {f.name: f.default for f in _KEYS}
+_READS = {
+    sub: frozenset(f.name for f in _KEYS if sub in f.metadata["reads"]) for sub in SUBCOMMANDS
+}
+
+
 def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConfig:
     """Resolve a raw config dict into an ExperimentConfig.
 
-    Unknown keys and constraint violations raise ConfigError naming the key.
-    An empty dict is valid and yields all defaults.  ``subcommand`` given by
-    the caller must agree with one present in the data.  A key the
-    subcommand does not read (``_READS``) must resolve to its default, so no
-    setting is silently ignored; an echoed config, which names every key,
-    passes because its unread keys hold their defaults.
+    Unknown keys and constraint violations raise ConfigError naming the key;
+    of several invalid keys, the first in field order.  An empty dict is
+    valid and yields all defaults.  ``subcommand`` given by the caller must
+    agree with one present in the data.  A key the subcommand does not read
+    (``_READS``) must resolve to its default, so no setting is silently
+    ignored; an echoed config, which names every key, passes because its
+    unread keys hold their defaults.
     """
     data = dict(data)
     ssub = data.pop("subcommand", None)
@@ -187,40 +232,10 @@ def validate_config(data: dict, subcommand: str | None = None) -> ExperimentConf
     if sub == "verify":
         merged.update({k: v for k, v in _VERIFY_DEFAULTS.items() if k not in data})
     merged.update({k: v for k, v in data.items() if v is not None})
-
-    q, q_grid, m, n, gains = (merged[k] for k in ("q", "q_grid", "m", "n", "gains"))
-    dq = merged["destination_quantizes"]
-    if not isinstance(dq, bool):
-        raise ConfigError("destination_quantizes", f"expected true or false, got {dq!r}")
-    out = merged["out"]
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out", f"expected a path string, got {out!r}")
-    cfg = ExperimentConfig(
-        subcommand=sub,
-        K=_as_int("K", merged["K"], minimum=1),
-        D=_as_list("D", merged["D"], lambda d: _as_int("D", d, minimum=1)),
-        snr=_as_list("snr", merged["snr"], lambda s: _as_float("snr", s, nonnegative=True)),
-        q=None if q is None else _as_float("q", q, positive=True),
-        q_policy=_as_list("q_policy", merged["q_policy"], lambda p: rates.resolve_policy(str(p))),
-        q_grid=None if q_grid is None else _as_list(
-            "q_grid", q_grid, lambda g: _as_float("q_grid", g, positive=True)
-        ),
-        num_samples=_as_int("num_samples", merged["num_samples"], minimum=1),
-        seed=_as_int("seed", merged["seed"], minimum=0),
-        log_base=_as_choice("log_base", merged["log_base"], mimo._BASES),
-        out=out,
-        format=_as_choice("format", merged["format"], _FORMATS),
-        workers=_as_int("workers", merged["workers"], minimum=1),
-        penalty=_as_float("penalty", merged["penalty"], nonnegative=True),
-        m=None if m is None else _as_int("m", m, minimum=0),
-        n=None if n is None else _as_int("n", n, minimum=0),
-        gains=None if gains is None else _as_list(
-            "gains", gains, lambda g: _as_float("gains", g, nonnegative=True)
-        ),
-        max_dim=_as_int("max_dim", merged["max_dim"], minimum=1),
-        mode=_as_choice("mode", merged["mode"], rates._MODES),
-        destination_quantizes=dq,
-    )
+    cfg = ExperimentConfig(sub, **{
+        f.name: None if merged[f.name] is None else f.metadata["convert"](f.name, merged[f.name])
+        for f in _KEYS
+    })
     if sub == "line" and cfg.gains is not None:
         if "D" not in data:
             cfg = dataclasses.replace(cfg, D=(len(cfg.gains),))
@@ -418,9 +433,14 @@ def run_verify(cfg: ExperimentConfig) -> int:
     pool.decompose([(cfg.max_dim, cfg.max_dim),
                     *((m, n) for m in range(1, k_max + 1) for n in range(1, m + 1))])
     for snr in cfg.snr:
-        rep = network.check_capacity_properties(pool, snr)
+        name = f"draw_properties_snr_{snr:g}"
+        try:
+            rep = network.check_capacity_properties(pool, snr)
+        except np.linalg.LinAlgError as e:
+            record(name, False, f"Cholesky of I + snr*Gram failed after its jitter retry: {e}")
+            continue
         record(
-            f"draw_properties_snr_{snr:g}",
+            name,
             rep.passed,
             f"symmetry={rep.symmetry_error:.3e} monotonicity={rep.monotonicity_violation:.3e} "
             f"split={rep.split_violation:.3e} tol={rep.tolerance:g}",
@@ -474,17 +494,6 @@ _RUNNERS = {
 }
 
 
-#: One-line description of each subcommand, listed by --help.
-_HELPS = {
-    "capacity": "ergodic MIMO capacity of one dimension pair",
-    "mincut": "minimum penalized cut of a layered network",
-    "rate": "upper/lower bounds and gap guarantees for one network",
-    "sweep": "gap versus depth under quantization policies",
-    "verify": "internal consistency checks (draw-level properties, DP vs brute force)",
-    "line": "closed-form rates of a single-antenna relay chain",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The one parser.  The subcommand is an optional positional, so each
     flag is declared once and parses alike before or after it."""
@@ -498,28 +507,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("subcommand", nargs="?", choices=SUBCOMMANDS, metavar="subcommand",
                    help="one of the subcommands below (default: the config's, else rate)")
     p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--K", help="antennas per terminal and relays per layer")
-    p.add_argument("--D", help="number of hops; comma list for sweeps")
-    p.add_argument("--snr", help="signal-to-noise ratio; comma list allowed")
-    p.add_argument("--q", help="quantization noise ratio (default: depth matched)")
-    p.add_argument("--q-policy", dest="q_policy",
-                   help="sweep policies: fixed_1, depth_matched (alias d_minus_1), optimized")
-    p.add_argument("--q-grid", dest="q_grid", help="comma list of candidate ratios")
-    p.add_argument("--samples", dest="num_samples", help="Monte Carlo draws")
-    p.add_argument("--seed", help="base RNG seed")
-    p.add_argument("--base", dest="log_base", help="output rate unit: nats or bits")
-    p.add_argument("--out", help="output path (default stdout)")
-    p.add_argument("--format", help="output format: csv or json")
-    p.add_argument("--workers", help="threads; never changes output bytes")
-    p.add_argument("--penalty", help="per-relay rate penalty for mincut")
-    p.add_argument("--m", help="receive dimension (capacity)")
-    p.add_argument("--n", help="transmit dimension (capacity)")
-    p.add_argument("--gains", help="comma list of line link gains |h|^2")
-    p.add_argument("--max-dim", dest="max_dim", help="largest dimension verify checks")
-    p.add_argument("--mode", help="bound mode: per_cut_exact or split_bound")
-    p.add_argument("--no-destination-quantization", dest="destination_quantizes",
-                   action="store_false", default=None,
-                   help="final hop runs at full snr")
+    for f in _KEYS:
+        flag = f.metadata["flag"] or "--" + f.name.replace("_", "-")
+        # the boolean key, true by default, is a switch that turns it off
+        switch = f.metadata["convert"] is _as_bool
+        p.add_argument(flag, dest=f.name, help=f.metadata["help"],
+                       **({"action": "store_false", "default": None} if switch else {}))
     return p
 
 
@@ -543,7 +536,7 @@ def _merge_args(args: argparse.Namespace) -> tuple[dict, str | None]:
     return data, args.subcommand
 
 
-@functools.cache
+@cache
 def _parser() -> argparse.ArgumentParser:
     """``build_parser()``, built once per process: parsing leaves a parser
     as it was, so every ``main`` call can reuse it."""

@@ -107,6 +107,34 @@ def test_bool_field_type_checked():
         validate_config({"destination_quantizes": "yes"})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("snr", True), ("snr", [2.0, False]), ("q", True), ("q", False), ("q_grid", [2.0, True]),
+    ("penalty", False), ("gains", [1.0, True]),
+])
+def test_float_keys_refuse_booleans(key, value):
+    # float() reads a bool as 1.0 or 0.0; the integer keys refuse bools too
+    with pytest.raises(ConfigError, match=rf"'{key}': expected a number, got (True|False)$"):
+        validate_config({key: value})
+
+
+def test_one_draw_is_refused(capsys):
+    # one draw has no spread: its standard error would read 0.0, as if exact
+    for sub in ("capacity", "rate", "verify"):
+        assert main([sub, "--samples", "1"]) == 2
+        assert "config key 'num_samples': must be >= 2, got 1" in capsys.readouterr().err
+    assert validate_config({"num_samples": 2}).num_samples == 2
+
+
+def test_the_first_invalid_key_in_field_order_is_named():
+    # keys are converted in field order, whatever order the data gives them
+    for data, key in (({"destination_quantizes": "yes", "K": 0}, "K"),
+                      ({"out": 5, "snr": "x"}, "snr"),
+                      ({"destination_quantizes": "yes", "out": 5}, "out"),
+                      ({"mode": "x", "num_samples": 1, "seed": -1}, "num_samples")):
+        with pytest.raises(ConfigError, match=f"'{key}'"):
+            validate_config(data)
+
+
 #: Raw config values of every kind a JSON file or a caller may give, an
 #: integer too large for a float among them.
 _SCALARS = st.one_of(
@@ -396,6 +424,20 @@ def test_verify_decomposes_every_block_once(tmp_path, monkeypatch, no_full_table
         blocks = mimo._num_blocks(samples)
         assert sorted(calls) == sorted(list(range(blocks)) * (1 + 2))
         assert decomposed == [{(max_dim, max_dim)} | small]
+
+
+def test_verify_reports_a_failed_cholesky_as_a_failed_check(capsys):
+    # at snr 1e15 a draw's I + snr*Gram fails Cholesky even after the jitter
+    # retry: that snr's property check fails, naming the failure, and every
+    # other check still runs; verify exits 1, not with a traceback
+    rc = main(["verify", "--max-dim", "2", "--samples", "2000", "--snr", "1,1e15"])
+    assert rc == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("[PASS] draw_properties_snr_1:")
+    assert lines[1] == ("[FAIL] draw_properties_snr_1e+15: Cholesky of I + snr*Gram failed "
+                        "after its jitter retry: Matrix is not positive definite")
+    assert all(line.startswith("[PASS] ") for line in lines[2:-1]) and len(lines) == 21
+    assert lines[-1] == "19/20 checks passed"
 
 
 def test_verify_json_report(tmp_path):

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from relaycap import (
@@ -470,6 +472,32 @@ def test_std_error_is_shift_invariant(N):
     for c in (-1e5, -4366.0, -1.0, 1e-3, 1.0, 1e3, 1e5):
         shifted = _stream_stats(column + c)[1]
         assert abs(shifted - se) <= 1e-9 * se, (c, shifted, se)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(
+    n=st.sampled_from([1, 2, 4095, 4096, 4097]),
+    seed=st.integers(0, 2**32 - 1),
+    loc=st.floats(-1e4, 1e4),
+    scale=st.floats(0.0, 1e3),
+    law=st.sampled_from(["normal", "exponential", "two-valued"]),
+)
+def test_stream_stats_match_the_fsum_oracle(n, seed, loc, scale, law):
+    # around the block boundary, and on one or two draws, the streamed mean
+    # is the fsum mean to the rounding of its chunk sums, and the error the
+    # oracle's centred one; one draw has no spread and reads 0.0
+    rng = np.random.default_rng(seed)
+    draws = {"normal": rng.standard_normal, "exponential": rng.standard_exponential,
+             "two-valued": lambda size: rng.integers(0, 2, size).astype(float)}[law](n)
+    column = loc + scale * draws
+    mean, se = _stream_stats(column)
+    top = float(np.max(np.abs(column)))
+    assert abs(mean - math.fsum(column.tolist()) / n) <= 1e-14 * top, (mean, top)
+    if n == 1:
+        assert se == 0.0
+    else:
+        want = oracles.centred_std_error(column)
+        assert math.isclose(se, want, rel_tol=1e-9, abs_tol=1e-14 * top), (se, want)
 
 
 UPPER_SNRS = [float(s) for s in np.geomspace(1e-3, 1e5, 9)]
