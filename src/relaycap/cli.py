@@ -93,7 +93,7 @@ def _as_bool(key: str, v) -> bool:
 
 
 def _as_path(key: str, v) -> str:
-    if not isinstance(v, str):
+    if not isinstance(v, str) or not v:
         raise ConfigError(key, f"expected a path string, got {v!r}")
     return v
 

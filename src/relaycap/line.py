@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mimo import _real
+from .mimo import _choice, _real
 from .rates import QuantizationScheme
 
 _MODES = ("simple_cuts", "all_cuts")
@@ -48,12 +48,8 @@ class LineNetwork:
         if not np.all(np.isfinite(powers)):
             raise ValueError("link gains must be finite")
         object.__setattr__(self, "gains", tuple(float(p) for p in powers))
-        for name in ("power", "noise_var"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if self.power < 0:
-            raise ValueError(f"power must be nonnegative, got {self.power}")
-        if not self.noise_var > 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
+        for name, sign in (("power", "nonnegative"), ("noise_var", "positive")):
+            object.__setattr__(self, name, _real(name, getattr(self, name), sign))
 
     @property
     def num_hops(self) -> int:
@@ -104,9 +100,8 @@ def line_nnc_rate(
     Returns:
         The minimized cut value in nats; may be negative for tiny q.
     """
+    mode = _choice("mode", mode, _MODES)
     penalty = QuantizationScheme(noise_ratio).penalty_per_relay
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
     D = line.num_hops
 
     def receiver_quantizes(hop: int) -> bool:

@@ -58,9 +58,15 @@ _BASES = ("nats", "bits")
 
 def rate_scale(log_base: str) -> float:
     """Multiplier taking a rate in nats to the requested base."""
-    if log_base not in _BASES:
-        raise ValueError(f"log_base must be one of {_BASES}, got {log_base!r}")
-    return 1.0 if log_base == "nats" else 1.0 / _LOG2
+    return 1.0 if _choice("log_base", log_base, _BASES) == "nats" else 1.0 / _LOG2
+
+
+def _choice(name: str, v, choices: tuple[str, ...]) -> str:
+    """``v`` if it is one of ``choices``, else a ValueError naming ``name``.
+    The package's one rule for choice arguments."""
+    if v not in choices:
+        raise ValueError(f"{name} must be one of {choices}, got {v!r}")
+    return v
 
 
 def _positive_int(name: str, v, minimum: int = 1) -> int:
@@ -79,17 +85,17 @@ def _positive_int(name: str, v, minimum: int = 1) -> int:
     return iv
 
 
-def _real(name: str, v) -> float:
+def _real(name: str, v, sign: str | None = None) -> float:
     """``v`` as a finite Python float, so that records serialize; real types
-    only (numpy ones too), no bools, else a ValueError naming ``name``."""
+    only (numpy ones too), no bools or strings, and of ``sign``
+    ("nonnegative" or "positive") if given, else a ValueError naming
+    ``name``.  The package's one rule for real arguments."""
     if isinstance(v, bool) or not isinstance(v, numbers.Real) or not math.isfinite(v):
         raise ValueError(f"{name} must be a finite real number, got {v!r}")
-    return float(v)
-
-
-def _check_snr(snr: float) -> None:
-    if not (math.isfinite(snr) and snr >= 0):
-        raise ValueError(f"snr must be finite and nonnegative, got {snr}")
+    fv = float(v)
+    if sign == "nonnegative" and fv < 0 or sign == "positive" and fv <= 0:
+        raise ValueError(f"{name} must be {sign}, got {fv}")
+    return fv
 
 
 def _block_rng(seed: int, block_index: int) -> np.random.Generator:
@@ -150,20 +156,14 @@ def gram_logdet(channels: np.ndarray, snr: float, side: str = "auto") -> np.ndar
         raise ValueError("channels must have at least 2 dimensions")
     m, n = H.shape[-2:]
     batch_shape = H.shape[:-2]
-    _check_snr(snr)
+    snr = _real("snr", snr, "nonnegative")
+    side = _choice("side", side, ("auto", "rows", "cols"))
     if m == 0 or n == 0 or snr == 0.0:
         return np.zeros(batch_shape)
     if not np.isfinite(H).all():
         raise ValueError("channel matrix contains non-finite entries")
 
-    if side == "auto":
-        use_rows = m <= n
-    elif side == "rows":
-        use_rows = True
-    elif side == "cols":
-        use_rows = False
-    else:
-        raise ValueError(f"side must be 'auto', 'rows' or 'cols', got {side!r}")
+    use_rows = m <= n if side == "auto" else side == "rows"
 
     Hc = H.conj()
     if use_rows:
@@ -413,8 +413,7 @@ def estimate_ergodic_capacity(
     num_samples = _positive_int("num_samples", num_samples)
     seed = _positive_int("seed", seed, minimum=0)
     workers = _positive_int("workers", workers)
-    snr = _real("snr", snr)
-    _check_snr(snr)
+    snr = _real("snr", snr, "nonnegative")
     if m == 0 or n == 0 or snr == 0.0:
         return CapacityEstimate(0.0, 0.0, num_samples, (m, n), snr)
 
@@ -594,7 +593,7 @@ class SamplePool:
         compare columns against.  The full entry's coefficients and kernel are
         those of the direct estimator, so its statistics match it bitwise.
         """
-        key = (float(snr), max(m, n), min(m, n))
+        key = (_real("snr", snr, "nonnegative"), max(m, n), min(m, n))
         column = self._read_column(*key)
         columns = self._columns
         if key != next(iter(columns), key):
@@ -611,7 +610,6 @@ class SamplePool:
         snr -0.0 computes the +0.0 column."""
         column = self._columns.get((snr, m, n))
         if column is None:
-            _check_snr(snr)
             self.decompose([(m, n)])
             column = _logdet_column(self.coefficients[m, n], snr + 0.0)
             column.flags.writeable = False
@@ -784,6 +782,7 @@ class TableCache:
         """The full table at ``snr``: ``lower(snr)`` with every entry exact
         and every standard error reduced, after one ``decompose`` of every
         entry the pool lacks."""
+        snr = _real("snr", snr, "nonnegative")  # refused before the decomposition
         K = self.pool.max_dim
         self.pool.decompose(itertools.combinations_with_replacement(range(K, 0, -1), 2))
         table = self.lower(snr)
@@ -805,10 +804,9 @@ class TableCache:
         pool keeps, and one ``_stream_mean``; (K, K)'s standard error is
         reduced from that column when ``std_errors`` is first read.
         """
-        key = float(snr) + 0.0  # snr -0.0 is the +0.0 table
+        key = _real("snr", snr, "nonnegative") + 0.0  # snr -0.0 is the +0.0 table
         table = self._lower.get(key)
         if table is None:
-            _check_snr(key)
             K = self.pool.max_dim
             kk = _stream_mean(self.pool.column(key, K, K))
             dims = np.arange(K + 1)

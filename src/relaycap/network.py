@@ -45,7 +45,6 @@ import numpy as np
 from .mimo import (
     CapacityTable,
     SamplePool,
-    _check_snr,
     _positive_int,
     _real,
     _record_dict,
@@ -83,12 +82,8 @@ class NetworkParams:
     def __post_init__(self):
         for name in ("relays_per_layer", "num_hops"):
             object.__setattr__(self, name, _positive_int(name, getattr(self, name)))
-        for name in ("power", "noise_var"):
-            object.__setattr__(self, name, _real(name, getattr(self, name)))
-        if self.power < 0:
-            raise ValueError(f"power must be nonnegative, got {self.power}")
-        if not self.noise_var > 0:
-            raise ValueError(f"noise_var must be positive, got {self.noise_var}")
+        for name, sign in (("power", "nonnegative"), ("noise_var", "positive")):
+            object.__setattr__(self, name, _real(name, getattr(self, name), sign))
 
     @property
     def snr(self) -> float:
@@ -178,7 +173,7 @@ def _check_profile(profile: CutProfile, params: NetworkParams) -> None:
             f"profile length {len(profile)} does not match num_hops {D} "
             f"(expected {D - 1} relay layers)"
         )
-    if any(c > K for c in profile.counts):
+    if max(profile.counts, default=0) > K:
         raise ValueError(
             f"profile counts {profile.counts} exceed relays_per_layer {K}"
         )
@@ -285,7 +280,8 @@ def cut_profile_draws(
     body, last, node_penalty = _hop_tables(table, last, params, node_penalty)
     terms = _cut_terms(profile.counts, params, body, last)
     values = _cut_column(terms)
-    values -= node_penalty * sum(profile.counts)
+    if node_penalty:  # a gap error's zero penalty would cost a pass that changes no bit
+        values -= node_penalty * sum(profile.counts)
     return values
 
 
@@ -475,8 +471,7 @@ def check_capacity_properties(pool: SamplePool, snr: float) -> PropertyReport:
     through the Cholesky reference ``gram_logdet`` on the Gram side it picks
     (rows when x <= y) and, for symmetry, on the other.  No table is built.
     """
-    snr = _real("snr", snr)
-    _check_snr(snr)
+    snr = _real("snr", snr, "nonnegative")
     K = pool.max_dim
     P = pool.draws
 

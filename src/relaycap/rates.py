@@ -15,8 +15,10 @@ place that converts to another base.
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,20 +27,14 @@ from .mimo import (
     CapacityTable,
     SamplePool,
     TableCache,
+    _choice,
     _positive_int,
     _real,
     _record_dict,
     _stream_stats,
     rate_scale,
 )
-from .network import (
-    CutProfile,
-    NetworkParams,
-    _cut_column,
-    _cut_terms,
-    cut_value,
-    min_cut_dp,
-)
+from .network import CutProfile, NetworkParams, cut_profile_draws, cut_value, min_cut_dp
 
 logger = logging.getLogger(__name__)
 
@@ -70,9 +66,7 @@ class QuantizationScheme:
     destination_quantizes: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "noise_ratio", _real("noise_ratio", self.noise_ratio))
-        if not self.noise_ratio > 0:
-            raise ValueError(f"noise_ratio must be positive, got {self.noise_ratio}")
+        object.__setattr__(self, "noise_ratio", _real("noise_ratio", self.noise_ratio, "positive"))
 
     @property
     def penalty_per_relay(self) -> float:
@@ -85,7 +79,11 @@ class QuantizationScheme:
     ) -> "QuantizationScheme":
         """q = num_hops - 1, the coarseness that balances penalty against
         degradation; a single-hop network falls back to q = 1."""
-        return cls(float(max(num_hops - 1, 1)), destination_quantizes)
+        return cls(_depth_matched_ratio(num_hops), destination_quantizes)
+
+
+def _depth_matched_ratio(num_hops: int) -> float:
+    return float(max(num_hops - 1, 1))
 
 
 def degraded_snr(params: NetworkParams, scheme: QuantizationScheme) -> float:
@@ -144,9 +142,8 @@ def _penalized_min_cut(
     """(unclamped achievable rate under ``mode``, minimizing profile); hop D
     reads ``last`` if given.  The penalty enters the rate only:
     "per_cut_exact" charges it per cut inside the minimization, and
-    "split_bound" subtracts ``penalty_bound`` from the unpenalized min cut."""
-    if mode not in _MODES:
-        raise ValueError(f"mode must be one of {_MODES}, got {mode!r}")
+    "split_bound" subtracts ``penalty_bound`` from the unpenalized min cut.
+    Callers check ``mode`` on entry."""
     if mode == "per_cut_exact":
         return min_cut_dp(params, table, node_penalty=scheme.penalty_per_relay, last=last)
     min_cut, profile = min_cut_dp(params, table, last=last)
@@ -188,6 +185,7 @@ def nnc_lower_bound(
         ``value`` (a scheme can always fall silent) and kept in
         ``raw_value``; clamping is logged.
     """
+    mode = _choice("mode", mode, _MODES)
     if not scheme.destination_quantizes and table_full is None:
         raise ValueError(
             "destination_quantizes=False needs table_full for the final hop"
@@ -267,12 +265,11 @@ def _gap_std_error(
     snr, minus the blocks of the cut ``profile`` on ``table`` (hop D on
     ``last`` if given), over the one pool of both tables.
 
-    The cut's column is ``_cut_column`` over the pool's per-draw columns,
-    without the penalty, a constant that cannot move the error; C(K, K)
-    minus it is formed in place and reduced by ``_stream_stats``.
+    The cut's column is ``cut_profile_draws`` without the penalty, a
+    constant that cannot move the error; C(K, K) minus it is formed in place
+    and reduced by ``_stream_stats``.
     """
-    terms = _cut_terms(profile.counts, params, table, table if last is None else last)
-    cut = _cut_column(terms)
+    cut = cut_profile_draws(profile, params, table, last=last)
     return _stream_stats(np.subtract(full, cut, out=cut))[1]
 
 
@@ -315,6 +312,7 @@ def rate_report(
         mode: Bound mode, as in nnc_lower_bound.
         workers: Threads for pool generation; output independent of it.
     """
+    mode = _choice("mode", mode, _MODES)
     if scheme is None:
         scheme = QuantizationScheme.depth_matched(params.num_hops)
     K, D = params.relays_per_layer, params.num_hops
@@ -360,19 +358,17 @@ class OptimizeResult:
 def default_q_grid(num_hops: int) -> list[float]:
     """Geometric candidate grid from 0.25 to 8 times the depth-matched
     ratio; always contains 1 and that ratio, max(num_hops - 1, 1)."""
-    anchor = QuantizationScheme.depth_matched(num_hops).noise_ratio
+    anchor = _depth_matched_ratio(num_hops)
     qs = {1.0, anchor}
     qs.update(float(x) for x in np.geomspace(0.25, 8.0 * anchor, 9))
     return sorted(qs)
 
 
 def _candidate_grid(q_grid: list[float]) -> list[float]:
-    """Sorted distinct candidate ratios, validated."""
-    grid = sorted({float(q) for q in q_grid})
+    """Sorted distinct candidate ratios, each a positive real."""
+    grid = sorted({_real("q_grid", q, "positive") for q in q_grid})
     if not grid:
         raise ValueError("q_grid must be nonempty")
-    if any(not (q > 0) or not math.isfinite(q) for q in grid):
-        raise ValueError(f"all quantization ratios must be positive and finite: {grid}")
     return grid
 
 
@@ -393,8 +389,12 @@ def _optimize_on_cache(
     cache: TableCache,
     q_grid: list[float],
     mode: str,
+    scheme_of: Callable[[float], QuantizationScheme] | None = None,
 ) -> tuple[float, float, list[tuple[float, float]]]:
     """Grid scan and refinement of ``optimize_quantization`` on ``cache``.
+    ``scheme_of(q)`` gives each ratio's scheme: a ``functools.cache`` of
+    ``QuantizationScheme``, built once per ratio, that a caller's scans may
+    share, or this scan's own if None.
 
     A candidate q scores ``_clamped_rate`` of its penalized min cut at
     snr / (1 + q), taken on a lower-bound table (``cache.lower``, see
@@ -429,6 +429,7 @@ def _optimize_on_cache(
         that cannot beat the incumbent are not listed.
     """
     scores: dict[float, float] = {}  # insertion order is scan order
+    scheme_of = scheme_of or functools.cache(QuantizationScheme)
     cache.lower(params.snr)  # every degraded snr now has a chord bound
 
     def score(q: float, best: tuple[float, float]) -> float | None:
@@ -436,7 +437,7 @@ def _optimize_on_cache(
         ``best``."""
         if q in scores:
             return scores[q]
-        scheme = QuantizationScheme(q)
+        scheme = scheme_of(q)
         ub = _raw_rate_bound(params, scheme, cache)
         tol = 1e-9 * max(1.0, best[1])
         if ub < -tol:
@@ -450,7 +451,7 @@ def _optimize_on_cache(
         return scores[q]
 
     best = (q_grid[0], 0.0)
-    bounds = {q: _raw_rate_bound(params, QuantizationScheme(q), cache) for q in q_grid}
+    bounds = {q: _raw_rate_bound(params, scheme_of(q), cache) for q in q_grid}
     for q in sorted(q_grid, key=lambda q: (-bounds[q], q)):
         s = score(q, best)
         if s is not None and (s, -q) > (best[1], -best[0]):
@@ -502,6 +503,7 @@ def optimize_quantization(
         workers: Threads for this call's pool generation; output
             independent of it.
     """
+    mode = _choice("mode", mode, _MODES)
     grid = _candidate_grid(
         q_grid if q_grid is not None else default_q_grid(params.num_hops)
     )
@@ -590,13 +592,16 @@ def gap_trend(
 
     Raises:
         ValueError: before any pool is built, if ``relays_per_layer`` or a
-            depth is not a positive integer, ``snr`` is not a finite real,
-            or ``q_grid`` is given to a policy that would ignore it.
+            depth is not a positive integer, ``snr`` is not a finite
+            nonnegative real, ``mode`` or ``q_policy`` is unknown, a ratio of
+            ``q_grid`` is not a positive real, or ``q_grid`` is given to a
+            policy that would ignore it.
     """
     K = _positive_int("relays_per_layer", relays_per_layer)
     depths = [_positive_int("depths", d) for d in depths]
-    snr = _real("snr", snr)
+    snr = _real("snr", snr, "nonnegative")
     policy = resolve_policy(q_policy)
+    mode = _choice("mode", mode, _MODES)
     if q_grid is not None and policy != "optimized":
         raise ValueError(f"q_grid is read only by the optimized q policy, not {policy}")
     grid = None if q_grid is None else _candidate_grid(q_grid)
@@ -608,18 +613,19 @@ def gap_trend(
             f"does not match the requested {(K, num_samples, seed)}"
         )
     upper, full = cache.lower(snr).mean(K, K), cache.pool.column(snr, K, K)
+    scheme_of = functools.cache(QuantizationScheme)  # one per ratio in this call
     points = []
     for D in depths:
         params = NetworkParams(K, D, power=snr, noise_var=1.0)
         if policy == "fixed_1":
             q = 1.0
         elif policy == "depth_matched":
-            q = QuantizationScheme.depth_matched(D).noise_ratio
+            q = _depth_matched_ratio(D)
         else:
             q, _, _ = _optimize_on_cache(
-                params, cache, grid if grid is not None else default_q_grid(D), mode
+                params, cache, grid if grid is not None else default_q_grid(D), mode, scheme_of
             )
-        raw, se = _scheme_bounds(params, QuantizationScheme(q), cache, mode, full)
+        raw, se = _scheme_bounds(params, scheme_of(q), cache, mode, full)
         points.append(
             TrendPoint(
                 num_hops=D,

@@ -499,11 +499,12 @@ def test_choice_keys_accept_the_library_choice_sets(monkeypatch):
         ({"q_policy": []}, "q_policy"),
         (["verify", "--snr", ","], "snr"),
         ({"snr": 10**400}, "snr"),
+        (["line", "--out", ""], "out"),
     ],
     ids=["fractional-K", "word-snr", "nan-snr", "negative-penalty", "unknown-format",
          "empty-q-grid", "empty-gains", "numeric-out", "unknown-policy-flag",
          "unknown-policy-file", "sweep-empty-D", "empty-snr-flag", "empty-snr-file",
-         "empty-policy-file", "verify-empty-snr", "float-overflowing-snr-file"],
+         "empty-policy-file", "verify-empty-snr", "float-overflowing-snr-file", "empty-out"],
 )
 def test_invalid_value_exits_2_naming_the_key(tmp_path, capsys, flags, key):
     if isinstance(flags, dict):

@@ -70,3 +70,16 @@ def test_only_mimo_names_a_tables_exactness():
     # its errors through std_errors; the mask and the error store are mimo's
     for stem, named in _names_outside_mimo().items():
         assert not named & TABLE_STATE_NAMES, (stem, sorted(named & TABLE_STATE_NAMES))
+
+
+def test_rates_imports_no_private_network_name():
+    # rates reads cut columns through network's public cut_profile_draws
+    tree = ast.parse((SRC / "relaycap" / "rates.py").read_text())
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "network"
+        for alias in node.names
+    }
+    assert "cut_profile_draws" in imported
+    assert not {name for name in imported if name.startswith("_")}, sorted(imported)

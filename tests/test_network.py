@@ -408,6 +408,28 @@ def test_cut_terms_count_every_hop_in_order():
         (body, (0, 2), 473), (body, (2, 2), 1)]
 
 
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(data=st.data())
+def test_cut_terms_equal_the_per_hop_enumeration(data):
+    # random profiles built from runs of equal counts, so long runs occur:
+    # hop i + 1 crosses (K - M_{i+1}, M_i) with M_0 = K and M_D = 0, on the
+    # body table but hop D on ``last``; the terms are the per-hop blocks
+    # grouped by (table, block) in order of first crossing.  _cut_terms
+    # reads only the tables' identities, so sentinels stand in for them
+    K = data.draw(st.integers(1, 4))
+    runs = data.draw(st.lists(st.tuples(st.integers(0, K), st.integers(1, 40)), max_size=12))
+    counts = tuple(c for c, length in runs for _ in range(length))
+    body = object()
+    last = data.draw(st.sampled_from([body, object()]))
+    states = [K, *counts, 0]
+    want: dict = {}
+    for i in range(len(counts) + 1):
+        key = (last if i == len(counts) else body, (K - states[i + 1], states[i]))
+        want[key] = want.get(key, 0) + 1
+    got = _cut_terms(counts, NetworkParams(K, len(counts) + 1), body, last)
+    assert got == [(t, dims, mult) for (t, dims), mult in want.items()]
+
+
 def test_tables_over_different_pools_are_refused():
     # a network's tables share one pool of draws, so every cut error is a
     # common-random-number error; a final-hop table over a pool whose key

@@ -430,6 +430,61 @@ def test_gap_trend_validates_input(monkeypatch):
             gap_trend(K, [2], num_samples=100)
 
 
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda: gap_trend(2, [2], snr=-1.0, num_samples=100), "snr"),
+        (lambda: gap_trend(2, [2], mode="bogus", num_samples=100), "mode"),
+        (lambda: rate_report(NetworkParams(2, 3), num_samples=100, mode="bogus"), "mode"),
+        (lambda: optimize_quantization(NetworkParams(2, 3), num_samples=100, mode="bogus"),
+         "mode"),
+        (lambda: optimize_quantization(NetworkParams(2, 4), q_grid=["2"], num_samples=100),
+         "q_grid"),
+        (lambda: optimize_quantization(NetworkParams(2, 4), q_grid=[True], num_samples=100),
+         "q_grid"),
+        (lambda: gap_trend(2, [4], q_policy="optimized", q_grid=["2"], num_samples=100),
+         "q_grid"),
+        (lambda: gap_trend(2, [4], q_policy="optimized", q_grid=[1.0, True], num_samples=100),
+         "q_grid"),
+    ],
+    ids=["gap-trend-negative-snr", "gap-trend-mode", "rate-report-mode", "optimizer-mode",
+         "optimizer-str-ratio", "optimizer-bool-ratio", "gap-trend-str-ratio",
+         "gap-trend-bool-ratio"],
+)
+def test_entries_refuse_before_any_pool_is_built(monkeypatch, call, name):
+    # each entry checks its reals and choices on entry: the pool build that
+    # would come next is never reached
+    def no_build(*args, **kwargs):
+        raise AssertionError("pool built before the arguments were checked")
+
+    monkeypatch.setattr(SamplePool, "build", no_build)
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        call()
+
+
+def test_a_call_constructs_one_scheme_per_ratio(monkeypatch):
+    # a q scan reads a ratio's scheme for its bound, its table and its
+    # score, and a sweep for every row: each call builds (and validates)
+    # one scheme per distinct ratio; D = 1 and D = 2 share q = 1
+    built = []
+    post_init = QuantizationScheme.__post_init__
+
+    def counting(self):
+        built.append(self.noise_ratio)
+        post_init(self)
+
+    monkeypatch.setattr(QuantizationScheme, "__post_init__", counting)
+    cache = TableCache(SamplePool.build(2, 2_000, seed=0))
+    for policy in ("fixed_1", "depth_matched", "optimized"):
+        built.clear()
+        gap_trend(2, [1, 2, 4, 8, 16, 32], q_policy=policy, num_samples=2_000, seed=0,
+                  cache=cache)
+        assert built and len(built) == len(set(built)), (policy, sorted(built))
+    built.clear()
+    optimize_quantization(NetworkParams(2, 8), num_samples=2_000, seed=0)
+    assert built and len(built) == len(set(built)), sorted(built)
+
+
 @pytest.mark.parametrize("mode", ["per_cut_exact", "split_bound"])
 def test_optimizer_rates_equal_nnc_lower_bound_bitwise(mode):
     # both scans take their min cuts on lower-bound tables; every score
@@ -908,6 +963,35 @@ def test_sweep_shape_builds_at_most_45_tables(monkeypatch):
 
 
 # ---------------------------------------------------------- gap error
+
+
+def test_gap_std_error_is_calibrated():
+    # the std_error column is the claim's error bar: at K = 2 and snr 10,
+    # over 300 seeds of 2000 draws, z = (gap - reference) / std_error, with
+    # the reference from 10^6 draws at a seed outside that range, must look
+    # standard normal in every (policy, D) cell.  For 300 seeds the share
+    # with |z| < 2 lies within about 3 binomial deviations of 0.954, and the
+    # z standard deviation within about 2.5 of its sampling deviations of 1.
+    # An error bar scaled by 0.8 reads about 1.25 and 0.90
+    policies, depths = ("fixed_1", "depth_matched", "optimized"), [2, 4, 8]
+    reference_cache = TableCache(SamplePool.build(2, 10**6, 10**6))
+    reference = {
+        p: gap_trend(2, depths, snr=10.0, q_policy=p, num_samples=10**6, seed=10**6,
+                     cache=reference_cache)
+        for p in policies
+    }
+    z = {(p, D): [] for p in policies for D in depths}
+    for seed in range(300):
+        cache = TableCache(SamplePool.build(2, 2000, seed))
+        for p in policies:
+            rows = gap_trend(2, depths, snr=10.0, q_policy=p, num_samples=2000, seed=seed,
+                             cache=cache)
+            for row, ref in zip(rows, reference[p]):
+                z[p, row.num_hops].append((row.gap - ref.gap) / row.std_error)
+    for cell, values in z.items():
+        values = np.array(values)
+        assert 0.91 <= np.mean(np.abs(values) < 2) <= 0.99, cell
+        assert 0.9 <= np.std(values, ddof=1) <= 1.1, cell
 
 
 def test_gap_error_under_a_large_penalty_shift_keeps_its_digits(monkeypatch):

@@ -2,6 +2,7 @@
 
 import collections
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -161,6 +162,20 @@ def test_negative_snr_rejected(pool3):
 def test_non_finite_snr_rejected(pool3, snr):
     with pytest.raises(ValueError, match="snr"):
         CapacityTable.from_pool(pool3, snr)
+
+
+@pytest.mark.parametrize("snr", [True, False, "10", "-1"])
+def test_bool_or_string_snr_rejected(snr):
+    # an snr is a real number: a bool or a string is refused, not read as
+    # the float it converts to
+    pool = SamplePool.build(2, 100, seed=0)
+    for call in (
+        lambda: TableCache(pool).lower(snr),
+        lambda: pool.column(snr, 2, 2),
+        lambda: gram_logdet(np.eye(2, dtype=complex), snr),
+    ):
+        with pytest.raises(ValueError, match="^snr must be a finite real number"):
+            call()
 
 
 def test_keep_per_draw_false_drops_draw_storage(pool3):
@@ -526,6 +541,29 @@ def test_table_cache_upper_bounds_every_entry_mean(K, N, no_full_table):
             assert cache.chord(s0 / 2) == low  # no known mean below
             assert cache.chord(2 * s1) == math.inf  # none above
         assert cache._lower.keys() == {s0, s1}  # the chord computes nothing
+
+
+@functools.cache
+def _chord_pool(K: int) -> SamplePool:
+    return SamplePool.build(K, 500, seed=60 + K)
+
+
+_CHORD_SNR = st.one_of(st.just(0.0), st.floats(-3.0, 5.0).map(lambda t: 10.0**t))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_chord_bounds_the_kk_mean_at_random_snr_sets(data):
+    # whatever set of snr values the cache has computed C(K, K) at, the
+    # chord at any snr is >= the C(K, K) mean computed there
+    K = data.draw(st.integers(1, 3))
+    pool = _chord_pool(K)
+    known = data.draw(st.lists(_CHORD_SNR, min_size=1, max_size=6))
+    cache = TableCache(pool)
+    for s in known:
+        cache.lower(s)
+    for s in data.draw(st.lists(_CHORD_SNR, min_size=1, max_size=4)):
+        assert cache.chord(s) >= TableCache(pool).lower(s).means[K, K], (K, known, s)
 
 
 @pytest.mark.parametrize("N", [1, 4097, 20_000])
